@@ -133,7 +133,6 @@ class BoConfig:
     max_evals: int = 100
     loss_tol: float = 1e-6
     step_tol: float = 1e-4
-    step_loss_tol: float = 1e-8  # declared alongside step_tol; not consulted
     n_initial: Optional[int] = None
     n_candidates: int = 2000
     seed: int = 0

@@ -45,6 +45,7 @@ from .drivers import (
     InverseRunSpec,
     SensorPlacement,
     TimeBlockSpec,
+    error_metrics,
     generate_sensor_data,
     hyperparam_names,
     run_advection_forward,
@@ -654,14 +655,14 @@ def write_config(config: RunConfig, path) -> Path:
 # metrics
 
 
-@fixed_blas_threads()
 def compare_to_exact(predicted, exact, mesh=None) -> MetricsRecord:
     """Grade solution samples against a reference.
 
     ``exact`` is either an array of reference values on the same mesh or
     a callable evaluated at ``mesh``.  Mismatched sample counts raise
-    ``ValueError``.  The relative L2 error of a perfect match is 0 even
-    when the reference is identically zero.
+    ``ValueError``.  The norms are ``drivers.error_metrics``: the relative
+    L2 error of a perfect match is 0 even when the reference is
+    identically zero.
     """
     predicted = np.asarray(predicted, dtype=float).ravel()
     if callable(exact):
@@ -673,14 +674,8 @@ def compare_to_exact(predicted, exact, mesh=None) -> MetricsRecord:
         raise ValueError(
             f"mesh mismatch: {predicted.shape[0]} samples vs {reference.shape[0]} reference values"
         )
-    errors = np.abs(predicted - reference)
-    denom = float(np.linalg.norm(reference))
-    num = float(np.linalg.norm(predicted - reference))
-    if denom > 0:
-        rel = num / denom
-    else:
-        rel = 0.0 if num == 0.0 else float("inf")
-    return MetricsRecord(float(np.max(errors)) if errors.size else 0.0, rel, errors)
+    metrics = error_metrics(predicted, reference)
+    return MetricsRecord(metrics["linf"], metrics["rel_l2"], np.abs(predicted - reference))
 
 
 # ---------------------------------------------------------------------------

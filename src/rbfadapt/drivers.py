@@ -38,6 +38,7 @@ from .sampling import (
     boundary_points_1d,
     boundary_points_rect,
     boundary_points_xsides,
+    dedup_rows,
     default_eta,
     initial_points,
     most_square_factors,
@@ -376,12 +377,19 @@ def _test_mesh(problem: PdeProblem, n: int) -> np.ndarray:
 
 @fixed_blas_threads()
 def error_metrics(predicted: np.ndarray, reference: np.ndarray) -> dict:
+    """Max-norm and relative L2 error of predicted against reference.
+
+    Against an identically zero reference the relative L2 error is 0 for
+    a perfect match and inf otherwise.
+    """
     diff = predicted - reference
     denom = float(np.linalg.norm(reference))
-    return {
-        "linf": float(np.max(np.abs(diff))),
-        "rel_l2": float(np.linalg.norm(diff) / denom) if denom > 0 else float("nan"),
-    }
+    num = float(np.linalg.norm(diff))
+    if denom > 0:
+        rel = num / denom
+    else:
+        rel = 0.0 if num == 0.0 else float("inf")
+    return {"linf": float(np.max(np.abs(diff))) if diff.size else 0.0, "rel_l2": rel}
 
 
 def run_kapi_forward(spec: ForwardRunSpec, sensors=None) -> ForwardResult:
@@ -584,17 +592,6 @@ def _sample_mask_points(mask: CharacteristicMask, n: int, rng) -> np.ndarray:
     return np.column_stack([xs, ts])
 
 
-def _dedup_rows(pts: np.ndarray) -> np.ndarray:
-    seen = set()
-    keep = []
-    for i, row in enumerate(pts):
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return pts[keep]
-
-
 def solve_advection_timeblocks(
     spec: TimeBlockSpec,
     tunables=DEFAULT_ADVECTION_TUNABLES,
@@ -675,7 +672,7 @@ def solve_advection_timeblocks(
                 np.vstack([base.centers, adapt_pts]),
                 np.vstack([base.widths, widths]),
             )
-            interior = _dedup_rows(np.vstack([grid, adapt_pts]))
+            interior = dedup_rows(np.vstack([grid, adapt_pts]))
             tags = np.concatenate([np.zeros(spec.n_rbf, dtype=int), np.ones(n_adapt, dtype=int)])
         system = build_system(
             block_problem,

@@ -16,6 +16,19 @@ s = m x + b:
 
     dG/dx   = -2 m s G
     d2G/dx2 = (4 m^2 s^2 - 2 m^2) G
+
+eval_matrix builds each entry axis by axis in one (points x kernels)
+array, without a (points x kernels x dim) tensor.  Per entry the float
+operations and their order are
+
+    s_d = x_d * m_d;  s_d = s_d + b_d;  s_d = s_d * s_d
+    q = ((s_0 + s_1) + s_2) + ...;  G = exp(-q)
+
+which is exactly what np.exp(-np.sum((x * m + b)**2, axis=-1)) computes
+over fewer than 8 axes, where numpy sums a short contiguous axis left to
+right.  Every matrix, solve and result file rests on that bit-identity:
+reassociating the sum, or forming G as a product of per-axis exponentials,
+changes the last bits and with them the search paths.
 """
 
 from __future__ import annotations
@@ -132,9 +145,19 @@ def eval_matrix(basis: RbfBasis, points: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"points have dim {points.shape[1]}, basis has dim {basis.dim}"
         )
-    # s[p, k, d] = m[k, d] * x[p, d] + b[k, d]
-    s = points[:, None, :] * basis.slopes[None, :, :] + basis.offsets[None, :, :]
-    return np.exp(-np.sum(s * s, axis=2))
+    slopes, offsets = basis.slopes, basis.offsets
+    q = np.empty((points.shape[0], basis.n_kernels))
+    s = np.empty_like(q) if basis.dim > 1 else q
+    for d in range(basis.dim):
+        # s[p, k] = (x[p, d] * m[k, d] + b[k, d])^2, summed over d into q
+        t = q if d == 0 else s
+        np.multiply(points[:, d, None], slopes[:, d], out=t)
+        t += offsets[:, d]
+        t *= t
+        if d > 0:
+            q += s
+    np.negative(q, out=q)
+    return np.exp(q, out=q)
 
 
 def deriv_matrix(

@@ -291,14 +291,20 @@ def sample_collocation(
     grid = uniform_grid(domain, baseline.n_colloc)
     adaptive = centers[component_of > 0]
     combined = np.vstack([grid, adaptive]) if adaptive.size else grid
+    return dedup_rows(combined)
+
+
+def dedup_rows(pts: np.ndarray) -> np.ndarray:
+    """The rows of pts with exact duplicates dropped, first occurrences kept
+    in order.  Rows are compared by their bytes, so -0.0 and 0.0 differ."""
     seen = set()
     keep = []
-    for i, row in enumerate(combined):
+    for i, row in enumerate(pts):
         key = row.tobytes()
         if key not in seen:
             seen.add(key)
             keep.append(i)
-    return combined[keep]
+    return pts[keep]
 
 
 def sample_nu(hp: MixtureHyperparams, rng) -> float:

@@ -33,6 +33,8 @@ from rbfadapt.sampling import BaselineConfig, mixture_weights
 
 from test_clustering import _brute_force_dbscan
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(num: int, ok: bool, detail: str):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} — {detail}", flush=True)

@@ -13,6 +13,7 @@ from rbfadapt.drivers import (
     TimeBlockSpec,
     build_mixture,
     characteristic_mask,
+    error_metrics,
     forward_objective,
     generate_sensor_data,
     hyperparam_names,
@@ -278,6 +279,20 @@ class TestCharacteristicMask:
 
 # ---------------------------------------------------------------------------
 # sequential time blocks
+
+
+class TestErrorMetrics:
+    def test_known_norms(self):
+        reference = np.array([3.0, 4.0])
+        metrics = error_metrics(np.array([3.0, 5.0]), reference)
+        assert metrics == {"linf": 1.0, "rel_l2": 0.2}
+
+    def test_zero_reference_is_zero_for_a_match_and_inf_otherwise(self):
+        zeros = np.zeros(4)
+        assert error_metrics(zeros.copy(), zeros) == {"linf": 0.0, "rel_l2": 0.0}
+        metrics = error_metrics(np.array([0.0, 1e-3, 0.0, 0.0]), zeros)
+        assert metrics["linf"] == 1e-3
+        assert metrics["rel_l2"] == np.inf
 
 
 def _small_block_spec(**overrides):

@@ -1,5 +1,7 @@
 """Tests for Gaussian kernel evaluation and analytic derivatives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,56 @@ class TestBasisMatrices:
             eval_matrix(RbfBasis([[0.0]], [[1.0]]), np.zeros((4, 2)))
         with pytest.raises(ValueError):
             deriv_matrix(RbfBasis([[0.0]], [[1.0]]), np.zeros((4, 1)), 0, 3)
+
+
+def _tensor_eval(basis, x):
+    """The (points x kernels x dim) formula that eval_matrix must match bit for bit."""
+    m, b = basis.slopes, basis.offsets
+    return np.exp(-np.sum((x[:, None, :] * m + b) ** 2, axis=2))
+
+
+def _tensor_deriv(basis, x, axis, order):
+    g = _tensor_eval(basis, x)
+    if order == 0:
+        return g
+    m = basis.slopes[None, :, axis]
+    s = x[:, None, axis] * m + basis.offsets[None, :, axis]
+    if order == 1:
+        return -2.0 * m * s * g
+    return (4.0 * m * m * s * s - 2.0 * m * m) * g
+
+
+class TestBitIdentity:
+    """eval_matrix and deriv_matrix reproduce the tensor formula exactly.
+
+    Solves on these matrices are rank-deficient, so a last-bit change in
+    one entry moves the Bayesian search and every result file after it.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_points", [1, 997])
+    def test_matches_tensor_formula(self, dim, n_points):
+        rng = np.random.default_rng(100 * dim + n_points)
+        basis = RbfBasis(rng.uniform(-1, 1, (301, dim)), rng.uniform(0.02, 1.0, (301, dim)))
+        x = rng.uniform(-1.2, 1.2, (n_points, dim))
+        assert np.array_equal(eval_matrix(basis, x), _tensor_eval(basis, x))
+        for axis in range(dim):
+            for order in (0, 1, 2):
+                assert np.array_equal(
+                    deriv_matrix(basis, x, axis, order), _tensor_deriv(basis, x, axis, order)
+                ), (axis, order)
+
+
+def test_eval_matrix_peak_memory_is_near_its_output():
+    # the output plus one (points x kernels) scratch array is 2x; the tensor
+    # formula's (points x kernels x dim) temporaries reach 5x
+    rng = np.random.default_rng(8)
+    basis = RbfBasis(rng.uniform(-1, 1, (500, 2)), rng.uniform(0.05, 0.5, (500, 2)))
+    points = rng.uniform(-1, 1, (2000, 2))
+    tracemalloc.start()
+    try:
+        g = eval_matrix(basis, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * g.nbytes, peak / g.nbytes

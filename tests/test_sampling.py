@@ -12,6 +12,7 @@ from rbfadapt.sampling import (
     boundary_points_rect,
     boundary_points_xsides,
     component_counts,
+    dedup_rows,
     default_eta,
     initial_points,
     mixture_weights,
@@ -228,6 +229,12 @@ class TestCollocation:
         tags = np.array([0, 1, 1])
         pts = sample_collocation(base, centers, tags, UNIT)
         assert pts.shape == (6, 1)  # 5 grid + 1 unique adaptive
+
+    def test_dedup_keeps_first_occurrences_in_order(self):
+        pts = np.array([[0.5, 1.0], [0.0, 0.0], [0.5, 1.0], [-0.0, 0.0], [0.0, 0.0]])
+        out = dedup_rows(pts)
+        # rows compare by their bytes, so -0.0 stays apart from 0.0
+        assert [row.tobytes() for row in out] == [row.tobytes() for row in pts[[0, 1, 3]]]
 
 
 class TestSampleNu:
