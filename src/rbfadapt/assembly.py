@@ -58,27 +58,37 @@ class SolvedModel:
 
 
 def operator_matrix(problem: PdeProblem, basis: RbfBasis, points: np.ndarray) -> np.ndarray:
-    """Apply the problem's differential operator to every kernel at the points."""
+    """Apply the problem's differential operator to every kernel at the points.
+
+    All terms come from one deriv_matrix call and are combined in place,
+    entry by entry in the order stated in rbf's module docstring.
+    """
     kind = problem.kind
     if kind is ProblemKind.CONVDIFF1:
-        return deriv_matrix(basis, points, 0, 1) - problem.nu * deriv_matrix(
-            basis, points, 0, 2
-        )
+        d1, d2 = deriv_matrix(basis, points, [(0, 1), (0, 2)])
+        d2 *= problem.nu
+        d1 -= d2
+        return d1
     if kind is ProblemKind.CONVDIFF2:
         pts = np.atleast_2d(points)
         vel = 2.0 * (2.0 * pts[:, 0] - 1.0)
-        return (
-            vel[:, None] * deriv_matrix(basis, pts, 0, 1)
-            - problem.nu * deriv_matrix(basis, pts, 0, 2)
-            + 4.0 * eval_matrix(basis, pts)
-        )
+        d1, d2, g = deriv_matrix(basis, pts, [(0, 1), (0, 2), (0, 0)])
+        d1 *= vel[:, None]
+        d2 *= problem.nu
+        d1 -= d2
+        g *= 4.0
+        d1 += g
+        return d1
     if kind is ProblemKind.POISSON2D:
-        return deriv_matrix(basis, points, 0, 2) + deriv_matrix(basis, points, 1, 2)
+        dxx, dyy = deriv_matrix(basis, points, [(0, 2), (1, 2)])
+        dxx += dyy
+        return dxx
     if kind is ProblemKind.ADVECTION1D:
         # axes are (x, t); transport term along axis 0, time along axis 1
-        return deriv_matrix(basis, points, 1, 1) + problem.advection_speed * deriv_matrix(
-            basis, points, 0, 1
-        )
+        dt, dx = deriv_matrix(basis, points, [(1, 1), (0, 1)])
+        dx *= problem.advection_speed
+        dt += dx
+        return dt
     raise ValueError(f"no operator for problem kind {kind}")
 
 
@@ -101,47 +111,132 @@ def boundary_targets(problem: PdeProblem, points: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class FixedBlock:
+    """Rows of a run's baseline kernels that every system of the run shares.
+
+    matrix is build_system's matrix for basis at interior, boundary and
+    extra_points, in that row order.  A later build_system call whose
+    basis starts with these kernels and whose interior starts with these
+    points copies it instead of evaluating those entries again.
+    """
+
+    problem: PdeProblem
+    basis: RbfBasis
+    interior: np.ndarray
+    boundary: np.ndarray
+    extra_points: tuple
+    matrix: np.ndarray
+
+
+def _as_points(pts) -> np.ndarray:
+    return np.atleast_2d(np.asarray(pts, dtype=float))
+
+
+def fixed_block(
+    problem: PdeProblem,
+    basis: RbfBasis,
+    interior_pts: np.ndarray,
+    boundary_pts: np.ndarray,
+    extra_rows=None,
+) -> FixedBlock:
+    """Build the shared baseline rows once; only the points of extra_rows
+    are kept, so their values may change from one system to the next."""
+    extra_rows = list(extra_rows or ())
+    system = build_system(problem, basis, interior_pts, boundary_pts, extra_rows)
+    return FixedBlock(
+        problem,
+        basis,
+        _as_points(interior_pts),
+        _as_points(boundary_pts),
+        tuple(_as_points(pts) for pts, _, _ in extra_rows),
+        system.matrix,
+    )
+
+
+def _check_fixed(fixed, problem, basis, interior_pts, boundary_pts, extra_pts) -> None:
+    n_base, n_grid = fixed.basis.n_kernels, fixed.interior.shape[0]
+    if problem != fixed.problem:
+        raise ValueError("fixed block was built for another problem")
+    if not (
+        basis.n_kernels >= n_base
+        and np.array_equal(basis.centers[:n_base], fixed.basis.centers)
+        and np.array_equal(basis.widths[:n_base], fixed.basis.widths)
+    ):
+        raise ValueError("basis does not start with the fixed block's kernels")
+    if not (
+        interior_pts.shape[0] >= n_grid
+        and np.array_equal(interior_pts[:n_grid], fixed.interior)
+    ):
+        raise ValueError("interior points do not start with the fixed block's rows")
+    if not np.array_equal(boundary_pts, fixed.boundary):
+        raise ValueError("boundary points differ from the fixed block's")
+    if len(extra_pts) != len(fixed.extra_points) or not all(
+        np.array_equal(a, b) for a, b in zip(extra_pts, fixed.extra_points)
+    ):
+        raise ValueError("extra row points differ from the fixed block's")
+
+
 def build_system(
     problem: PdeProblem,
     basis: RbfBasis,
     interior_pts: np.ndarray,
     boundary_pts: np.ndarray,
     extra_rows=None,
+    fixed: FixedBlock | None = None,
 ) -> LinearSystem:
     """Stack operator rows, boundary rows and any extra evaluation rows.
 
     extra_rows: iterable of (points, values, RowKind) triples, used for
-    initial-condition rows and sensor-data rows.
+    initial-condition rows and sensor-data rows.  fixed: a block from
+    fixed_block whose entries are copied rather than rebuilt; the rest,
+    the targets and the row kinds come from this call's arguments, and
+    the result equals the build without it bit for bit.
     """
     if basis.n_kernels < 1:
         raise ValueError("basis must contain at least one kernel")
-    interior_pts = np.atleast_2d(np.asarray(interior_pts, dtype=float))
-    boundary_pts = np.atleast_2d(np.asarray(boundary_pts, dtype=float))
+    interior_pts = _as_points(interior_pts)
+    boundary_pts = _as_points(boundary_pts)
     if interior_pts.shape[0] == 0:
         raise ValueError("interior points required")
     if boundary_pts.shape[0] == 0:
         raise ValueError("boundary points required")
 
-    blocks = [operator_matrix(problem, basis, interior_pts)]
-    targets = [problem.source(interior_pts)]
-    kinds = [np.full(interior_pts.shape[0], RowKind.INTERIOR, dtype=int)]
-
-    blocks.append(eval_matrix(basis, boundary_pts))
-    targets.append(boundary_targets(problem, boundary_pts))
-    kinds.append(np.full(boundary_pts.shape[0], RowKind.BOUNDARY, dtype=int))
-
+    targets = [problem.source(interior_pts), boundary_targets(problem, boundary_pts)]
+    kinds = [
+        np.full(interior_pts.shape[0], RowKind.INTERIOR, dtype=int),
+        np.full(boundary_pts.shape[0], RowKind.BOUNDARY, dtype=int),
+    ]
+    extra_pts = []
     for pts, vals, kind in extra_rows or ():
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = _as_points(pts)
         vals = np.asarray(vals, dtype=float)
         if pts.shape[0] != vals.shape[0]:
             raise ValueError("extra row points/values length mismatch")
-        blocks.append(eval_matrix(basis, pts))
+        extra_pts.append(pts)
         targets.append(vals)
         kinds.append(np.full(pts.shape[0], RowKind(kind), dtype=int))
 
-    return LinearSystem(
-        np.vstack(blocks), np.concatenate(targets), np.concatenate(kinds)
-    )
+    # rows: interior (operator), then boundary and extra (plain evaluation)
+    evaluated = np.vstack([boundary_pts, *extra_pts])
+    n_int = interior_pts.shape[0]
+    matrix = np.empty((n_int + evaluated.shape[0], basis.n_kernels))
+    n_base = 0
+    if fixed is not None:
+        _check_fixed(fixed, problem, basis, interior_pts, boundary_pts, extra_pts)
+        n_base, n_grid = fixed.basis.n_kernels, fixed.interior.shape[0]
+        matrix[:n_grid, :n_base] = fixed.matrix[:n_grid]
+        matrix[n_int:, :n_base] = fixed.matrix[n_grid:]
+        if n_int > n_grid:
+            matrix[n_grid:n_int, :n_base] = operator_matrix(
+                problem, fixed.basis, interior_pts[n_grid:]
+            )
+    if basis.n_kernels > n_base:
+        cols = basis if n_base == 0 else RbfBasis(basis.centers[n_base:], basis.widths[n_base:])
+        matrix[:n_int, n_base:] = operator_matrix(problem, cols, interior_pts)
+        matrix[n_int:, n_base:] = eval_matrix(cols, evaluated)
+
+    return LinearSystem(matrix, np.concatenate(targets), np.concatenate(kinds))
 
 
 @fixed_blas_threads()

@@ -131,7 +131,8 @@ class BoHistory:
 @dataclass(frozen=True)
 class BoConfig:
     max_evals: int = 100
-    loss_tol: float = 1e-6
+    # stop once a loss is at or below this; None runs to the budget
+    loss_tol: Optional[float] = 1e-6
     step_tol: float = 1e-4
     n_initial: Optional[int] = None
     n_candidates: int = 2000
@@ -140,7 +141,7 @@ class BoConfig:
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
-        if self.loss_tol <= 0 or self.step_tol <= 0:
+        if (self.loss_tol is not None and self.loss_tol <= 0) or self.step_tol <= 0:
             raise ValueError("tolerances must be positive")
 
     def initial_count(self, n_params: int) -> int:
@@ -402,7 +403,7 @@ def optimize(
             loss = np.inf
         history.append(w, loss)
 
-        if loss < config.loss_tol:
+        if config.loss_tol is not None and loss <= config.loss_tol:
             history.stop_reason = "loss_tol"
             break
         unit = bounds.to_unit(w)

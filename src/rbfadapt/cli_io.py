@@ -709,18 +709,8 @@ def _build_search_bounds(search: dict) -> SearchBounds:
     return SearchBounds(params, log_scale=log_scale or None)
 
 
-# positive but unreachable: BoConfig insists on a positive loss target,
-# and this one can never fire, which is how "no target" is spelled
-_NO_LOSS_TARGET = 1e-300
-
-
 def _build_bo(search: dict, seed: int) -> BoConfig:
-    loss_tol = search["loss_tol"]
-    return BoConfig(
-        max_evals=search["max_evals"],
-        loss_tol=_NO_LOSS_TARGET if loss_tol is None else loss_tol,
-        seed=seed,
-    )
+    return BoConfig(max_evals=search["max_evals"], loss_tol=search["loss_tol"], seed=seed)
 
 
 def _forward_spec(config: RunConfig, pde_params: tuple = ()) -> ForwardRunSpec:
@@ -859,7 +849,7 @@ def _run_advection(config: RunConfig) -> dict:
         bounds=SearchBounds([(n, lo, hi) for n, (lo, hi) in a["bounds"].items()]),
         bo=BoConfig(
             max_evals=a["max_evals"],
-            loss_tol=_NO_LOSS_TARGET if a["loss_tol"] is None else a["loss_tol"],
+            loss_tol=a["loss_tol"],
             seed=config.seed,
         ),
         seed=config.seed,

@@ -18,6 +18,7 @@ from .assembly import (
     SolvedModel,
     build_system,
     evaluate_model,
+    fixed_block,
     operator_matrix,
     solve_system,
 )
@@ -30,7 +31,7 @@ from .clustering import (
     estimate_gradients,
 )
 from .problems import Box, PdeProblem, ProblemKind, advection_initial
-from .rbf import RbfBasis
+from .rbf import RbfBasis, eval_matrix
 from .sampling import (
     BaselineConfig,
     MixtureComponent,
@@ -305,22 +306,27 @@ def _effective_problem(problem: PdeProblem, hp: MixtureHyperparams, rng) -> PdeP
     return replace(problem, nu=sample_nu(hp, rng))
 
 
+def _extra_rows(problem: PdeProblem, baseline: BaselineConfig, sensors=None) -> list:
+    extra = _initial_rows(problem, baseline)
+    if sensors is not None:
+        extra = extra + [(sensors.points, sensors.values, RowKind.SENSOR)]
+    return extra
+
+
 def forward_objective(
-    spec: ForwardRunSpec, hp: MixtureHyperparams, eval_seed: int, sensors=None
+    spec: ForwardRunSpec, hp: MixtureHyperparams, eval_seed: int, sensors=None, fixed=None
 ) -> tuple:
     """One deterministic objective evaluation: sample, assemble, solve.
 
     Returns (max-absolute-residual loss, solved model). Solver failure
     yields (+inf, None). When the hyperparameters carry PDE-parameter
     entries the drawn/assigned value feeds both the operator and the
-    width sampler.
+    width sampler.  fixed is the run's baseline block (see
+    _forward_fixed_block), reused by the assembly.
     """
     ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(2, int(eval_seed)))
     rng = np.random.default_rng(ss)
     problem = _effective_problem(spec.problem, hp, rng)
-    extra = _initial_rows(problem, spec.baseline)
-    if sensors is not None:
-        extra = extra + [(sensors.points, sensors.values, RowKind.SENSOR)]
     try:
         cfg = sample_configuration(hp, spec.baseline, problem.domain, problem.nu, rng)
         system = build_system(
@@ -328,7 +334,8 @@ def forward_objective(
             cfg.basis,
             cfg.interior_pts,
             _boundary_points(problem, spec.baseline),
-            extra_rows=extra,
+            extra_rows=_extra_rows(problem, spec.baseline, sensors),
+            fixed=fixed,
         )
         model = solve_system(system, cfg.basis)
     except (ArithmeticError, np.linalg.LinAlgError):
@@ -337,9 +344,26 @@ def forward_objective(
     return model.loss, model
 
 
+def _forward_fixed_block(spec: ForwardRunSpec, sensors=None):
+    """The baseline kernels' rows at the collocation grid, boundary and
+    extra points, shared by every evaluation of a run.  None when the run
+    searches a PDE parameter: the operator then changes per evaluation."""
+    if spec.pde_params:
+        return None
+    problem, baseline = spec.problem, spec.baseline
+    return fixed_block(
+        problem,
+        baseline_basis(problem.domain, baseline),
+        uniform_grid(problem.domain, baseline.n_colloc),
+        _boundary_points(problem, baseline),
+        _extra_rows(problem, baseline, sensors),
+    )
+
+
 def _optimize_forward(spec: ForwardRunSpec, sensors=None) -> tuple:
     """Shared BO loop; returns (history, best model, w_named, w_opt)."""
     state = {"i": 0, "best_loss": np.inf, "best_model": None}
+    fixed = _forward_fixed_block(spec, sensors)
 
     def objective(w):
         values = dict(zip(spec.bounds.names, w))
@@ -353,7 +377,7 @@ def _optimize_forward(spec: ForwardRunSpec, sensors=None) -> tuple:
             spec.pde_params,
             spec.width_sharing,
         )
-        loss, model = forward_objective(spec, hp, state["i"], sensors)
+        loss, model = forward_objective(spec, hp, state["i"], sensors, fixed)
         if loss < state["best_loss"]:
             state["best_loss"] = loss
             state["best_model"] = model
@@ -655,6 +679,14 @@ def solve_advection_timeblocks(
     # staggered points that avoid the collocation grid
     vx = (np.arange(25) + 0.5) / 25.0
     val_pts = np.column_stack([np.repeat(vx, 25), np.tile(vx, 25)])
+    top_pts = np.column_stack([ic_xhat, np.ones_like(ic_xhat)])
+    # the baseline kernels' entries are the same in every block: build them
+    # once, and per block only the adaptive kernels' columns and rows
+    fixed = fixed_block(
+        block_problem, base, grid, bc_pts, [(ic_pts, ic_vals, RowKind.INITIAL)]
+    )
+    val_base = operator_matrix(block_problem, base, val_pts)
+    top_base = eval_matrix(base, top_pts)
     models, masks, losses, val_losses = [], [], [], []
     for k in range(spec.n_blocks):
         rng = np.random.default_rng(block_seeds[k])
@@ -663,6 +695,7 @@ def solve_advection_timeblocks(
             basis = base
             interior = grid
             tags = np.zeros(spec.n_rbf, dtype=int)
+            val_rows, top_rows = val_base, top_base
         else:
             adapt_pts = _sample_mask_points(mask, n_adapt, rng)
             widths = np.column_stack(
@@ -674,12 +707,16 @@ def solve_advection_timeblocks(
             )
             interior = dedup_rows(np.vstack([grid, adapt_pts]))
             tags = np.concatenate([np.zeros(spec.n_rbf, dtype=int), np.ones(n_adapt, dtype=int)])
+            adapt = RbfBasis(adapt_pts, widths)
+            val_rows = np.hstack([val_base, operator_matrix(block_problem, adapt, val_pts)])
+            top_rows = np.hstack([top_base, eval_matrix(adapt, top_pts)])
         system = build_system(
             block_problem,
             basis,
             interior,
             bc_pts,
             extra_rows=[(ic_pts, ic_vals, RowKind.INITIAL)],
+            fixed=fixed,
         )
         try:
             model = solve_system(system, basis)
@@ -689,11 +726,10 @@ def solve_advection_timeblocks(
         models.append(model)
         masks.append(mask)
         losses.append(model.loss)
-        val_rows = operator_matrix(block_problem, basis, val_pts)
         with fixed_blas_threads():
             val_losses.append(float(np.max(np.abs(val_rows @ model.coefficients))))
-        # next block's initial rows: this block's top edge, taken verbatim
-        ic_vals = evaluate_model(model, np.column_stack([ic_xhat, np.ones_like(ic_xhat)]))
+            # next block's initial rows: this block's top edge, taken verbatim
+            ic_vals = top_rows @ model.coefficients
 
     return AdvectionResult(
         spec,

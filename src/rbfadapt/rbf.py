@@ -29,6 +29,19 @@ over fewer than 8 axes, where numpy sums a short contiguous axis left to
 right.  Every matrix, solve and result file rests on that bit-identity:
 reassociating the sum, or forming G as a product of per-axis exponentials,
 changes the last bits and with them the search paths.
+
+deriv_matrix builds G once for all its (axis, order) terms and refills
+s = x m + b once per derivative axis.  With m and b broadcast per kernel,
+each entry of a term is
+
+    order 1:  ((-2 m) s) g
+    order 2:  ((((4 m) m) s) s - (2 m) m) g
+
+and assembly.operator_matrix combines the terms of each operator entry
+by entry as D1 - nu D2, (v D1 - nu D2) + 4 G, Dxx + Dyy and Dt + a Dx
+(products before the sums, the sums left to right).  These are the
+orders of the plain expressions -2*m*s*g, (4*m*m*s*s - 2*m*m)*g and
+v*D1 - nu*D2 + 4*G, and changing any of them changes the last bits too.
 """
 
 from __future__ import annotations
@@ -160,26 +173,41 @@ def eval_matrix(basis: RbfBasis, points: np.ndarray) -> np.ndarray:
     return np.exp(q, out=q)
 
 
-def deriv_matrix(
-    basis: RbfBasis, points: np.ndarray, axis: int, order: int
-) -> np.ndarray:
-    """Partial derivative of every kernel along one axis at all points.
+def deriv_matrix(basis: RbfBasis, points: np.ndarray, terms) -> list:
+    """Partial derivatives of every kernel at all points, one per term.
 
-    order 0 falls through to plain evaluation.  Returns (n_points, n_kernels).
+    terms: sequence of (axis, order) pairs, order 0, 1 or 2.  The Gaussian
+    matrix is built once and shared; order-0 terms return that very array.
+    Returns a list of (n_points, n_kernels) arrays in the order of terms.
     """
-    if not 0 <= axis < basis.dim:
-        raise ValueError(f"axis {axis} out of range for basis of dim {basis.dim}")
-    if order not in (0, 1, 2):
-        raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
+    terms = list(terms)
+    for axis, order in terms:
+        if not 0 <= axis < basis.dim:
+            raise ValueError(f"axis {axis} out of range for basis of dim {basis.dim}")
+        if order not in (0, 1, 2):
+            raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
     g = eval_matrix(basis, points)
-    if order == 0:
-        return g
+    out = [g if order == 0 else None for _, order in terms]
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = basis.slopes[None, :, axis]
-    s = points[:, None, axis] * m + basis.offsets[None, :, axis]
-    if order == 1:
-        return -2.0 * m * s * g
-    return (4.0 * m * m * s * s - 2.0 * m * m) * g
+    slopes, offsets = basis.slopes, basis.offsets
+    s = None
+    # one s = x m + b buffer, refilled for each derivative axis in turn
+    for axis in dict.fromkeys(axis for axis, order in terms if order):
+        m = slopes[:, axis]
+        s = np.multiply(points[:, axis, None], m, out=s)
+        s += offsets[:, axis]
+        for i, (ax, order) in enumerate(terms):
+            if ax != axis or order == 0:
+                continue
+            if order == 1:
+                d = np.multiply(-2.0 * m, s)
+            else:
+                d = np.multiply(4.0 * m * m, s)
+                d *= s
+                d -= 2.0 * m * m
+            d *= g
+            out[i] = d
+    return out
 
 
 def rbf_eval(kernel: RbfKernel, point) -> float:

@@ -1,25 +1,38 @@
 """Tests for system assembly and the least-squares solve."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from rbfadapt import rbf
 from rbfadapt.assembly import (
     LinearSystem,
     RowKind,
     build_system,
     evaluate_model,
+    fixed_block,
     operator_matrix,
     residual_loss,
     solve_least_squares,
     solve_system,
 )
 from rbfadapt.problems import (
+    ProblemKind,
     advection1d,
     convdiff_type1,
     convdiff_type2,
     poisson2d,
 )
-from rbfadapt.rbf import RbfBasis, RbfKernel, rbf_deriv, rbf_eval
+from rbfadapt.rbf import RbfBasis, RbfKernel, eval_matrix, rbf_deriv, rbf_eval
+from rbfadapt.sampling import (
+    boundary_points_rect,
+    boundary_points_xsides,
+    dedup_rows,
+    initial_points,
+    uniform_grid,
+)
 
 
 def _system(h, r, kinds=None):
@@ -80,6 +93,229 @@ class TestOperatorRows:
         for k in range(4):
             single = operator_matrix(prob, basis.subset([k]), pts)
             np.testing.assert_allclose(full[:, k], single[:, 0], rtol=1e-13)
+
+
+def _per_term_deriv(basis, x, axis, order):
+    """One derivative term with its own Gaussian build, as plain expressions."""
+    g = eval_matrix(basis, x)
+    if order == 0:
+        return g
+    m = basis.slopes[None, :, axis]
+    s = x[:, None, axis] * m + basis.offsets[None, :, axis]
+    if order == 1:
+        return -2.0 * m * s * g
+    return (4.0 * m * m * s * s - 2.0 * m * m) * g
+
+
+def _per_term_operator(problem, basis, x):
+    """Each operator composed from separately built terms, the reference
+    that operator_matrix must match bit for bit."""
+    def d(axis, order):
+        return _per_term_deriv(basis, x, axis, order)
+
+    if problem.kind is ProblemKind.CONVDIFF1:
+        return d(0, 1) - problem.nu * d(0, 2)
+    if problem.kind is ProblemKind.CONVDIFF2:
+        vel = 2.0 * (2.0 * x[:, 0] - 1.0)
+        return vel[:, None] * d(0, 1) - problem.nu * d(0, 2) + 4.0 * d(0, 0)
+    if problem.kind is ProblemKind.POISSON2D:
+        return d(0, 2) + d(1, 2)
+    return d(1, 1) + problem.advection_speed * d(0, 1)
+
+
+_OPERATOR_CASES = [
+    (convdiff_type1(0.013), 1),
+    (convdiff_type1(0.013), 2),
+    (convdiff_type2(0.021), 1),
+    (convdiff_type2(0.021), 2),
+    (poisson2d(0.05), 2),
+    (advection1d(0.05, 0.37), 2),
+]
+
+
+class TestOperatorBitIdentity:
+    """One Gaussian build per operator, combined in place, changes no bit."""
+
+    @pytest.mark.parametrize("problem,dim", _OPERATOR_CASES)
+    def test_matches_per_term_composition(self, problem, dim):
+        rng = np.random.default_rng(40 + dim)
+        basis = RbfBasis(rng.uniform(-0.2, 1.2, (173, dim)), rng.uniform(0.01, 0.6, (173, dim)))
+        x = rng.uniform(0.0, 1.0, (613, dim))
+        assert np.array_equal(
+            operator_matrix(problem, basis, x), _per_term_operator(problem, basis, x)
+        )
+
+    @pytest.mark.parametrize("problem,dim", _OPERATOR_CASES)
+    def test_one_gaussian_build_per_operator(self, problem, dim, monkeypatch):
+        calls = []
+        real = rbf.eval_matrix
+
+        def counting(basis, points):
+            calls.append(1)
+            return real(basis, points)
+
+        monkeypatch.setattr(rbf, "eval_matrix", counting)
+        basis = RbfBasis(np.full((3, dim), 0.5), np.full((3, dim), 0.2))
+        operator_matrix(problem, basis, np.full((5, dim), 0.4))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("problem,dim", _OPERATOR_CASES)
+    def test_peak_memory_is_bounded_by_its_output(self, problem, dim):
+        # the Gaussian, one s buffer and two term arrays make 4x; building
+        # the Gaussian once per term reached 5x
+        rng = np.random.default_rng(9)
+        basis = RbfBasis(rng.uniform(0, 1, (500, dim)), rng.uniform(0.05, 0.5, (500, dim)))
+        x = rng.uniform(0, 1, (2000, dim))
+        tracemalloc.start()
+        try:
+            out = operator_matrix(problem, basis, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * out.nbytes, peak / out.nbytes
+
+
+def _forward_case(problem, n_grid, boundary, extra, seed, n_adapt=29):
+    """A baseline block plus adaptive kernels the way a run draws them:
+    baseline kernels first, interior = grid then adaptive centres, with
+    one centre clipped onto a grid point (dedup drops it)."""
+    rng = np.random.default_rng(seed)
+    dom = problem.domain
+    base = RbfBasis(uniform_grid(dom, 36), np.full((36, dom.dim), 0.17))
+    grid = uniform_grid(dom, n_grid)
+    centres = rng.uniform(dom.lower, dom.upper, (n_adapt, dom.dim))
+    centres[3] = grid[5]
+    basis = RbfBasis(
+        np.vstack([base.centers, centres]),
+        np.vstack([base.widths, rng.uniform(0.005, 0.1, (n_adapt, dom.dim))]),
+    )
+    interior = dedup_rows(np.vstack([grid, centres]))
+    assert interior.shape[0] == n_grid + n_adapt - 1
+    block = fixed_block(problem, base, grid, boundary, extra)
+    return base, grid, basis, interior, block
+
+
+def _initial_rows(problem, n, shift=0.0):
+    pts = initial_points(problem.domain, n)
+    return [(pts, np.sin(3.0 * pts[:, 0]) + shift, RowKind.INITIAL)]
+
+
+def _systems_equal(a, b):
+    return (
+        np.array_equal(a.matrix, b.matrix)
+        and np.array_equal(a.targets, b.targets)
+        and np.array_equal(a.row_kinds, b.row_kinds)
+    )
+
+
+class TestFixedBlock:
+    """build_system with a fixed block equals the full build bit for bit."""
+
+    def test_poisson_with_clipped_adaptive_centre(self):
+        prob = poisson2d(0.05)
+        boundary = boundary_points_rect(prob.domain, 40)
+        base, grid, basis, interior, block = _forward_case(prob, 63, boundary, None, 1)
+        full = build_system(prob, basis, interior, boundary)
+        reused = build_system(prob, basis, interior, boundary, fixed=block)
+        assert _systems_equal(reused, full)
+
+    def test_no_adaptive_kernels(self):
+        prob = poisson2d(0.05)
+        boundary = boundary_points_rect(prob.domain, 40)
+        base, grid, _, _, block = _forward_case(prob, 63, boundary, None, 2)
+        full = build_system(prob, base, grid, boundary)
+        reused = build_system(prob, base, grid, boundary, fixed=block)
+        assert _systems_equal(reused, full)
+        assert reused.matrix is not block.matrix
+
+    def test_initial_rows_take_this_call_values(self):
+        prob = advection1d(0.05, 0.5)
+        boundary = boundary_points_xsides(prob.domain, 30)
+        base, grid, basis, interior, block = _forward_case(
+            prob, 77, boundary, _initial_rows(prob, 41), 3
+        )
+        # the march hands new initial values to every block
+        extra = _initial_rows(prob, 41, shift=0.25)
+        full = build_system(prob, basis, interior, boundary, extra)
+        reused = build_system(prob, basis, interior, boundary, extra, fixed=block)
+        assert _systems_equal(reused, full)
+        assert np.array_equal(reused.targets[-41:], extra[0][1])
+
+    @pytest.mark.parametrize("problem", [convdiff_type1(0.01), convdiff_type2(0.02)])
+    def test_sensor_rows(self, problem):
+        rng = np.random.default_rng(4)
+        boundary = np.array([[0.0], [1.0]])
+        sensors = [(rng.uniform(0, 1, (23, 1)), rng.normal(size=23), RowKind.SENSOR)]
+        base, grid, basis, interior, block = _forward_case(problem, 97, boundary, sensors, 5)
+        full = build_system(problem, basis, interior, boundary, sensors)
+        reused = build_system(problem, basis, interior, boundary, sensors, fixed=block)
+        assert _systems_equal(reused, full)
+        assert list(reused.row_kinds[-23:]) == [RowKind.SENSOR] * 23
+
+
+class TestStaleFixedBlock:
+    """A block built from other kernels, rows or problem is refused."""
+
+    def _case(self):
+        prob = advection1d(0.05, 0.5)
+        boundary = boundary_points_xsides(prob.domain, 30)
+        extra = _initial_rows(prob, 41)
+        base, grid, basis, interior, block = _forward_case(prob, 77, boundary, extra, 6)
+        return prob, basis, interior, boundary, extra, block
+
+    def _refused(self, prob, basis, interior, boundary, extra, block, match):
+        with pytest.raises(ValueError, match=match):
+            build_system(prob, basis, interior, boundary, extra, fixed=block)
+
+    def test_accepts_its_own_inputs(self):
+        prob, basis, interior, boundary, extra, block = self._case()
+        build_system(prob, basis, interior, boundary, extra, fixed=block)
+
+    def test_leading_centre_differs(self):
+        prob, basis, interior, boundary, extra, block = self._case()
+        centers = basis.centers.copy()
+        centers[7, 0] += 1e-12
+        moved = RbfBasis(centers, basis.widths)
+        self._refused(prob, moved, interior, boundary, extra, block, "kernels")
+
+    def test_leading_width_differs(self):
+        prob, basis, interior, boundary, extra, block = self._case()
+        widths = basis.widths.copy()
+        widths[0, 1] *= 1.5
+        self._refused(
+            prob, RbfBasis(basis.centers, widths), interior, boundary, extra, block, "kernels"
+        )
+
+    def test_basis_shorter_than_block(self):
+        prob, basis, interior, boundary, extra, block = self._case()
+        short = RbfBasis(basis.centers[:10], basis.widths[:10])
+        self._refused(prob, short, interior, boundary, extra, block, "kernels")
+
+    def test_leading_interior_row_differs(self):
+        prob, basis, interior, boundary, extra, block = self._case()
+        moved = interior.copy()
+        moved[12, 1] = 0.5
+        self._refused(prob, basis, moved, boundary, extra, block, "interior")
+        self._refused(prob, basis, interior[:50], boundary, extra, block, "interior")
+
+    def test_boundary_differs(self):
+        prob, basis, interior, boundary, extra, block = self._case()
+        self._refused(prob, basis, interior, boundary[::-1], extra, block, "boundary")
+        self._refused(prob, basis, interior, boundary[1:], extra, block, "boundary")
+
+    def test_extra_points_differ(self):
+        prob, basis, interior, boundary, extra, block = self._case()
+        (pts, vals, kind), = extra
+        self._refused(
+            prob, basis, interior, boundary, [(pts + 1e-9, vals, kind)], block, "extra"
+        )
+        self._refused(prob, basis, interior, boundary, [], block, "extra")
+        self._refused(prob, basis, interior, boundary, extra * 2, block, "extra")
+
+    def test_problem_differs(self):
+        prob, basis, interior, boundary, extra, block = self._case()
+        faster = replace(prob, advection_speed=0.6)
+        self._refused(faster, basis, interior, boundary, extra, block, "problem")
 
 
 class TestBuildSystem:

@@ -234,6 +234,20 @@ class TestOptimize:
         assert len(history) == 1
         assert history.stop_reason == "loss_tol"
 
+    def test_loss_equal_to_loss_tol_stops(self):
+        bounds = SearchBounds([("x", 0.0, 1.0)])
+        config = BoConfig(max_evals=30, loss_tol=1.0, seed=1)
+        _, history = optimize(lambda w: 1.0, bounds, config)
+        assert len(history) == 1
+        assert history.stop_reason == "loss_tol"
+
+    def test_zero_loss_without_loss_tol_runs_to_budget(self):
+        bounds = SearchBounds([("x", 0.0, 1.0)])
+        config = BoConfig(max_evals=8, loss_tol=None, step_tol=1e-300, seed=2)
+        _, history = optimize(lambda w: 0.0, bounds, config)
+        assert len(history) == 8
+        assert history.stop_reason == "budget"
+
     def test_budget_is_total_evaluations(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
         config = BoConfig(max_evals=8, loss_tol=1e-300, step_tol=1e-300, seed=2)

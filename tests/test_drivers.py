@@ -1,11 +1,21 @@
 """End-to-end driver workflows: curriculum, tuned forward solve, transport blocks, inverse runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rbfadapt.assembly import evaluate_model
+from rbfadapt.assembly import (
+    RowKind,
+    build_system,
+    evaluate_model,
+    operator_matrix,
+    solve_system,
+)
 from rbfadapt.bayesopt import BoConfig, SearchBounds
+from rbfadapt.blas import fixed_blas_threads
 from rbfadapt.drivers import (
+    _forward_fixed_block,
     CharacteristicMask,
     ForwardRunSpec,
     InverseRunSpec,
@@ -22,8 +32,22 @@ from rbfadapt.drivers import (
     run_kapi_forward,
     solve_advection_timeblocks,
 )
-from rbfadapt.problems import Box, advection1d, convdiff_type1, convdiff_type2
-from rbfadapt.sampling import BaselineConfig, initial_points
+from rbfadapt.problems import (
+    Box,
+    PdeProblem,
+    ProblemKind,
+    advection1d,
+    advection_initial,
+    convdiff_type1,
+    convdiff_type2,
+)
+from rbfadapt.sampling import (
+    BaselineConfig,
+    boundary_points_xsides,
+    dedup_rows,
+    initial_points,
+    uniform_grid,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +186,34 @@ class TestForwardObjective:
             }
             draws.append(forward_objective(spec, build_mixture(w, 1, 1, spec.eta_value), i)[0])
         assert min(draws) * 50 < base_loss
+
+    @pytest.mark.parametrize("with_sensors", [False, True])
+    def test_fixed_block_changes_no_bit(self, with_sensors):
+        spec = _one_component_spec(1e-3)
+        sensors = None
+        if with_sensors:
+            sensors = generate_sensor_data(
+                spec.problem, {"nu": 1e-3}, 17, 0.01, SensorPlacement.BOUNDARY_LAYER_BIASED,
+                np.random.default_rng(2),
+            )
+        fixed = _forward_fixed_block(spec, sensors)
+        assert fixed is not None
+        for i, (mu, tau) in enumerate([(0.995, 0.3), (0.95, 0.05), (0.9999, 0.5)]):
+            w = {"f": 0.5, "mu": mu, "tau": tau, "lam": -0.3}
+            hp = build_mixture(w, 1, 1, spec.eta_value)
+            loss, model = forward_objective(spec, hp, i, sensors)
+            reused_loss, reused = forward_objective(spec, hp, i, sensors, fixed)
+            assert reused_loss == loss
+            assert np.array_equal(reused.coefficients, model.coefficients)
+
+    def test_no_fixed_block_when_a_pde_parameter_is_searched(self):
+        spec = replace(
+            _baseline_only_spec(0.01),
+            problem=advection1d(0.1, 0.5),
+            bounds=SearchBounds([("a", 0.1, 1.0)]),
+            pde_params=("a",),
+        )
+        assert _forward_fixed_block(spec) is None
 
     def test_component_tags_attached_to_model(self):
         spec = _one_component_spec(0.01)
@@ -332,6 +384,42 @@ class TestTimeBlocks:
             reproduced = evaluate_model(result.models[k], bottom)
             gap = float(np.max(np.abs(handoff - reproduced)))
             assert gap <= result.block_losses[k] + 1e-12
+
+    def test_blocks_match_a_full_rebuild_bit_for_bit(self):
+        # every block's system, validation residual and hand-off, rebuilt
+        # from scratch without the march's shared baseline entries
+        spec = _small_block_spec()
+        result = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
+        assert any(m.basis.n_kernels > spec.n_rbf for m in result.models)
+        x0, x1 = spec.x_range
+        unit = Box((0.0, 0.0), (1.0, 1.0))
+        problem = PdeProblem(
+            kind=ProblemKind.ADVECTION1D,
+            domain=unit,
+            nu=spec.nu,
+            advection_speed=spec.speed * spec.block_dt / (x1 - x0),
+            boundary_spec={"x_low": 0.0, "x_high": 0.0},
+            has_initial_condition=True,
+        )
+        grid = uniform_grid(unit, spec.n_colloc)
+        bc = boundary_points_xsides(unit, spec.n_boundary)
+        ic = initial_points(unit, spec.n_initial)
+        top = np.column_stack([ic[:, 0], np.ones(spec.n_initial)])
+        vx = (np.arange(25) + 0.5) / 25.0
+        val_pts = np.column_stack([np.repeat(vx, 25), np.tile(vx, 25)])
+        ic_vals = advection_initial(x0 + ic[:, 0] * (x1 - x0), spec.nu)
+        for k, model in enumerate(result.models):
+            interior = dedup_rows(np.vstack([grid, model.basis.centers[spec.n_rbf:]]))
+            system = build_system(
+                problem, model.basis, interior, bc, [(ic, ic_vals, RowKind.INITIAL)]
+            )
+            rebuilt = solve_system(system, model.basis)
+            assert np.array_equal(rebuilt.coefficients, model.coefficients), k
+            assert rebuilt.loss == result.block_losses[k]
+            with fixed_blas_threads():
+                val = operator_matrix(problem, model.basis, val_pts) @ model.coefficients
+            assert float(np.max(np.abs(val))) == result.validation_losses[k]
+            ic_vals = evaluate_model(model, top)
 
     def test_result_shapes_and_echo(self):
         spec = _small_block_spec(n_blocks=3, t_final=0.03)

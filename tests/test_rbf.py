@@ -148,7 +148,7 @@ class TestBasisMatrices:
         points = rng.uniform(-1, 1, (7, 2))
         for axis in (0, 1):
             for order in (1, 2):
-                d = deriv_matrix(basis, points, axis, order)
+                (d,) = deriv_matrix(basis, points, [(axis, order)])
                 for p in range(7):
                     for k in range(5):
                         assert d[p, k] == pytest.approx(
@@ -161,7 +161,7 @@ class TestBasisMatrices:
         basis = RbfBasis([[0.0]], [[0.5]])
         pts = np.array([[0.3], [0.9]])
         np.testing.assert_array_equal(
-            deriv_matrix(basis, pts, 0, 0), eval_matrix(basis, pts)
+            deriv_matrix(basis, pts, [(0, 0)])[0], eval_matrix(basis, pts)
         )
 
     def test_from_kernels_round_trip(self):
@@ -183,7 +183,9 @@ class TestBasisMatrices:
         with pytest.raises(ValueError):
             eval_matrix(RbfBasis([[0.0]], [[1.0]]), np.zeros((4, 2)))
         with pytest.raises(ValueError):
-            deriv_matrix(RbfBasis([[0.0]], [[1.0]]), np.zeros((4, 1)), 0, 3)
+            deriv_matrix(RbfBasis([[0.0]], [[1.0]]), np.zeros((4, 1)), [(0, 1), (0, 3)])
+        with pytest.raises(ValueError):
+            deriv_matrix(RbfBasis([[0.0]], [[1.0]]), np.zeros((4, 1)), [(1, 1)])
 
 
 def _tensor_eval(basis, x):
@@ -217,11 +219,12 @@ class TestBitIdentity:
         basis = RbfBasis(rng.uniform(-1, 1, (301, dim)), rng.uniform(0.02, 1.0, (301, dim)))
         x = rng.uniform(-1.2, 1.2, (n_points, dim))
         assert np.array_equal(eval_matrix(basis, x), _tensor_eval(basis, x))
-        for axis in range(dim):
-            for order in (0, 1, 2):
-                assert np.array_equal(
-                    deriv_matrix(basis, x, axis, order), _tensor_deriv(basis, x, axis, order)
-                ), (axis, order)
+        terms = [(axis, order) for axis in range(dim) for order in (0, 1, 2)]
+        # one call for every term, and one call per term, both exact
+        for (axis, order), d in zip(terms, deriv_matrix(basis, x, terms)):
+            expected = _tensor_deriv(basis, x, axis, order)
+            assert np.array_equal(d, expected), (axis, order)
+            assert np.array_equal(deriv_matrix(basis, x, [(axis, order)])[0], expected)
 
 
 def test_eval_matrix_peak_memory_is_near_its_output():
