@@ -1,9 +1,11 @@
 """Configuration files, run commands, and result persistence.
 
-A run is described by a YAML file with nested sections.  Every section
-key has a documented default (see ``default_config``), unknown keys are
-rejected by name, and the parsed configuration echoes back to disk so a
-run directory always carries the exact inputs that produced it.
+A run is described by a YAML file with nested sections.  One key table,
+``SCHEMA``, gives every section key its converter and its default for
+each (kind, problem type) profile; it drives parsing, ``default_config``
+and the echo.  Unknown keys are rejected by name, and the parsed
+configuration echoes back to disk so a run directory always carries the
+exact inputs that produced it.
 
 Persisted outputs per run:
 
@@ -31,9 +33,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import yaml
@@ -138,7 +140,7 @@ class ResultBundle:
 
 
 # ---------------------------------------------------------------------------
-# value coercion helpers (each failure names the offending key)
+# value converters: each takes (value, key) and names the key on failure
 
 
 def _fail(key: str, message: str):
@@ -185,13 +187,6 @@ def _as_float(value, key: str) -> float:
     return out
 
 
-def _as_positive_float(value, key: str) -> float:
-    out = _as_float(value, key)
-    if out <= 0:
-        _fail(key, f"must be positive, got {out:g}")
-    return out
-
-
 def _as_bool(value, key: str) -> bool:
     if not isinstance(value, bool):
         _fail(key, f"expected true/false, got {value!r}")
@@ -204,123 +199,224 @@ def _as_choice(value, key: str, choices) -> str:
     return value
 
 
-def _as_optional(value, key: str, convert):
-    return None if value is None else convert(value, key)
+def _as_interval(pair, key: str) -> list:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        _fail(key, f"expected [lower, upper], got {pair!r}")
+    lo = _as_float(pair[0], key)
+    hi = _as_float(pair[1], key)
+    if lo >= hi:
+        _fail(key, f"lower bound must be below upper, got [{lo:g}, {hi:g}]")
+    return [lo, hi]
+
+
+def _int(minimum: int):
+    return lambda value, key: _as_int(value, key, minimum)
+
+
+def _float_where(holds, message: str):
+    """A number that must also satisfy ``holds``; ``message`` formats it."""
+
+    def convert(value, key):
+        out = _as_float(value, key)
+        if not holds(out):
+            _fail(key, message.format(out))
+        return out
+
+    return convert
+
+
+_positive = _float_where(lambda v: v > 0, "must be positive, got {:g}")
+_nonnegative = _float_where(lambda v: v >= 0, "must be nonnegative, got {:g}")
+
+
+def _choice(*choices):
+    return lambda value, key: _as_choice(value, key, choices)
+
+
+def _optional(convert):
+    return lambda value, key: None if value is None else convert(value, key)
+
+
+def _list_of(convert, expected: str, size_ok=lambda n: True):
+    def parse(value, key):
+        if not isinstance(value, (list, tuple)) or not size_ok(len(value)):
+            _fail(key, f"expected {expected}, got {value!r}")
+        return [convert(v, key) for v in value]
+
+    return parse
+
+
+def _mapping_of(convert, allowed=None):
+    def parse(value, key):
+        mapping = _as_mapping(value, key)
+        if allowed is not None:
+            _check_keys(mapping, allowed, key)
+        return {str(name): convert(v, f"{key}.{name}") for name, v in mapping.items()}
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
-# defaults
+# the key table: converter and per-profile default of every section key
 
 
-def _search_defaults(kind: str, ptype: str) -> dict:
-    """Documented search-section defaults per run kind and problem type."""
-    if kind == "forward":
-        if ptype == "poisson":
-            return {
-                "n_adaptive": 1,
-                "max_evals": 100,
-                "loss_tol": None,
-                "bounds": {
+_ANY = "*"
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One section key: its converter and its default for each run profile.
+
+    A profile is a ``(kind, problem type)`` pair.  ``by_profile`` maps
+    profile patterns, in which ``_ANY`` matches everything, to defaults
+    that replace ``default``; an exact profile beats ``(kind, _ANY)``,
+    which beats ``(_ANY, type)``.
+    """
+
+    convert: Callable
+    default: object
+    by_profile: dict = field(default_factory=dict)
+
+    def default_for(self, kind: str, ptype: Optional[str]):
+        for pattern in ((kind, ptype), (kind, _ANY), (_ANY, ptype)):
+            if pattern in self.by_profile:
+                return self.by_profile[pattern]
+        return self.default
+
+
+@dataclass(frozen=True)
+class _Unused:
+    """Default of a key its profile has no use for; giving it fails with ``reason``."""
+
+    reason: str
+
+
+@dataclass(frozen=True)
+class _Section:
+    """A configuration section: the run kinds that read it and its keys, in echo order."""
+
+    kinds: tuple
+    keys: dict
+
+
+_FORWARD = ("forward", _ANY)
+_FORWARD_POISSON = ("forward", "poisson")
+_INVERSE = ("inverse", _ANY)
+_INVERSE_TRANSPORT = ("inverse", "advection")
+_MARCH = ("advection", _ANY)
+_STUDY = ("baseline-study", _ANY)
+_POISSON = (_ANY, "poisson")
+_TRANSPORT = (_ANY, "advection")
+_CONVDIFF2 = (_ANY, "convdiff2")
+
+_TUNABLES = ("f", "lam", "sigma_f")
+
+# Every section and its keys.  config.yaml writes kind, problem, seed and
+# out, then the other sections in this order; within a section, keys in
+# table order.
+SCHEMA = {
+    "problem": _Section(KINDS, {
+        "type": _Key(_choice(*PROBLEM_TYPES), "convdiff1", {_MARCH: "advection"}),
+        "nu": _Key(
+            _float_where(lambda v: v > 0, "nu must be positive, got {:g}"),
+            0.01,
+            {_MARCH: 0.05, _INVERSE_TRANSPORT: 0.1},
+        ),
+        "speed": _Key(
+            _positive,
+            _Unused("only the transport problem has an advection speed"),
+            {_TRANSPORT: 0.5},
+        ),
+    }),
+    "baseline": _Section(("forward", "inverse", "baseline-study"), {
+        "n_colloc": _Key(_int(1), 500, {_POISSON: 1600, _INVERSE_TRANSPORT: 1600}),
+        "n_rbf": _Key(_int(1), 250, {_STUDY: 500, _POISSON: 400, _INVERSE_TRANSPORT: 1600}),
+        "sigma_f": _Key(_positive, 0.04, {_STUDY: 0.1, _POISSON: 0.2, _INVERSE_TRANSPORT: 0.1}),
+        "n_boundary": _Key(_int(1), 2, {_POISSON: 400, _INVERSE_TRANSPORT: 80}),
+        "n_initial": _Key(_optional(_int(1)), None, {_INVERSE_TRANSPORT: 81}),
+    }),
+    "search": _Section(("forward", "inverse"), {
+        "n_adaptive": _Key(_int(0), 1, {_INVERSE_TRANSPORT: 0}),
+        "max_evals": _Key(_int(1), 100, {_INVERSE_TRANSPORT: 20}),
+        "loss_tol": _Key(_optional(_positive), None, {_FORWARD: 1e-6, _FORWARD_POISSON: None}),
+        "bounds": _Key(
+            _mapping_of(_as_interval),
+            {"mu": [0.9, 0.99], "tau": [0.05, 0.5], "lam": [0.5, 0.9]},
+            {
+                _FORWARD_POISSON: {
                     "f": [0.5, 1.0],
                     "mu_x": [0.4, 0.6],
                     "mu_y": [0.4, 0.6],
                     "tau": [0.2, 1.0],
                     "lam": [0.5, 1.0],
                 },
-                "log10": [],
-                "fixed": {},
-                "eta": None,
-                "isotropic_widths": True,
-                "width_sharing": "component",
-            }
-        return {
-            "n_adaptive": 1,
-            "max_evals": 100,
-            "loss_tol": 1e-6,
-            "bounds": {"mu": [0.9, 0.99], "tau": [0.05, 0.5], "lam": [0.5, 0.9]},
-            "log10": [],
-            "fixed": {"f": 0.5},
-            "eta": None,
-            "isotropic_widths": True,
-            "width_sharing": "component",
-        }
-    # inverse
-    if ptype == "advection":
-        return {
-            "n_adaptive": 0,
-            "max_evals": 20,
-            "loss_tol": None,
-            "bounds": {"a": [0.1, 1.0]},
-            "log10": [],
-            "fixed": {},
-            "eta": None,
-            "isotropic_widths": True,
-            "width_sharing": "component",
-        }
-    return {
-        "n_adaptive": 1,
-        "max_evals": 100,
-        "loss_tol": None,
-        "bounds": {
-            "mu": [0.93, 0.99],
-            "tau": [0.15, 0.45],
-            "lam": [-0.4, -0.15],
-            "mu_nu": [1e-4, 1e-1],
-            "sigma_nu": [1e-6, 1e-2],
-        },
-        "log10": ["mu_nu", "sigma_nu"],
-        "fixed": {"f": 0.5},
-        "eta": None,
-        "isotropic_widths": True,
-        "width_sharing": "component",
-    }
+                _INVERSE: {
+                    "mu": [0.93, 0.99],
+                    "tau": [0.15, 0.45],
+                    "lam": [-0.4, -0.15],
+                    "mu_nu": [1e-4, 1e-1],
+                    "sigma_nu": [1e-6, 1e-2],
+                },
+                _INVERSE_TRANSPORT: {"a": [0.1, 1.0]},
+            },
+        ),
+        "log10": _Key(
+            _list_of(lambda v, k: str(v), "a list of parameter names"),
+            [],
+            {_INVERSE: ["mu_nu", "sigma_nu"], _INVERSE_TRANSPORT: []},
+        ),
+        "fixed": _Key(_mapping_of(_as_float), {"f": 0.5}, {_FORWARD_POISSON: {}, _INVERSE_TRANSPORT: {}}),
+        "eta": _Key(_optional(_positive), None),
+        "isotropic_widths": _Key(_as_bool, True),
+        "width_sharing": _Key(_choice("component", "kernel"), "component"),
+    }),
+    "sensors": _Section(("inverse",), {
+        "count": _Key(_int(1), 51, {_TRANSPORT: 200}),
+        "noise": _Key(_nonnegative, 0.05),
+        "placement": _Key(
+            _choice(*(p.value for p in SensorPlacement)),
+            "boundary_layer_biased",
+            {_TRANSPORT: "uniform_random"},
+        ),
+        "truth": _Key(_mapping_of(_positive, allowed=("nu", "a")), {"nu": 0.01}, {_TRANSPORT: {"a": 0.5}}),
+    }),
+    "advection": _Section(("advection",), {
+        "n_blocks": _Key(_int(1), 100),
+        "n_colloc": _Key(_int(1), 600),
+        "n_boundary": _Key(_int(1), 150),
+        "n_initial": _Key(_int(1), 450),
+        "n_rbf": _Key(_int(1), 150),
+        "t_final": _Key(_positive, 1.0),
+        "tuning_blocks": _Key(_int(1), 10),
+        "max_evals": _Key(_int(1), 40),
+        "loss_tol": _Key(_optional(_positive), None),
+        "bounds": _Key(_mapping_of(_as_interval), {"f": [1.0, 1.5], "lam": [1.0, 1.5], "sigma_f": [2.5, 4.5]}),
+        "tunables": _Key(_optional(_list_of(_as_float, "[f, lam, sigma_f]", lambda n: n == 3)), None),
+        "adaptive_widths": _Key(_choice("space", "isotropic"), "space"),
+    }),
+    "curriculum": _Section(("baseline-study",), {
+        "schedule": _Key(
+            _list_of(_positive, "a non-empty list", lambda n: n > 0),
+            [0.1, 0.05],
+            {_CONVDIFF2: [0.3, 0.2, 0.15, 0.1]},
+        ),
+        "threshold": _Key(_positive, 1e-3),
+    }),
+}
 
-
-def _baseline_defaults(kind: str, ptype: str) -> dict:
-    if kind == "baseline-study":
-        return {"n_colloc": 500, "n_rbf": 500, "sigma_f": 0.1, "n_boundary": 2, "n_initial": None}
-    if ptype == "poisson":
-        return {"n_colloc": 1600, "n_rbf": 400, "sigma_f": 0.2, "n_boundary": 400, "n_initial": None}
-    if kind == "inverse" and ptype == "advection":
-        return {"n_colloc": 1600, "n_rbf": 1600, "sigma_f": 0.1, "n_boundary": 80, "n_initial": 81}
-    return {"n_colloc": 500, "n_rbf": 250, "sigma_f": 0.04, "n_boundary": 2, "n_initial": None}
-
-
-def _sensor_defaults(ptype: str) -> dict:
-    if ptype == "advection":
-        return {"count": 200, "noise": 0.05, "placement": "uniform_random", "truth": {"a": 0.5}}
-    return {"count": 51, "noise": 0.05, "placement": "boundary_layer_biased", "truth": {"nu": 0.01}}
-
-
-def _advection_defaults() -> dict:
-    return {
-        "n_blocks": 100,
-        "n_colloc": 600,
-        "n_boundary": 150,
-        "n_initial": 450,
-        "n_rbf": 150,
-        "t_final": 1.0,
-        "tuning_blocks": 10,
-        "max_evals": 40,
-        "loss_tol": None,
-        "bounds": {"f": [1.0, 1.5], "lam": [1.0, 1.5], "sigma_f": [2.5, 4.5]},
-        "tunables": None,
-        "adaptive_widths": "space",
-    }
-
-
-def _curriculum_defaults(ptype: str) -> dict:
-    if ptype == "convdiff2":
-        return {"schedule": [0.3, 0.2, 0.15, 0.1], "threshold": 1e-3}
-    return {"schedule": [0.1, 0.05], "threshold": 1e-3}
-
-
-def _problem_defaults(kind: str) -> dict:
-    if kind == "advection":
-        return {"type": "advection", "nu": 0.05, "speed": 0.5}
-    if kind == "inverse":
-        return {"type": "convdiff1", "nu": 0.01}
-    return {"type": "convdiff1", "nu": 0.01}
+# the problem types each kind accepts, and why it refuses the others
+_PROBLEMS_BY_KIND = {
+    "forward": (("convdiff1", "convdiff2", "poisson"), "use the advection command for the transport problem"),
+    "inverse": (
+        ("convdiff1", "convdiff2", "advection"),
+        "inverse runs need a closed-form solution (convdiff1, convdiff2, advection)",
+    ),
+    "advection": (("advection",), "the advection command runs the transport problem only"),
+    "baseline-study": (
+        ("convdiff1", "convdiff2"),
+        "the baseline study sweeps the 1D convection-diffusion problems",
+    ),
+}
 
 
 def default_config(kind: str, out: str = "runs/latest") -> RunConfig:
@@ -358,11 +454,7 @@ def parse_config(path, kind: Optional[str] = None) -> RunConfig:
 
 
 def _normalize(raw: dict, kind: Optional[str]) -> RunConfig:
-    _check_keys(
-        raw,
-        {"kind", "problem", "seed", "out", "baseline", "search", "sensors", "advection", "curriculum"},
-        "",
-    )
+    _check_keys(raw, {"kind", "seed", "out", *SCHEMA}, "")
     file_kind = raw.get("kind")
     if file_kind is not None:
         _as_choice(file_kind, "kind", KINDS)
@@ -376,156 +468,123 @@ def _normalize(raw: dict, kind: Optional[str]) -> RunConfig:
     out = raw.get("out", "runs/latest")
     if not isinstance(out, str) or not out:
         _fail("out", "expected a non-empty path string")
-
-    problem = _normalize_problem(raw.get("problem"), kind)
-    ptype = problem["type"]
-
-    baseline = None
-    search = None
-    sensors = None
-    advect = None
-    curriculum = None
-    if kind in ("forward", "inverse", "baseline-study"):
-        baseline = _normalize_baseline(raw.get("baseline"), kind, ptype)
-    if kind in ("forward", "inverse"):
-        # the transport problem lives in 2D space-time, so any adaptive
-        # components searched on top of it carry per-axis center names
-        dim = 2 if ptype in ("poisson", "advection") else 1
-        pde_params = ()
-        if kind == "inverse":
-            sensors = _normalize_sensors(raw.get("sensors"), ptype)
-            pde_params = ("a",) if "a" in sensors["truth"] else ("mu_nu", "sigma_nu")
-        search = _normalize_search(raw.get("search"), kind, ptype, dim, pde_params)
-    if kind == "advection":
-        for section in ("baseline", "search", "sensors", "curriculum"):
-            if raw.get(section) is not None:
-                _fail(section, "not used by advection runs")
-        advect = _normalize_advection(raw.get("advection"))
-    else:
-        if raw.get("advection") is not None:
-            _fail("advection", f"not used by {kind} runs")
-    if kind == "baseline-study":
-        for section in ("search", "sensors"):
-            if raw.get(section) is not None:
-                _fail(section, f"not used by {kind} runs")
-        curriculum = _normalize_curriculum(raw.get("curriculum"), ptype)
-    else:
-        if raw.get("curriculum") is not None:
-            _fail("curriculum", f"not used by {kind} runs")
-    if kind == "forward" and raw.get("sensors") is not None:
-        _fail("sensors", "not used by forward runs")
-
-    return RunConfig(
-        kind=kind,
-        problem=problem,
-        seed=seed,
-        out=out,
-        baseline=baseline,
-        search=search,
-        sensors=sensors,
-        advection=advect,
-        curriculum=curriculum,
+    type_key = SCHEMA["problem"].keys["type"]
+    ptype = type_key.convert(
+        _as_mapping(raw.get("problem"), "problem").get("type", type_key.default_for(kind, None)),
+        "problem.type",
     )
-
-
-def _normalize_problem(section, kind: str) -> dict:
-    section = _as_mapping(section, "problem")
-    _check_keys(section, {"type", "nu", "speed"}, "problem")
-    defaults = _problem_defaults(kind)
-    ptype = _as_choice(section.get("type", defaults["type"]), "problem.type", PROBLEM_TYPES)
-    if kind == "advection" and ptype != "advection":
-        _fail("problem.type", "the advection command runs the transport problem only")
-    if kind == "forward" and ptype == "advection":
-        _fail("problem.type", "use the advection command for the transport problem")
-    if kind == "baseline-study" and ptype not in ("convdiff1", "convdiff2"):
-        _fail("problem.type", "the baseline study sweeps the 1D convection-diffusion problems")
-    if kind == "inverse" and ptype == "poisson":
-        _fail("problem.type", "inverse runs need a closed-form solution (convdiff1, convdiff2, advection)")
-    nu_default = 0.1 if (kind == "inverse" and ptype == "advection") else defaults["nu"]
-    nu = _as_float(section.get("nu", nu_default), "problem.nu")
-    if nu <= 0:
-        _fail("problem.nu", f"nu must be positive, got {nu:g}")
-    problem = {"type": ptype, "nu": nu}
-    if ptype == "advection":
-        problem["speed"] = _as_float(section.get("speed", defaults.get("speed", 0.5)), "problem.speed")
-    elif section.get("speed") is not None:
-        _fail("problem.speed", "only the transport problem has an advection speed")
-    return problem
-
-
-def _normalize_baseline(section, kind: str, ptype: str) -> dict:
-    section = _as_mapping(section, "baseline")
-    allowed = {"n_colloc", "n_rbf", "sigma_f", "n_boundary", "n_initial"}
-    _check_keys(section, allowed, "baseline")
-    d = _baseline_defaults(kind, ptype)
-    return {
-        "n_colloc": _as_int(section.get("n_colloc", d["n_colloc"]), "baseline.n_colloc", 1),
-        "n_rbf": _as_int(section.get("n_rbf", d["n_rbf"]), "baseline.n_rbf", 1),
-        "sigma_f": _as_positive_float(section.get("sigma_f", d["sigma_f"]), "baseline.sigma_f"),
-        "n_boundary": _as_int(section.get("n_boundary", d["n_boundary"]), "baseline.n_boundary", 1),
-        "n_initial": _as_optional(
-            section.get("n_initial", d["n_initial"]),
-            "baseline.n_initial",
-            lambda v, k: _as_int(v, k, 1),
-        ),
+    _problem_type_fits_the_kind(kind, ptype)
+    _sections_fit_the_kind(raw, kind)
+    raw = _given_bounds_replace_the_search_space(raw)
+    sections = {
+        name: _parse_section(name, raw.get(name), kind, ptype)
+        for name, section in SCHEMA.items()
+        if kind in section.kinds
     }
+    config = RunConfig(kind=kind, seed=seed, out=out, **sections)
+    for section, check in _CHECKS:
+        if getattr(config, section) is not None:
+            check(config)
+    return config
 
 
-def _normalize_bounds(section, key: str) -> dict:
-    section = _as_mapping(section, key)
-    bounds = {}
-    for name, pair in section.items():
-        where = f"{key}.{name}"
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            _fail(where, f"expected [lower, upper], got {pair!r}")
-        lo = _as_float(pair[0], where)
-        hi = _as_float(pair[1], where)
-        if lo >= hi:
-            _fail(where, f"lower bound must be below upper, got [{lo:g}, {hi:g}]")
-        bounds[name] = [lo, hi]
-    return bounds
+def _parse_section(name: str, given, kind: str, ptype: str) -> dict:
+    given = _as_mapping(given, name)
+    keys = SCHEMA[name].keys
+    _check_keys(given, keys, name)
+    parsed = {}
+    for key, spec in keys.items():
+        default = spec.default_for(kind, ptype)
+        if not isinstance(default, _Unused):
+            parsed[key] = spec.convert(given.get(key, default), f"{name}.{key}")
+        elif given.get(key) is not None:
+            _fail(f"{name}.{key}", default.reason)
+    return parsed
 
 
-def _normalize_search(section, kind: str, ptype: str, dim: int, pde_params: tuple) -> dict:
-    section = _as_mapping(section, "search")
-    allowed = {
-        "n_adaptive",
-        "max_evals",
-        "loss_tol",
-        "bounds",
-        "log10",
-        "fixed",
-        "eta",
-        "isotropic_widths",
-        "width_sharing",
-    }
-    _check_keys(section, allowed, "search")
-    d = _search_defaults(kind, ptype)
-    n_adaptive = _as_int(section.get("n_adaptive", d["n_adaptive"]), "search.n_adaptive", 0)
-    if kind == "forward" and n_adaptive < 1:
+def _problem_dim(ptype: str) -> int:
+    # the transport problem lives in 2D space-time, so any adaptive
+    # components searched on top of it carry per-axis center names
+    return 2 if ptype in ("poisson", "advection") else 1
+
+
+def _pde_params(config: RunConfig) -> tuple:
+    """PDE parameters the search estimates, named by the sensors' true value."""
+    if config.sensors is None:
+        return ()
+    return ("a",) if "a" in config.sensors["truth"] else ("mu_nu", "sigma_nu")
+
+
+# rules that span keys; each failure names the key to change
+
+
+def _problem_type_fits_the_kind(kind: str, ptype: str):
+    accepted, reason = _PROBLEMS_BY_KIND[kind]
+    if ptype not in accepted:
+        _fail("problem.type", reason)
+
+
+def _sections_fit_the_kind(raw: dict, kind: str):
+    for name, section in SCHEMA.items():
+        if kind not in section.kinds and raw.get(name) is not None:
+            _fail(name, f"not used by {kind} runs")
+
+
+def _given_bounds_replace_the_search_space(raw: dict) -> dict:
+    """Giving ``search.bounds`` drops the default ``fixed`` and ``log10``."""
+    search = raw.get("search")
+    if isinstance(search, dict) and "bounds" in search:
+        return {**raw, "search": {"log10": [], "fixed": {}, **search}}
+    return raw
+
+
+def _kernels_fit_the_grid(config: RunConfig):
+    n_colloc, n_rbf = config.baseline["n_colloc"], config.baseline["n_rbf"]
+    if n_rbf > n_colloc:
+        _fail("baseline.n_rbf", f"must not exceed baseline.n_colloc ({n_colloc}), got {n_rbf}")
+
+
+def _truth_gives_one_parameter(config: RunConfig):
+    truth = config.sensors["truth"]
+    if len(truth) != 1:
+        _fail("sensors.truth", "give exactly one true parameter: nu or a")
+    if "a" in truth and config.problem["type"] != "advection":
+        _fail("sensors.truth", "the speed 'a' belongs to the transport problem")
+
+
+def _placement_fits_the_domain(config: RunConfig):
+    if config.sensors["placement"] == "boundary_layer_biased" and _problem_dim(config.problem["type"]) != 1:
+        _fail("sensors.placement", "boundary_layer_biased is defined for 1D problems; use uniform_random")
+
+
+def _forward_search_adapts(config: RunConfig):
+    if config.kind == "forward" and config.search["n_adaptive"] < 1:
         _fail("search.n_adaptive", "forward tuning needs at least one adaptive component")
-    bounds = _normalize_bounds(section.get("bounds", d["bounds"]), "search.bounds")
-    if not bounds:
+
+
+def _search_has_a_parameter(config: RunConfig):
+    if not config.search["bounds"]:
         _fail("search.bounds", "at least one parameter must be searched")
 
-    log10 = section.get("log10", d["log10"] if "bounds" not in section else [])
-    if not isinstance(log10, (list, tuple)):
-        _fail("search.log10", f"expected a list of parameter names, got {log10!r}")
-    log10 = [str(n) for n in log10]
-    for name in log10:
+
+def _log10_names_positive_searched_parameters(config: RunConfig):
+    bounds = config.search["bounds"]
+    for name in config.search["log10"]:
         if name not in bounds:
             _fail("search.log10", f"{name!r} is not a searched parameter")
         if bounds[name][0] <= 0:
             _fail("search.log10", f"log-scale parameter {name!r} needs positive bounds")
 
-    fixed_raw = _as_mapping(section.get("fixed", d["fixed"] if "bounds" not in section else {}), "search.fixed")
-    fixed = {str(k): _as_float(v, f"search.fixed.{k}") for k, v in fixed_raw.items()}
 
-    expected = set(hyperparam_names(n_adaptive, dim, pde_params))
-    got = set(bounds) | set(fixed)
-    overlap = set(bounds) & set(fixed)
+def _bounds_and_fixed_cover_the_search_vector(config: RunConfig):
+    searched, fixed = set(config.search["bounds"]), set(config.search["fixed"])
+    overlap = searched & fixed
     if overlap:
         _fail("search.fixed", f"parameters both searched and fixed: {sorted(overlap)}")
+    expected = set(
+        hyperparam_names(config.search["n_adaptive"], _problem_dim(config.problem["type"]), _pde_params(config))
+    )
+    got = searched | fixed
     if got != expected:
         missing = sorted(expected - got)
         extra = sorted(got - expected)
@@ -536,98 +595,41 @@ def _normalize_search(section, kind: str, ptype: str, dim: int, pde_params: tupl
             parts.append(f"unexpected {extra}")
         _fail("search.bounds", "; ".join(parts) + f" (need exactly {sorted(expected)})")
 
-    return {
-        "n_adaptive": n_adaptive,
-        "max_evals": _as_int(section.get("max_evals", d["max_evals"]), "search.max_evals", 1),
-        "loss_tol": _as_optional(section.get("loss_tol", d["loss_tol"]), "search.loss_tol", _as_positive_float),
-        "bounds": bounds,
-        "log10": log10,
-        "fixed": fixed,
-        "eta": _as_optional(section.get("eta", d["eta"]), "search.eta", _as_positive_float),
-        "isotropic_widths": _as_bool(
-            section.get("isotropic_widths", d["isotropic_widths"]), "search.isotropic_widths"
-        ),
-        "width_sharing": _as_choice(
-            section.get("width_sharing", d["width_sharing"]),
-            "search.width_sharing",
-            ("component", "kernel"),
-        ),
-    }
 
-
-def _normalize_sensors(section, ptype: str) -> dict:
-    section = _as_mapping(section, "sensors")
-    _check_keys(section, {"count", "noise", "placement", "truth"}, "sensors")
-    d = _sensor_defaults(ptype)
-    placement = _as_choice(
-        section.get("placement", d["placement"]),
-        "sensors.placement",
-        tuple(p.value for p in SensorPlacement),
-    )
-    truth_raw = _as_mapping(section.get("truth", d["truth"]), "sensors.truth")
-    _check_keys(truth_raw, {"nu", "a"}, "sensors.truth")
-    if len(truth_raw) != 1:
-        _fail("sensors.truth", "give exactly one true parameter: nu or a")
-    if "a" in truth_raw and ptype != "advection":
-        _fail("sensors.truth", "the speed 'a' belongs to the transport problem")
-    truth = {k: _as_positive_float(v, f"sensors.truth.{k}") for k, v in truth_raw.items()}
-    noise = _as_float(section.get("noise", d["noise"]), "sensors.noise")
-    if noise < 0:
-        _fail("sensors.noise", f"must be nonnegative, got {noise:g}")
-    return {
-        "count": _as_int(section.get("count", d["count"]), "sensors.count", 1),
-        "noise": noise,
-        "placement": placement,
-        "truth": truth,
-    }
-
-
-def _normalize_advection(section) -> dict:
-    section = _as_mapping(section, "advection")
-    d = _advection_defaults()
-    _check_keys(section, set(d), "advection")
-    bounds = _normalize_bounds(section.get("bounds", d["bounds"]), "advection.bounds")
-    if set(bounds) != {"f", "lam", "sigma_f"}:
+def _bounds_name_the_tunables(config: RunConfig):
+    bounds = config.advection["bounds"]
+    if set(bounds) != set(_TUNABLES):
         _fail("advection.bounds", f"tunables are exactly f, lam, sigma_f; got {sorted(bounds)}")
-    tunables = section.get("tunables", d["tunables"])
-    if tunables is not None:
-        if not isinstance(tunables, (list, tuple)) or len(tunables) != 3:
-            _fail("advection.tunables", f"expected [f, lam, sigma_f], got {tunables!r}")
-        tunables = [_as_float(v, "advection.tunables") for v in tunables]
-    return {
-        "n_blocks": _as_int(section.get("n_blocks", d["n_blocks"]), "advection.n_blocks", 1),
-        "n_colloc": _as_int(section.get("n_colloc", d["n_colloc"]), "advection.n_colloc", 1),
-        "n_boundary": _as_int(section.get("n_boundary", d["n_boundary"]), "advection.n_boundary", 1),
-        "n_initial": _as_int(section.get("n_initial", d["n_initial"]), "advection.n_initial", 1),
-        "n_rbf": _as_int(section.get("n_rbf", d["n_rbf"]), "advection.n_rbf", 1),
-        "t_final": _as_positive_float(section.get("t_final", d["t_final"]), "advection.t_final"),
-        "tuning_blocks": _as_int(section.get("tuning_blocks", d["tuning_blocks"]), "advection.tuning_blocks", 1),
-        "max_evals": _as_int(section.get("max_evals", d["max_evals"]), "advection.max_evals", 1),
-        "loss_tol": _as_optional(section.get("loss_tol", d["loss_tol"]), "advection.loss_tol", _as_positive_float),
-        "bounds": bounds,
-        "tunables": tunables,
-        "adaptive_widths": _as_choice(
-            section.get("adaptive_widths", d["adaptive_widths"]),
-            "advection.adaptive_widths",
-            ("space", "isotropic"),
-        ),
-    }
 
 
-def _normalize_curriculum(section, ptype: str) -> dict:
-    section = _as_mapping(section, "curriculum")
-    _check_keys(section, {"schedule", "threshold"}, "curriculum")
-    d = _curriculum_defaults(ptype)
-    schedule_raw = section.get("schedule", d["schedule"])
-    if not isinstance(schedule_raw, (list, tuple)) or not schedule_raw:
-        _fail("curriculum.schedule", f"expected a non-empty list, got {schedule_raw!r}")
-    schedule = [_as_positive_float(v, "curriculum.schedule") for v in schedule_raw]
+def _tunables_lie_in_bounds(config: RunConfig):
+    tunables = config.advection["tunables"]
+    for name, value in zip(_TUNABLES, tunables or ()):
+        lo, hi = config.advection["bounds"][name]
+        if not lo <= value <= hi:
+            _fail("advection.tunables", f"{name} = {value:g} lies outside advection.bounds.{name} [{lo:g}, {hi:g}]")
+
+
+def _schedule_decreases(config: RunConfig):
+    schedule = config.curriculum["schedule"]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         _fail("curriculum.schedule", "values must be strictly decreasing")
-    return {
-        "schedule": schedule,
-        "threshold": _as_positive_float(section.get("threshold", d["threshold"]), "curriculum.threshold"),
-    }
+
+
+# (section, check), run in order once the sections parse; a check runs
+# only when its section belongs to the run
+_CHECKS = (
+    ("baseline", _kernels_fit_the_grid),
+    ("sensors", _truth_gives_one_parameter),
+    ("sensors", _placement_fits_the_domain),
+    ("search", _forward_search_adapts),
+    ("search", _search_has_a_parameter),
+    ("search", _log10_names_positive_searched_parameters),
+    ("search", _bounds_and_fixed_cover_the_search_vector),
+    ("advection", _bounds_name_the_tunables),
+    ("advection", _tunables_lie_in_bounds),
+    ("curriculum", _schedule_decreases),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +638,7 @@ def _normalize_curriculum(section, ptype: str) -> dict:
 
 def _config_mapping(config: RunConfig) -> dict:
     out = {"kind": config.kind, "problem": config.problem, "seed": config.seed, "out": config.out}
-    for name in ("baseline", "search", "sensors", "advection", "curriculum"):
+    for name in SCHEMA:
         section = getattr(config, name)
         if section is not None:
             out[name] = section
@@ -693,40 +695,30 @@ def _build_problem(problem: dict):
     return advection1d(problem["nu"], problem["speed"])
 
 
-def _build_baseline(baseline: dict) -> BaselineConfig:
-    return BaselineConfig(
-        n_colloc=baseline["n_colloc"],
-        n_rbf=baseline["n_rbf"],
-        sigma_f=baseline["sigma_f"],
-        n_boundary=baseline["n_boundary"],
-        n_initial=baseline["n_initial"],
-    )
-
-
-def _build_search_bounds(search: dict) -> SearchBounds:
-    params = [(name, lo, hi) for name, (lo, hi) in search["bounds"].items()]
-    log_scale = {name: True for name in search["log10"]}
+def _build_search_bounds(bounds: dict, log10=()) -> SearchBounds:
+    params = [(name, lo, hi) for name, (lo, hi) in bounds.items()]
+    log_scale = {name: True for name in log10}
     return SearchBounds(params, log_scale=log_scale or None)
 
 
-def _build_bo(search: dict, seed: int) -> BoConfig:
-    return BoConfig(max_evals=search["max_evals"], loss_tol=search["loss_tol"], seed=seed)
+def _build_bo(section: dict, seed: int) -> BoConfig:
+    return BoConfig(max_evals=section["max_evals"], loss_tol=section["loss_tol"], seed=seed)
 
 
-def _forward_spec(config: RunConfig, pde_params: tuple = ()) -> ForwardRunSpec:
+def _forward_spec(config: RunConfig) -> ForwardRunSpec:
     search = config.search
     return ForwardRunSpec(
         problem=_build_problem(config.problem),
-        baseline=_build_baseline(config.baseline),
+        baseline=BaselineConfig(**config.baseline),
         n_adap=search["n_adaptive"],
-        bounds=_build_search_bounds(search),
+        bounds=_build_search_bounds(search["bounds"], search["log10"]),
         bo=_build_bo(search, config.seed),
         seed=config.seed,
         fixed=search["fixed"],
         eta=search["eta"],
         isotropic_widths=search["isotropic_widths"],
         width_sharing=search["width_sharing"],
-        pde_params=pde_params,
+        pde_params=_pde_params(config),
     )
 
 
@@ -796,8 +788,7 @@ def _run_inverse(config: RunConfig) -> dict:
     from .sampling import uniform_grid
 
     sensors_cfg = config.sensors
-    pde_params = ("a",) if "a" in sensors_cfg["truth"] else ("mu_nu", "sigma_nu")
-    spec = _forward_spec(config, pde_params)
+    spec = _forward_spec(config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(9,)))
     sensors = generate_sensor_data(
         spec.problem,
@@ -846,12 +837,8 @@ def _run_advection(config: RunConfig) -> dict:
         n_initial=a["n_initial"],
         n_rbf=a["n_rbf"],
         t_final=a["t_final"],
-        bounds=SearchBounds([(n, lo, hi) for n, (lo, hi) in a["bounds"].items()]),
-        bo=BoConfig(
-            max_evals=a["max_evals"],
-            loss_tol=a["loss_tol"],
-            seed=config.seed,
-        ),
+        bounds=_build_search_bounds(a["bounds"]),
+        bo=_build_bo(a, config.seed),
         seed=config.seed,
         adaptive_widths=a["adaptive_widths"],
     )
@@ -894,7 +881,7 @@ def _run_curriculum(config: RunConfig) -> dict:
     problem = _build_problem(config.problem)
     result = run_baseline_curriculum(
         problem,
-        _build_baseline(config.baseline),
+        BaselineConfig(**config.baseline),
         config.curriculum["schedule"],
         threshold=config.curriculum["threshold"],
     )

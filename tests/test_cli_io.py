@@ -455,3 +455,212 @@ class TestMain:
         with pytest.raises(Exception):
             config.kind = "inverse"
         assert isinstance(config, RunConfig)
+
+
+# ---------------------------------------------------------------------------
+# pinned echo text and error messages
+
+ECHO_DIR = Path(__file__).parent / "config_echo"
+
+# every (kind, problem type) pair a run accepts
+PROFILES = (
+    ("forward", "convdiff1"),
+    ("forward", "convdiff2"),
+    ("forward", "poisson"),
+    ("inverse", "convdiff1"),
+    ("inverse", "convdiff2"),
+    ("inverse", "advection"),
+    ("advection", "advection"),
+    ("baseline-study", "convdiff1"),
+    ("baseline-study", "convdiff2"),
+)
+
+
+def _echo(config, tmp_path):
+    return write_config(config, tmp_path / "config.yaml").read_text()
+
+
+class TestEchoText:
+    """``config.yaml`` text, byte for byte: every default and the key order."""
+
+    @pytest.mark.parametrize("kind,ptype", PROFILES, ids=lambda v: v)
+    def test_default_profile(self, kind, ptype, tmp_path):
+        config = parse_config(_dump(tmp_path, {"kind": kind, "problem": {"type": ptype}}))
+        assert _echo(config, tmp_path) == (ECHO_DIR / f"{kind}-{ptype}.yaml").read_text()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_default_config(self, kind, tmp_path):
+        config = default_config(kind)
+        expected = ECHO_DIR / f"{kind}-{config.problem['type']}.yaml"
+        assert _echo(config, tmp_path) == expected.read_text()
+
+    @pytest.mark.parametrize("path", TestDocumentedExamples.EXAMPLES, ids=lambda p: p.stem)
+    def test_documented_example(self, path, tmp_path):
+        expected = ECHO_DIR / f"example-{path.stem}.yaml"
+        assert _echo(parse_config(path), tmp_path) == expected.read_text()
+
+
+FORWARD_BOUNDS = {"mu": [0.9, 0.99], "tau": [0.05, 0.5], "lam": [0.5, 0.9]}
+
+
+def _forward(**sections):
+    return {"kind": "forward", "problem": {"type": "convdiff1"}, **sections}
+
+
+def _inverse(ptype="convdiff1", **sections):
+    return {"kind": "inverse", "problem": {"type": ptype}, **sections}
+
+
+def _march(**advection):
+    return {"kind": "advection", "advection": advection}
+
+
+def _study(**curriculum):
+    return {"kind": "baseline-study", "curriculum": curriculum}
+
+
+# (file contents, subcommand, full message): one case per distinct message
+BAD_INPUTS = [
+    pytest.param(_forward(problem=[1, 2]), None,
+                 "problem: expected a mapping of keys to values", id="not-a-mapping"),
+    pytest.param(_forward(colour=1), None, "colour: unknown key", id="unknown-top-level-key"),
+    pytest.param(_forward(search={"n_adaptives": 2}), None,
+                 "search.n_adaptives: unknown key", id="unknown-section-key"),
+    pytest.param(_forward(seed=1.5), None, "seed: expected an integer, got 1.5", id="integer"),
+    pytest.param(_forward(seed=-1), None, "seed: must be >= 0, got -1", id="integer-minimum"),
+    pytest.param(_forward(problem={"nu": True}), None,
+                 "problem.nu: expected a number, got True", id="number-not-bool"),
+    pytest.param(_forward(problem={"nu": "small"}), None,
+                 "problem.nu: expected a number, got 'small'", id="number-from-text"),
+    pytest.param(_forward(problem={"nu": [0.1]}), None,
+                 "problem.nu: expected a number, got [0.1]", id="number-type"),
+    pytest.param(_forward(problem={"nu": float("inf")}), None,
+                 "problem.nu: must be finite", id="number-finite"),
+    pytest.param(_forward(baseline={"sigma_f": 0}), None,
+                 "baseline.sigma_f: must be positive, got 0", id="positive"),
+    pytest.param(_forward(search={"isotropic_widths": "yes"}), None,
+                 "search.isotropic_widths: expected true/false, got 'yes'", id="bool"),
+    pytest.param(_forward(search={"width_sharing": "axis"}), None,
+                 "search.width_sharing: expected one of ['component', 'kernel'], got 'axis'",
+                 id="choice"),
+    pytest.param({"kind": "forward"}, "inverse",
+                 "kind: config says 'forward' but the 'inverse' command was invoked",
+                 id="kind-disagrees"),
+    pytest.param({}, None, "kind: missing (set it in the file or pick a subcommand)",
+                 id="kind-missing"),
+    pytest.param(_forward(out=""), None, "out: expected a non-empty path string", id="out"),
+    pytest.param({"kind": "advection", "baseline": {"n_rbf": 10}}, None,
+                 "baseline: not used by advection runs", id="section-foreign-to-advection"),
+    pytest.param(_forward(advection={"n_blocks": 2}), None,
+                 "advection: not used by forward runs", id="advection-section-foreign"),
+    pytest.param({"kind": "baseline-study", "search": {"max_evals": 2}}, None,
+                 "search: not used by baseline-study runs", id="section-foreign-to-study"),
+    pytest.param(_inverse(curriculum={"threshold": 0.1}), None,
+                 "curriculum: not used by inverse runs", id="curriculum-section-foreign"),
+    pytest.param(_forward(sensors={"count": 5}), None,
+                 "sensors: not used by forward runs", id="sensors-section-foreign"),
+    pytest.param({"kind": "advection", "problem": {"type": "convdiff1"}}, None,
+                 "problem.type: the advection command runs the transport problem only",
+                 id="type-for-advection"),
+    pytest.param({"kind": "forward", "problem": {"type": "advection"}}, None,
+                 "problem.type: use the advection command for the transport problem",
+                 id="type-for-forward"),
+    pytest.param({"kind": "baseline-study", "problem": {"type": "poisson"}}, None,
+                 "problem.type: the baseline study sweeps the 1D convection-diffusion problems",
+                 id="type-for-study"),
+    pytest.param(_inverse("poisson"), None,
+                 "problem.type: inverse runs need a closed-form solution "
+                 "(convdiff1, convdiff2, advection)", id="type-for-inverse"),
+    pytest.param(_forward(problem={"nu": -0.1}), None,
+                 "problem.nu: nu must be positive, got -0.1", id="nu-positive"),
+    pytest.param(_forward(problem={"speed": 0.5}), None,
+                 "problem.speed: only the transport problem has an advection speed",
+                 id="speed-without-transport"),
+    pytest.param(_forward(search={"bounds": {"mu": [0.9]}}), None,
+                 "search.bounds.mu: expected [lower, upper], got [0.9]", id="bounds-pair"),
+    pytest.param(_forward(search={"bounds": {"mu": [0.99, 0.9]}}), None,
+                 "search.bounds.mu: lower bound must be below upper, got [0.99, 0.9]",
+                 id="bounds-order"),
+    pytest.param(_forward(search={"n_adaptive": 0}), None,
+                 "search.n_adaptive: forward tuning needs at least one adaptive component",
+                 id="forward-adapts"),
+    pytest.param(_forward(search={"bounds": {}}), None,
+                 "search.bounds: at least one parameter must be searched", id="bounds-empty"),
+    pytest.param(_forward(search={"log10": "mu"}), None,
+                 "search.log10: expected a list of parameter names, got 'mu'", id="log10-list"),
+    pytest.param(_forward(search={"log10": ["f"]}), None,
+                 "search.log10: 'f' is not a searched parameter", id="log10-searched"),
+    pytest.param(_forward(search={"bounds": {**FORWARD_BOUNDS, "lam": [-0.4, -0.15]},
+                                  "fixed": {"f": 0.5}, "log10": ["lam"]}), None,
+                 "search.log10: log-scale parameter 'lam' needs positive bounds",
+                 id="log10-positive"),
+    pytest.param(_forward(search={"fixed": {"f": 0.5, "mu": 0.95}}), None,
+                 "search.fixed: parameters both searched and fixed: ['mu']", id="fixed-overlap"),
+    pytest.param(_forward(search={"bounds": {"mu": [0.9, 0.99], "nu": [0.1, 0.2]}}), None,
+                 "search.bounds: missing ['f', 'lam', 'tau']; unexpected ['nu'] "
+                 "(need exactly ['f', 'lam', 'mu', 'tau'])", id="search-vector"),
+    pytest.param(_inverse(sensors={"truth": {"nu": 0.01, "a": 0.5}}), None,
+                 "sensors.truth: give exactly one true parameter: nu or a", id="truth-one"),
+    pytest.param(_inverse(sensors={"truth": {"a": 0.5}}), None,
+                 "sensors.truth: the speed 'a' belongs to the transport problem", id="truth-a"),
+    pytest.param(_inverse(sensors={"noise": -0.1}), None,
+                 "sensors.noise: must be nonnegative, got -0.1", id="noise"),
+    pytest.param(_march(bounds={"f": [1.0, 1.5]}), None,
+                 "advection.bounds: tunables are exactly f, lam, sigma_f; got ['f']",
+                 id="advection-bounds"),
+    pytest.param(_march(tunables=[1.0, 2.0]), None,
+                 "advection.tunables: expected [f, lam, sigma_f], got [1.0, 2.0]",
+                 id="tunables-length"),
+    pytest.param(_study(schedule=[]), None,
+                 "curriculum.schedule: expected a non-empty list, got []", id="schedule-list"),
+    pytest.param(_study(schedule=[0.1, 0.1]), None,
+                 "curriculum.schedule: values must be strictly decreasing",
+                 id="schedule-decreasing"),
+]
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("mapping,subcommand,message", BAD_INPUTS)
+    def test_full_message(self, mapping, subcommand, message, tmp_path):
+        with pytest.raises(ConfigValueError) as err:
+            parse_config(_dump(tmp_path, mapping), kind=subcommand)
+        assert str(err.value) == message
+
+
+# inputs a driver would reject mid-run; parsing must catch them first
+LATE_MISTAKES = [
+    pytest.param(_forward(baseline={"n_colloc": 100, "n_rbf": 200}), "forward",
+                 "baseline.n_rbf", id="more-kernels-than-points"),
+    pytest.param(_inverse("advection", sensors={"placement": "boundary_layer_biased"}), "inverse",
+                 "sensors.placement", id="biased-sensors-in-space-time"),
+    pytest.param(_march(tunables=[9, 1, 3]), "advection",
+                 "advection.tunables", id="tunables-outside-bounds"),
+]
+
+
+class TestMistakesCaughtAtParse:
+    @pytest.mark.parametrize("mapping,subcommand,key", LATE_MISTAKES)
+    def test_exits_two_naming_the_key(self, mapping, subcommand, key, tmp_path, capsys):
+        path = _dump(tmp_path, mapping)
+        rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_speed_is_named(self, tmp_path):
+        path = _dump(tmp_path, {"kind": "advection", "problem": {"speed": -0.5}})
+        with pytest.raises(ConfigValueError) as err:
+            parse_config(path)
+        assert str(err.value) == "problem.speed: must be positive, got -0.5"
+
+
+def test_every_table_key_is_documented():
+    from rbfadapt.cli_io import SCHEMA
+
+    text = (Path(__file__).parent.parent / "docs" / "configuration.md").read_text()
+    names = {"kind", "seed", "out"}
+    for section, spec in SCHEMA.items():
+        names.add(section)
+        names.update(spec.keys)
+    missing = sorted(n for n in names if f"`{n}`" not in text)
+    assert not missing
