@@ -5,6 +5,23 @@ kernel; boundary, initial and sensor rows are plain kernel evaluations
 with prescribed targets.  Coefficients come from the Moore-Penrose
 pseudoinverse and the fit quality is the max-norm residual over all
 rows.
+
+Every points x kernels product is filled in row chunks of CHUNK_ROWS, so
+no whole (points x kernels) matrix is built besides the system itself;
+grading a model on a fine mesh needs only chunk-sized temporaries.  The
+chunks keep every result bit for bit:
+
+* entry-wise builds (eval_matrix, deriv_matrix, operator_matrix) compute
+  each entry from its own row alone, so any chunk size gives the same
+  bits;
+* the mat-vec in evaluate_model keeps its bits for some chunk sizes
+  only: BLAS dgemv kernels handle rows in groups, and a chunk edge that
+  cuts a group rounds the rows around it another way.  Under OpenBLAS
+  on one thread, chunks of a multiple of 64 rows matched the whole
+  product at every shape tried (10,201 x 1,600, 40,401 x 769 and
+  2,001 x 337), while chunks of 1, 4, 8, 16, 100 or 333 rows differed
+  on at least one of them, so CHUNK_ROWS must stay a multiple of 64.
+  A one-row chunk rounds another way too (see _row_chunks).
 """
 
 from __future__ import annotations
@@ -17,6 +34,9 @@ import numpy as np
 from .blas import fixed_blas_threads
 from .problems import PdeProblem, ProblemKind
 from .rbf import RbfBasis, deriv_matrix, eval_matrix
+
+# rows per chunk of a points x kernels product; a multiple of 64 (see above)
+CHUNK_ROWS = 1024
 
 
 class RowKind(IntEnum):
@@ -133,6 +153,25 @@ def _as_points(pts) -> np.ndarray:
     return np.atleast_2d(np.asarray(pts, dtype=float))
 
 
+def _row_chunks(n: int):
+    """Row slices of CHUNK_ROWS rows that cover range(n) in order.
+
+    The last slice holds the rest; a rest of one row joins the slice
+    before it, because numpy takes a one-row product by a dot product
+    instead of dgemv, which rounds another way.
+    """
+    starts = list(range(0, n, CHUNK_ROWS))
+    if n > 1 and n % CHUNK_ROWS == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _fill_rows(out: np.ndarray, rows_at, points: np.ndarray) -> None:
+    """out[i] = rows_at(points)[i] for every row, one chunk at a time."""
+    for rows in _row_chunks(points.shape[0]):
+        out[rows] = rows_at(points[rows])
+
+
 def fixed_block(
     problem: PdeProblem,
     basis: RbfBasis,
@@ -227,14 +266,15 @@ def build_system(
         n_base, n_grid = fixed.basis.n_kernels, fixed.interior.shape[0]
         matrix[:n_grid, :n_base] = fixed.matrix[:n_grid]
         matrix[n_int:, :n_base] = fixed.matrix[n_grid:]
-        if n_int > n_grid:
-            matrix[n_grid:n_int, :n_base] = operator_matrix(
-                problem, fixed.basis, interior_pts[n_grid:]
-            )
+        _fill_rows(
+            matrix[n_grid:n_int, :n_base],
+            lambda pts: operator_matrix(problem, fixed.basis, pts),
+            interior_pts[n_grid:],
+        )
     if basis.n_kernels > n_base:
         cols = basis if n_base == 0 else RbfBasis(basis.centers[n_base:], basis.widths[n_base:])
-        matrix[:n_int, n_base:] = operator_matrix(problem, cols, interior_pts)
-        matrix[n_int:, n_base:] = eval_matrix(cols, evaluated)
+        _fill_rows(matrix[:n_int, n_base:], lambda pts: operator_matrix(problem, cols, pts), interior_pts)
+        _fill_rows(matrix[n_int:, n_base:], lambda pts: eval_matrix(cols, pts), evaluated)
 
     return LinearSystem(matrix, np.concatenate(targets), np.concatenate(kinds))
 
@@ -267,4 +307,10 @@ def solve_system(system: LinearSystem, basis: RbfBasis, rcond: float = 1e-12) ->
 
 @fixed_blas_threads()
 def evaluate_model(model: SolvedModel, points: np.ndarray) -> np.ndarray:
-    return eval_matrix(model.basis, points) @ model.coefficients
+    """The model's values at the points, one CHUNK_ROWS block of the
+    points x kernels matrix at a time."""
+    points = _as_points(points)
+    out = np.empty(points.shape[0])
+    for rows in _row_chunks(points.shape[0]):
+        np.matmul(eval_matrix(model.basis, points[rows]), model.coefficients, out=out[rows])
+    return out

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.stats import norm
 
@@ -185,16 +186,21 @@ def _chol_with_jitter(k):
 
 
 def _negative_log_marginal(theta, sqdists, y, n):
+    # LAPACK directly, without cho_factor's and cho_solve's finiteness
+    # checks: the same dpotrf and dpotrs calls, so the same bits
     ell = np.exp(theta[:-2])
     sig = np.exp(theta[-2])
     noise = np.exp(theta[-1])
-    k = _kernel_matrix(sqdists, ell, sig) + noise * np.eye(n)
-    try:
-        c = _chol_with_jitter(k)
-    except ArithmeticError:
-        return 1e10
-    alpha = cho_solve(c, y)
-    logdet = 2.0 * np.sum(np.log(np.diag(c[0])))
+    k = _kernel_matrix(sqdists, ell, sig)
+    k.flat[:: n + 1] += noise
+    c, info = dpotrf(k, lower=1, clean=0)
+    if info != 0:
+        try:
+            c = _chol_with_jitter(k)[0]
+        except ArithmeticError:
+            return 1e10
+    alpha, _ = dpotrs(c, y, lower=1)
+    logdet = 2.0 * np.sum(np.log(np.diag(c)))
     return float(0.5 * y @ alpha + 0.5 * logdet + 0.5 * n * np.log(2 * np.pi))
 
 

@@ -10,7 +10,8 @@ exact inputs that produced it.
 Persisted outputs per run:
 
 * ``config.yaml``   — the fully resolved configuration (provenance echo)
-* ``summary.json``  — scalar results: metrics, tuned parameters, timings
+* ``summary.json``  — scalar results: metrics, tuned parameters, timings,
+  and the package, numpy, scipy and BLAS versions with the BLAS thread counts
 * ``loss_history.csv`` — one row per objective evaluation ``(k, w..., loss)``
 * ``kernels.csv``   — final model kernels: centers, widths, coefficient,
   adaptive-component tag (0 marks the fixed baseline grid)
@@ -31,6 +32,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -40,8 +42,9 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
+from . import __version__
 from .bayesopt import BoConfig, BoHistory, SearchBounds
-from .blas import fixed_blas_threads
+from .blas import blas_thread_counts, fixed_blas_threads
 from .drivers import (
     ForwardRunSpec,
     InverseRunSpec,
@@ -62,7 +65,7 @@ from .problems import (
     convdiff_type2,
     poisson2d,
 )
-from .sampling import BaselineConfig
+from .sampling import BaselineConfig, default_eta, eta_fits
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -596,6 +599,29 @@ def _bounds_and_fixed_cover_the_search_vector(config: RunConfig):
         _fail("search.bounds", "; ".join(parts) + f" (need exactly {sorted(expected)})")
 
 
+def _eta_fits_the_domain(config: RunConfig):
+    eta = config.search["eta"]
+    domain = _build_problem(config.problem).domain
+    if eta is not None and not eta_fits(domain, eta):
+        limit = default_eta(domain)
+        _fail("search.eta", f"must not exceed a tenth of the domain's longest side ({limit:g}), got {eta:g}")
+
+
+# what the sampler requires of a parameter, by name without a component's
+# _k suffix
+_POSITIVE = (lambda v: v > 0, "positive")
+_SIGN_RULES = {"f": _POSITIVE, "tau": _POSITIVE, "mu_nu": _POSITIVE, "sigma_nu": (lambda v: v >= 0, "nonnegative")}
+
+
+def _searched_parameters_keep_their_sign(config: RunConfig):
+    lowest = [(f"search.bounds.{name}", name, lo) for name, (lo, _) in config.search["bounds"].items()]
+    lowest += [(f"search.fixed.{name}", name, value) for name, value in config.search["fixed"].items()]
+    for key, name, value in lowest:
+        rule = _SIGN_RULES.get(re.sub(r"_\d+$", "", name))
+        if rule is not None and not rule[0](value):
+            _fail(key, f"{name} must stay {rule[1]}, but reaches {value:g}")
+
+
 def _bounds_name_the_tunables(config: RunConfig):
     bounds = config.advection["bounds"]
     if set(bounds) != set(_TUNABLES):
@@ -626,6 +652,8 @@ _CHECKS = (
     ("search", _search_has_a_parameter),
     ("search", _log10_names_positive_searched_parameters),
     ("search", _bounds_and_fixed_cover_the_search_vector),
+    ("search", _eta_fits_the_domain),
+    ("search", _searched_parameters_keep_their_sign),
     ("advection", _bounds_name_the_tunables),
     ("advection", _tunables_lie_in_bounds),
     ("curriculum", _schedule_decreases),
@@ -961,6 +989,30 @@ def _jsonable(value):
     return value
 
 
+def _provenance() -> dict:
+    """Versions, numpy's BLAS and the loaded OpenBLAS thread counts.
+
+    An empty ``blas_thread_counts`` means no thread control was found: the
+    solves ran unpinned, so their bits may depend on the thread count.
+    """
+    import scipy
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas_name = "unknown"
+    counts = blas_thread_counts()
+    return {
+        "rbfadapt": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas_name,
+        "blas_thread_counts": counts,
+        "blas_thread_control": bool(counts),
+    }
+
+
 _RUNNERS = {
     "forward": _run_forward,
     "inverse": _run_inverse,
@@ -1028,6 +1080,7 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         "n_evaluations": len(history_rows),
         "stop_reason": None if history is None else history.stop_reason,
         "exit_code": exit_code,
+        "provenance": _provenance(),
         **payload["extras"],
     }
     summary_path = out_dir / "summary.json"

@@ -687,6 +687,13 @@ def solve_advection_timeblocks(
     )
     val_base = operator_matrix(block_problem, base, val_pts)
     top_base = eval_matrix(base, top_pts)
+    # [base | adaptive] rows of the blocks with adaptive kernels: n_adapt is
+    # fixed for the march, so the base columns are written once and each
+    # block refills the adaptive ones in place
+    val_rows_adapt = np.empty((val_pts.shape[0], spec.n_rbf + n_adapt))
+    top_rows_adapt = np.empty((top_pts.shape[0], spec.n_rbf + n_adapt))
+    val_rows_adapt[:, :spec.n_rbf] = val_base
+    top_rows_adapt[:, :spec.n_rbf] = top_base
     models, masks, losses, val_losses = [], [], [], []
     for k in range(spec.n_blocks):
         rng = np.random.default_rng(block_seeds[k])
@@ -708,8 +715,9 @@ def solve_advection_timeblocks(
             interior = dedup_rows(np.vstack([grid, adapt_pts]))
             tags = np.concatenate([np.zeros(spec.n_rbf, dtype=int), np.ones(n_adapt, dtype=int)])
             adapt = RbfBasis(adapt_pts, widths)
-            val_rows = np.hstack([val_base, operator_matrix(block_problem, adapt, val_pts)])
-            top_rows = np.hstack([top_base, eval_matrix(adapt, top_pts)])
+            val_rows, top_rows = val_rows_adapt, top_rows_adapt
+            val_rows[:, spec.n_rbf:] = operator_matrix(block_problem, adapt, val_pts)
+            top_rows[:, spec.n_rbf:] = eval_matrix(adapt, top_pts)
         system = build_system(
             block_problem,
             basis,

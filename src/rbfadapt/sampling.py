@@ -118,6 +118,11 @@ def default_eta(domain: Box) -> float:
     return float(np.max(domain.side_lengths)) / 10.0
 
 
+def eta_fits(domain: Box, eta: float) -> bool:
+    """Whether eta is admissible: at most default_eta, up to rounding."""
+    return eta <= default_eta(domain) * (1 + 1e-12)
+
+
 def mixture_weights(f_values):
     f_values = [float(v) for v in f_values]
     if any(v <= 0 for v in f_values):
@@ -225,7 +230,7 @@ def sample_centers(hp: MixtureHyperparams, counts, domain: Box, rng):
     """
     if len(counts) != 1 + hp.n_adaptive:
         raise ValueError("counts do not match the number of components")
-    if hp.eta > float(np.max(domain.side_lengths)) / 10.0 * (1 + 1e-12):
+    if not eta_fits(domain, hp.eta):
         raise ValueError("eta exceeds one-tenth of the domain extent")
     centers = [uniform_grid(domain, counts[0])]
     tags = [np.zeros(counts[0], dtype=int)]

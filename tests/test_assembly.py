@@ -8,8 +8,10 @@ import pytest
 
 from rbfadapt import rbf
 from rbfadapt.assembly import (
+    CHUNK_ROWS,
     LinearSystem,
     RowKind,
+    SolvedModel,
     build_system,
     evaluate_model,
     fixed_block,
@@ -18,6 +20,7 @@ from rbfadapt.assembly import (
     solve_least_squares,
     solve_system,
 )
+from rbfadapt.blas import fixed_blas_threads
 from rbfadapt.problems import (
     ProblemKind,
     advection1d,
@@ -478,3 +481,50 @@ class TestEvaluateModel:
         np.testing.assert_allclose(
             evaluate_model(m2, pts), evaluate_model(m1, pts), rtol=1e-14
         )
+
+
+class TestChunkedRows:
+    """Products filled in CHUNK_ROWS row chunks equal the whole-matrix ones."""
+
+    def test_chunk_is_a_multiple_of_64_rows(self):
+        assert CHUNK_ROWS == 1024 and CHUNK_ROWS % 64 == 0
+
+    @pytest.mark.parametrize("n_points", [1, 1023, 1024, 1025, 2049, 40401])
+    @pytest.mark.parametrize("dim,n_kernels", [(1, 375), (2, 769)])
+    def test_evaluate_model_matches_the_whole_product(self, n_points, dim, n_kernels):
+        rng = np.random.default_rng(n_points + dim)
+        basis = RbfBasis(rng.uniform(0, 1, (n_kernels, dim)), rng.uniform(0.005, 0.3, (n_kernels, dim)))
+        model = SolvedModel(basis, 1e3 * rng.standard_normal(n_kernels), 0.0)
+        points = rng.uniform(0, 1, (n_points, dim))
+        with fixed_blas_threads():
+            whole = eval_matrix(basis, points) @ model.coefficients
+        assert np.array_equal(evaluate_model(model, points), whole)
+
+    @pytest.mark.parametrize("problem", [poisson2d(0.05), advection1d(0.05, 0.5)])
+    def test_build_system_over_several_chunks(self, problem):
+        # 1,369 + 29 - 1 interior rows: two chunks in the operator rows,
+        # the fixed block's own rows and the adaptive columns alike
+        extra = _initial_rows(problem, 41) if problem.has_initial_condition else None
+        boundary = boundary_points_rect(problem.domain, 80)
+        base, grid, basis, interior, block = _forward_case(problem, 37 * 37, boundary, extra, 11)
+        assert interior.shape[0] > CHUNK_ROWS
+        full = build_system(problem, basis, interior, boundary, extra)
+        assert _systems_equal(build_system(problem, basis, interior, boundary, extra, fixed=block), full)
+        evaluated = np.vstack([boundary, *(pts for pts, _, _ in extra or ())])
+        whole = np.vstack([operator_matrix(problem, basis, interior), eval_matrix(basis, evaluated)])
+        assert np.array_equal(full.matrix, whole)
+
+    def test_grading_memory_stays_chunk_sized(self):
+        # poisson-2d's grading: 769 kernels on the 201 x 201 mesh, whose
+        # whole matrix alone takes 249 MB
+        rng = np.random.default_rng(12)
+        basis = RbfBasis(rng.uniform(0, 1, (769, 2)), rng.uniform(0.01, 0.2, (769, 2)))
+        model = SolvedModel(basis, rng.standard_normal(769), 0.0)
+        mesh = uniform_grid(poisson2d(0.05).domain, 201 * 201)
+        tracemalloc.start()
+        try:
+            evaluate_model(model, mesh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, peak / 2**20

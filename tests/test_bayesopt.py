@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+from rbfadapt import bayesopt
 from rbfadapt.bayesopt import (
     BoConfig,
     BoHistory,
     SearchBounds,
+    _chol_with_jitter,
     _initial_design,
+    _kernel_matrix,
     _negative_log_marginal,
     _pairwise_sqdists,
     bayes_step,
@@ -112,6 +116,51 @@ class TestGpFit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             gp_fit(np.array([[0.5]]), np.array([1.0]))
+
+
+def _cho_factor_likelihood(theta, sqdists, y, n):
+    """The negative log marginal likelihood through cho_factor and cho_solve."""
+    ell = np.exp(theta[:-2])
+    sig = np.exp(theta[-2])
+    noise = np.exp(theta[-1])
+    k = _kernel_matrix(sqdists, ell, sig) + noise * np.eye(n)
+    try:
+        c = _chol_with_jitter(k)
+    except ArithmeticError:
+        return 1e10
+    alpha = cho_solve(c, y)
+    logdet = 2.0 * np.sum(np.log(np.diag(c[0])))
+    return float(0.5 * y @ alpha + 0.5 * logdet + 0.5 * n * np.log(2 * np.pi))
+
+
+def _history(seed, n, d):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, (n, d))
+    x[n // 2:n // 2 + 3] = x[:3]  # repeated proposals, as a converging search makes
+    y = np.log10(1e-3 + np.sum((x - 0.4) ** 2, axis=1)) + 0.05 * rng.standard_normal(n)
+    return x, y
+
+
+class TestLikelihoodBits:
+    """The direct LAPACK likelihood equals the cho_factor formula bit for bit."""
+
+    @pytest.mark.parametrize("log_noise", [np.log(1e-6), np.log(1e-12), np.log(1e-16)])
+    def test_likelihood_at_fixed_hyperparameters(self, log_noise):
+        # a noise of 1e-16 leaves the repeated rows singular: the jitter path
+        x, y = _history(0, 40, 3)
+        sq = _pairwise_sqdists(x, x)
+        for log_ell in (np.log(0.08), 0.0, np.log(10.0)):
+            theta = np.concatenate([np.full(3, log_ell), [0.3, log_noise]])
+            assert _negative_log_marginal(theta, sq, y, 40) == _cho_factor_likelihood(theta, sq, y, 40)
+
+    @pytest.mark.parametrize("seed,n,d", [(1, 6, 3), (2, 20, 2), (3, 50, 5), (4, 99, 3)])
+    def test_fit(self, seed, n, d, monkeypatch):
+        x, y = _history(seed, n, d)
+        direct = gp_fit(x, y)
+        monkeypatch.setattr(bayesopt, "_negative_log_marginal", _cho_factor_likelihood)
+        reference = gp_fit(x, y)
+        for name in ("length_scales", "signal_var", "noise_var", "alpha"):
+            assert np.array_equal(getattr(direct, name), getattr(reference, name)), name
 
 
 class TestGpPredict:

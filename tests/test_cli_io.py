@@ -293,6 +293,10 @@ class TestRunCommand:
         assert set(summary["w_opt"]) == {"f", "mu", "tau", "lam"}
         assert summary["metrics"]["linf"] == bundle.metrics["linf"]
         assert summary["timings"]["total_seconds"] > 0
+        provenance = summary["provenance"]
+        assert provenance["numpy"] == np.__version__
+        assert provenance["blas_thread_control"] == bool(provenance["blas_thread_counts"])
+        assert {"rbfadapt", "scipy", "blas"} <= set(provenance)
 
         with (out / "loss_history.csv").open() as fh:
             rows = list(csv.reader(fh))
@@ -501,6 +505,8 @@ class TestEchoText:
 
 
 FORWARD_BOUNDS = {"mu": [0.9, 0.99], "tau": [0.05, 0.5], "lam": [0.5, 0.9]}
+INVERSE_BOUNDS = {**FORWARD_BOUNDS, "mu_nu": [1e-4, 1e-1], "sigma_nu": [1e-6, 1e-2]}
+POISSON_BOUNDS = {"f": [0.5, 1.0], "mu_x": [0.4, 0.6], "mu_y": [0.4, 0.6], "tau": [0.2, 1.0], "lam": [0.5, 1.0]}
 
 
 def _forward(**sections):
@@ -599,6 +605,16 @@ BAD_INPUTS = [
     pytest.param(_forward(search={"bounds": {"mu": [0.9, 0.99], "nu": [0.1, 0.2]}}), None,
                  "search.bounds: missing ['f', 'lam', 'tau']; unexpected ['nu'] "
                  "(need exactly ['f', 'lam', 'mu', 'tau'])", id="search-vector"),
+    pytest.param(_forward(search={"eta": 0.5}), None,
+                 "search.eta: must not exceed a tenth of the domain's longest side (0.1), got 0.5",
+                 id="eta-above-a-tenth"),
+    pytest.param(_forward(search={"bounds": {**FORWARD_BOUNDS, "tau": [-0.5, -0.1]},
+                                  "fixed": {"f": 0.5}}), None,
+                 "search.bounds.tau: tau must stay positive, but reaches -0.5", id="tau-positive"),
+    pytest.param(_inverse(search={"bounds": {**INVERSE_BOUNDS, "sigma_nu": [-0.01, 0.01]},
+                                  "fixed": {"f": 0.5}}), None,
+                 "search.bounds.sigma_nu: sigma_nu must stay nonnegative, but reaches -0.01",
+                 id="sigma-nu-nonnegative"),
     pytest.param(_inverse(sensors={"truth": {"nu": 0.01, "a": 0.5}}), None,
                  "sensors.truth: give exactly one true parameter: nu or a", id="truth-one"),
     pytest.param(_inverse(sensors={"truth": {"a": 0.5}}), None,
@@ -635,6 +651,23 @@ LATE_MISTAKES = [
                  "sensors.placement", id="biased-sensors-in-space-time"),
     pytest.param(_march(tunables=[9, 1, 3]), "advection",
                  "advection.tunables", id="tunables-outside-bounds"),
+    pytest.param(_forward(search={"eta": 0.5}), "forward", "search.eta", id="eta-above-a-tenth"),
+    pytest.param(_inverse("advection", search={"eta": 0.25}), "inverse",
+                 "search.eta", id="eta-above-a-tenth-of-space-time"),
+    pytest.param(_forward(search={"bounds": {**FORWARD_BOUNDS, "tau": [-0.5, -0.1]},
+                                  "fixed": {"f": 0.5}}), "forward",
+                 "search.bounds.tau", id="tau-reaches-zero"),
+    pytest.param({"kind": "forward", "problem": {"type": "poisson"},
+                  "search": {"bounds": {**POISSON_BOUNDS, "f": [0.0, 1.0]}}}, "forward",
+                 "search.bounds.f", id="fraction-reaches-zero"),
+    pytest.param(_forward(search={"fixed": {"f": -0.5}}), "forward",
+                 "search.fixed.f", id="fixed-fraction-negative"),
+    pytest.param(_inverse(search={"bounds": {**INVERSE_BOUNDS, "mu_nu": [-0.1, 0.1]},
+                                  "fixed": {"f": 0.5}}), "inverse",
+                 "search.bounds.mu_nu", id="mu-nu-reaches-zero"),
+    pytest.param(_inverse(search={"bounds": {**INVERSE_BOUNDS, "sigma_nu": [-0.01, 0.01]},
+                                  "fixed": {"f": 0.5}}), "inverse",
+                 "search.bounds.sigma_nu", id="negative-sigma-nu"),
 ]
 
 

@@ -1,7 +1,8 @@
 """Results must not depend on the BLAS thread count.
 
 One objective evaluation (the convdiff1 ``nu=0.01`` system, whose matrix
-has a condition number near 1e18) and one surrogate fit run in fresh
+has a condition number near 1e18), one surrogate fit and one chunked 2D
+grading (769 kernels on the 201 x 201 mesh, 40 row chunks) run in fresh
 interpreters started with ``OPENBLAS_NUM_THREADS=1`` and ``=2``; their
 outputs must be bit-equal.  OpenBLAS reads the variable when it loads,
 so each thread count needs its own process.
@@ -21,10 +22,12 @@ import sys
 
 import numpy as np
 
+from rbfadapt.assembly import SolvedModel, evaluate_model
 from rbfadapt.bayesopt import BoConfig, SearchBounds, gp_fit, gp_predict_batch
 from rbfadapt.drivers import ForwardRunSpec, build_mixture, forward_objective
-from rbfadapt.problems import convdiff_type1
-from rbfadapt.sampling import BaselineConfig
+from rbfadapt.problems import convdiff_type1, poisson2d
+from rbfadapt.rbf import RbfBasis
+from rbfadapt.sampling import BaselineConfig, uniform_grid
 
 spec = ForwardRunSpec(
     problem=convdiff_type1(0.01),
@@ -45,6 +48,10 @@ y = np.log10(1e-3 + np.sum((x - 0.4) ** 2, axis=1)) + 0.05 * rng.standard_normal
 surrogate = gp_fit(x, y)
 mean, var = gp_predict_batch(surrogate, rng.uniform(size=(2050, 5)))
 
+basis = RbfBasis(rng.uniform(size=(769, 2)), rng.uniform(0.01, 0.2, size=(769, 2)))
+graded = SolvedModel(basis, 1e3 * rng.standard_normal(769), 0.0)
+predicted = evaluate_model(graded, uniform_grid(poisson2d(0.05).domain, 201 * 201))
+
 np.savez(
     sys.argv[1],
     loss=loss,
@@ -52,6 +59,7 @@ np.savez(
     alpha=surrogate.alpha,
     mean=mean,
     var=var,
+    predicted=predicted,
 )
 """
 
@@ -68,6 +76,6 @@ def _run(tmp_path, threads: int) -> dict:
 def test_objective_and_surrogate_bit_equal_across_thread_counts(tmp_path):
     one = _run(tmp_path, 1)
     two = _run(tmp_path, 2)
-    for key in ("loss", "coefficients", "alpha", "mean", "var"):
+    for key in ("loss", "coefficients", "alpha", "mean", "var", "predicted"):
         diff = float(np.max(np.abs(one[key] - two[key])))
         assert one[key].tobytes() == two[key].tobytes(), f"{key} differs by up to {diff:.3e}"
