@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .blas import fixed_blas_threads
 
@@ -26,6 +26,8 @@ N_INCUMBENT_PERTURBATIONS = 50
 _PERTURBATION_SCALE = 0.05
 _LOSS_FLOOR = 1e-16
 _FAILURE_PENALTY_MIN = 1e6
+# smallest noise variance a fitted surrogate keeps
+_NOISE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class SearchBounds:
     log_scale: tuple
 
     def __init__(self, params, log_scale=None):
-        # params: iterable of (name, lower, upper)
+        # params: iterable of (name, lower, upper); log_scale: {name: bool}
         params = list(params)
         names = tuple(p[0] for p in params)
         if len(set(names)) != len(names):
@@ -47,14 +49,7 @@ class SearchBounds:
         uppers = np.array([float(p[2]) for p in params])
         if np.any(lowers >= uppers):
             raise ValueError("each lower bound must be below its upper bound")
-        if log_scale is None:
-            flags = (False,) * len(params)
-        else:
-            flags = tuple(bool(log_scale.get(n, False)) for n in names) if isinstance(
-                log_scale, dict
-            ) else tuple(bool(v) for v in log_scale)
-        if len(flags) != len(names):
-            raise ValueError("log_scale length mismatch")
+        flags = tuple(bool((log_scale or {}).get(n, False)) for n in names)
         for name, flag, lo in zip(names, flags, lowers):
             if flag and lo <= 0:
                 raise ValueError(f"log-scale parameter {name} needs positive bounds")
@@ -107,10 +102,6 @@ class BoHistory:
         self.records.append((np.array(w, dtype=float), float(loss)))
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def iteration(self) -> int:
         return len(self.records)
 
     @property
@@ -228,7 +219,7 @@ def gp_with_params(
 
 
 @fixed_blas_threads()
-def gp_fit(inputs, targets, noise_floor: float = 1e-8) -> GpSurrogate:
+def gp_fit(inputs, targets) -> GpSurrogate:
     """Maximum-marginal-likelihood fit of the anisotropic smooth kernel.
 
     Multi-start bounded quasi-Newton search over log hyperparameters;
@@ -249,16 +240,15 @@ def gp_fit(inputs, targets, noise_floor: float = 1e-8) -> GpSurrogate:
     y_std = (y - mean) / scale
     sq = _pairwise_sqdists(x, x)
 
-    lo_noise = max(noise_floor, 1e-12)
     theta_bounds = (
         [(np.log(1e-2), np.log(10.0))] * d
         + [(np.log(1e-2), np.log(1e2))]
-        + [(np.log(lo_noise), np.log(1.0))]
+        + [(np.log(_NOISE_FLOOR), np.log(1.0))]
     )
     starts = [
-        np.concatenate([np.full(d, np.log(0.3)), [0.0, np.log(max(lo_noise, 1e-6))]]),
-        np.concatenate([np.full(d, np.log(1.0)), [0.0, np.log(max(lo_noise, 1e-4))]]),
-        np.concatenate([np.full(d, np.log(0.08)), [0.0, np.log(lo_noise)]]),
+        np.concatenate([np.full(d, np.log(0.3)), [0.0, np.log(1e-6)]]),
+        np.concatenate([np.full(d, np.log(1.0)), [0.0, np.log(1e-4)]]),
+        np.concatenate([np.full(d, np.log(0.08)), [0.0, np.log(_NOISE_FLOOR)]]),
     ]
 
     best_theta = None
@@ -282,11 +272,8 @@ def gp_fit(inputs, targets, noise_floor: float = 1e-8) -> GpSurrogate:
 
     ell = np.exp(best_theta[:-2])
     sig = float(np.exp(best_theta[-2]))
-    noise = float(max(np.exp(best_theta[-1]), noise_floor))
-    k = _kernel_matrix(sq, ell, sig) + noise * np.eye(n)
-    c = _chol_with_jitter(k)
-    alpha = cho_solve(c, y_std)
-    return GpSurrogate(x, y_std, mean, scale, ell, sig, noise, c, alpha)
+    noise = float(max(np.exp(best_theta[-1]), _NOISE_FLOOR))
+    return gp_with_params(x, y, ell, sig, noise)
 
 
 @fixed_blas_threads()
@@ -303,19 +290,23 @@ def gp_predict_batch(surrogate: GpSurrogate, xs) -> tuple:
     return mean, var
 
 
-def gp_predict(surrogate: GpSurrogate, x) -> tuple:
-    mean, var = gp_predict_batch(surrogate, np.atleast_2d(x))
-    return float(mean[0]), float(var[0])
+def expected_improvement(mean, variance, best: float) -> np.ndarray:
+    """Expected decrease below the incumbent under Gaussian beliefs.
 
-
-def expected_improvement(mean: float, variance: float, best: float) -> float:
-    """Expected decrease below the incumbent for a Gaussian belief."""
+    mean and variance are arrays of posterior moments; where the variance
+    is zero the improvement is certain and the value is max(best - mean, 0).
+    """
+    # ndtr and the density below give norm.cdf's and norm.pdf's bits
+    # without importing scipy.stats, which costs about half a second
+    s = np.sqrt(variance)
     improve = best - mean
-    s = np.sqrt(max(variance, 0.0))
-    if s == 0.0:
-        return float(max(improve, 0.0))
-    z = improve / s
-    return float(improve * norm.cdf(z) + s * norm.pdf(z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(s > 0, improve / np.where(s > 0, s, 1.0), 0.0)
+    return np.where(
+        s > 0,
+        improve * ndtr(z) + s * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)),
+        np.maximum(improve, 0.0),
+    )
 
 
 def _initial_design(n: int, dim: int, seed) -> np.ndarray:
@@ -369,16 +360,7 @@ def bayes_step(
     candidates = np.vstack([candidates, np.clip(local, 0.0, 1.0)])
 
     mean, var = gp_predict_batch(surrogate, candidates)
-    best = float(targets.min())
-    s = np.sqrt(var)
-    improve = best - mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(s > 0, improve / np.where(s > 0, s, 1.0), 0.0)
-    ei = np.where(
-        s > 0,
-        improve * norm.cdf(z) + s * norm.pdf(z),
-        np.maximum(improve, 0.0),
-    )
+    ei = expected_improvement(mean, var, float(targets.min()))
     if float(ei.max()) <= 0.0:
         pick = int(np.argmin(mean))
     else:

@@ -44,7 +44,7 @@ import yaml
 
 from . import __version__
 from .bayesopt import BoConfig, BoHistory, SearchBounds
-from .blas import blas_thread_counts, fixed_blas_threads
+from .blas import blas_thread_counts
 from .drivers import (
     ForwardRunSpec,
     InverseRunSpec,
@@ -115,15 +115,6 @@ class RunConfig:
     sensors: Optional[dict] = None
     advection: Optional[dict] = None
     curriculum: Optional[dict] = None
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Pointwise comparison of a solution sample against a reference."""
-
-    linf: float
-    rel_l2: float
-    errors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -685,27 +676,20 @@ def write_config(config: RunConfig, path) -> Path:
 # metrics
 
 
-def compare_to_exact(predicted, exact, mesh=None) -> MetricsRecord:
-    """Grade solution samples against a reference.
+def compare_to_exact(predicted, exact) -> dict:
+    """Grade solution samples against reference values on the same mesh.
 
-    ``exact`` is either an array of reference values on the same mesh or
-    a callable evaluated at ``mesh``.  Mismatched sample counts raise
-    ``ValueError``.  The norms are ``drivers.error_metrics``: the relative
-    L2 error of a perfect match is 0 even when the reference is
-    identically zero.
+    Mismatched sample counts raise ``ValueError``.  Returns
+    ``drivers.error_metrics``' {"linf", "rel_l2"}: the relative L2 error
+    of a perfect match is 0 even when the reference is identically zero.
     """
     predicted = np.asarray(predicted, dtype=float).ravel()
-    if callable(exact):
-        if mesh is None:
-            raise ValueError("a callable reference needs the mesh it should be evaluated on")
-        exact = exact(np.asarray(mesh))
     reference = np.asarray(exact, dtype=float).ravel()
     if predicted.shape != reference.shape:
         raise ValueError(
             f"mesh mismatch: {predicted.shape[0]} samples vs {reference.shape[0]} reference values"
         )
-    metrics = error_metrics(predicted, reference)
-    return MetricsRecord(metrics["linf"], metrics["rel_l2"], np.abs(predicted - reference))
+    return error_metrics(predicted, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +709,7 @@ def _build_problem(problem: dict):
 
 def _build_search_bounds(bounds: dict, log10=()) -> SearchBounds:
     params = [(name, lo, hi) for name, (lo, hi) in bounds.items()]
-    log_scale = {name: True for name in log10}
-    return SearchBounds(params, log_scale=log_scale or None)
+    return SearchBounds(params, log_scale={name: True for name in log10})
 
 
 def _build_bo(section: dict, seed: int) -> BoConfig:
@@ -875,12 +858,10 @@ def _run_advection(config: RunConfig) -> dict:
     xs = np.linspace(spec.x_range[0], spec.x_range[1], 2001)
     predicted = result.final_profile(xs)
     reference = advection_exact(xs, spec.t_final, spec.speed, spec.nu)
-    grade = compare_to_exact(predicted, reference)
     metrics = {
         "residual_loss": result.aggregate_loss,
         "validation_loss": result.aggregate_validation,
-        "linf": grade.linf,
-        "rel_l2": grade.rel_l2,
+        **compare_to_exact(predicted, reference),
         "n_evals": 0 if history is None else len(history),
     }
     kernel_rows = []

@@ -39,24 +39,19 @@ from .sampling import (
     boundary_points_1d,
     boundary_points_rect,
     boundary_points_xsides,
+    component_counts,
     dedup_rows,
     default_eta,
+    draw_widths,
     initial_points,
     most_square_factors,
     sample_configuration,
     sample_nu,
     uniform_grid,
-    width_scale_bound,
 )
-
-_SQRT2 = np.sqrt(2.0)
 
 # tunable defaults for the 100-block transport run, fixed by calibration
 DEFAULT_ADVECTION_TUNABLES = (1.25, 1.0, 3.5)
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +459,6 @@ class CharacteristicMask:
     def empty(self) -> bool:
         return len(self.intervals) == 0
 
-    def intervals_at(self, t: float) -> list:
-        shift = self.speed * (t - self.t_start)
-        return [(lo - self.pad + shift, hi + self.pad + shift) for lo, hi in self.intervals]
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        xs, ts = pts[:, 0], pts[:, 1]
-        shift = self.speed * (ts - self.t_start)
-        hit = np.zeros(pts.shape[0], dtype=bool)
-        for lo, hi in self.intervals:
-            hit |= (xs >= lo - self.pad + shift) & (xs <= hi + self.pad + shift)
-        return hit
-
 
 def characteristic_mask(
     xs,
@@ -657,8 +639,7 @@ def solve_advection_timeblocks(
     ic_xhat = ic_pts[:, 0]
     nx = max(most_square_factors(spec.n_rbf))
     pad = 1.0 / (nx - 1)
-    n_adapt = _round_half_up(f_ratio * spec.n_rbf)
-    zeta = width_scale_bound(sigma_hat, spec.nu, lam)
+    _, n_adapt = component_counts(spec.n_rbf, [f_ratio])
 
     if initial_profile is None:
         ic_vals = advection_initial(x0 + ic_xhat * length_x, spec.nu)
@@ -671,9 +652,7 @@ def solve_advection_timeblocks(
     block_seeds = root.spawn(spec.n_blocks)
     width_seed = np.random.SeedSequence(entropy=spec.seed, spawn_key=(3, int(eval_seed), 1))
     # one shared width draw per evaluation; every block reuses it
-    xi = np.random.default_rng(width_seed).uniform(-zeta / 2.0, zeta / 2.0)
-    with np.errstate(divide="ignore"):
-        wx = min(abs(1.0 / (_SQRT2 * xi)), sigma_hat)
+    wx = draw_widths(sigma_hat, spec.nu, lam, 1, np.random.default_rng(width_seed))[0]
     # sharp structure lives along x; time-direction kernels span the block
     wt = 1.0 if spec.adaptive_widths == "space" else wx
     # staggered points that avoid the collocation grid

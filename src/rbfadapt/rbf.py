@@ -54,36 +54,6 @@ _SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class RbfKernel:
-    """One Gaussian kernel: center and per-dimension width, both length D."""
-
-    center: np.ndarray
-    width: np.ndarray
-
-    def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        width = np.atleast_1d(np.asarray(self.width, dtype=float))
-        if center.ndim != 1 or center.shape != width.shape:
-            raise ValueError("center and width must be vectors of equal length")
-        if not np.all(np.isfinite(width)) or np.any(width <= 0):
-            raise ValueError("kernel widths must be positive and finite")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "width", width)
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    @property
-    def slope(self) -> np.ndarray:
-        return 1.0 / (_SQRT2 * self.width)
-
-    @property
-    def offset(self) -> np.ndarray:
-        return -self.center / (_SQRT2 * self.width)
-
-
-@dataclass(frozen=True)
 class RbfBasis:
     """A set of Gaussian kernels stored as arrays for vectorized evaluation.
 
@@ -108,17 +78,6 @@ class RbfBasis:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
 
-    @classmethod
-    def from_kernels(cls, kernels) -> "RbfBasis":
-        kernels = list(kernels)
-        dims = {k.dim for k in kernels}
-        if len(dims) != 1:
-            raise ValueError("all kernels in a basis must share one dimension")
-        return cls(
-            np.stack([k.center for k in kernels]),
-            np.stack([k.width for k in kernels]),
-        )
-
     @property
     def n_kernels(self) -> int:
         return self.centers.shape[0]
@@ -134,21 +93,6 @@ class RbfBasis:
     @property
     def offsets(self) -> np.ndarray:
         return -self.centers / (_SQRT2 * self.widths)
-
-    def kernel(self, i: int) -> RbfKernel:
-        return RbfKernel(self.centers[i], self.widths[i])
-
-    def subset(self, idx) -> "RbfBasis":
-        return RbfBasis(self.centers[idx], self.widths[idx])
-
-
-def concat_bases(first: RbfBasis, second: RbfBasis) -> RbfBasis:
-    if first.dim != second.dim:
-        raise ValueError("cannot concatenate bases of different dimension")
-    return RbfBasis(
-        np.vstack([first.centers, second.centers]),
-        np.vstack([first.widths, second.widths]),
-    )
 
 
 def eval_matrix(basis: RbfBasis, points: np.ndarray) -> np.ndarray:
@@ -208,24 +152,3 @@ def deriv_matrix(basis: RbfBasis, points: np.ndarray, terms) -> list:
             d *= g
             out[i] = d
     return out
-
-
-def rbf_eval(kernel: RbfKernel, point) -> float:
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    if point.shape != kernel.center.shape:
-        raise ValueError("point dimension does not match kernel dimension")
-    s = kernel.slope * point + kernel.offset
-    return float(np.exp(-np.sum(s * s)))
-
-
-def rbf_deriv(kernel: RbfKernel, point, axis: int, order: int) -> float:
-    if not 0 <= axis < kernel.dim:
-        raise ValueError(f"axis {axis} out of range for kernel of dim {kernel.dim}")
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    g = rbf_eval(kernel, point)
-    m = kernel.slope[axis]
-    s = m * float(np.atleast_1d(point)[axis]) + kernel.offset[axis]
-    if order == 1:
-        return -2.0 * m * s * g
-    return (4.0 * m * m * s * s - 2.0 * m * m) * g

@@ -13,7 +13,7 @@ points reuse the baseline grid plus every adaptive center verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -121,15 +121,6 @@ def default_eta(domain: Box) -> float:
 def eta_fits(domain: Box, eta: float) -> bool:
     """Whether eta is admissible: at most default_eta, up to rounding."""
     return eta <= default_eta(domain) * (1 + 1e-12)
-
-
-def mixture_weights(f_values):
-    f_values = [float(v) for v in f_values]
-    if any(v <= 0 for v in f_values):
-        raise ValueError("all component fractions must be positive")
-    total = sum(f_values)
-    pi_base = 1.0 / (1.0 + total)
-    return pi_base, [v / (1.0 + total) for v in f_values]
 
 
 def component_counts(n_rbf_base: int, f_values) -> list:
@@ -263,6 +254,18 @@ def width_scale_bound(sigma_f: float, nu: float, decay: float) -> float:
     return (1.0 / (_SQRT2 * sigma_f)) * nu ** -(1.0 + decay)
 
 
+def draw_widths(sigma_f: float, nu: float, decay: float, n: int, rng) -> np.ndarray:
+    """n inverse-scale width draws, each capped at sigma_f.
+
+    Each width is 1 / (sqrt(2) |xi|) with xi ~ U(-zeta/2, zeta/2) and zeta
+    from width_scale_bound, so a stiffer problem admits sharper kernels.
+    """
+    zeta = width_scale_bound(sigma_f, nu, decay)
+    xi = rng.uniform(-zeta / 2.0, zeta / 2.0, n)
+    with np.errstate(divide="ignore"):
+        return np.minimum(np.abs(1.0 / (_SQRT2 * xi)), sigma_f)
+
+
 def sample_widths(
     hp: MixtureHyperparams, component: int, nu: float, sigma_f: float, rng
 ) -> np.ndarray:
@@ -275,12 +278,9 @@ def sample_widths(
     if component < 1:
         raise ValueError("baseline widths are fixed; component must be >= 1")
     comp = hp.components[component - 1]
-    zeta = width_scale_bound(sigma_f, nu, comp.decay)
     dim = comp.dim
     n_draws = 1 if (hp.isotropic_widths or dim == 1) else dim
-    xi = rng.uniform(-zeta / 2.0, zeta / 2.0, n_draws)
-    with np.errstate(divide="ignore"):
-        widths = np.minimum(np.abs(1.0 / (_SQRT2 * xi)), sigma_f)
+    widths = draw_widths(sigma_f, nu, comp.decay, n_draws, rng)
     if n_draws == 1:
         widths = np.full(dim, widths[0])
     return widths

@@ -7,7 +7,9 @@ seeds were calibrated offline; every numeric threshold here has been
 observed to hold with margin before being encoded.
 """
 
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,8 +30,8 @@ from rbfadapt.drivers import (
     solve_baseline,
 )
 from rbfadapt.problems import advection1d, advection_exact, convdiff_type1, convdiff_type2, poisson2d
-from rbfadapt.rbf import RbfKernel, rbf_deriv, rbf_eval
-from rbfadapt.sampling import BaselineConfig, mixture_weights
+from rbfadapt.rbf import RbfBasis, deriv_matrix
+from rbfadapt.sampling import BaselineConfig, component_counts
 
 from test_clustering import _brute_force_dbscan
 
@@ -264,13 +266,12 @@ def test_criterion_9_property_suite():
         width = rng.uniform(0.05, 2.0, dim)
         center = rng.uniform(-1.0, 1.0, dim)
         point = center + rng.uniform(-3.0, 3.0, dim) * width
-        kern = RbfKernel(center, width)
         axis = int(rng.integers(0, dim))
         order = int(rng.integers(1, 3))
 
         def f(p):
-            c = kern.center.astype(np.longdouble)
-            w = kern.width.astype(np.longdouble)
+            c = center.astype(np.longdouble)
+            w = width.astype(np.longdouble)
             s = (np.asarray(p, dtype=np.longdouble) - c) / (np.longdouble(np.sqrt(2)) * w)
             return np.exp(-np.sum(s * s))
 
@@ -280,7 +281,8 @@ def test_criterion_9_property_suite():
             fd = float((f(point + step) - f(point - step)) / (2.0 * h))
         else:
             fd = float((f(point + step) - 2.0 * f(point) + f(point - step)) / (h * h))
-        if abs(rbf_deriv(kern, point, axis, order) - fd) / max(1.0, abs(fd)) >= 1e-6:
+        (d,) = deriv_matrix(RbfBasis([center], [width]), np.array([point]), [(axis, order)])
+        if abs(d[0, 0] - fd) / max(1.0, abs(fd)) >= 1e-6:
             failures.append("derivatives")
             break
 
@@ -295,13 +297,16 @@ def test_criterion_9_property_suite():
             failures.append("pseudoinverse")
             break
 
-    # mixture weights always renormalize exactly
+    # mixture fractions become kernel counts by exact half-up rounding
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        fracs = rng.uniform(0.01, 3.0, int(rng.integers(1, 5)))
-        base, adap = mixture_weights(fracs)
-        if abs(base + sum(adap) - 1.0) > 1e-14:
-            failures.append("mixture-weights")
+    vectors = [rng.uniform(0.01, 3.0, int(rng.integers(1, 5))) for _ in range(200)]
+    cases = [(n, fracs) for fracs in vectors for n in (1, 7, 150, 750)]
+    # ties: f * n lands exactly on j + 0.5
+    cases += [(n, [(2 * j + 1) / (2 * n) for j in range(6)]) for n in (2, 8, 64, 512)]
+    for n, fracs in cases:
+        expected = [n] + [math.floor(Fraction(f) * n + Fraction(1, 2)) for f in fracs]
+        if component_counts(n, fracs) != expected:
+            failures.append("mixture-counts")
             break
 
     # density clustering agrees with an exhaustive reference
@@ -321,10 +326,8 @@ def test_criterion_9_property_suite():
             break
 
     # closed-form acquisition spot values
-    if not (
-        expected_improvement(0.0, 1.0, 1.0) == pytest.approx(1.08331, abs=1e-4)
-        and expected_improvement(0.0, 1.0, 0.0) == pytest.approx(0.39894, abs=1e-4)
-    ):
+    ei = [expected_improvement(np.zeros(1), np.ones(1), best)[0] for best in (1.0, 0.0)]
+    if not (ei[0] == pytest.approx(1.08331, abs=1e-4) and ei[1] == pytest.approx(0.39894, abs=1e-4)):
         failures.append("acquisition")
 
     # the optimizer finds a 1D quadratic minimum
@@ -355,5 +358,5 @@ def test_criterion_9_property_suite():
         failures.append("determinism")
 
     ok = not failures
-    detail = "derivatives, pseudoinverse, mixture-weights, clustering, acquisition, optimizer, determinism all hold" if ok else f"failed: {failures}"
+    detail = "derivatives, pseudoinverse, mixture-counts, clustering, acquisition, optimizer, determinism all hold" if ok else f"failed: {failures}"
     _report(9, ok, detail)

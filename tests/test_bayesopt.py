@@ -17,7 +17,6 @@ from rbfadapt.bayesopt import (
     bayes_step,
     expected_improvement,
     gp_fit,
-    gp_predict,
     gp_predict_batch,
     gp_with_params,
     optimize,
@@ -74,19 +73,17 @@ class TestGpFit:
     def test_interpolates_two_points(self):
         x = np.array([[0.2], [0.8]])
         y = np.array([1.0, -1.0])
-        gp = gp_fit(x, y, noise_floor=1e-8)
-        for xi, yi in zip(x, y):
-            mean, _ = gp_predict(gp, xi)
-            assert abs(mean - yi) < 1e-3
+        gp = gp_fit(x, y)
+        mean, _ = gp_predict_batch(gp, x)
+        assert np.all(np.abs(mean - y) < 1e-3)
 
     def test_constant_targets(self):
         x = np.linspace(0, 1, 6).reshape(-1, 1)
         gp = gp_fit(x, np.full(6, 4.2))
         prior_var = gp.signal_var * gp.target_scale**2
-        for xi in (0.05, 0.5, 0.95):
-            mean, var = gp_predict(gp, [xi])
-            assert mean == pytest.approx(4.2, abs=1e-6)
-            assert var <= prior_var * (1 + 1e-9)
+        mean, var = gp_predict_batch(gp, [[0.05], [0.5], [0.95]])
+        assert mean == pytest.approx(np.full(3, 4.2), abs=1e-6)
+        assert np.all(var <= prior_var * (1 + 1e-9))
 
     def test_sine_regression(self):
         rng = np.random.default_rng(7)
@@ -169,7 +166,7 @@ class TestGpPredict:
             np.array([[0.5]]) , np.array([3.0]),
             length_scales=np.array([0.05]), signal_var=1.0, noise_var=1e-8,
         )
-        mean, var = gp_predict(gp, [0.5 + 20 * 0.05])
+        (mean,), (var,) = gp_predict_batch(gp, [[0.5 + 20 * 0.05]])
         assert mean == pytest.approx(gp.target_mean, abs=1e-6)
         assert var == pytest.approx(gp.signal_var * gp.target_scale**2, rel=1e-6)
 
@@ -178,13 +175,13 @@ class TestGpPredict:
         y1 = np.array([1.0, 2.0])
         params = dict(length_scales=np.array([0.2]), signal_var=1.0, noise_var=1e-4)
         gp1 = gp_with_params(x1, y1, **params)
-        probe = [0.55]
-        _, var1 = gp_predict(gp1, probe)
-        x2 = np.vstack([x1, [probe]])
+        probe = [[0.55]]
+        _, var1 = gp_predict_batch(gp1, probe)
+        x2 = np.vstack([x1, probe])
         y2 = np.append(y1, 1.5)
         gp2 = gp_with_params(x2, y2, **params)
-        _, var2 = gp_predict(gp2, probe)
-        assert var2 < var1
+        _, var2 = gp_predict_batch(gp2, probe)
+        assert var2[0] < var1[0]
 
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(11)
@@ -194,33 +191,58 @@ class TestGpPredict:
         assert np.all(var >= 0)
 
 
+def _ei(mean, variance, best):
+    """expected_improvement at one point."""
+    return float(expected_improvement(np.array([mean]), np.array([variance]), best)[0])
+
+
+def _norm_ei(mean, variance, best):
+    """The acquisition written with scipy.stats.norm."""
+    from scipy.stats import norm
+
+    s = np.sqrt(variance)
+    improve = best - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(s > 0, improve / np.where(s > 0, s, 1.0), 0.0)
+    return np.where(s > 0, improve * norm.cdf(z) + s * norm.pdf(z), np.maximum(improve, 0.0))
+
+
 class TestExpectedImprovement:
     def test_zero_variance_no_improvement(self):
-        assert expected_improvement(2.0, 0.0, 1.0) == 0.0
-        assert expected_improvement(1.0, 0.0, 1.0) == 0.0
+        assert _ei(2.0, 0.0, 1.0) == 0.0
+        assert _ei(1.0, 0.0, 1.0) == 0.0
 
     def test_zero_variance_with_improvement(self):
-        assert expected_improvement(0.5, 0.0, 1.0) == pytest.approx(0.5)
+        assert _ei(0.5, 0.0, 1.0) == pytest.approx(0.5)
 
     def test_spot_value_unit_improvement(self):
-        assert expected_improvement(0.0, 1.0, 1.0) == pytest.approx(1.08331, abs=1e-4)
+        assert _ei(0.0, 1.0, 1.0) == pytest.approx(1.08331, abs=1e-4)
 
     def test_spot_value_no_mean_gap(self):
-        assert expected_improvement(0.0, 1.0, 0.0) == pytest.approx(0.39894, abs=1e-4)
+        assert _ei(0.0, 1.0, 0.0) == pytest.approx(0.39894, abs=1e-4)
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(2)
         for _ in range(500):
-            ei = expected_improvement(
-                rng.normal(), rng.uniform(0, 4), rng.normal()
-            )
+            ei = _ei(rng.normal(), rng.uniform(0, 4), rng.normal())
             assert ei >= 0.0
 
     def test_monotone_in_variance(self):
         variances = np.linspace(0.0, 5.0, 60)
         for mean, best in [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5)]:
-            values = [expected_improvement(mean, v, best) for v in variances]
-            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+            values = expected_improvement(np.full(60, mean), variances, best)
+            assert np.all(np.diff(values) >= -1e-12)
+
+    def test_matches_the_norm_formula_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        n = 20000
+        mean = rng.normal(0.0, 3.0, n)
+        variance = rng.uniform(0.0, 4.0, n) * 10.0 ** rng.integers(-300, 3, n)
+        variance[::7] = 0.0
+        variance[3::7] = -0.0
+        for best in (-1.0, 0.0, 0.7, 40.0):
+            got = expected_improvement(mean, variance, best)
+            assert np.array_equal(got, _norm_ei(mean, variance, best))
 
 
 class TestBayesStep:

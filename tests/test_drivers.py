@@ -16,7 +16,7 @@ from rbfadapt.bayesopt import BoConfig, SearchBounds
 from rbfadapt.blas import fixed_blas_threads
 from rbfadapt.drivers import (
     _forward_fixed_block,
-    CharacteristicMask,
+    _sample_mask_points,
     ForwardRunSpec,
     InverseRunSpec,
     SensorPlacement,
@@ -287,39 +287,53 @@ class TestForwardRun:
 
 class TestCharacteristicMask:
     @staticmethod
-    def _profile(center=-0.3, width=0.05):
-        xs = np.linspace(-1.0, 1.0, 401)
-        return xs, np.exp(-((xs - center) ** 2) / (2 * width**2))
+    def _profile(centers=(0.3,), width=0.025):
+        # block coordinates, x in [0, 1], as the march uses them
+        xs = np.linspace(0.0, 1.0, 401)
+        return xs, sum(np.exp(-((xs - c) ** 2) / (2 * width**2)) for c in centers)
+
+    @staticmethod
+    def _inside(mask, pts):
+        """Which (x, t) rows lie in a padded interval shifted along the flow to t."""
+        x = pts[:, :1] - mask.speed * (pts[:, 1:] - mask.t_start)
+        lo = np.array([a for a, _ in mask.intervals]) - mask.pad
+        hi = np.array([b for _, b in mask.intervals]) + mask.pad
+        return (x >= lo - 1e-12) & (x <= hi + 1e-12)
 
     def test_peak_is_tracked_and_moves_with_the_flow(self):
         xs, ys = self._profile()
-        mask = characteristic_mask(xs, ys, speed=0.5, block=(0.0, 0.01), pad=0.05)
+        mask = characteristic_mask(xs, ys, speed=0.5, block=(0.0, 1.0), pad=0.02)
         assert not mask.empty
-        (lo, hi), = mask.intervals_at(0.0)
-        assert lo < -0.3 < hi
-        shifted = mask.intervals_at(0.01)
-        assert shifted[0][0] == pytest.approx(lo + 0.5 * 0.01)
-        assert shifted[0][1] == pytest.approx(hi + 0.5 * 0.01)
+        (lo, hi), = mask.intervals
+        assert lo < 0.3 < hi
+        pts = _sample_mask_points(mask, 2000, np.random.default_rng(0))
+        assert np.all((pts[:, 1] >= 0.0) & (pts[:, 1] <= 1.0))
+        assert np.all(self._inside(mask, pts))
+        late = pts[:, 1] > 0.8
+        assert np.any(late) and np.all(pts[late, 0] > hi + mask.pad)
 
     def test_zero_speed_mask_is_time_invariant(self):
         xs, ys = self._profile()
         mask = characteristic_mask(xs, ys, speed=0.0, block=(0.0, 1.0), pad=0.02)
-        assert mask.intervals_at(0.0) == mask.intervals_at(0.7)
+        pts = _sample_mask_points(mask, 2000, np.random.default_rng(1))
+        (lo, hi), = mask.intervals
+        assert np.all((pts[:, 0] >= lo - mask.pad) & (pts[:, 0] <= hi + mask.pad))
+        assert pts[:, 1].min() < 0.1 and pts[:, 1].max() > 0.9
 
-    def test_contains_follows_the_shifted_interval(self):
-        xs, ys = self._profile()
+    def test_draws_follow_the_shifted_intervals(self):
+        xs, ys = self._profile(centers=(0.15, 0.4))
         mask = characteristic_mask(xs, ys, speed=0.5, block=(0.0, 1.0), pad=0.02)
-        inside_now = mask.contains(np.array([[-0.3, 0.0]]))
-        inside_later = mask.contains(np.array([[-0.3 + 0.5, 1.0]]))
-        far_away = mask.contains(np.array([[0.9, 0.0]]))
-        assert bool(inside_now[0]) and bool(inside_later[0])
-        assert not bool(far_away[0])
+        assert len(mask.intervals) == 2
+        pts = _sample_mask_points(mask, 2000, np.random.default_rng(2))
+        inside = self._inside(mask, pts)
+        assert np.all(inside.any(axis=1))
+        assert np.all(inside.sum(axis=0) > 0)
 
     def test_flat_profile_gives_empty_mask(self):
         xs = np.linspace(-1.0, 1.0, 101)
         mask = characteristic_mask(xs, np.ones_like(xs), speed=0.5, block=(0.0, 0.01), pad=0.05)
         assert mask.empty
-        assert not np.any(mask.contains(np.array([[0.0, 0.0], [0.5, 0.005]])))
+        assert mask.intervals == ()
 
     def test_degenerate_block_rejected(self):
         xs, ys = self._profile()

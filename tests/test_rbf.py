@@ -5,21 +5,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbfadapt.rbf import (
-    RbfBasis,
-    RbfKernel,
-    concat_bases,
-    deriv_matrix,
-    eval_matrix,
-    rbf_deriv,
-    rbf_eval,
-)
+from rbfadapt.rbf import RbfBasis, deriv_matrix, eval_matrix
 
 
-def _gauss_highprec(kernel, point):
+def _value(center, width, point):
+    """One kernel's value at one point, through eval_matrix."""
+    return eval_matrix(RbfBasis([center], [width]), np.array([point], dtype=float))[0, 0]
+
+
+def _deriv(center, width, point, axis, order):
+    """One kernel's partial derivative at one point, through deriv_matrix."""
+    pts = np.array([point], dtype=float)
+    return deriv_matrix(RbfBasis([center], [width]), pts, [(axis, order)])[0][0, 0]
+
+
+def _gauss_highprec(center, width, point):
     """Reference evaluation in extended precision for finite differencing."""
-    c = kernel.center.astype(np.longdouble)
-    w = kernel.width.astype(np.longdouble)
+    c = np.asarray(center, dtype=np.longdouble)
+    w = np.asarray(width, dtype=np.longdouble)
     x = np.asarray(point, dtype=np.longdouble)
     s = (x - c) / (np.longdouble(np.sqrt(2)) * w)
     return np.exp(-np.sum(s * s))
@@ -31,68 +34,64 @@ def _random_cases(rng, count):
         width = rng.uniform(0.05, 2.0, dim)
         center = rng.uniform(-1.0, 1.0, dim)
         point = center + rng.uniform(-3.0, 3.0, dim) * width
-        yield RbfKernel(center, width), point, dim
+        yield center, width, point, dim
 
 
 class TestScalarEval:
+    """Single-kernel properties of eval_matrix on a one-kernel basis."""
+
     def test_value_at_center_is_one(self):
-        kern = RbfKernel([0.3, -0.7], [0.2, 0.5])
-        assert rbf_eval(kern, [0.3, -0.7]) == 1.0
+        assert _value([0.3, -0.7], [0.2, 0.5], [0.3, -0.7]) == 1.0
 
     def test_unit_slope_1d(self):
         # sigma = 1/sqrt(2) gives slope 1, offset 0
-        kern = RbfKernel([0.0], [1.0 / np.sqrt(2.0)])
-        assert rbf_eval(kern, [1.0]) == pytest.approx(np.exp(-1.0), rel=1e-14)
+        assert _value([0.0], [1.0 / np.sqrt(2.0)], [1.0]) == pytest.approx(np.exp(-1.0), rel=1e-14)
 
     def test_unit_slope_2d(self):
         s = 1.0 / np.sqrt(2.0)
-        kern = RbfKernel([0.0, 0.0], [s, s])
-        assert rbf_eval(kern, [1.0, 1.0]) == pytest.approx(np.exp(-2.0), rel=1e-14)
+        assert _value([0.0, 0.0], [s, s], [1.0, 1.0]) == pytest.approx(np.exp(-2.0), rel=1e-14)
 
     def test_parameterization_equivalence(self):
         # slope-offset evaluation matches the direct center-width form
         rng = np.random.default_rng(21)
-        for kern, point, _ in _random_cases(rng, 1000):
-            direct = np.exp(
-                -np.sum((point - kern.center) ** 2 / (2.0 * kern.width**2))
-            )
-            assert rbf_eval(kern, point) == pytest.approx(direct, abs=1e-14)
+        for center, width, point, _ in _random_cases(rng, 1000):
+            direct = np.exp(-np.sum((point - center) ** 2 / (2.0 * width**2)))
+            assert _value(center, width, point) == pytest.approx(direct, abs=1e-14)
 
     def test_range_and_uniqueness_of_peak(self):
         rng = np.random.default_rng(5)
-        for kern, point, _ in _random_cases(rng, 200):
-            val = rbf_eval(kern, point)
+        for center, width, point, _ in _random_cases(rng, 200):
+            val = _value(center, width, point)
             assert 0.0 < val <= 1.0
-            if not np.allclose(point, kern.center):
+            if not np.allclose(point, center):
                 assert val < 1.0
 
     def test_dimension_mismatch(self):
-        kern = RbfKernel([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            rbf_eval(kern, [0.0])
+            eval_matrix(RbfBasis([[0.0, 0.0]], [[1.0, 1.0]]), np.array([[0.0]]))
 
     def test_bad_width(self):
         with pytest.raises(ValueError):
-            RbfKernel([0.0], [0.0])
+            RbfBasis([[0.0]], [[0.0]])
         with pytest.raises(ValueError):
-            RbfKernel([0.0], [np.inf])
+            RbfBasis([[0.0]], [[np.inf]])
 
     def test_slope_offset_cancel_at_center(self):
-        kern = RbfKernel([0.4, -1.2], [0.3, 0.8])
+        basis = RbfBasis([[0.4, -1.2]], [[0.3, 0.8]])
         np.testing.assert_allclose(
-            kern.slope * kern.center + kern.offset, 0.0, atol=1e-15
+            basis.slopes * basis.centers + basis.offsets, 0.0, atol=1e-15
         )
 
 
 class TestScalarDeriv:
+    """Single-kernel properties of deriv_matrix on a one-kernel basis."""
+
     def test_first_deriv_zero_at_center(self):
-        kern = RbfKernel([0.2], [0.1])
-        assert rbf_deriv(kern, [0.2], 0, 1) == 0.0
+        assert _deriv([0.2], [0.1], [0.2], 0, 1) == 0.0
 
     def test_second_deriv_at_center(self):
         sigma = 0.25
-        kern = RbfKernel([0.2], [sigma])
-        assert rbf_deriv(kern, [0.2], 0, 2) == pytest.approx(
+        assert _deriv([0.2], [sigma], [0.2], 0, 2) == pytest.approx(
             -1.0 / sigma**2, rel=1e-13
         )
 
@@ -100,33 +99,45 @@ class TestScalarDeriv:
         rng = np.random.default_rng(99)
         h = np.longdouble(1e-5)
         checked = 0
-        for kern, point, dim in _random_cases(rng, 1000):
+        for center, width, point, dim in _random_cases(rng, 1000):
             axis = int(rng.integers(0, dim))
             order = int(rng.integers(1, 3))
             step = np.zeros(dim, dtype=np.longdouble)
             step[axis] = h
-            fp = _gauss_highprec(kern, point + step)
-            fm = _gauss_highprec(kern, point - step)
+            fp = _gauss_highprec(center, width, point + step)
+            fm = _gauss_highprec(center, width, point - step)
             if order == 1:
                 fd = float((fp - fm) / (2.0 * h))
             else:
-                f0 = _gauss_highprec(kern, point)
+                f0 = _gauss_highprec(center, width, point)
                 fd = float((fp - 2.0 * f0 + fm) / (h * h))
-            analytic = rbf_deriv(kern, point, axis, order)
+            analytic = _deriv(center, width, point, axis, order)
             assert abs(analytic - fd) / max(1.0, abs(fd)) < 1e-6
             checked += 1
         assert checked == 1000
 
     def test_invalid_axis_and_order(self):
-        kern = RbfKernel([0.0], [1.0])
         with pytest.raises(ValueError):
-            rbf_deriv(kern, [0.0], 1, 1)
+            _deriv([0.0], [1.0], [0.0], 1, 1)
         with pytest.raises(ValueError):
-            rbf_deriv(kern, [0.0], 0, 3)
+            _deriv([0.0], [1.0], [0.0], 0, 3)
+
+
+def _center_width_deriv(center, width, point, axis, order):
+    """Closed-form partial derivative in center-width form."""
+    point, center, width = (np.asarray(v, dtype=float) for v in (point, center, width))
+    g = np.exp(-np.sum((point - center) ** 2 / (2.0 * width**2)))
+    u = (point[axis] - center[axis]) / width[axis] ** 2
+    if order == 0:
+        return g
+    if order == 1:
+        return -u * g
+    return (u * u - 1.0 / width[axis] ** 2) * g
 
 
 class TestBasisMatrices:
     def test_matches_scalar_eval(self):
+        # every entry equals the single-kernel center-width formula
         rng = np.random.default_rng(13)
         centers = rng.uniform(-1, 1, (6, 2))
         widths = rng.uniform(0.1, 1.0, (6, 2))
@@ -136,9 +147,8 @@ class TestBasisMatrices:
         assert g.shape == (9, 6)
         for p in range(9):
             for k in range(6):
-                assert g[p, k] == pytest.approx(
-                    rbf_eval(basis.kernel(k), points[p]), rel=1e-14
-                )
+                direct = np.exp(-np.sum((points[p] - centers[k]) ** 2 / (2.0 * widths[k] ** 2)))
+                assert g[p, k] == pytest.approx(direct, rel=1e-14)
 
     def test_matches_scalar_deriv(self):
         rng = np.random.default_rng(14)
@@ -152,7 +162,7 @@ class TestBasisMatrices:
                 for p in range(7):
                     for k in range(5):
                         assert d[p, k] == pytest.approx(
-                            rbf_deriv(basis.kernel(k), points[p], axis, order),
+                            _center_width_deriv(centers[k], widths[k], points[p], axis, order),
                             rel=1e-13,
                             abs=1e-15,
                         )
@@ -163,19 +173,6 @@ class TestBasisMatrices:
         np.testing.assert_array_equal(
             deriv_matrix(basis, pts, [(0, 0)])[0], eval_matrix(basis, pts)
         )
-
-    def test_from_kernels_round_trip(self):
-        kerns = [RbfKernel([0.1, 0.2], [0.3, 0.4]), RbfKernel([0.5, 0.6], [0.7, 0.8])]
-        basis = RbfBasis.from_kernels(kerns)
-        assert basis.n_kernels == 2 and basis.dim == 2
-        np.testing.assert_array_equal(basis.kernel(1).center, [0.5, 0.6])
-
-    def test_concat(self):
-        a = RbfBasis([[0.0]], [[1.0]])
-        b = RbfBasis([[1.0], [2.0]], [[0.5], [0.5]])
-        c = concat_bases(a, b)
-        assert c.n_kernels == 3
-        np.testing.assert_array_equal(c.centers.ravel(), [0.0, 1.0, 2.0])
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from rbfadapt.sampling import (
     dedup_rows,
     default_eta,
     initial_points,
-    mixture_weights,
     most_square_factors,
     sample_centers,
     sample_collocation,
@@ -36,30 +35,35 @@ def _hp_1d(f=0.5, mu=0.5, tau=1.0, decay=0.5, eta=0.1, **kw):
 
 
 class TestMixtureWeights:
+    """Component k's weight f_k / (1 + sum f), as component_counts realizes it."""
+
     def test_equal_split(self):
-        assert mixture_weights([1.0]) == (0.5, [0.5])
+        assert component_counts(10, [1.0]) == [10, 10]
 
     def test_half(self):
-        base, adap = mixture_weights([0.5])
-        assert base == pytest.approx(2.0 / 3.0)
-        assert adap[0] == pytest.approx(1.0 / 3.0)
+        counts = component_counts(12, [0.5])
+        assert counts == [12, 6]
+        assert counts[0] / sum(counts) == pytest.approx(2.0 / 3.0)
 
     def test_two_components(self):
-        base, adap = mixture_weights([0.3, 0.4])
-        assert base == pytest.approx(1.0 / 1.7)
-        assert adap == pytest.approx([0.3 / 1.7, 0.4 / 1.7])
-        assert base + sum(adap) == pytest.approx(1.0, abs=1e-15)
+        counts = component_counts(10, [0.3, 0.4])
+        assert counts == [10, 3, 4]
+        assert np.array(counts) / sum(counts) == pytest.approx([1.0 / 1.7, 0.3 / 1.7, 0.4 / 1.7])
 
     def test_normalization_sweep(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             f = rng.uniform(0.01, 3.0, rng.integers(1, 5))
-            base, adap = mixture_weights(f)
-            assert abs(base + sum(adap) - 1.0) <= 1e-14
+            for n in (1, 7, 150, 750):
+                counts = component_counts(n, f)
+                assert counts[0] == n
+                assert all(abs(c - v * n) <= 0.5 for c, v in zip(counts[1:], f))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            mixture_weights([0.5, 0.0])
+            component_counts(0, [0.5])
+        with pytest.raises(ValueError):
+            MixtureComponent(0.0, [0.5], [1.0], 0.5)
 
 
 class TestComponentCounts:
@@ -73,6 +77,12 @@ class TestComponentCounts:
 
     def test_baseline_only(self):
         assert component_counts(100, []) == [100]
+
+    def test_ties_round_up(self):
+        # f * n lands exactly on j + 0.5
+        for n in (2, 8, 64, 512):
+            fractions = [(2 * j + 1) / (2 * n) for j in range(6)]
+            assert component_counts(n, fractions) == [n] + [j + 1 for j in range(6)]
 
 
 class TestGrids:
