@@ -1,18 +1,20 @@
 """Tests for the GP surrogate, acquisition, and optimization loop."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
+from scipy.optimize import minimize
+from scipy.optimize._numdiff import approx_derivative
 
-from rbfadapt import bayesopt
 from rbfadapt.bayesopt import (
     BoConfig,
     BoHistory,
     SearchBounds,
+    _NegativeLogMarginal,
     _chol_with_jitter,
     _initial_design,
-    _kernel_matrix,
-    _negative_log_marginal,
     _pairwise_sqdists,
     bayes_step,
     expected_improvement,
@@ -101,18 +103,21 @@ class TestGpFit:
         y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2
         gp = gp_fit(x, y)
         y_std = (y - y.mean()) / y.std()
-        sq = _pairwise_sqdists(x, x)
-        start = np.concatenate([np.full(2, np.log(0.3)), [0.0, np.log(1e-6)]])
+        nll = _NegativeLogMarginal(_pairwise_sqdists(x, x), y_std, _upper(2))
+        start = _starts(2)[0]
         fitted = np.concatenate(
             [np.log(gp.length_scales), [np.log(gp.signal_var), np.log(gp.noise_var)]]
         )
-        nll_fit = _negative_log_marginal(fitted, sq, y_std, 12)
-        nll_start = _negative_log_marginal(start, sq, y_std, 12)
-        assert nll_fit <= nll_start + 1e-9
+        assert nll.value(fitted) <= nll.value(start) + 1e-9
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             gp_fit(np.array([[0.5]]), np.array([1.0]))
+
+
+def _tensordot_kernel(sqdists, length_scales, signal_var):
+    """The covariance with np.tensordot over the (d, n, m) distance tensor."""
+    return signal_var * np.exp(-0.5 * np.tensordot(1.0 / length_scales**2, sqdists, axes=1))
 
 
 def _cho_factor_likelihood(theta, sqdists, y, n):
@@ -120,7 +125,7 @@ def _cho_factor_likelihood(theta, sqdists, y, n):
     ell = np.exp(theta[:-2])
     sig = np.exp(theta[-2])
     noise = np.exp(theta[-1])
-    k = _kernel_matrix(sqdists, ell, sig) + noise * np.eye(n)
+    k = _tensordot_kernel(sqdists, ell, sig) + noise * np.eye(n)
     try:
         c = _chol_with_jitter(k)
     except ArithmeticError:
@@ -128,6 +133,53 @@ def _cho_factor_likelihood(theta, sqdists, y, n):
     alpha = cho_solve(c, y)
     logdet = 2.0 * np.sum(np.log(np.diag(c[0])))
     return float(0.5 * y @ alpha + 0.5 * logdet + 0.5 * n * np.log(2 * np.pi))
+
+
+def _theta_bounds(d):
+    """gp_fit's box on (log ell, log signal variance, log noise variance)."""
+    return (
+        [(np.log(1e-2), np.log(10.0))] * d
+        + [(np.log(1e-2), np.log(1e2))]
+        + [(np.log(1e-8), np.log(1.0))]
+    )
+
+
+def _upper(d):
+    return np.array([hi for _, hi in _theta_bounds(d)])
+
+
+def _starts(d):
+    return [
+        np.concatenate([np.full(d, np.log(0.3)), [0.0, np.log(1e-6)]]),
+        np.concatenate([np.full(d, np.log(1.0)), [0.0, np.log(1e-4)]]),
+        np.concatenate([np.full(d, np.log(0.08)), [0.0, np.log(1e-8)]]),
+    ]
+
+
+def _reference_fit(x, y):
+    """gp_fit as scipy's L-BFGS-B ran it with its own finite differences."""
+    n, d = x.shape
+    y_std = (y - y.mean()) / y.std()
+    sq = _pairwise_sqdists(x, x)
+    best_theta, best_nll = None, np.inf
+    for start in _starts(d):
+        for theta in (
+            start,
+            minimize(
+                _cho_factor_likelihood, start, args=(sq, y_std, n),
+                method="L-BFGS-B", bounds=_theta_bounds(d), options={"maxiter": 60},
+            ).x,
+        ):
+            nll = _cho_factor_likelihood(theta, sq, y_std, n)
+            if nll < best_nll:
+                best_nll, best_theta = nll, theta
+    noise = max(np.exp(best_theta[-1]), 1e-8)
+    return gp_with_params(x, y, np.exp(best_theta[:-2]), np.exp(best_theta[-2]), noise)
+
+
+def _assert_same_fit(direct, reference):
+    for name in ("length_scales", "signal_var", "noise_var", "alpha"):
+        assert np.array_equal(getattr(direct, name), getattr(reference, name)), name
 
 
 def _history(seed, n, d):
@@ -139,25 +191,82 @@ def _history(seed, n, d):
 
 
 class TestLikelihoodBits:
-    """The direct LAPACK likelihood equals the cho_factor formula bit for bit."""
+    """The likelihood object gives the proposals of scipy's own differencing."""
 
     @pytest.mark.parametrize("log_noise", [np.log(1e-6), np.log(1e-12), np.log(1e-16)])
     def test_likelihood_at_fixed_hyperparameters(self, log_noise):
         # a noise of 1e-16 leaves the repeated rows singular: the jitter path
         x, y = _history(0, 40, 3)
         sq = _pairwise_sqdists(x, x)
+        nll = _NegativeLogMarginal(sq, y, _upper(3))
         for log_ell in (np.log(0.08), 0.0, np.log(10.0)):
             theta = np.concatenate([np.full(3, log_ell), [0.3, log_noise]])
-            assert _negative_log_marginal(theta, sq, y, 40) == _cho_factor_likelihood(theta, sq, y, 40)
+            assert nll.value(theta) == _cho_factor_likelihood(theta, sq, y, 40)
+            assert nll(theta)[0] == nll.value(theta)
 
-    @pytest.mark.parametrize("seed,n,d", [(1, 6, 3), (2, 20, 2), (3, 50, 5), (4, 99, 3)])
-    def test_fit(self, seed, n, d, monkeypatch):
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_gradient_is_scipys_forward_difference(self, d):
+        # scipy's two-point rule with L-BFGS-B's absolute step of 1e-8,
+        # including the flipped steps at upper bounds
+        x, y = _history(d, 30, d)
+        sq = _pairwise_sqdists(x, x)
+        nll = _NegativeLogMarginal(sq, y, _upper(d))
+        lower = np.array([lo for lo, _ in _theta_bounds(d)])
+        upper = _upper(d)
+        for theta in (
+            _starts(d)[0],
+            _starts(d)[2],  # on the noise floor
+            upper,
+            lower,
+            np.where(np.arange(d + 2) % 2 == 0, upper, 0.5 * (lower + upper)),
+            upper - 0.5e-8,  # within one step of the bound
+        ):
+            f0, grad = nll(theta)
+            expected = approx_derivative(
+                _cho_factor_likelihood, theta, method="2-point", abs_step=1e-8,
+                f0=f0, bounds=(lower, upper), args=(sq, y, 30),
+            )
+            assert f0 == _cho_factor_likelihood(theta, sq, y, 30)
+            assert np.array_equal(grad, expected)
+
+    @pytest.mark.parametrize(
+        "seed,n,d",
+        [(1, 6, 3), (2, 20, 2), (3, 50, 5), (4, 99, 3), (5, 12, 1), (6, 99, 1), (7, 40, 1), (8, 80, 5)],
+    )
+    def test_fit(self, seed, n, d):
         x, y = _history(seed, n, d)
+        _assert_same_fit(gp_fit(x, y), _reference_fit(x, y))
+
+    def test_fit_on_the_upper_length_scale_bound(self):
+        # two of five inputs matter: the others end on ell = 10, where the
+        # forward step would leave the box and is taken backwards
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, (40, 5))
+        y = np.log10(1e-3 + (x[:, 0] - 0.4) ** 2 + (x[:, 1] - 0.6) ** 2)
         direct = gp_fit(x, y)
-        monkeypatch.setattr(bayesopt, "_negative_log_marginal", _cho_factor_likelihood)
-        reference = gp_fit(x, y)
-        for name in ("length_scales", "signal_var", "noise_var", "alpha"):
-            assert np.array_equal(getattr(direct, name), getattr(reference, name)), name
+        assert np.sum(direct.length_scales == np.exp(np.log(10.0))) >= 2
+        _assert_same_fit(direct, _reference_fit(x, y))
+
+    def test_fit_on_the_noise_floor(self):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0, 1, (15, 1))
+        y = np.sin(4 * x[:, 0])
+        direct = gp_fit(x, y)
+        assert direct.noise_var == 1e-8
+        _assert_same_fit(direct, _reference_fit(x, y))
+
+    def test_fit_takes_no_differences_from_scipy(self, monkeypatch):
+        x, y = _history(4, 99, 3)
+        reference = _reference_fit(x, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy's finite differences were called")
+
+        # every scipy.optimize module that imported approx_derivative by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scipy.optimize") and getattr(module, "approx_derivative", None) is approx_derivative:
+                monkeypatch.setattr(module, "approx_derivative", refuse)
+        _assert_same_fit(gp_fit(x, y), reference)
 
 
 class TestGpPredict:
@@ -182,6 +291,18 @@ class TestGpPredict:
         gp2 = gp_with_params(x2, y2, **params)
         _, var2 = gp_predict_batch(gp2, probe)
         assert var2[0] < var1[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_the_tensordot_cho_solve_formula_bit_for_bit(self, d):
+        x, y = _history(10 + d, 99, d)
+        gp = gp_fit(x, y)
+        xs = np.random.default_rng(d).uniform(0, 1, (2050, d))
+        mean, var = gp_predict_batch(gp, xs)
+        kstar = _tensordot_kernel(_pairwise_sqdists(x, xs), gp.length_scales, gp.signal_var)
+        v = cho_solve(gp.chol, kstar)
+        var_std = np.maximum(gp.signal_var - np.sum(kstar * v, axis=0), 0.0)
+        assert np.array_equal(mean, gp.target_mean + gp.target_scale * (kstar.T @ gp.alpha))
+        assert np.array_equal(var, gp.target_scale**2 * var_std)
 
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(11)
