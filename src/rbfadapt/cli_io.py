@@ -58,13 +58,7 @@ from .drivers import (
     run_inverse,
     run_kapi_forward,
 )
-from .problems import (
-    advection1d,
-    advection_exact,
-    convdiff_type1,
-    convdiff_type2,
-    poisson2d,
-)
+from .problems import advection1d, convdiff_type1, convdiff_type2, poisson2d
 from .sampling import BaselineConfig, default_eta, eta_fits
 
 EXIT_OK = 0
@@ -123,8 +117,6 @@ class ResultBundle:
 
     config: RunConfig
     history_rows: tuple  # ((k, w..., loss), ...), one row per evaluation
-    kernel_rows: tuple
-    solution_rows: tuple
     metrics: dict
     extras: dict
     timings: dict
@@ -761,43 +753,43 @@ def _kernel_rows(model, prefix=()) -> list:
     return rows
 
 
-def _solution_rows(mesh, predicted, reference) -> tuple:
-    rows = []
-    has_ref = reference is not None
-    for i in range(mesh.shape[0]):
-        row = [float(c) for c in mesh[i]] + [float(predicted[i])]
-        if has_ref:
-            row += [float(reference[i]), float(abs(predicted[i] - reference[i]))]
-        rows.append(tuple(row))
-    return tuple(rows)
+def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicted, reference) -> dict:
+    """The summary entries and the kernel and solution tables of a run.
 
-
-def _axis_names(dim: int, time_axis: bool = False) -> list:
-    if dim == 1:
-        return ["x"]
-    return ["x", "t"] if time_axis else ["x", "y"]
+    The drivers graded the run: mesh, predicted and reference (None when
+    the run has none) fill solution.csv.  The march numbers its kernels
+    by block.
+    """
+    axes = ["x", "t"] if config.problem["type"] == "advection" else ["x", "y"][: mesh.shape[1]]
+    block = ["block"] if config.kind == "advection" else []
+    kernel_header = block + [f"center_{a}" for a in axes] + [f"width_{a}" for a in axes]
+    kernel_rows = []
+    for k, model in enumerate(models):
+        kernel_rows += _kernel_rows(model, prefix=(k,) if block else ())
+    solution = [mesh, predicted[:, None]]
+    if reference is not None:
+        solution += [reference[:, None], np.abs(predicted - reference)[:, None]]
+    return {
+        "history": history,
+        "metrics": metrics,
+        "extras": extras,
+        "kernel_header": kernel_header + ["coefficient", "component"],
+        "kernel_rows": kernel_rows,
+        "solution_header": axes + ["predicted"] + ([] if reference is None else ["exact", "abs_error"]),
+        "solution_rows": np.hstack(solution).tolist(),
+    }
 
 
 def _run_forward(config: RunConfig) -> dict:
     result = run_kapi_forward(_forward_spec(config))
-    names = list(config.search["bounds"])
-    axes = _axis_names(result.model.basis.centers.shape[1])
-    return {
-        "history": result.history,
-        "w_names": names,
-        "metrics": dict(result.metrics),
-        "extras": {"w_opt": {k: float(v) for k, v in result.w_named.items()}},
-        "kernel_header": axes_header(axes),
-        "kernel_rows": tuple(_kernel_rows(result.model)),
-        "solution_header": solution_header(axes, result.reference is not None),
-        "solution_rows": _solution_rows(result.mesh, result.predicted, result.reference),
-    }
+    extras = {"w_opt": {k: float(v) for k, v in result.w_named.items()}}
+    return _payload(
+        config, result.history, dict(result.metrics), extras,
+        (result.model,), result.mesh, result.predicted, result.reference,
+    )
 
 
 def _run_inverse(config: RunConfig) -> dict:
-    from .assembly import evaluate_model
-    from .sampling import uniform_grid
-
     sensors_cfg = config.sensors
     spec = _forward_spec(config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(9,)))
@@ -810,31 +802,14 @@ def _run_inverse(config: RunConfig) -> dict:
         rng,
     )
     result = run_inverse(InverseRunSpec(spec, sensors, true_params=sensors_cfg["truth"]))
-    domain = spec.problem.domain
-    if spec.problem.dim == 1:
-        mesh = np.linspace(domain.lower[0], domain.upper[0], spec.test_mesh_size)[:, None]
-    else:
-        mesh = uniform_grid(domain, 101 * 101)
-    if "nu" in sensors_cfg["truth"]:
-        truth_problem = replace(spec.problem, nu=float(sensors_cfg["truth"]["nu"]))
-    else:
-        truth_problem = replace(spec.problem, advection_speed=float(sensors_cfg["truth"]["a"]))
-    predicted = evaluate_model(result.model, mesh)
-    reference = truth_problem.exact(mesh)
-    axes = _axis_names(spec.problem.dim, time_axis=config.problem["type"] == "advection")
-    return {
-        "history": result.history,
-        "w_names": list(config.search["bounds"]),
-        "metrics": dict(result.metrics),
-        "extras": {
-            "w_opt": {k: float(v) for k, v in result.w_named.items()},
-            **{f"{k}_est": float(v) for k, v in result.estimates.items()},
-        },
-        "kernel_header": axes_header(axes),
-        "kernel_rows": tuple(_kernel_rows(result.model)),
-        "solution_header": solution_header(axes, reference is not None),
-        "solution_rows": _solution_rows(mesh, predicted, reference),
+    extras = {
+        "w_opt": {k: float(v) for k, v in result.w_named.items()},
+        **{f"{k}_est": float(v) for k, v in result.estimates.items()},
     }
+    return _payload(
+        config, result.history, dict(result.metrics), extras,
+        (result.model,), result.mesh, result.predicted, result.reference,
+    )
 
 
 def _run_advection(config: RunConfig) -> dict:
@@ -855,84 +830,42 @@ def _run_advection(config: RunConfig) -> dict:
     )
     tunables = None if a["tunables"] is None else tuple(a["tunables"])
     result, history = run_advection_forward(spec, tunables, tuning_blocks=a["tuning_blocks"])
-    xs = np.linspace(spec.x_range[0], spec.x_range[1], 2001)
-    predicted = result.final_profile(xs)
-    reference = advection_exact(xs, spec.t_final, spec.speed, spec.nu)
+    mesh, predicted, reference = result.graded_final_profile()
     metrics = {
         "residual_loss": result.aggregate_loss,
         "validation_loss": result.aggregate_validation,
         **compare_to_exact(predicted, reference),
         "n_evals": 0 if history is None else len(history),
     }
-    kernel_rows = []
-    for k, model in enumerate(result.models):
-        kernel_rows.extend(_kernel_rows(model, prefix=(k,)))
-    mesh = np.column_stack([xs, np.full_like(xs, spec.t_final)])
-    return {
-        "history": history,
-        "w_names": list(a["bounds"]),
-        "metrics": metrics,
-        "extras": {
-            "tunables": {"f": result.tunables[0], "lam": result.tunables[1], "sigma_f": result.tunables[2]},
-            "block_losses": [float(v) for v in result.block_losses],
-            "validation_losses": [float(v) for v in result.validation_losses],
-        },
-        "kernel_header": ["block"] + axes_header(["x", "t"]),
-        "kernel_rows": tuple(kernel_rows),
-        "solution_header": solution_header(["x", "t"], True),
-        "solution_rows": _solution_rows(mesh, predicted, reference),
+    extras = {
+        "tunables": {"f": result.tunables[0], "lam": result.tunables[1], "sigma_f": result.tunables[2]},
+        "block_losses": [float(v) for v in result.block_losses],
+        "validation_losses": [float(v) for v in result.validation_losses],
     }
+    return _payload(config, history, metrics, extras, result.models, mesh, predicted, reference)
 
 
 def _run_curriculum(config: RunConfig) -> dict:
-    from .assembly import evaluate_model
-
-    problem = _build_problem(config.problem)
     result = run_baseline_curriculum(
-        problem,
+        _build_problem(config.problem),
         BaselineConfig(**config.baseline),
         config.curriculum["schedule"],
         threshold=config.curriculum["threshold"],
     )
-    mesh = np.linspace(
-        problem.domain.lower[0], problem.domain.upper[0], 10 * config.baseline["n_colloc"]
-    )[:, None]
-    solved = replace(problem, nu=result.nu_solved)
-    predicted = evaluate_model(result.model, mesh)
-    reference = solved.exact(mesh)
     metrics = {
         "nu_solved": result.nu_solved,
         "n_clusters": result.clusters.n_clusters,
         "residual_loss": result.model.loss,
         "n_evals": 0,
     }
-    return {
-        "history": None,
-        "w_names": [],
-        "metrics": metrics,
-        "extras": {
-            "schedule": [
-                {"nu": nu, "residual_loss": loss, "solvability": measure}
-                for nu, loss, measure in result.measures
-            ],
-            "cluster_intervals": [[float(a), float(b)] for a, b in result.clusters.intervals],
-        },
-        "kernel_header": axes_header(["x"]),
-        "kernel_rows": tuple(_kernel_rows(result.model)),
-        "solution_header": solution_header(["x"], reference is not None),
-        "solution_rows": _solution_rows(mesh, predicted, reference),
+    extras = {
+        "schedule": [
+            {"nu": nu, "residual_loss": loss, "solvability": measure}
+            for nu, loss, measure in result.measures
+        ],
+        "cluster_intervals": [[float(a), float(b)] for a, b in result.clusters.intervals],
     }
-
-
-def axes_header(axes) -> list:
-    return [f"center_{a}" for a in axes] + [f"width_{a}" for a in axes] + ["coefficient", "component"]
-
-
-def solution_header(axes, has_reference: bool) -> list:
-    cols = list(axes) + ["predicted"]
-    if has_reference:
-        cols += ["exact", "abs_error"]
-    return cols
+    return _payload(config, None, metrics, extras, (result.model,), result.mesh, result.predicted, result.reference)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,11 +964,8 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         raise NumericalFailureError("loss table length disagrees with evaluation count")
 
     exit_code = EXIT_OK
-    loss_tol = None
-    if config.search is not None:
-        loss_tol = config.search["loss_tol"]
-    elif config.advection is not None:
-        loss_tol = config.advection["loss_tol"]
+    searched = config.search if config.search is not None else config.advection
+    loss_tol = None if searched is None else searched["loss_tol"]
     if (
         history is not None
         and loss_tol is not None
@@ -1069,7 +999,8 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
     files.append(summary_path)
 
     loss_path = out_dir / "loss_history.csv"
-    _write_csv(loss_path, ["k", *payload["w_names"], "loss"], history_rows)
+    w_names = [] if searched is None else list(searched["bounds"])
+    _write_csv(loss_path, ["k", *w_names, "loss"], history_rows)
     files.append(loss_path)
 
     kernels_path = out_dir / "kernels.csv"
@@ -1088,8 +1019,6 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
     return ResultBundle(
         config=config,
         history_rows=history_rows,
-        kernel_rows=payload["kernel_rows"],
-        solution_rows=payload["solution_rows"],
         metrics=metrics,
         extras=payload["extras"],
         timings=timings,

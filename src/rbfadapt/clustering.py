@@ -18,7 +18,6 @@ import numpy as np
 class GradientClusterResult:
     intervals: tuple
     n_clusters: int
-    high_gradient_points: np.ndarray
 
 
 def estimate_gradients(xs, ys) -> np.ndarray:
@@ -109,4 +108,4 @@ def detect_gradient_clusters(
     intervals = tuple(
         (float(high[idx].min()), float(high[idx].max())) for idx in clusters
     )
-    return GradientClusterResult(intervals, len(intervals), high)
+    return GradientClusterResult(intervals, len(intervals))

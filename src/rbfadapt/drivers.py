@@ -5,6 +5,11 @@ solve until it breaks and reports where the sharp features sit;
 run_kapi_forward tunes the kernel mixture for one forward problem;
 solve_advection_timeblocks marches a transport problem through sequential
 space-time slabs; run_inverse estimates PDE parameters from noisy sensors.
+
+The drivers also grade every run: the forward, inverse and curriculum
+results carry the test mesh, the model's values there and the reference
+(a closed form at the true parameters, or the finite-difference solve
+for 2D Poisson), and a march's result grades its t_final profile.
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,13 +29,8 @@ from .assembly import (
 )
 from .bayesopt import BoConfig, BoHistory, SearchBounds, optimize
 from .blas import fixed_blas_threads
-from .clustering import (
-    GradientClusterResult,
-    dbscan,
-    detect_gradient_clusters,
-    estimate_gradients,
-)
-from .problems import Box, PdeProblem, ProblemKind, advection_initial
+from .clustering import GradientClusterResult, detect_gradient_clusters
+from .problems import Box, PdeProblem, ProblemKind, advection_exact, advection_initial
 from .rbf import RbfBasis, eval_matrix
 from .sampling import (
     BaselineConfig,
@@ -52,6 +52,10 @@ from .sampling import (
 
 # tunable defaults for the 100-block transport run, fixed by calibration
 DEFAULT_ADVECTION_TUNABLES = (1.25, 1.0, 3.5)
+# x samples of the t_final profile a transport march is graded on
+FINAL_PROFILE_POINTS = 2001
+# per-axis count of the test mesh a 2D inverse run is graded on
+INVERSE_MESH_2D = 101
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,6 @@ class ForwardRunSpec:
     bo: BoConfig
     seed: int = 0
     fixed: dict = field(default_factory=dict)
-    test_mesh: Optional[int] = None
     eta: Optional[float] = None
     isotropic_widths: bool = True
     # "component" shares one width draw across a component's kernels;
@@ -164,8 +167,6 @@ class ForwardRunSpec:
     @property
     def test_mesh_size(self) -> int:
         # per-axis count in 2D, total count in 1D
-        if self.test_mesh is not None:
-            return self.test_mesh
         return 10 * self.baseline.n_colloc if self.problem.dim == 1 else 201
 
 
@@ -224,26 +225,28 @@ def solve_baseline(problem: PdeProblem, baseline: BaselineConfig) -> tuple:
 
 @dataclass(frozen=True)
 class CurriculumResult:
+    """The solved schedule entry, graded on a 10x-finer mesh against the
+    closed form at nu_solved."""
+
     nu_solved: float
     clusters: GradientClusterResult
     measures: tuple  # ((nu, residual loss, solvability measure), ...) in order
     model: SolvedModel
+    mesh: np.ndarray
+    predicted: np.ndarray
+    reference: Optional[np.ndarray]
 
 
-def _solvability_measure(problem: PdeProblem, model: SolvedModel, n_colloc: int) -> float:
-    """Max solution error on a 10x-finer mesh; residual loss as fallback.
+def _solvability_measure(model: SolvedModel, predicted: np.ndarray, exact) -> float:
+    """Max solution error on the test mesh; residual loss as fallback.
 
     The residual's sup norm sits orders of magnitude above the actual
     solution error for marginally resolved layers, so "accurate" is
     judged against the exact solution whenever one exists.
     """
-    mesh = np.linspace(
-        problem.domain.lower[0], problem.domain.upper[0], 10 * n_colloc
-    )[:, None]
-    exact = problem.exact(mesh)
     if exact is None:
         return model.loss
-    return float(np.max(np.abs(evaluate_model(model, mesh) - exact)))
+    return float(np.max(np.abs(predicted - exact)))
 
 
 def run_baseline_curriculum(
@@ -269,12 +272,15 @@ def run_baseline_curriculum(
 
     measures = []
     solved = None
+    mesh = _test_mesh(problem, 10 * baseline.n_colloc)
     for nu in schedule:
-        model, interior = solve_baseline(replace(problem, nu=nu), baseline)
-        measure = _solvability_measure(replace(problem, nu=nu), model, baseline.n_colloc)
+        at_nu = replace(problem, nu=nu)
+        model, interior = solve_baseline(at_nu, baseline)
+        predicted, exact = evaluate_model(model, mesh), at_nu.exact(mesh)
+        measure = _solvability_measure(model, predicted, exact)
         measures.append((nu, model.loss, measure))
         if measure < threshold:
-            solved = (nu, model, interior)
+            solved = (nu, model, interior, predicted, exact)
         else:
             if solved is not None:
                 break
@@ -282,11 +288,11 @@ def run_baseline_curriculum(
         detail = ", ".join(f"nu={nu:g}: measure={ms:.3e}" for nu, _, ms in measures)
         raise ArithmeticError(f"baseline solved no schedule entry ({detail})")
 
-    nu_solved, model, interior = solved
+    nu_solved, model, interior, predicted, exact = solved
     xs = interior[:, 0]
     ys = evaluate_model(model, interior)
     clusters = detect_gradient_clusters(xs, ys)
-    return CurriculumResult(nu_solved, clusters, tuple(measures), model)
+    return CurriculumResult(nu_solved, clusters, tuple(measures), model, mesh, predicted, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -460,39 +466,19 @@ class CharacteristicMask:
         return len(self.intervals) == 0
 
 
-def characteristic_mask(
-    xs,
-    ys,
-    speed: float,
-    block,
-    pad: float,
-    threshold_fraction: float = 1.0,
-    epsilon: float = 0.05,
-    min_pts: int = 5,
-) -> CharacteristicMask:
+def characteristic_mask(xs, ys, speed: float, block, pad: float) -> CharacteristicMask:
     """Locate sharp gradients in a start-of-block profile and track them.
 
-    A flat profile (or one whose gradients never clear the threshold)
-    produces an empty mask, meaning the block runs baseline-only.
+    The intervals are the profile's gradient clusters
+    (clustering.detect_gradient_clusters).  A flat profile (or one whose
+    gradients never clear the threshold) produces an empty mask, meaning
+    the block runs baseline-only.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
     t_start, t_end = float(block[0]), float(block[1])
     if t_end <= t_start:
         raise ValueError("block interval must have positive length")
-    if threshold_fraction <= 0:
-        raise ValueError("threshold_fraction must be positive")
-    grads = estimate_gradients(xs, ys)
-    magnitude = np.abs(grads)
-    cutoff = threshold_fraction * float(np.mean(magnitude))
-    selected = xs[magnitude > cutoff]
-    intervals = []
-    if selected.size:
-        clusters, _ = dbscan(selected, epsilon, min_pts)
-        for members in clusters:
-            vals = selected[members]
-            intervals.append((float(np.min(vals)), float(np.max(vals))))
-    return CharacteristicMask(tuple(intervals), speed, t_start, t_end, pad)
+    clusters = detect_gradient_clusters(xs, ys)
+    return CharacteristicMask(clusters.intervals, speed, t_start, t_end, pad)
 
 
 @dataclass(frozen=True)
@@ -584,6 +570,15 @@ class AdvectionResult:
     def final_profile(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return self.evaluate(np.column_stack([xs, np.full_like(xs, self.spec.t_final)]))
+
+    def graded_final_profile(self) -> tuple:
+        """(mesh, predicted, reference) at t_final: FINAL_PROFILE_POINTS
+        evenly spaced x across the domain, against the transported start
+        profile."""
+        spec = self.spec
+        xs = np.linspace(spec.x_range[0], spec.x_range[1], FINAL_PROFILE_POINTS)
+        mesh = np.column_stack([xs, np.full_like(xs, spec.t_final)])
+        return mesh, self.evaluate(mesh), advection_exact(xs, spec.t_final, spec.speed, spec.nu)
 
 
 def _sample_mask_points(mask: CharacteristicMask, n: int, rng) -> np.ndarray:
@@ -780,6 +775,16 @@ class SensorData:
             raise ValueError("noise_fraction must be nonnegative")
 
 
+def _at_true_params(problem: PdeProblem, true_params: dict) -> PdeProblem:
+    """The problem at the true diffusivity (key nu) and speed (key a) of true_params."""
+    overrides = {}
+    if "nu" in true_params:
+        overrides["nu"] = float(true_params["nu"])
+    if "a" in true_params:
+        overrides["advection_speed"] = float(true_params["a"])
+    return replace(problem, **overrides)
+
+
 def generate_sensor_data(
     problem: PdeProblem,
     true_params: dict,
@@ -798,12 +803,7 @@ def generate_sensor_data(
         raise ValueError("need at least one sensor point")
     if noise_fraction < 0:
         raise ValueError("noise_fraction must be nonnegative")
-    overrides = {}
-    if "nu" in true_params:
-        overrides["nu"] = float(true_params["nu"])
-    if "a" in true_params:
-        overrides["advection_speed"] = float(true_params["a"])
-    truth = replace(problem, **overrides) if overrides else problem
+    truth = _at_true_params(problem, true_params)
     dom = truth.domain
     if placement is SensorPlacement.UNIFORM_RANDOM:
         pts = rng.uniform(dom.lower, dom.upper, size=(n_points, dom.dim))
@@ -825,7 +825,8 @@ def generate_sensor_data(
 class InverseRunSpec:
     forward: ForwardRunSpec
     sensors: SensorData
-    true_params: dict = field(default_factory=dict)  # reporting only
+    # reporting and grading only; the search never sees it
+    true_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.forward.pde_params:
@@ -842,6 +843,9 @@ class InverseResult:
     model: SolvedModel
     w_named: dict
     metrics: dict
+    mesh: np.ndarray
+    predicted: np.ndarray
+    reference: Optional[np.ndarray]
 
 
 def run_inverse(spec: InverseRunSpec) -> InverseResult:
@@ -849,9 +853,16 @@ def run_inverse(spec: InverseRunSpec) -> InverseResult:
 
     Sensor rows join the collocation system on every evaluation; the
     reported estimate is the incumbent's distribution mean (mu_nu) or
-    speed (a), not any single draw.
+    speed (a), not any single draw.  The best model is graded on the
+    forward test mesh in 1D and an INVERSE_MESH_2D-per-axis mesh in 2D,
+    against the closed form at the true parameters; without them the
+    reference is None.
     """
+    problem = spec.forward.problem
     history, model, w_named, _ = _optimize_forward(spec.forward, spec.sensors)
+    mesh = _test_mesh(problem, spec.forward.test_mesh_size if problem.dim == 1 else INVERSE_MESH_2D)
+    predicted = evaluate_model(model, mesh)
+    reference = _at_true_params(problem, spec.true_params).exact(mesh) if spec.true_params else None
     if "mu_nu" in spec.forward.pde_params:
         estimates = {"nu": float(w_named["mu_nu"])}
     else:
@@ -861,4 +872,4 @@ def run_inverse(spec: InverseRunSpec) -> InverseResult:
         if name in spec.true_params:
             truth = float(spec.true_params[name])
             metrics[f"{name}_rel_error"] = abs(est - truth) / abs(truth)
-    return InverseResult(estimates, history, model, w_named, metrics)
+    return InverseResult(estimates, history, model, w_named, metrics, mesh, predicted, reference)

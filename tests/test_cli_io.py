@@ -30,6 +30,7 @@ from rbfadapt.cli_io import (
     run_command,
     write_config,
 )
+from rbfadapt.problems import advection_exact, exact_type1
 
 
 def _dump(tmp_path, mapping, name="run.yaml"):
@@ -393,6 +394,37 @@ class TestRunCommand:
         bundle = _run_tiny(tmp_path, TINY_FORWARD, subdir="explicit")
         assert Path(bundle.out_dir) == tmp_path / "explicit"
         assert not (tmp_path / "ignored").exists()
+
+
+# Each kind's solution.csv: its mesh, and the closed form at the true
+# parameter (the sensors' truth, the study's solved nu), not the one the
+# search reports.
+@pytest.mark.parametrize(
+    "mapping, axes, n_rows, exact",
+    [
+        (TINY_FORWARD, ["x"], 10 * 300, lambda pts, summary: exact_type1(pts[:, 0], 0.05)),
+        (TINY_INVERSE, ["x", "t"], 101 * 101, lambda pts, summary: advection_exact(pts[:, 0], pts[:, 1], 0.5, 0.1)),
+        (TINY_ADVECTION, ["x", "t"], 2001, lambda pts, summary: advection_exact(pts[:, 0], 0.02, 0.5, 0.05)),
+        (
+            TINY_STUDY,
+            ["x"],
+            10 * 500,
+            lambda pts, summary: exact_type1(pts[:, 0], summary["metrics"]["nu_solved"]),
+        ),
+    ],
+    ids=["forward", "inverse", "advection", "baseline-study"],
+)
+def test_solution_table_grades_against_the_true_closed_form(mapping, axes, n_rows, exact, tmp_path):
+    bundle = _run_tiny(tmp_path, mapping)
+    summary = json.loads((Path(bundle.out_dir) / "summary.json").read_text())
+    with (Path(bundle.out_dir) / "solution.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == axes + ["predicted", "exact", "abs_error"]
+    table = np.array(rows[1:], dtype=float)
+    assert table.shape == (n_rows, len(axes) + 3)
+    pts, predicted, reference, error = table[:, : len(axes)], table[:, -3], table[:, -2], table[:, -1]
+    np.testing.assert_allclose(reference, exact(pts, summary), rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(error, np.abs(predicted - reference))
 
 
 # ---------------------------------------------------------------------------

@@ -339,8 +339,6 @@ class TestCharacteristicMask:
         xs, ys = self._profile()
         with pytest.raises(ValueError):
             characteristic_mask(xs, ys, speed=0.5, block=(0.01, 0.01), pad=0.05)
-        with pytest.raises(ValueError):
-            characteristic_mask(xs, ys, speed=0.5, block=(0.0, 0.01), pad=0.05, threshold_fraction=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -617,3 +615,26 @@ class TestInverse:
         assert result.w_named["mu_nu"] == result.estimates["nu"]
         assert "nu_rel_error" in result.metrics
         assert len(result.history) <= 6
+
+    def test_run_without_true_parameters_grades_against_no_reference(self):
+        problem = convdiff_type1(0.01)
+        rng = np.random.default_rng(5)
+        sensors = generate_sensor_data(
+            problem, {"nu": 0.01}, 30, 0.05, SensorPlacement.BOUNDARY_LAYER_BIASED, rng
+        )
+        forward = ForwardRunSpec(
+            problem=problem,
+            baseline=BaselineConfig(200, 100, 0.05),
+            n_adap=0,
+            bounds=SearchBounds(
+                [("mu_nu", 1e-4, 1e-1), ("sigma_nu", 1e-6, 1e-2)],
+                log_scale={"mu_nu": True, "sigma_nu": True},
+            ),
+            bo=BoConfig(max_evals=2, seed=0),
+            pde_params=("mu_nu", "sigma_nu"),
+        )
+        result = run_inverse(InverseRunSpec(forward, sensors))
+        assert result.reference is None
+        assert "nu_rel_error" not in result.metrics
+        np.testing.assert_array_equal(result.mesh, np.linspace(0.0, 1.0, 2000)[:, None])
+        np.testing.assert_array_equal(result.predicted, evaluate_model(result.model, result.mesh))
