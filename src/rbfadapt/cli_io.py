@@ -872,19 +872,19 @@ def _run_curriculum(config: RunConfig) -> dict:
 # persistence
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _row_template(row) -> str:
+    """One %-template for every row shaped like this one: %d for its int
+    columns, %.17g (round-trip precision) for the rest."""
+    return ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in row)
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Stream the rows out, so no copy of the whole text is held."""
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        if len(rows):
+            template = _row_template(rows[0]) + "\n"
+            f.writelines(template % tuple(row) for row in rows)
 
 
 def _jsonable(value):

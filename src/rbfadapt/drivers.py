@@ -567,10 +567,6 @@ class AdvectionResult:
             out[sel] = evaluate_model(self.models[k], local)
         return out
 
-    def final_profile(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return self.evaluate(np.column_stack([xs, np.full_like(xs, self.spec.t_final)]))
-
     def graded_final_profile(self) -> tuple:
         """(mesh, predicted, reference) at t_final: FINAL_PROFILE_POINTS
         evenly spaced x across the domain, against the transported start

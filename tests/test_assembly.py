@@ -487,9 +487,13 @@ class TestChunkedRows:
     """Products filled in CHUNK_ROWS row chunks equal the whole-matrix ones."""
 
     def test_chunk_is_a_multiple_of_64_rows(self):
-        assert CHUNK_ROWS == 1024 and CHUNK_ROWS % 64 == 0
+        assert CHUNK_ROWS == 256 and CHUNK_ROWS % 64 == 0
 
-    @pytest.mark.parametrize("n_points", [1, 1023, 1024, 1025, 2049, 40401])
+    # one chunk's edge, a multiple of it (1,024) and the grading meshes
+    @pytest.mark.parametrize(
+        "n_points",
+        [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 1023, 1024, 1025, 2049, 40401],
+    )
     @pytest.mark.parametrize("dim,n_kernels", [(1, 375), (2, 769)])
     def test_evaluate_model_matches_the_whole_product(self, n_points, dim, n_kernels):
         rng = np.random.default_rng(n_points + dim)
@@ -502,8 +506,8 @@ class TestChunkedRows:
 
     @pytest.mark.parametrize("problem", [poisson2d(0.05), advection1d(0.05, 0.5)])
     def test_build_system_over_several_chunks(self, problem):
-        # 1,369 + 29 - 1 interior rows: two chunks in the operator rows,
-        # the fixed block's own rows and the adaptive columns alike
+        # 1,369 + 29 - 1 interior rows: several chunks in the operator
+        # rows, the fixed block's own rows and the adaptive columns alike
         extra = _initial_rows(problem, 41) if problem.has_initial_condition else None
         boundary = boundary_points_rect(problem.domain, 80)
         base, grid, basis, interior, block = _forward_case(problem, 37 * 37, boundary, extra, 11)
@@ -528,3 +532,25 @@ class TestChunkedRows:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20, peak / 2**20
+
+    def test_build_memory_stays_chunk_sized(self):
+        # speed-inverse's systems: 2,160 rows x 1,600 kernels of the
+        # advection operator; beyond the system itself only chunk-sized
+        # temporaries may be held
+        problem = advection1d(0.05, 0.5)
+        rng = np.random.default_rng(13)
+        basis = RbfBasis(
+            rng.uniform(problem.domain.lower, problem.domain.upper, (1600, 2)),
+            rng.uniform(0.01, 0.2, (1600, 2)),
+        )
+        interior = uniform_grid(problem.domain, 1600)
+        boundary = boundary_points_xsides(problem.domain, 160)
+        extra = _initial_rows(problem, 400)
+        tracemalloc.start()
+        try:
+            system = build_system(problem, basis, interior, boundary, extra)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.matrix.shape == (2160, 1600)
+        assert peak <= system.matrix.nbytes + 16 * 2**20, peak / 2**20

@@ -23,6 +23,7 @@ from rbfadapt.cli_io import (
     ConfigSyntaxError,
     ConfigValueError,
     RunConfig,
+    _write_csv,
     compare_to_exact,
     default_config,
     main,
@@ -425,6 +426,25 @@ def test_solution_table_grades_against_the_true_closed_form(mapping, axes, n_row
     pts, predicted, reference, error = table[:, : len(axes)], table[:, -3], table[:, -2], table[:, -1]
     np.testing.assert_allclose(reference, exact(pts, summary), rtol=1e-13, atol=0)
     np.testing.assert_array_equal(error, np.abs(predicted - reference))
+
+
+def test_csv_rows_format_as_the_per_value_join(tmp_path):
+    # the writer's one-template rows against the join it replaced:
+    # str(int) for int columns, format(float, ".17g") for the rest
+    floats = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e308, -1e-308, 0.1, 1 / 3, 2.0**53 + 1]
+    rows = [
+        (k, np.int64(-k), v, np.float64(-v), int(2**62) + k)
+        for k, v in enumerate(floats)
+    ]
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["k", "n", "a", "b", "big"], rows)
+    old = ["k,n,a,b,big"] + [
+        ",".join(str(int(v)) if isinstance(v, (int, np.integer)) else format(float(v), ".17g") for v in row)
+        for row in rows
+    ]
+    assert path.read_text() == "\n".join(old) + "\n"
+    _write_csv(path, ["k", "loss"], ())
+    assert path.read_text() == "k,loss\n"
 
 
 # ---------------------------------------------------------------------------

@@ -382,7 +382,8 @@ class TestTimeBlocks:
         )
         assert result.aggregate_loss <= 1e-8
         xs = np.linspace(-1.0, 1.0, 201)
-        assert np.max(np.abs(result.final_profile(xs))) <= 1e-8
+        at_final = np.column_stack([xs, np.full_like(xs, spec.t_final)])
+        assert np.max(np.abs(result.evaluate(at_final))) <= 1e-8
 
     def test_blocks_hand_off_continuously(self):
         spec = _small_block_spec()

@@ -1,7 +1,11 @@
 """Tests for the benchmark problem definitions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from rbfadapt.problems import (
     Box,
@@ -175,6 +179,34 @@ class TestFdmOracle:
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):
             poisson_fdm_oracle(0.05, 2)
+
+    @pytest.mark.parametrize("n", [31, 64, 201])
+    def test_matches_a_sparse_direct_solve(self, n):
+        # the same 5-point system, assembled and solved by sparse LU
+        nu = 0.05
+        h = 1.0 / (n - 1)
+        m = n - 2
+        xs = np.linspace(0.0, 1.0, n)
+        xi, yi = np.meshgrid(xs[1:-1], xs[1:-1], indexing="ij")
+        t = scipy.sparse.diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)], [-1, 0, 1])
+        eye = scipy.sparse.identity(m)
+        lap = (scipy.sparse.kron(t, eye) + scipy.sparse.kron(eye, t)).tocsc()
+        interior = scipy.sparse.linalg.spsolve(lap, poisson_source(xi, yi, nu).ravel() * h * h)
+        u = poisson_fdm_oracle(nu, n)
+        assert u.shape == (n, n)
+        scale = np.max(np.abs(u))
+        assert np.max(np.abs(u[1:-1, 1:-1] - interior.reshape(m, m))) <= 1e-12 * scale
+
+    def test_memory_stays_a_few_grids(self):
+        # the 201 x 201 oracle of poisson-2d's grading needs a few
+        # 199 x 199 arrays; the sparse LU solve it replaced traced 8 MB
+        tracemalloc.start()
+        try:
+            poisson_fdm_oracle(0.05, 201)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak / 2**20
 
 
 class TestProblemTypes:
