@@ -129,13 +129,9 @@ def boundary_targets(problem: PdeProblem, points: np.ndarray) -> np.ndarray:
     hi = problem.domain.upper[0]
     left_key = "left" if "left" in spec else "x_low"
     right_key = "right" if "right" in spec else "x_high"
-    out = np.empty(points.shape[0])
-    for i, x in enumerate(points[:, 0]):
-        if abs(x - lo) <= abs(x - hi):
-            out[i] = float(spec[left_key])
-        else:
-            out[i] = float(spec[right_key])
-    return out
+    x = points[:, 0]
+    # a point midway between the edges takes the left value
+    return np.where(np.abs(x - lo) <= np.abs(x - hi), float(spec[left_key]), float(spec[right_key]))
 
 
 @dataclass(frozen=True)

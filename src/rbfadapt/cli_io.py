@@ -71,6 +71,9 @@ PROBLEM_TYPES = ("convdiff1", "convdiff2", "poisson", "advection")
 
 OUT_ENV_VAR = "RBFADAPT_OUT"
 
+# rows converted to Python numbers at a time when a table is written
+_CSV_CHUNK_ROWS = 1024
+
 
 class ConfigError(Exception):
     """Base class for configuration problems (exit code 2)."""
@@ -734,23 +737,18 @@ def _history_rows(history: Optional[BoHistory]) -> tuple:
     return tuple(rows)
 
 
-def _kernel_rows(model, prefix=()) -> list:
-    centers = model.basis.centers
-    widths = model.basis.widths
-    coeffs = model.coefficients
-    tags = model.tags if model.tags is not None else np.zeros(centers.shape[0], dtype=int)
-    rows = []
-    for i in range(centers.shape[0]):
-        rows.append(
-            (
-                *prefix,
-                *[float(c) for c in centers[i]],
-                *[float(w) for w in widths[i]],
-                float(coeffs[i]),
-                int(tags[i]),
-            )
-        )
-    return rows
+def _kernel_columns(models, numbered: bool) -> list:
+    """kernels.csv as columns: the block number when numbered, then centers,
+    widths, coefficient and component tag, every model's kernels in turn."""
+    centers = np.concatenate([m.basis.centers for m in models])
+    widths = np.concatenate([m.basis.widths for m in models])
+    coeffs = np.concatenate([m.coefficients for m in models])
+    counts = [m.coefficients.shape[0] for m in models]
+    tags = np.concatenate(
+        [np.zeros(n, dtype=int) if m.tags is None else m.tags for m, n in zip(models, counts)]
+    )
+    blocks = [np.repeat(np.arange(len(models)), counts)] if numbered else []
+    return [*blocks, *centers.T, *widths.T, coeffs, tags]
 
 
 def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicted, reference) -> dict:
@@ -763,20 +761,17 @@ def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicte
     axes = ["x", "t"] if config.problem["type"] == "advection" else ["x", "y"][: mesh.shape[1]]
     block = ["block"] if config.kind == "advection" else []
     kernel_header = block + [f"center_{a}" for a in axes] + [f"width_{a}" for a in axes]
-    kernel_rows = []
-    for k, model in enumerate(models):
-        kernel_rows += _kernel_rows(model, prefix=(k,) if block else ())
-    solution = [mesh, predicted[:, None]]
+    solution = [*mesh.T, predicted]
     if reference is not None:
-        solution += [reference[:, None], np.abs(predicted - reference)[:, None]]
+        solution += [reference, np.abs(predicted - reference)]
     return {
         "history": history,
         "metrics": metrics,
         "extras": extras,
         "kernel_header": kernel_header + ["coefficient", "component"],
-        "kernel_rows": kernel_rows,
+        "kernel_columns": _kernel_columns(models, numbered=bool(block)),
         "solution_header": axes + ["predicted"] + ([] if reference is None else ["exact", "abs_error"]),
-        "solution_rows": np.hstack(solution).tolist(),
+        "solution_columns": solution,
     }
 
 
@@ -879,12 +874,26 @@ def _row_template(row) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    """Stream the rows out, so no copy of the whole text is held."""
+    """Stream the rows out, so no copy of the whole text is held.
+
+    rows is any iterable of rows; the first one sets the template."""
+    rows = iter(rows)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        if len(rows):
-            template = _row_template(rows[0]) + "\n"
+        first = next(rows, None)
+        if first is not None:
+            template = _row_template(first) + "\n"
+            f.write(template % tuple(first))
             f.writelines(template % tuple(row) for row in rows)
+
+
+def _column_rows(columns):
+    """The rows of equal-length 1-D arrays, converted to Python numbers
+    _CSV_CHUNK_ROWS rows at a time (ints from integer arrays, floats from
+    float arrays), so no whole table of Python objects is held."""
+    n = columns[0].shape[0]
+    for lo in range(0, n, _CSV_CHUNK_ROWS):
+        yield from zip(*(c[lo : lo + _CSV_CHUNK_ROWS].tolist() for c in columns))
 
 
 def _jsonable(value):
@@ -1004,11 +1013,11 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
     files.append(loss_path)
 
     kernels_path = out_dir / "kernels.csv"
-    _write_csv(kernels_path, payload["kernel_header"], payload["kernel_rows"])
+    _write_csv(kernels_path, payload["kernel_header"], _column_rows(payload["kernel_columns"]))
     files.append(kernels_path)
 
     solution_path = out_dir / "solution.csv"
-    _write_csv(solution_path, payload["solution_header"], payload["solution_rows"])
+    _write_csv(solution_path, payload["solution_header"], _column_rows(payload["solution_columns"]))
     files.append(solution_path)
 
     if not quiet:

@@ -302,14 +302,11 @@ def sample_collocation(
 def dedup_rows(pts: np.ndarray) -> np.ndarray:
     """The rows of pts with exact duplicates dropped, first occurrences kept
     in order.  Rows are compared by their bytes, so -0.0 and 0.0 differ."""
-    seen = set()
-    keep = []
-    for i, row in enumerate(pts):
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return pts[keep]
+    rows = np.ascontiguousarray(pts)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel().tolist()
+    # a dict keeps the last index given for a key: fed backwards, the first
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return pts[sorted(first.values())]
 
 
 def sample_nu(hp: MixtureHyperparams, rng) -> float:

@@ -12,6 +12,7 @@ from rbfadapt.assembly import (
     LinearSystem,
     RowKind,
     SolvedModel,
+    boundary_targets,
     build_system,
     evaluate_model,
     fixed_block,
@@ -370,6 +371,18 @@ class TestBuildSystem:
             np.array([[-1.0, 0.2], [1.0, 0.8]]),
         )
         np.testing.assert_array_equal(sys.targets[1:], [0.0, 0.0])
+
+    def test_boundary_targets_match_the_per_point_rule(self):
+        # the nearer edge's value; a point midway between them takes the left
+        prob = convdiff_type1(0.05)
+        x = np.array([0.0, 0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 1.0, -0.25, 1.25])
+        lo, hi = prob.domain.lower[0], prob.domain.upper[0]
+        left, right = prob.boundary_spec["left"], prob.boundary_spec["right"]
+        loop = [left if abs(v - lo) <= abs(v - hi) else right for v in x]
+        targets = boundary_targets(prob, x[:, None])
+        assert targets.dtype == np.float64
+        np.testing.assert_array_equal(targets, loop)
+        assert targets[1] == left
 
     def test_empty_points_rejected(self):
         prob = convdiff_type1(0.05)

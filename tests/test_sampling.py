@@ -246,6 +246,19 @@ class TestCollocation:
         # rows compare by their bytes, so -0.0 stays apart from 0.0
         assert [row.tobytes() for row in out] == [row.tobytes() for row in pts[[0, 1, 3]]]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dedup_matches_the_per_row_bytes_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        values = np.array([0.0, -0.0, 0.5, -0.5, 1e-300, np.inf, np.nan])
+        pts = values[rng.integers(0, values.size, (400, dim))]
+        seen, keep = set(), []
+        for i, row in enumerate(pts):
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                keep.append(i)
+        out = dedup_rows(pts)
+        assert out.tobytes() == pts[keep].tobytes() and out.shape == (len(keep), dim)
+
 
 class TestSampleNu:
     def test_degenerate_sigma(self):
