@@ -34,7 +34,6 @@ bit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -44,26 +43,18 @@ from .rbf import RbfBasis, deriv_matrix, eval_matrix
 
 # rows per chunk of a points x kernels product; a multiple of 64 (see above)
 CHUNK_ROWS = 256
-
-
-class RowKind(IntEnum):
-    INTERIOR = 0
-    BOUNDARY = 1
-    INITIAL = 2
-    SENSOR = 3
+# relative cutoff of the singular values kept by the least-squares solve
+RCOND = 1e-12
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     matrix: np.ndarray
     targets: np.ndarray
-    row_kinds: np.ndarray
 
     def __post_init__(self):
         if self.matrix.shape[0] != self.targets.shape[0]:
             raise ValueError("row count of matrix and targets disagree")
-        if self.row_kinds.shape[0] != self.matrix.shape[0]:
-            raise ValueError("row_kinds length mismatch")
 
     @property
     def n_rows(self) -> int:
@@ -127,11 +118,9 @@ def boundary_targets(problem: PdeProblem, points: np.ndarray) -> np.ndarray:
         return np.full(points.shape[0], float(spec["all"]))
     lo = problem.domain.lower[0]
     hi = problem.domain.upper[0]
-    left_key = "left" if "left" in spec else "x_low"
-    right_key = "right" if "right" in spec else "x_high"
     x = points[:, 0]
     # a point midway between the edges takes the left value
-    return np.where(np.abs(x - lo) <= np.abs(x - hi), float(spec[left_key]), float(spec[right_key]))
+    return np.where(np.abs(x - lo) <= np.abs(x - hi), float(spec["left"]), float(spec["right"]))
 
 
 @dataclass(frozen=True)
@@ -191,7 +180,7 @@ def fixed_block(
         basis,
         _as_points(interior_pts),
         _as_points(boundary_pts),
-        tuple(_as_points(pts) for pts, _, _ in extra_rows),
+        tuple(_as_points(pts) for pts, _ in extra_rows),
         system.matrix,
     )
 
@@ -229,11 +218,13 @@ def build_system(
 ) -> LinearSystem:
     """Stack operator rows, boundary rows and any extra evaluation rows.
 
-    extra_rows: iterable of (points, values, RowKind) triples, used for
-    initial-condition rows and sensor-data rows.  fixed: a block from
-    fixed_block whose entries are copied rather than rebuilt; the rest,
-    the targets and the row kinds come from this call's arguments, and
-    the result equals the build without it bit for bit.
+    extra_rows: iterable of (points, values) pairs, used for
+    initial-condition rows and sensor-data rows; they stack after the
+    boundary rows in the order given, so the last pair's rows are the
+    system's last rows.  fixed: a block from fixed_block whose entries
+    are copied rather than rebuilt; the rest and the targets come from
+    this call's arguments, and the result equals the build without it
+    bit for bit.
     """
     if basis.n_kernels < 1:
         raise ValueError("basis must contain at least one kernel")
@@ -245,19 +236,14 @@ def build_system(
         raise ValueError("boundary points required")
 
     targets = [problem.source(interior_pts), boundary_targets(problem, boundary_pts)]
-    kinds = [
-        np.full(interior_pts.shape[0], RowKind.INTERIOR, dtype=int),
-        np.full(boundary_pts.shape[0], RowKind.BOUNDARY, dtype=int),
-    ]
     extra_pts = []
-    for pts, vals, kind in extra_rows or ():
+    for pts, vals in extra_rows or ():
         pts = _as_points(pts)
         vals = np.asarray(vals, dtype=float)
         if pts.shape[0] != vals.shape[0]:
             raise ValueError("extra row points/values length mismatch")
         extra_pts.append(pts)
         targets.append(vals)
-        kinds.append(np.full(pts.shape[0], RowKind(kind), dtype=int))
 
     # rows: interior (operator), then boundary and extra (plain evaluation)
     evaluated = np.vstack([boundary_pts, *extra_pts])
@@ -279,18 +265,18 @@ def build_system(
         _fill_rows(matrix[:n_int, n_base:], lambda pts: operator_matrix(problem, cols, pts), interior_pts)
         _fill_rows(matrix[n_int:, n_base:], lambda pts: eval_matrix(cols, pts), evaluated)
 
-    return LinearSystem(matrix, np.concatenate(targets), np.concatenate(kinds))
+    return LinearSystem(matrix, np.concatenate(targets))
 
 
 @fixed_blas_threads()
-def solve_least_squares(system: LinearSystem, rcond: float = 1e-12) -> np.ndarray:
+def solve_least_squares(system: LinearSystem) -> np.ndarray:
     """Minimum-norm least-squares coefficients via SVD pseudoinverse."""
     if system.n_rows == 0 or system.n_coeffs == 0:
         raise ValueError("cannot solve an empty system")
     if not (np.all(np.isfinite(system.matrix)) and np.all(np.isfinite(system.targets))):
         raise ArithmeticError("non-finite entries in linear system")
     try:
-        coeffs, _, _, _ = np.linalg.lstsq(system.matrix, system.targets, rcond=rcond)
+        coeffs, _, _, _ = np.linalg.lstsq(system.matrix, system.targets, rcond=RCOND)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"least-squares solve failed: {exc}") from exc
     if not np.all(np.isfinite(coeffs)):
@@ -303,8 +289,8 @@ def residual_loss(system: LinearSystem, coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(system.matrix @ coeffs - system.targets)))
 
 
-def solve_system(system: LinearSystem, basis: RbfBasis, rcond: float = 1e-12) -> SolvedModel:
-    coeffs = solve_least_squares(system, rcond)
+def solve_system(system: LinearSystem, basis: RbfBasis) -> SolvedModel:
+    coeffs = solve_least_squares(system)
     return SolvedModel(basis, coeffs, residual_loss(system, coeffs))
 
 

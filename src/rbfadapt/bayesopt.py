@@ -184,7 +184,6 @@ class BoConfig:
 @dataclass(frozen=True)
 class GpSurrogate:
     inputs: np.ndarray
-    targets_std: np.ndarray
     target_mean: float
     target_scale: float
     length_scales: np.ndarray
@@ -276,27 +275,32 @@ class _NegativeLogMarginal:
         return f0, grad
 
 
-@fixed_blas_threads()
-def gp_with_params(
-    inputs, targets, length_scales, signal_var, noise_var
-) -> GpSurrogate:
-    """Assemble a surrogate with given kernel hyperparameters (no fitting)."""
+def _gp_data(inputs, targets) -> tuple:
+    """(x, standardized targets, their mean and scale, x's per-dimension
+    squared distances); constant targets keep scale 1."""
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
     mean = float(y.mean())
     scale = float(y.std())
     if scale == 0.0:
         scale = 1.0
-    y_std = (y - mean) / scale
-    sq = _pairwise_sqdists(x, x)
-    k = signal_var * _gaussian(sq, np.asarray(length_scales, dtype=float))
+    return x, (y - mean) / scale, mean, scale, _pairwise_sqdists(x, x)
+
+
+def _surrogate(x, y_std, mean, scale, sq, length_scales, signal_var, noise_var) -> GpSurrogate:
+    ell = np.asarray(length_scales, dtype=float)
+    k = signal_var * _gaussian(sq, ell)
     c = _chol_with_jitter(k + noise_var * np.eye(x.shape[0]))
     alpha = cho_solve(c, y_std)
-    return GpSurrogate(
-        x, y_std, mean, scale,
-        np.asarray(length_scales, dtype=float), float(signal_var), float(noise_var),
-        c, alpha,
-    )
+    return GpSurrogate(x, mean, scale, ell, float(signal_var), float(noise_var), c, alpha)
+
+
+@fixed_blas_threads()
+def gp_with_params(
+    inputs, targets, length_scales, signal_var, noise_var
+) -> GpSurrogate:
+    """Assemble a surrogate with given kernel hyperparameters (no fitting)."""
+    return _surrogate(*_gp_data(inputs, targets), length_scales, signal_var, noise_var)
 
 
 @fixed_blas_threads()
@@ -307,19 +311,12 @@ def gp_fit(inputs, targets) -> GpSurrogate:
     the best of all starts and all polished results wins, so the
     likelihood never ends below its value at the first start.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.asarray(targets, dtype=float)
+    x, y_std, mean, scale, sq = _gp_data(inputs, targets)
     if x.shape[0] < 2:
         raise ValueError("gp_fit needs at least 2 observations")
-    if x.shape[0] != y.shape[0]:
+    if x.shape[0] != y_std.shape[0]:
         raise ValueError("inputs/targets length mismatch")
     d = x.shape[1]
-    mean = float(y.mean())
-    scale = float(y.std())
-    if scale == 0.0:
-        scale = 1.0
-    y_std = (y - mean) / scale
-    sq = _pairwise_sqdists(x, x)
 
     theta_bounds = (
         [(np.log(1e-2), np.log(10.0))] * d
@@ -350,7 +347,7 @@ def gp_fit(inputs, targets) -> GpSurrogate:
     ell = np.exp(best_theta[:-2])
     sig = float(np.exp(best_theta[-2]))
     noise = float(max(np.exp(best_theta[-1]), _NOISE_FLOOR))
-    return gp_with_params(x, y, ell, sig, noise)
+    return _surrogate(x, y_std, mean, scale, sq, ell, sig, noise)
 
 
 @fixed_blas_threads()

@@ -381,7 +381,6 @@ SCHEMA = {
         "loss_tol": _Key(_optional(_positive), None),
         "bounds": _Key(_mapping_of(_as_interval), {"f": [1.0, 1.5], "lam": [1.0, 1.5], "sigma_f": [2.5, 4.5]}),
         "tunables": _Key(_optional(_list_of(_as_float, "[f, lam, sigma_f]", lambda n: n == 3)), None),
-        "adaptive_widths": _Key(_choice("space", "isotropic"), "space"),
     }),
     "curriculum": _Section(("baseline-study",), {
         "schedule": _Key(
@@ -491,12 +490,6 @@ def _parse_section(name: str, given, kind: str, ptype: str) -> dict:
     return parsed
 
 
-def _problem_dim(ptype: str) -> int:
-    # the transport problem lives in 2D space-time, so any adaptive
-    # components searched on top of it carry per-axis center names
-    return 2 if ptype in ("poisson", "advection") else 1
-
-
 def _pde_params(config: RunConfig) -> tuple:
     """PDE parameters the search estimates, named by the sensors' true value."""
     if config.sensors is None:
@@ -542,7 +535,7 @@ def _truth_gives_one_parameter(config: RunConfig):
 
 
 def _placement_fits_the_domain(config: RunConfig):
-    if config.sensors["placement"] == "boundary_layer_biased" and _problem_dim(config.problem["type"]) != 1:
+    if config.sensors["placement"] == "boundary_layer_biased" and _build_problem(config.problem).dim != 1:
         _fail("sensors.placement", "boundary_layer_biased is defined for 1D problems; use uniform_random")
 
 
@@ -570,8 +563,10 @@ def _bounds_and_fixed_cover_the_search_vector(config: RunConfig):
     overlap = searched & fixed
     if overlap:
         _fail("search.fixed", f"parameters both searched and fixed: {sorted(overlap)}")
+    # the transport problem lives in 2D space-time, so any adaptive
+    # components searched on top of it carry per-axis center names
     expected = set(
-        hyperparam_names(config.search["n_adaptive"], _problem_dim(config.problem["type"]), _pde_params(config))
+        hyperparam_names(config.search["n_adaptive"], _build_problem(config.problem).dim, _pde_params(config))
     )
     got = searched | fixed
     if got != expected:
@@ -622,6 +617,12 @@ def _tunables_lie_in_bounds(config: RunConfig):
             _fail("advection.tunables", f"{name} = {value:g} lies outside advection.bounds.{name} [{lo:g}, {hi:g}]")
 
 
+def _tuning_fits_the_march(config: RunConfig):
+    blocks, tuning = config.advection["n_blocks"], config.advection["tuning_blocks"]
+    if config.advection["tunables"] is None and tuning > blocks:
+        _fail("advection.tuning_blocks", f"must not exceed advection.n_blocks ({blocks}), got {tuning}")
+
+
 def _schedule_decreases(config: RunConfig):
     schedule = config.curriculum["schedule"]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -642,6 +643,7 @@ _CHECKS = (
     ("search", _searched_parameters_keep_their_sign),
     ("advection", _bounds_name_the_tunables),
     ("advection", _tunables_lie_in_bounds),
+    ("advection", _tuning_fits_the_march),
     ("curriculum", _schedule_decreases),
 )
 
@@ -821,7 +823,6 @@ def _run_advection(config: RunConfig) -> dict:
         bounds=_build_search_bounds(a["bounds"]),
         bo=_build_bo(a, config.seed),
         seed=config.seed,
-        adaptive_widths=a["adaptive_widths"],
     )
     tunables = None if a["tunables"] is None else tuple(a["tunables"])
     result, history = run_advection_forward(spec, tunables, tuning_blocks=a["tuning_blocks"])

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# dbscan's epsilon and min_pts for the high-gradient locations
+EPSILON = 0.05
+MIN_PTS = 5
+
 
 @dataclass(frozen=True)
 class GradientClusterResult:
@@ -98,13 +102,11 @@ def dbscan(points, epsilon: float, min_pts: int):
     return clusters, noise
 
 
-def detect_gradient_clusters(
-    xs, ys, epsilon: float = 0.05, min_pts: int = 5
-) -> GradientClusterResult:
+def detect_gradient_clusters(xs, ys) -> GradientClusterResult:
     """Full pipeline: gradients, threshold, cluster, report intervals."""
     g = estimate_gradients(xs, ys)
     high = select_high_gradient(xs, g)
-    clusters, _ = dbscan(high, epsilon, min_pts)
+    clusters, _ = dbscan(high, EPSILON, MIN_PTS)
     intervals = tuple(
         (float(high[idx].min()), float(high[idx].max())) for idx in clusters
     )

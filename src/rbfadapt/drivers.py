@@ -19,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import (
-    RowKind,
     SolvedModel,
     build_system,
     evaluate_model,
@@ -30,7 +29,7 @@ from .assembly import (
 from .bayesopt import BoConfig, BoHistory, SearchBounds, optimize
 from .blas import fixed_blas_threads
 from .clustering import GradientClusterResult, detect_gradient_clusters
-from .problems import Box, PdeProblem, ProblemKind, advection_exact, advection_initial
+from .problems import ADVECTION_X, Box, PdeProblem, ProblemKind, advection_exact, advection_initial
 from .rbf import RbfBasis, eval_matrix
 from .sampling import (
     BaselineConfig,
@@ -201,12 +200,12 @@ def _boundary_points(problem: PdeProblem, baseline: BaselineConfig) -> np.ndarra
 
 
 def _initial_rows(problem: PdeProblem, baseline: BaselineConfig):
-    if not problem.has_initial_condition:
+    if problem.kind is not ProblemKind.ADVECTION1D:
         return []
     n = baseline.n_initial if baseline.n_initial is not None else 2 * baseline.n_boundary
     pts = initial_points(problem.domain, n)
     vals = advection_initial(pts[:, 0], problem.nu)
-    return [(pts, vals, RowKind.INITIAL)]
+    return [(pts, vals)]
 
 
 def solve_baseline(problem: PdeProblem, baseline: BaselineConfig) -> tuple:
@@ -310,7 +309,7 @@ def _effective_problem(problem: PdeProblem, hp: MixtureHyperparams, rng) -> PdeP
 def _extra_rows(problem: PdeProblem, baseline: BaselineConfig, sensors=None) -> list:
     extra = _initial_rows(problem, baseline)
     if sensors is not None:
-        extra = extra + [(sensors.points, sensors.values, RowKind.SENSOR)]
+        extra = extra + [(sensors.points, sensors.values)]
     return extra
 
 
@@ -451,14 +450,12 @@ def run_kapi_forward(spec: ForwardRunSpec, sensors=None) -> ForwardResult:
 class CharacteristicMask:
     """Sharp-feature region tracked along straight characteristics.
 
-    Intervals are recorded at t_start; at time t each interval shifts by
-    speed * (t - t_start) and extends by pad on both ends.
+    Intervals are recorded at the start of a unit block, t = 0; at time t
+    each interval shifts by speed * t and extends by pad on both ends.
     """
 
     intervals: tuple
     speed: float
-    t_start: float
-    t_end: float
     pad: float
 
     @property
@@ -466,7 +463,7 @@ class CharacteristicMask:
         return len(self.intervals) == 0
 
 
-def characteristic_mask(xs, ys, speed: float, block, pad: float) -> CharacteristicMask:
+def characteristic_mask(xs, ys, speed: float, pad: float) -> CharacteristicMask:
     """Locate sharp gradients in a start-of-block profile and track them.
 
     The intervals are the profile's gradient clusters
@@ -474,11 +471,8 @@ def characteristic_mask(xs, ys, speed: float, block, pad: float) -> Characterist
     gradients never clear the threshold) produces an empty mask, meaning
     the block runs baseline-only.
     """
-    t_start, t_end = float(block[0]), float(block[1])
-    if t_end <= t_start:
-        raise ValueError("block interval must have positive length")
     clusters = detect_gradient_clusters(xs, ys)
-    return CharacteristicMask(clusters.intervals, speed, t_start, t_end, pad)
+    return CharacteristicMask(clusters.intervals, speed, pad)
 
 
 @dataclass(frozen=True)
@@ -486,9 +480,10 @@ class TimeBlockSpec:
     """Sequential space-time slab configuration for the transport problem.
 
     Counts are per block. Tunables (f, lam, sigma_f) live in block
-    coordinates: each slab is affinely mapped to the unit square and
-    sigma_f is divided by sqrt(n_rbf) there, the 2D analog of the
-    inverse-count width heuristic used for the 1D baselines.
+    coordinates: each slab of ADVECTION_X x [t_k, t_k + block_dt] is
+    affinely mapped to the unit square and sigma_f is divided by
+    sqrt(n_rbf) there, the 2D analog of the inverse-count width heuristic
+    used for the 1D baselines.
     """
 
     speed: float = 0.5
@@ -498,7 +493,6 @@ class TimeBlockSpec:
     n_boundary: int = 150
     n_initial: int = 450
     n_rbf: int = 150
-    x_range: tuple = (-1.0, 1.0)
     t_final: float = 1.0
     bounds: SearchBounds = field(
         default_factory=lambda: SearchBounds(
@@ -507,9 +501,6 @@ class TimeBlockSpec:
     )
     bo: BoConfig = field(default_factory=lambda: BoConfig(max_evals=40))
     seed: int = 0
-    # "space": the scale draw narrows kernels along x only and the time
-    # axis spans the whole block; "isotropic": one draw for both axes
-    adaptive_widths: str = "space"
 
     def __post_init__(self):
         if self.n_blocks < 1:
@@ -518,10 +509,6 @@ class TimeBlockSpec:
             raise ValueError("per-block counts must be positive")
         if self.t_final <= 0 or self.nu <= 0:
             raise ValueError("t_final and nu must be positive")
-        if self.x_range[1] <= self.x_range[0]:
-            raise ValueError("x_range must be increasing")
-        if self.adaptive_widths not in ("space", "isotropic"):
-            raise ValueError("adaptive_widths must be 'space' or 'isotropic'")
         if set(self.bounds.names) != {"f", "lam", "sigma_f"}:
             raise ValueError("tunable bounds must name f, lam, sigma_f")
 
@@ -550,7 +537,7 @@ class AdvectionResult:
         return float(np.max(self.validation_losses))
 
     def _to_block_coords(self, x, t, k):
-        x0, x1 = self.spec.x_range
+        x0, x1 = ADVECTION_X
         xh = (np.asarray(x, dtype=float) - x0) / (x1 - x0)
         th = (np.asarray(t, dtype=float) - k * self.spec.block_dt) / self.spec.block_dt
         return np.column_stack([xh, th])
@@ -572,7 +559,7 @@ class AdvectionResult:
         evenly spaced x across the domain, against the transported start
         profile."""
         spec = self.spec
-        xs = np.linspace(spec.x_range[0], spec.x_range[1], FINAL_PROFILE_POINTS)
+        xs = np.linspace(*ADVECTION_X, FINAL_PROFILE_POINTS)
         mesh = np.column_stack([xs, np.full_like(xs, spec.t_final)])
         return mesh, self.evaluate(mesh), advection_exact(xs, spec.t_final, spec.speed, spec.nu)
 
@@ -580,11 +567,11 @@ class AdvectionResult:
 def _sample_mask_points(mask: CharacteristicMask, n: int, rng) -> np.ndarray:
     """Uniform draws over the padded, characteristic-shifted mask region."""
     lens = np.array([hi - lo + 2 * mask.pad for lo, hi in mask.intervals])
-    ts = rng.uniform(mask.t_start, mask.t_end, n)
+    ts = rng.uniform(0.0, 1.0, n)
     pick = rng.choice(len(lens), size=n, p=lens / lens.sum()) if len(lens) > 1 else np.zeros(n, dtype=int)
     frac = rng.uniform(0.0, 1.0, n)
     lows = np.array([lo for lo, _ in mask.intervals])[pick] - mask.pad
-    shift = mask.speed * (ts - mask.t_start)
+    shift = mask.speed * ts
     xs = np.clip(lows + shift + frac * lens[pick], 0.0, 1.0)
     return np.column_stack([xs, ts])
 
@@ -610,7 +597,7 @@ def solve_advection_timeblocks(
         if not (spec.bounds.lowers[i] <= value <= spec.bounds.uppers[i]):
             raise ValueError(f"tunable {name}={value:g} outside bounds")
 
-    x0, x1 = spec.x_range
+    x0, x1 = ADVECTION_X
     length_x = x1 - x0
     a_hat = spec.speed * spec.block_dt / length_x
     sigma_hat = sigma_tun / np.sqrt(spec.n_rbf)
@@ -620,8 +607,7 @@ def solve_advection_timeblocks(
         domain=unit,
         nu=spec.nu,
         advection_speed=a_hat,
-        boundary_spec={"x_low": 0.0, "x_high": 0.0},
-        has_initial_condition=True,
+        boundary_spec={"left": 0.0, "right": 0.0},
     )
     base = baseline_basis(unit, BaselineConfig(spec.n_colloc, spec.n_rbf, sigma_hat))
     grid = uniform_grid(unit, spec.n_colloc)
@@ -644,17 +630,13 @@ def solve_advection_timeblocks(
     width_seed = np.random.SeedSequence(entropy=spec.seed, spawn_key=(3, int(eval_seed), 1))
     # one shared width draw per evaluation; every block reuses it
     wx = draw_widths(sigma_hat, spec.nu, lam, 1, np.random.default_rng(width_seed))[0]
-    # sharp structure lives along x; time-direction kernels span the block
-    wt = 1.0 if spec.adaptive_widths == "space" else wx
     # staggered points that avoid the collocation grid
     vx = (np.arange(25) + 0.5) / 25.0
     val_pts = np.column_stack([np.repeat(vx, 25), np.tile(vx, 25)])
     top_pts = np.column_stack([ic_xhat, np.ones_like(ic_xhat)])
     # the baseline kernels' entries are the same in every block: build them
     # once, and per block only the adaptive kernels' columns and rows
-    fixed = fixed_block(
-        block_problem, base, grid, bc_pts, [(ic_pts, ic_vals, RowKind.INITIAL)]
-    )
+    fixed = fixed_block(block_problem, base, grid, bc_pts, [(ic_pts, ic_vals)])
     val_base = operator_matrix(block_problem, base, val_pts)
     top_base = eval_matrix(base, top_pts)
     # [base | adaptive] rows of the blocks with adaptive kernels: n_adapt is
@@ -667,7 +649,7 @@ def solve_advection_timeblocks(
     models, masks, losses, val_losses = [], [], [], []
     for k in range(spec.n_blocks):
         rng = np.random.default_rng(block_seeds[k])
-        mask = characteristic_mask(ic_xhat, ic_vals, a_hat, (0.0, 1.0), pad)
+        mask = characteristic_mask(ic_xhat, ic_vals, a_hat, pad)
         if mask.empty or n_adapt == 0:
             basis = base
             interior = grid
@@ -675,9 +657,8 @@ def solve_advection_timeblocks(
             val_rows, top_rows = val_base, top_base
         else:
             adapt_pts = _sample_mask_points(mask, n_adapt, rng)
-            widths = np.column_stack(
-                [np.full(n_adapt, wx), np.full(n_adapt, wt)]
-            )
+            # sharp structure lives along x; time-direction kernels span the block
+            widths = np.column_stack([np.full(n_adapt, wx), np.ones(n_adapt)])
             basis = RbfBasis(
                 np.vstack([base.centers, adapt_pts]),
                 np.vstack([base.widths, widths]),
@@ -693,7 +674,7 @@ def solve_advection_timeblocks(
             basis,
             interior,
             bc_pts,
-            extra_rows=[(ic_pts, ic_vals, RowKind.INITIAL)],
+            extra_rows=[(ic_pts, ic_vals)],
             fixed=fixed,
         )
         try:
@@ -727,14 +708,14 @@ def run_advection_forward(spec: TimeBlockSpec, tunables=None, tuning_blocks: int
     kernels sharp enough to alias between collocation points; the draws
     of the winning evaluation carry over verbatim to the full sweep
     because the sampling streams only depend on (seed, eval index,
-    block index).  Returns (AdvectionResult, BoHistory or None).
+    block index).  tuning_blocks must lie in [1, spec.n_blocks].  Returns
+    (AdvectionResult, BoHistory or None).
     """
     if tunables is not None:
         return solve_advection_timeblocks(spec, tunables), None
-    n_tune = min(max(int(tuning_blocks), 1), spec.n_blocks)
-    prefix = replace(
-        spec, n_blocks=n_tune, t_final=spec.block_dt * n_tune
-    )
+    if not 1 <= tuning_blocks <= spec.n_blocks:
+        raise ValueError(f"tuning_blocks must lie in [1, {spec.n_blocks}], got {tuning_blocks}")
+    prefix = replace(spec, n_blocks=tuning_blocks, t_final=spec.block_dt * tuning_blocks)
 
     state = {"i": 0}
 

@@ -21,6 +21,10 @@ import numpy as np
 import scipy.fft
 
 
+# x interval of the advection problem, which the time-block march covers too
+ADVECTION_X = (-1.0, 1.0)
+
+
 class ProblemKind(Enum):
     CONVDIFF1 = "convdiff1"
     CONVDIFF2 = "convdiff2"
@@ -65,9 +69,10 @@ class Box:
 class PdeProblem:
     """A benchmark problem instance.
 
-    ``boundary_spec`` maps a location label to its Dirichlet value; the
-    labels are problem-specific ("left"/"right" in 1D, "all" for the 2D
-    square, "x_low"/"x_high" for the advection slab).
+    ``boundary_spec`` maps a location label to its Dirichlet value:
+    "left"/"right" for the low and high x edge (the 1D problems and the
+    advection slab), "all" for the 2D square.  Only the advection problem
+    has initial-condition rows.
     """
 
     kind: ProblemKind
@@ -75,7 +80,6 @@ class PdeProblem:
     nu: float
     advection_speed: float | None = None
     boundary_spec: dict[str, float] = field(default_factory=dict)
-    has_initial_condition: bool = False
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -139,11 +143,10 @@ def poisson2d(nu: float) -> PdeProblem:
 def advection1d(nu: float, speed: float) -> PdeProblem:
     return PdeProblem(
         kind=ProblemKind.ADVECTION1D,
-        domain=Box((-1.0, 0.0), (1.0, 1.0)),
+        domain=Box((ADVECTION_X[0], 0.0), (ADVECTION_X[1], 1.0)),
         nu=nu,
         advection_speed=speed,
-        boundary_spec={"x_low": 0.0, "x_high": 0.0},
-        has_initial_condition=True,
+        boundary_spec={"left": 0.0, "right": 0.0},
     )
 
 

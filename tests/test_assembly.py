@@ -10,7 +10,6 @@ from rbfadapt import rbf
 from rbfadapt.assembly import (
     CHUNK_ROWS,
     LinearSystem,
-    RowKind,
     SolvedModel,
     boundary_targets,
     build_system,
@@ -41,12 +40,8 @@ from rbfadapt.sampling import (
 from test_rbf import _center_width_deriv as _cw
 
 
-def _system(h, r, kinds=None):
-    h = np.asarray(h, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if kinds is None:
-        kinds = np.zeros(h.shape[0], dtype=int)
-    return LinearSystem(h, r, kinds)
+def _system(h, r):
+    return LinearSystem(np.asarray(h, dtype=float), np.asarray(r, dtype=float))
 
 
 class TestOperatorRows:
@@ -201,15 +196,11 @@ def _forward_case(problem, n_grid, boundary, extra, seed, n_adapt=29):
 
 def _initial_rows(problem, n, shift=0.0):
     pts = initial_points(problem.domain, n)
-    return [(pts, np.sin(3.0 * pts[:, 0]) + shift, RowKind.INITIAL)]
+    return [(pts, np.sin(3.0 * pts[:, 0]) + shift)]
 
 
 def _systems_equal(a, b):
-    return (
-        np.array_equal(a.matrix, b.matrix)
-        and np.array_equal(a.targets, b.targets)
-        and np.array_equal(a.row_kinds, b.row_kinds)
-    )
+    return np.array_equal(a.matrix, b.matrix) and np.array_equal(a.targets, b.targets)
 
 
 class TestFixedBlock:
@@ -249,12 +240,12 @@ class TestFixedBlock:
     def test_sensor_rows(self, problem):
         rng = np.random.default_rng(4)
         boundary = np.array([[0.0], [1.0]])
-        sensors = [(rng.uniform(0, 1, (23, 1)), rng.normal(size=23), RowKind.SENSOR)]
+        sensors = [(rng.uniform(0, 1, (23, 1)), rng.normal(size=23))]
         base, grid, basis, interior, block = _forward_case(problem, 97, boundary, sensors, 5)
         full = build_system(problem, basis, interior, boundary, sensors)
         reused = build_system(problem, basis, interior, boundary, sensors, fixed=block)
         assert _systems_equal(reused, full)
-        assert list(reused.row_kinds[-23:]) == [RowKind.SENSOR] * 23
+        assert np.array_equal(reused.targets[-23:], sensors[0][1])
 
 
 class TestStaleFixedBlock:
@@ -309,10 +300,8 @@ class TestStaleFixedBlock:
 
     def test_extra_points_differ(self):
         prob, basis, interior, boundary, extra, block = self._case()
-        (pts, vals, kind), = extra
-        self._refused(
-            prob, basis, interior, boundary, [(pts + 1e-9, vals, kind)], block, "extra"
-        )
+        (pts, vals), = extra
+        self._refused(prob, basis, interior, boundary, [(pts + 1e-9, vals)], block, "extra")
         self._refused(prob, basis, interior, boundary, [], block, "extra")
         self._refused(prob, basis, interior, boundary, extra * 2, block, "extra")
 
@@ -332,7 +321,6 @@ class TestBuildSystem:
         assert sys.matrix.shape == (5, 2)
         np.testing.assert_array_equal(sys.targets[:3], 0.0)   # homogeneous PDE
         assert sys.targets[3] == 0.0 and sys.targets[4] == 1.0
-        assert list(sys.row_kinds) == [0, 0, 0, 1, 1]
 
     def test_boundary_row_is_plain_evaluation(self):
         prob = convdiff_type1(0.05)
@@ -356,12 +344,11 @@ class TestBuildSystem:
         vals = np.array([2.0, 3.0])
         sys = build_system(
             prob, basis, np.array([[0.5]]), np.array([[0.0], [1.0]]),
-            extra_rows=[(sensors, vals, RowKind.SENSOR)],
+            extra_rows=[(sensors, vals)],
         )
         assert sys.n_rows == 5
         assert sys.matrix[3, 0] == pytest.approx(1.0)
         np.testing.assert_array_equal(sys.targets[3:], vals)
-        assert list(sys.row_kinds[3:]) == [RowKind.SENSOR, RowKind.SENSOR]
 
     def test_advection_boundary_classification(self):
         prob = advection1d(0.05, 0.5)
@@ -521,13 +508,13 @@ class TestChunkedRows:
     def test_build_system_over_several_chunks(self, problem):
         # 1,369 + 29 - 1 interior rows: several chunks in the operator
         # rows, the fixed block's own rows and the adaptive columns alike
-        extra = _initial_rows(problem, 41) if problem.has_initial_condition else None
+        extra = _initial_rows(problem, 41) if problem.kind is ProblemKind.ADVECTION1D else None
         boundary = boundary_points_rect(problem.domain, 80)
         base, grid, basis, interior, block = _forward_case(problem, 37 * 37, boundary, extra, 11)
         assert interior.shape[0] > CHUNK_ROWS
         full = build_system(problem, basis, interior, boundary, extra)
         assert _systems_equal(build_system(problem, basis, interior, boundary, extra, fixed=block), full)
-        evaluated = np.vstack([boundary, *(pts for pts, _, _ in extra or ())])
+        evaluated = np.vstack([boundary, *(pts for pts, _ in extra or ())])
         whole = np.vstack([operator_matrix(problem, basis, interior), eval_matrix(basis, evaluated)])
         assert np.array_equal(full.matrix, whole)
 

@@ -138,7 +138,7 @@ def test_least_squares_solve_runs_pinned(monkeypatch, two_threads):
     _spy(monkeypatch, assembly.np.linalg, "lstsq", seen)
     rng = np.random.default_rng(3)
     basis = RbfBasis(rng.uniform(size=(12, 1)), np.full((12, 1), 0.2))
-    system = LinearSystem(rng.standard_normal((30, 12)), rng.standard_normal(30), np.zeros(30, dtype=int))
+    system = LinearSystem(rng.standard_normal((30, 12)), rng.standard_normal(30))
     model = solve_system(system, basis)
     assert seen == [True]
     assert blas_thread_counts() == two_threads

@@ -1,8 +1,10 @@
 """Configuration parsing, result grading, file output, and the command line."""
 
 import csv
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -699,6 +701,8 @@ LATE_MISTAKES = [
                  "sensors.placement", id="biased-sensors-in-space-time"),
     pytest.param(_march(tunables=[9, 1, 3]), "advection",
                  "advection.tunables", id="tunables-outside-bounds"),
+    pytest.param(_march(n_blocks=2), "advection",
+                 "advection.tuning_blocks", id="more-tuning-blocks-than-blocks"),
     pytest.param(_forward(search={"eta": 0.5}), "forward", "search.eta", id="eta-above-a-tenth"),
     pytest.param(_inverse("advection", search={"eta": 0.25}), "inverse",
                  "search.eta", id="eta-above-a-tenth-of-space-time"),
@@ -735,16 +739,23 @@ class TestMistakesCaughtAtParse:
         assert str(err.value) == "problem.speed: must be positive, got -0.5"
 
 
+def _first_table_keys(text, heading):
+    """Backticked names in the first column of the first table under a heading."""
+    lines = text.split(f"\n## {heading}", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    return {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+
+
 def test_every_table_key_is_documented():
+    # each key table lists exactly the keys that parse; search's second
+    # table lists defaults, so only the first table of a section counts
     from rbfadapt.cli_io import SCHEMA
 
     text = (Path(__file__).parent.parent / "docs" / "configuration.md").read_text()
-    names = {"kind", "seed", "out"}
+    assert _first_table_keys(text, "Top-level keys") == {"kind", "seed", "out", *SCHEMA}
     for section, spec in SCHEMA.items():
-        names.add(section)
-        names.update(spec.keys)
-    missing = sorted(n for n in names if f"`{n}`" not in text)
-    assert not missing
+        assert _first_table_keys(text, f"`{section}`") == set(spec.keys), section
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

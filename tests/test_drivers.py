@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rbfadapt.assembly import (
-    RowKind,
     build_system,
     evaluate_model,
     operator_matrix,
@@ -33,6 +32,7 @@ from rbfadapt.drivers import (
     solve_advection_timeblocks,
 )
 from rbfadapt.problems import (
+    ADVECTION_X,
     Box,
     PdeProblem,
     ProblemKind,
@@ -295,14 +295,14 @@ class TestCharacteristicMask:
     @staticmethod
     def _inside(mask, pts):
         """Which (x, t) rows lie in a padded interval shifted along the flow to t."""
-        x = pts[:, :1] - mask.speed * (pts[:, 1:] - mask.t_start)
+        x = pts[:, :1] - mask.speed * pts[:, 1:]
         lo = np.array([a for a, _ in mask.intervals]) - mask.pad
         hi = np.array([b for _, b in mask.intervals]) + mask.pad
         return (x >= lo - 1e-12) & (x <= hi + 1e-12)
 
     def test_peak_is_tracked_and_moves_with_the_flow(self):
         xs, ys = self._profile()
-        mask = characteristic_mask(xs, ys, speed=0.5, block=(0.0, 1.0), pad=0.02)
+        mask = characteristic_mask(xs, ys, speed=0.5, pad=0.02)
         assert not mask.empty
         (lo, hi), = mask.intervals
         assert lo < 0.3 < hi
@@ -314,7 +314,7 @@ class TestCharacteristicMask:
 
     def test_zero_speed_mask_is_time_invariant(self):
         xs, ys = self._profile()
-        mask = characteristic_mask(xs, ys, speed=0.0, block=(0.0, 1.0), pad=0.02)
+        mask = characteristic_mask(xs, ys, speed=0.0, pad=0.02)
         pts = _sample_mask_points(mask, 2000, np.random.default_rng(1))
         (lo, hi), = mask.intervals
         assert np.all((pts[:, 0] >= lo - mask.pad) & (pts[:, 0] <= hi + mask.pad))
@@ -322,7 +322,7 @@ class TestCharacteristicMask:
 
     def test_draws_follow_the_shifted_intervals(self):
         xs, ys = self._profile(centers=(0.15, 0.4))
-        mask = characteristic_mask(xs, ys, speed=0.5, block=(0.0, 1.0), pad=0.02)
+        mask = characteristic_mask(xs, ys, speed=0.5, pad=0.02)
         assert len(mask.intervals) == 2
         pts = _sample_mask_points(mask, 2000, np.random.default_rng(2))
         inside = self._inside(mask, pts)
@@ -331,14 +331,9 @@ class TestCharacteristicMask:
 
     def test_flat_profile_gives_empty_mask(self):
         xs = np.linspace(-1.0, 1.0, 101)
-        mask = characteristic_mask(xs, np.ones_like(xs), speed=0.5, block=(0.0, 0.01), pad=0.05)
+        mask = characteristic_mask(xs, np.ones_like(xs), speed=0.5, pad=0.05)
         assert mask.empty
         assert mask.intervals == ()
-
-    def test_degenerate_block_rejected(self):
-        xs, ys = self._profile()
-        with pytest.raises(ValueError):
-            characteristic_mask(xs, ys, speed=0.5, block=(0.01, 0.01), pad=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +399,14 @@ class TestTimeBlocks:
         spec = _small_block_spec()
         result = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
         assert any(m.basis.n_kernels > spec.n_rbf for m in result.models)
-        x0, x1 = spec.x_range
+        x0, x1 = ADVECTION_X
         unit = Box((0.0, 0.0), (1.0, 1.0))
         problem = PdeProblem(
             kind=ProblemKind.ADVECTION1D,
             domain=unit,
             nu=spec.nu,
             advection_speed=spec.speed * spec.block_dt / (x1 - x0),
-            boundary_spec={"x_low": 0.0, "x_high": 0.0},
-            has_initial_condition=True,
+            boundary_spec={"left": 0.0, "right": 0.0},
         )
         grid = uniform_grid(unit, spec.n_colloc)
         bc = boundary_points_xsides(unit, spec.n_boundary)
@@ -424,7 +418,7 @@ class TestTimeBlocks:
         for k, model in enumerate(result.models):
             interior = dedup_rows(np.vstack([grid, model.basis.centers[spec.n_rbf:]]))
             system = build_system(
-                problem, model.basis, interior, bc, [(ic, ic_vals, RowKind.INITIAL)]
+                problem, model.basis, interior, bc, [(ic, ic_vals)]
             )
             rebuilt = solve_system(system, model.basis)
             assert np.array_equal(rebuilt.coefficients, model.coefficients), k

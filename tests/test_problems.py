@@ -232,7 +232,7 @@ class TestProblemTypes:
 
     def test_advection_needs_speed(self):
         adv = advection1d(0.05, 0.5)
-        assert adv.has_initial_condition
+        assert adv.boundary_spec == {"left": 0.0, "right": 0.0}
         assert adv.dim == 2
 
     def test_exact_dispatch(self):
