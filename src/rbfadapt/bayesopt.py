@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
@@ -189,7 +188,7 @@ class GpSurrogate:
     length_scales: np.ndarray
     signal_var: float
     noise_var: float
-    chol: tuple
+    chol: np.ndarray  # lower Cholesky factor (upper triangle not cleared)
     alpha: np.ndarray
 
 
@@ -206,13 +205,21 @@ def _pairwise_sqdists(xa, xb):
 
 
 def _chol_with_jitter(k):
-    jitter = 0.0
-    scale = float(np.mean(np.diag(k)))
-    for _ in range(9):
-        try:
-            return cho_factor(k + jitter * np.eye(k.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 * scale if jitter == 0.0 else jitter * 10.0
+    """dpotrf's lower factor of k; when k does not factor, of k + jitter I,
+    the jitter from 1e-10 to 1e-3 of k's mean diagonal, x10 per step.
+
+    No finiteness checks, and nothing is added to k before the first try:
+    the likelihood factors thousands of times per fit.
+    """
+    c, info = dpotrf(k, lower=1, clean=0)
+    if info == 0:
+        return c
+    jitter = 1e-10 * float(np.mean(np.diag(k)))
+    for _ in range(8):
+        c, info = dpotrf(k + jitter * np.eye(k.shape[0]), lower=1, clean=0)
+        if info == 0:
+            return c
+        jitter *= 10.0
     raise ArithmeticError("covariance factorization failed even with jitter")
 
 
@@ -243,17 +250,15 @@ class _NegativeLogMarginal:
         return self._gauss
 
     def _value(self, theta, gauss):
-        # LAPACK directly, without cho_factor's and cho_solve's finiteness
-        # checks: the same dpotrf and dpotrs calls, so the same bits
+        # one dpotrf (jittered only when it fails) and one dpotrs, called
+        # directly, so no finiteness scans on the hot path
         n = self.n
         k = np.exp(theta[-2]) * gauss
         k.flat[:: n + 1] += np.exp(theta[-1])
-        c, info = dpotrf(k, lower=1, clean=0)
-        if info != 0:
-            try:
-                c = _chol_with_jitter(k)[0]
-            except ArithmeticError:
-                return 1e10
+        try:
+            c = _chol_with_jitter(k)
+        except ArithmeticError:
+            return 1e10
         alpha, _ = dpotrs(c, self.y, lower=1)
         logdet = 2.0 * np.sum(np.log(np.diag(c)))
         return float(0.5 * self.y @ alpha + 0.5 * logdet + 0.5 * n * np.log(2 * np.pi))
@@ -291,7 +296,7 @@ def _surrogate(x, y_std, mean, scale, sq, length_scales, signal_var, noise_var) 
     ell = np.asarray(length_scales, dtype=float)
     k = signal_var * _gaussian(sq, ell)
     c = _chol_with_jitter(k + noise_var * np.eye(x.shape[0]))
-    alpha = cho_solve(c, y_std)
+    alpha, _ = dpotrs(c, y_std, lower=1)
     return GpSurrogate(x, mean, scale, ell, float(signal_var), float(noise_var), c, alpha)
 
 
@@ -370,8 +375,8 @@ def gp_predict_batch(surrogate: GpSurrogate, xs) -> tuple:
         sq = _pairwise_sqdists(surrogate.inputs, xs[cols])
         chunk = surrogate.signal_var * _gaussian(sq, surrogate.length_scales)
         kstar[:, cols] = chunk
-        # cho_solve's LAPACK call without its finiteness scans
-        v, _ = dpotrs(surrogate.chol[0], chunk, lower=1)
+        # dpotrs on the stored factor, without finiteness scans
+        v, _ = dpotrs(surrogate.chol, chunk, lower=1)
         var_std[cols] = surrogate.signal_var - np.sum(chunk * v, axis=0)
     mean_std = kstar.T @ surrogate.alpha
     mean = surrogate.target_mean + surrogate.target_scale * mean_std
@@ -457,16 +462,13 @@ def bayes_step(
     return bounds.from_unit(candidates[pick])
 
 
-def optimize(
-    objective: Callable, bounds: SearchBounds, config: BoConfig, rng=None
-) -> tuple:
+def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig) -> tuple:
     """Run the optimization loop; returns (best w, history).
 
     Failed objective evaluations are recorded as +inf and the loop
     continues; the surrogate sees them as a large finite penalty.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
     history = BoHistory()
     n_init = config.initial_count(bounds.n_params)
     prev_unit = None

@@ -12,7 +12,8 @@ Persisted outputs per run:
 * ``config.yaml``   — the fully resolved configuration (provenance echo)
 * ``summary.json``  — scalar results: metrics, tuned parameters, timings,
   and the package, numpy, scipy and BLAS versions with the BLAS thread counts
-* ``loss_history.csv`` — one row per objective evaluation ``(k, w..., loss)``
+* ``loss_history.csv`` — one row per objective evaluation ``(k, w..., loss)``;
+  a header alone when the run searched nothing
 * ``kernels.csv``   — final model kernels: centers, widths, coefficient,
   adaptive-component tag (0 marks the fixed baseline grid)
 * ``solution.csv``  — solution samples on the test mesh, with the
@@ -119,7 +120,7 @@ class ResultBundle:
     """Everything a run persists, returned for programmatic use."""
 
     config: RunConfig
-    history_rows: tuple  # ((k, w..., loss), ...), one row per evaluation
+    history: Optional[BoHistory]  # None when the run searched nothing
     metrics: dict
     extras: dict
     timings: dict
@@ -730,13 +731,9 @@ def _forward_spec(config: RunConfig) -> ForwardRunSpec:
     )
 
 
-def _history_rows(history: Optional[BoHistory]) -> tuple:
-    if history is None:
-        return ()
-    rows = []
-    for k, (w, loss) in enumerate(history.records):
-        rows.append((k, *[float(v) for v in w], float(loss)))
-    return tuple(rows)
+def _searched(config: RunConfig) -> Optional[dict]:
+    """The section whose bounds the run searches (or would search), if any."""
+    return config.search if config.search is not None else config.advection
 
 
 def _kernel_columns(models, numbered: bool) -> list:
@@ -754,12 +751,18 @@ def _kernel_columns(models, numbered: bool) -> list:
 
 
 def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicted, reference) -> dict:
-    """The summary entries and the kernel and solution tables of a run.
+    """The summary entries and the tables of a run, each table a (header,
+    columns) pair of 1-D arrays.
 
     The drivers graded the run: mesh, predicted and reference (None when
     the run has none) fill solution.csv.  The march numbers its kernels
     by block.
     """
+    searched = _searched(config)
+    names = [] if searched is None else list(searched["bounds"])
+    records = [] if history is None else history.records
+    ws = np.array([w for w, _ in records], dtype=float).reshape(len(records), len(names))
+    losses = np.array([loss for _, loss in records], dtype=float)
     axes = ["x", "t"] if config.problem["type"] == "advection" else ["x", "y"][: mesh.shape[1]]
     block = ["block"] if config.kind == "advection" else []
     kernel_header = block + [f"center_{a}" for a in axes] + [f"width_{a}" for a in axes]
@@ -770,10 +773,17 @@ def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicte
         "history": history,
         "metrics": metrics,
         "extras": extras,
-        "kernel_header": kernel_header + ["coefficient", "component"],
-        "kernel_columns": _kernel_columns(models, numbered=bool(block)),
-        "solution_header": axes + ["predicted"] + ([] if reference is None else ["exact", "abs_error"]),
-        "solution_columns": solution,
+        "tables": {
+            "loss_history.csv": (["k", *names, "loss"], [np.arange(len(records)), *ws.T, losses]),
+            "kernels.csv": (
+                kernel_header + ["coefficient", "component"],
+                _kernel_columns(models, numbered=bool(block)),
+            ),
+            "solution.csv": (
+                axes + ["predicted"] + ([] if reference is None else ["exact", "abs_error"]),
+                solution,
+            ),
+        },
     }
 
 
@@ -868,33 +878,18 @@ def _run_curriculum(config: RunConfig) -> dict:
 # persistence
 
 
-def _row_template(row) -> str:
-    """One %-template for every row shaped like this one: %d for its int
-    columns, %.17g (round-trip precision) for the rest."""
-    return ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in row)
+def _write_csv(path: Path, header, columns):
+    """Write equal-length 1-D arrays as the columns of a table: %d for
+    integer dtypes, %.17g (round-trip precision) for the rest.
 
-
-def _write_csv(path: Path, header, rows):
-    """Stream the rows out, so no copy of the whole text is held.
-
-    rows is any iterable of rows; the first one sets the template."""
-    rows = iter(rows)
+    The rows are converted to Python numbers and written _CSV_CHUNK_ROWS
+    at a time, so no whole table of Python objects or text is held."""
+    template = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns) + "\n"
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        first = next(rows, None)
-        if first is not None:
-            template = _row_template(first) + "\n"
-            f.write(template % tuple(first))
-            f.writelines(template % tuple(row) for row in rows)
-
-
-def _column_rows(columns):
-    """The rows of equal-length 1-D arrays, converted to Python numbers
-    _CSV_CHUNK_ROWS rows at a time (ints from integer arrays, floats from
-    float arrays), so no whole table of Python objects is held."""
-    n = columns[0].shape[0]
-    for lo in range(0, n, _CSV_CHUNK_ROWS):
-        yield from zip(*(c[lo : lo + _CSV_CHUNK_ROWS].tolist() for c in columns))
+        for lo in range(0, columns[0].shape[0], _CSV_CHUNK_ROWS):
+            chunk = zip(*(c[lo : lo + _CSV_CHUNK_ROWS].tolist() for c in columns))
+            f.writelines(template % row for row in chunk)
 
 
 def _jsonable(value):
@@ -969,12 +964,8 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
             raise NumericalFailureError(f"metric {name} is not finite")
 
     history = payload["history"]
-    history_rows = _history_rows(history)
-    if history is not None and len(history_rows) != len(history):
-        raise NumericalFailureError("loss table length disagrees with evaluation count")
-
     exit_code = EXIT_OK
-    searched = config.search if config.search is not None else config.advection
+    searched = _searched(config)
     loss_tol = None if searched is None else searched["loss_tol"]
     if (
         history is not None
@@ -998,7 +989,7 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         "seed": config.seed,
         "metrics": metrics,
         "timings": timings,
-        "n_evaluations": len(history_rows),
+        "n_evaluations": 0 if history is None else len(history),
         "stop_reason": None if history is None else history.stop_reason,
         "exit_code": exit_code,
         "provenance": _provenance(),
@@ -1008,18 +999,10 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
     summary_path.write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
     files.append(summary_path)
 
-    loss_path = out_dir / "loss_history.csv"
-    w_names = [] if searched is None else list(searched["bounds"])
-    _write_csv(loss_path, ["k", *w_names, "loss"], history_rows)
-    files.append(loss_path)
-
-    kernels_path = out_dir / "kernels.csv"
-    _write_csv(kernels_path, payload["kernel_header"], _column_rows(payload["kernel_columns"]))
-    files.append(kernels_path)
-
-    solution_path = out_dir / "solution.csv"
-    _write_csv(solution_path, payload["solution_header"], _column_rows(payload["solution_columns"]))
-    files.append(solution_path)
+    for name, (header, columns) in payload["tables"].items():
+        path = out_dir / name
+        _write_csv(path, header, columns)
+        files.append(path)
 
     if not quiet:
         for name in sorted(metrics):
@@ -1028,7 +1011,7 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
 
     return ResultBundle(
         config=config,
-        history_rows=history_rows,
+        history=history,
         metrics=metrics,
         extras=payload["extras"],
         timings=timings,

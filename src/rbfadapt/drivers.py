@@ -298,12 +298,24 @@ def run_baseline_curriculum(
 # forward objective and the tuned forward run
 
 
+def _at_params(problem: PdeProblem, params: dict) -> PdeProblem:
+    """The problem at the diffusivity (key nu) and advection speed (key a) of params."""
+    overrides = {}
+    if "nu" in params:
+        overrides["nu"] = float(params["nu"])
+    if "a" in params:
+        overrides["advection_speed"] = float(params["a"])
+    return replace(problem, **overrides)
+
+
 def _effective_problem(problem: PdeProblem, hp: MixtureHyperparams, rng) -> PdeProblem:
+    """The problem one evaluation solves: at the searched speed, or at a
+    diffusivity drawn from the searched distribution."""
     if hp.inverse_params is None:
         return problem
     if "a" in hp.inverse_params:
-        return replace(problem, advection_speed=float(hp.inverse_params["a"]))
-    return replace(problem, nu=sample_nu(hp, rng))
+        return _at_params(problem, hp.inverse_params)
+    return _at_params(problem, {"nu": sample_nu(hp, rng)})
 
 
 def _extra_rows(problem: PdeProblem, baseline: BaselineConfig, sensors=None) -> list:
@@ -416,14 +428,14 @@ def error_metrics(predicted: np.ndarray, reference: np.ndarray) -> dict:
     return {"linf": float(np.max(np.abs(diff))) if diff.size else 0.0, "rel_l2": rel}
 
 
-def run_kapi_forward(spec: ForwardRunSpec, sensors=None) -> ForwardResult:
+def run_kapi_forward(spec: ForwardRunSpec) -> ForwardResult:
     """Tune the kernel mixture by Bayesian search and grade the winner.
 
     The best model (by residual loss) is evaluated on a test mesh much
     finer than the collocation grid; for the 2D Poisson problem the
     reference is the finite-difference oracle, elsewhere the closed form.
     """
-    history, model, w_named, w_opt = _optimize_forward(spec, sensors)
+    history, model, w_named, w_opt = _optimize_forward(spec)
     mesh = _test_mesh(spec.problem, spec.test_mesh_size)
     predicted = evaluate_model(model, mesh)
     if spec.problem.kind is ProblemKind.POISSON2D:
@@ -522,7 +534,6 @@ class AdvectionResult:
     spec: TimeBlockSpec
     tunables: tuple
     models: tuple
-    masks: tuple
     block_losses: np.ndarray
     # operator residual on a staggered off-grid set; catches solutions
     # that alias between collocation points and look spuriously good
@@ -536,32 +547,19 @@ class AdvectionResult:
     def aggregate_validation(self) -> float:
         return float(np.max(self.validation_losses))
 
-    def _to_block_coords(self, x, t, k):
-        x0, x1 = ADVECTION_X
-        xh = (np.asarray(x, dtype=float) - x0) / (x1 - x0)
-        th = (np.asarray(t, dtype=float) - k * self.spec.block_dt) / self.spec.block_dt
-        return np.column_stack([xh, th])
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Stitched solution at raw (x, t) points, shape (n, 2)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ks = np.floor(pts[:, 1] / self.spec.block_dt).astype(int)
-        ks = np.clip(ks, 0, self.spec.n_blocks - 1)
-        out = np.empty(pts.shape[0])
-        for k in np.unique(ks):
-            sel = ks == k
-            local = self._to_block_coords(pts[sel, 0], pts[sel, 1], int(k))
-            out[sel] = evaluate_model(self.models[k], local)
-        return out
-
     def graded_final_profile(self) -> tuple:
         """(mesh, predicted, reference) at t_final: FINAL_PROFILE_POINTS
         evenly spaced x across the domain, against the transported start
-        profile."""
+        profile.  t_final lies in the last block, whose model is evaluated
+        in that block's unit coordinates."""
         spec = self.spec
-        xs = np.linspace(*ADVECTION_X, FINAL_PROFILE_POINTS)
-        mesh = np.column_stack([xs, np.full_like(xs, spec.t_final)])
-        return mesh, self.evaluate(mesh), advection_exact(xs, spec.t_final, spec.speed, spec.nu)
+        x0, x1 = ADVECTION_X
+        k = spec.n_blocks - 1
+        xs = np.linspace(x0, x1, FINAL_PROFILE_POINTS)
+        ts = np.full_like(xs, spec.t_final)
+        local = np.column_stack([(xs - x0) / (x1 - x0), (ts - k * spec.block_dt) / spec.block_dt])
+        predicted = evaluate_model(self.models[k], local)
+        return np.column_stack([xs, ts]), predicted, advection_exact(xs, spec.t_final, spec.speed, spec.nu)
 
 
 def _sample_mask_points(mask: CharacteristicMask, n: int, rng) -> np.ndarray:
@@ -646,7 +644,7 @@ def solve_advection_timeblocks(
     top_rows_adapt = np.empty((top_pts.shape[0], spec.n_rbf + n_adapt))
     val_rows_adapt[:, :spec.n_rbf] = val_base
     top_rows_adapt[:, :spec.n_rbf] = top_base
-    models, masks, losses, val_losses = [], [], [], []
+    models, losses, val_losses = [], [], []
     for k in range(spec.n_blocks):
         rng = np.random.default_rng(block_seeds[k])
         mask = characteristic_mask(ic_xhat, ic_vals, a_hat, pad)
@@ -683,7 +681,6 @@ def solve_advection_timeblocks(
             raise ArithmeticError(f"time block {k} solve failed: {err}") from err
         model = replace(model, tags=tags)
         models.append(model)
-        masks.append(mask)
         losses.append(model.loss)
         with fixed_blas_threads():
             val_losses.append(float(np.max(np.abs(val_rows @ model.coefficients))))
@@ -694,7 +691,6 @@ def solve_advection_timeblocks(
         spec,
         (f_ratio, lam, sigma_tun),
         tuple(models),
-        tuple(masks),
         np.array(losses),
         np.array(val_losses),
     )
@@ -752,16 +748,6 @@ class SensorData:
             raise ValueError("noise_fraction must be nonnegative")
 
 
-def _at_true_params(problem: PdeProblem, true_params: dict) -> PdeProblem:
-    """The problem at the true diffusivity (key nu) and speed (key a) of true_params."""
-    overrides = {}
-    if "nu" in true_params:
-        overrides["nu"] = float(true_params["nu"])
-    if "a" in true_params:
-        overrides["advection_speed"] = float(true_params["a"])
-    return replace(problem, **overrides)
-
-
 def generate_sensor_data(
     problem: PdeProblem,
     true_params: dict,
@@ -778,9 +764,7 @@ def generate_sensor_data(
     """
     if n_points < 1:
         raise ValueError("need at least one sensor point")
-    if noise_fraction < 0:
-        raise ValueError("noise_fraction must be nonnegative")
-    truth = _at_true_params(problem, true_params)
+    truth = _at_params(problem, true_params)
     dom = truth.domain
     if placement is SensorPlacement.UNIFORM_RANDOM:
         pts = rng.uniform(dom.lower, dom.upper, size=(n_points, dom.dim))
@@ -839,7 +823,7 @@ def run_inverse(spec: InverseRunSpec) -> InverseResult:
     history, model, w_named, _ = _optimize_forward(spec.forward, spec.sensors)
     mesh = _test_mesh(problem, spec.forward.test_mesh_size if problem.dim == 1 else INVERSE_MESH_2D)
     predicted = evaluate_model(model, mesh)
-    reference = _at_true_params(problem, spec.true_params).exact(mesh) if spec.true_params else None
+    reference = _at_params(problem, spec.true_params).exact(mesh) if spec.true_params else None
     if "mu_nu" in spec.forward.pde_params:
         estimates = {"nu": float(w_named["mu_nu"])}
     else:

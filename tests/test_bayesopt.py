@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.optimize._numdiff import approx_derivative
 
@@ -121,15 +121,30 @@ def _tensordot_kernel(sqdists, length_scales, signal_var):
     return signal_var * np.exp(-0.5 * np.tensordot(1.0 / length_scales**2, sqdists, axes=1))
 
 
+def _cho_factor_with_jitter(k):
+    """cho_factor of k, else of k + jitter I for jitter from 1e-10 to 1e-3
+    of the mean diagonal, x10 per step; None when all of them fail."""
+    try:
+        return cho_factor(k, lower=True)
+    except np.linalg.LinAlgError:
+        pass
+    jitter = 1e-10 * float(np.mean(np.diag(k)))
+    for _ in range(8):
+        try:
+            return cho_factor(k + jitter * np.eye(k.shape[0]), lower=True)
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    return None
+
+
 def _cho_factor_likelihood(theta, sqdists, y, n):
     """The negative log marginal likelihood through cho_factor and cho_solve."""
     ell = np.exp(theta[:-2])
     sig = np.exp(theta[-2])
     noise = np.exp(theta[-1])
     k = _tensordot_kernel(sqdists, ell, sig) + noise * np.eye(n)
-    try:
-        c = _chol_with_jitter(k)
-    except ArithmeticError:
+    c = _cho_factor_with_jitter(k)
+    if c is None:
         return 1e10
     alpha = cho_solve(c, y)
     logdet = 2.0 * np.sum(np.log(np.diag(c[0])))
@@ -270,6 +285,19 @@ class TestLikelihoodBits:
         _assert_same_fit(gp_fit(x, y), reference)
 
 
+class TestFactorizationFailure:
+    def test_unfactorable_matrix_raises_after_the_jitter_ladder(self):
+        # the jitter scales with the mean diagonal, so it only deepens -I
+        with pytest.raises(ArithmeticError):
+            _chol_with_jitter(-np.eye(5))
+
+    def test_likelihood_of_an_unfactorable_covariance_is_the_penalty(self):
+        nll = _NegativeLogMarginal(np.zeros((1, 5, 5)), np.ones(5), _upper(1))
+        # signal variance 1 on a negated Gaussian factor, noise 1e-8: k = (1e-8 - 1) I
+        theta = np.array([0.0, 0.0, np.log(1e-8)])
+        assert nll._value(theta, -np.eye(5)) == 1e10
+
+
 class TestGpPredict:
     def test_prior_reversion_far_away(self):
         gp = gp_with_params(
@@ -302,7 +330,7 @@ class TestGpPredict:
             xs = np.random.default_rng(d).uniform(0, 1, (m, d))
             mean, var = gp_predict_batch(gp, xs)
             kstar = _tensordot_kernel(_pairwise_sqdists(x, xs), gp.length_scales, gp.signal_var)
-            v = cho_solve(gp.chol, kstar)
+            v = cho_solve((gp.chol, True), kstar)
             var_std = np.maximum(gp.signal_var - np.sum(kstar * v, axis=0), 0.0)
             assert np.array_equal(mean, gp.target_mean + gp.target_scale * (kstar.T @ gp.alpha)), m
             assert np.array_equal(var, gp.target_scale**2 * var_std), m

@@ -150,8 +150,8 @@ def test_least_squares_solve_runs_pinned(monkeypatch, two_threads):
 @needs_openblas
 def test_surrogate_runs_pinned(monkeypatch, two_threads):
     seen = []
-    _spy(monkeypatch, bayesopt, "cho_factor", seen)
-    _spy(monkeypatch, bayesopt, "cho_solve", seen)
+    _spy(monkeypatch, bayesopt, "dpotrf", seen)
+    _spy(monkeypatch, bayesopt, "dpotrs", seen)
     rng = np.random.default_rng(4)
     x = rng.uniform(size=(15, 2))
     surrogate = gp_fit(x, np.sin(3.0 * x[:, 0]) + x[:, 1])

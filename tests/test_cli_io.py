@@ -287,7 +287,7 @@ class TestRunCommand:
 
         summary = json.loads((out / "summary.json").read_text())
         assert summary["kind"] == "forward"
-        assert summary["n_evaluations"] == len(bundle.history_rows) <= 3
+        assert summary["n_evaluations"] == len(bundle.history) <= 3
         assert summary["stop_reason"] in ("loss_tol", "step_tol", "budget")
         assert summary["exit_code"] == bundle.exit_code
         assert set(summary["w_opt"]) == {"f", "mu", "tau", "lam"}
@@ -319,9 +319,9 @@ class TestRunCommand:
         bundle = _run_tiny(tmp_path, TINY_FORWARD, subdir="prec")
         with (Path(bundle.out_dir) / "loss_history.csv").open() as fh:
             rows = list(csv.reader(fh))
-        for text_row, row in zip(rows[1:], bundle.history_rows):
-            for text, value in zip(text_row, row):
-                assert float(text) == float(value)
+        assert len(rows) - 1 == len(bundle.history)
+        for k, (text_row, (w, loss)) in enumerate(zip(rows[1:], bundle.history.records)):
+            assert [float(text) for text in text_row] == [k, *w, loss]
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         a = _run_tiny(tmp_path, TINY_FORWARD, subdir="a")
@@ -333,7 +333,9 @@ class TestRunCommand:
         bundle = _run_tiny(tmp_path, TINY_FORWARD, subdir="orig")
         config = parse_config(Path(bundle.out_dir) / "config.yaml")
         again = run_command(config, quiet=True, out_override=str(tmp_path / "again"))
-        assert again.history_rows == bundle.history_rows
+        assert len(again.history) == len(bundle.history)
+        for (w_again, loss_again), (w, loss) in zip(again.history.records, bundle.history.records):
+            assert np.array_equal(w_again, w) and loss_again == loss
 
     def test_inverse_run_reports_the_speed_estimate(self, tmp_path):
         bundle = _run_tiny(tmp_path, TINY_INVERSE, subdir="inv")
@@ -362,6 +364,7 @@ class TestRunCommand:
         with (Path(bundle.out_dir) / "solution.csv").open() as fh:
             header = fh.readline().strip().split(",")
         assert header == ["x", "t", "predicted", "exact", "abs_error"]
+        assert (Path(bundle.out_dir) / "loss_history.csv").read_text() == "k,f,lam,sigma_f,loss\n"
 
     def test_baseline_study_reports_schedule_walk(self, tmp_path):
         bundle = _run_tiny(tmp_path, TINY_STUDY, subdir="study")
@@ -371,6 +374,7 @@ class TestRunCommand:
         assert summary["metrics"]["n_clusters"] == 1
         assert [entry["nu"] for entry in summary["schedule"]] == [0.1, 0.05]
         assert summary["cluster_intervals"]
+        assert (Path(bundle.out_dir) / "loss_history.csv").read_text() == "k,loss\n"
 
     def test_budget_exhaustion_with_unmet_target_exits_four(self, tmp_path):
         mapping = dict(TINY_FORWARD)
@@ -431,21 +435,28 @@ def test_solution_table_grades_against_the_true_closed_form(mapping, axes, n_row
 
 
 def test_csv_rows_format_as_the_per_value_join(tmp_path):
-    # the writer's one-template rows against the join it replaced:
-    # str(int) for int columns, format(float, ".17g") for the rest
+    # the writer's one-template rows against the per-value join:
+    # str(int) for integer columns, format(float, ".17g") for the rest
     floats = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e308, -1e-308, 0.1, 1 / 3, 2.0**53 + 1]
     rows = [
         (k, np.int64(-k), v, np.float64(-v), int(2**62) + k)
         for k, v in enumerate(floats)
     ]
+    columns = [
+        np.arange(len(floats)),
+        -np.arange(len(floats)),
+        np.array(floats),
+        -np.array(floats),
+        np.arange(len(floats)) + 2**62,
+    ]
     path = tmp_path / "table.csv"
-    _write_csv(path, ["k", "n", "a", "b", "big"], rows)
+    _write_csv(path, ["k", "n", "a", "b", "big"], columns)
     old = ["k,n,a,b,big"] + [
         ",".join(str(int(v)) if isinstance(v, (int, np.integer)) else format(float(v), ".17g") for v in row)
         for row in rows
     ]
     assert path.read_text() == "\n".join(old) + "\n"
-    _write_csv(path, ["k", "loss"], ())
+    _write_csv(path, ["k", "loss"], [np.arange(0), np.array([])])
     assert path.read_text() == "k,loss\n"
 
 

@@ -376,9 +376,8 @@ class TestTimeBlocks:
             spec, (1.25, 1.0, 3.5), initial_profile=lambda x: np.zeros_like(x)
         )
         assert result.aggregate_loss <= 1e-8
-        xs = np.linspace(-1.0, 1.0, 201)
-        at_final = np.column_stack([xs, np.full_like(xs, spec.t_final)])
-        assert np.max(np.abs(result.evaluate(at_final))) <= 1e-8
+        _, predicted, _ = result.graded_final_profile()
+        assert np.max(np.abs(predicted)) <= 1e-8
 
     def test_blocks_hand_off_continuously(self):
         spec = _small_block_spec()
@@ -432,7 +431,6 @@ class TestTimeBlocks:
         spec = _small_block_spec(n_blocks=3, t_final=0.03)
         result = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
         assert len(result.models) == 3
-        assert len(result.masks) == 3
         assert result.block_losses.shape == (3,)
         assert result.validation_losses.shape == (3,)
         assert result.tunables == (1.25, 1.0, 3.5)
