@@ -6,6 +6,13 @@ with prescribed targets.  Coefficients come from the Moore-Penrose
 pseudoinverse and the fit quality is the max-norm residual over all
 rows.
 
+Every searched system is a run's fixed baseline block [B] extended by
+adaptive kernels to [B | A]: fixed_block builds the baseline kernels'
+rows at the uniform collocation grid, boundary and extra points once,
+and extend appends the adaptive columns.  Collocation points reuse the
+baseline grid plus every adaptive center verbatim, so extend also adds
+the baseline columns' rows at the new centers.
+
 Every points x kernels product is filled in row chunks of CHUNK_ROWS, so
 no whole (points x kernels) matrix is built besides the system itself;
 grading a model on a fine mesh needs only chunk-sized temporaries.
@@ -128,9 +135,9 @@ class FixedBlock:
     """Rows of a run's baseline kernels that every system of the run shares.
 
     matrix is build_system's matrix for basis at interior, boundary and
-    extra_points, in that row order.  A later build_system call whose
-    basis starts with these kernels and whose interior starts with these
-    points copies it instead of evaluating those entries again.
+    extra_points, in that row order.  extend adds adaptive kernels to it;
+    only the points of the extra rows are kept, so their values may
+    change from one system to the next.
     """
 
     problem: PdeProblem
@@ -164,6 +171,55 @@ def _fill_rows(out: np.ndarray, rows_at, points: np.ndarray) -> None:
         out[rows] = rows_at(points[rows])
 
 
+def dedup_rows(pts: np.ndarray) -> np.ndarray:
+    """The rows of pts with exact duplicates dropped, first occurrences kept
+    in order.  Rows are compared by their bytes, so -0.0 and 0.0 differ."""
+    rows = np.ascontiguousarray(pts)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel().tolist()
+    # a dict keeps the last index given for a key: fed backwards, the first
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return pts[sorted(first.values())]
+
+
+def build_system(
+    problem: PdeProblem,
+    basis: RbfBasis,
+    interior_pts: np.ndarray,
+    boundary_pts: np.ndarray,
+    extra_rows=None,
+) -> LinearSystem:
+    """Stack operator rows, boundary rows and any extra evaluation rows.
+
+    extra_rows: iterable of (points, values) pairs, used for
+    initial-condition rows and sensor-data rows; they stack after the
+    boundary rows in the order given, so the last pair's rows are the
+    system's last rows.
+    """
+    if basis.n_kernels < 1:
+        raise ValueError("basis must contain at least one kernel")
+    interior_pts = _as_points(interior_pts)
+    boundary_pts = _as_points(boundary_pts)
+    if interior_pts.shape[0] == 0:
+        raise ValueError("interior points required")
+    if boundary_pts.shape[0] == 0:
+        raise ValueError("boundary points required")
+    extra_rows = [(_as_points(pts), np.asarray(vals, dtype=float)) for pts, vals in extra_rows or ()]
+    if any(pts.shape[0] != vals.shape[0] for pts, vals in extra_rows):
+        raise ValueError("extra row points/values length mismatch")
+
+    # rows: interior (operator), then boundary and extra (plain evaluation)
+    evaluated = np.vstack([boundary_pts, *(pts for pts, _ in extra_rows)])
+    n_int = interior_pts.shape[0]
+    matrix = np.empty((n_int + evaluated.shape[0], basis.n_kernels))
+    _fill_rows(matrix[:n_int], lambda pts: operator_matrix(problem, basis, pts), interior_pts)
+    _fill_rows(matrix[n_int:], lambda pts: eval_matrix(basis, pts), evaluated)
+    return LinearSystem(matrix, _targets(problem, interior_pts, boundary_pts, [v for _, v in extra_rows]))
+
+
+def _targets(problem: PdeProblem, interior: np.ndarray, boundary: np.ndarray, extra_values) -> np.ndarray:
+    return np.concatenate([problem.source(interior), boundary_targets(problem, boundary), *extra_values])
+
+
 def fixed_block(
     problem: PdeProblem,
     basis: RbfBasis,
@@ -171,8 +227,7 @@ def fixed_block(
     boundary_pts: np.ndarray,
     extra_rows=None,
 ) -> FixedBlock:
-    """Build the shared baseline rows once; only the points of extra_rows
-    are kept, so their values may change from one system to the next."""
+    """Build the baseline rows once; extra_rows are (points, values) pairs."""
     extra_rows = list(extra_rows or ())
     system = build_system(problem, basis, interior_pts, boundary_pts, extra_rows)
     return FixedBlock(
@@ -185,87 +240,34 @@ def fixed_block(
     )
 
 
-def _check_fixed(fixed, problem, basis, interior_pts, boundary_pts, extra_pts) -> None:
-    n_base, n_grid = fixed.basis.n_kernels, fixed.interior.shape[0]
-    if problem != fixed.problem:
-        raise ValueError("fixed block was built for another problem")
-    if not (
-        basis.n_kernels >= n_base
-        and np.array_equal(basis.centers[:n_base], fixed.basis.centers)
-        and np.array_equal(basis.widths[:n_base], fixed.basis.widths)
-    ):
-        raise ValueError("basis does not start with the fixed block's kernels")
-    if not (
-        interior_pts.shape[0] >= n_grid
-        and np.array_equal(interior_pts[:n_grid], fixed.interior)
-    ):
-        raise ValueError("interior points do not start with the fixed block's rows")
-    if not np.array_equal(boundary_pts, fixed.boundary):
-        raise ValueError("boundary points differ from the fixed block's")
-    if len(extra_pts) != len(fixed.extra_points) or not all(
-        np.array_equal(a, b) for a, b in zip(extra_pts, fixed.extra_points)
-    ):
-        raise ValueError("extra row points differ from the fixed block's")
+def extend(block: FixedBlock, adaptive: RbfBasis | None, extra_values) -> tuple:
+    """The system of the block's kernels plus the adaptive ones (None when
+    none were drawn); returns (LinearSystem, RbfBasis).
 
-
-def build_system(
-    problem: PdeProblem,
-    basis: RbfBasis,
-    interior_pts: np.ndarray,
-    boundary_pts: np.ndarray,
-    extra_rows=None,
-    fixed: FixedBlock | None = None,
-) -> LinearSystem:
-    """Stack operator rows, boundary rows and any extra evaluation rows.
-
-    extra_rows: iterable of (points, values) pairs, used for
-    initial-condition rows and sensor-data rows; they stack after the
-    boundary rows in the order given, so the last pair's rows are the
-    system's last rows.  fixed: a block from fixed_block whose entries
-    are copied rather than rebuilt; the rest and the targets come from
-    this call's arguments, and the result equals the build without it
-    bit for bit.
+    The interior is the block's followed by the adaptive centers, exact
+    duplicates kept once (first occurrence first).  The result equals
+    build_system on the stacked basis and points bit for bit; without
+    adaptive kernels it shares the block's matrix.  extra_values holds
+    one value array per extra point set of the block.
     """
-    if basis.n_kernels < 1:
-        raise ValueError("basis must contain at least one kernel")
-    interior_pts = _as_points(interior_pts)
-    boundary_pts = _as_points(boundary_pts)
-    if interior_pts.shape[0] == 0:
-        raise ValueError("interior points required")
-    if boundary_pts.shape[0] == 0:
-        raise ValueError("boundary points required")
+    extra_values = [np.asarray(vals, dtype=float) for vals in extra_values]
+    if [v.shape[0] for v in extra_values] != [pts.shape[0] for pts in block.extra_points]:
+        raise ValueError("extra values do not match the block's extra points")
+    problem, base = block.problem, block.basis
+    if adaptive is None:
+        return LinearSystem(block.matrix, _targets(problem, block.interior, block.boundary, extra_values)), base
 
-    targets = [problem.source(interior_pts), boundary_targets(problem, boundary_pts)]
-    extra_pts = []
-    for pts, vals in extra_rows or ():
-        pts = _as_points(pts)
-        vals = np.asarray(vals, dtype=float)
-        if pts.shape[0] != vals.shape[0]:
-            raise ValueError("extra row points/values length mismatch")
-        extra_pts.append(pts)
-        targets.append(vals)
-
-    # rows: interior (operator), then boundary and extra (plain evaluation)
-    evaluated = np.vstack([boundary_pts, *extra_pts])
-    n_int = interior_pts.shape[0]
-    matrix = np.empty((n_int + evaluated.shape[0], basis.n_kernels))
-    n_base = 0
-    if fixed is not None:
-        _check_fixed(fixed, problem, basis, interior_pts, boundary_pts, extra_pts)
-        n_base, n_grid = fixed.basis.n_kernels, fixed.interior.shape[0]
-        matrix[:n_grid, :n_base] = fixed.matrix[:n_grid]
-        matrix[n_int:, :n_base] = fixed.matrix[n_grid:]
-        _fill_rows(
-            matrix[n_grid:n_int, :n_base],
-            lambda pts: operator_matrix(problem, fixed.basis, pts),
-            interior_pts[n_grid:],
-        )
-    if basis.n_kernels > n_base:
-        cols = basis if n_base == 0 else RbfBasis(basis.centers[n_base:], basis.widths[n_base:])
-        _fill_rows(matrix[:n_int, n_base:], lambda pts: operator_matrix(problem, cols, pts), interior_pts)
-        _fill_rows(matrix[n_int:, n_base:], lambda pts: eval_matrix(cols, pts), evaluated)
-
-    return LinearSystem(matrix, np.concatenate(targets))
+    interior = dedup_rows(np.vstack([block.interior, adaptive.centers]))
+    evaluated = np.vstack([block.boundary, *block.extra_points])
+    n_base, n_grid, n_int = base.n_kernels, block.interior.shape[0], interior.shape[0]
+    matrix = np.empty((n_int + evaluated.shape[0], n_base + adaptive.n_kernels))
+    matrix[:n_grid, :n_base] = block.matrix[:n_grid]
+    matrix[n_int:, :n_base] = block.matrix[n_grid:]
+    _fill_rows(matrix[n_grid:n_int, :n_base], lambda pts: operator_matrix(problem, base, pts), interior[n_grid:])
+    _fill_rows(matrix[:n_int, n_base:], lambda pts: operator_matrix(problem, adaptive, pts), interior)
+    _fill_rows(matrix[n_int:, n_base:], lambda pts: eval_matrix(adaptive, pts), evaluated)
+    basis = RbfBasis(np.vstack([base.centers, adaptive.centers]), np.vstack([base.widths, adaptive.widths]))
+    return LinearSystem(matrix, _targets(problem, interior, block.boundary, extra_values)), basis
 
 
 @fixed_blas_threads()

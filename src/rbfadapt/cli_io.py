@@ -373,9 +373,9 @@ SCHEMA = {
     "advection": _Section(("advection",), {
         "n_blocks": _Key(_int(1), 100),
         "n_colloc": _Key(_int(1), 600),
-        "n_boundary": _Key(_int(1), 150),
+        "n_boundary": _Key(_int(2), 150),
         "n_initial": _Key(_int(1), 450),
-        "n_rbf": _Key(_int(1), 150),
+        "n_rbf": _Key(_int(2), 150),
         "t_final": _Key(_positive, 1.0),
         "tuning_blocks": _Key(_int(1), 10),
         "max_evals": _Key(_int(1), 40),
@@ -522,9 +522,24 @@ def _given_bounds_replace_the_search_space(raw: dict) -> dict:
 
 
 def _kernels_fit_the_grid(config: RunConfig):
-    n_colloc, n_rbf = config.baseline["n_colloc"], config.baseline["n_rbf"]
+    name = "baseline" if config.baseline is not None else "advection"
+    section = getattr(config, name)
+    n_colloc, n_rbf = section["n_colloc"], section["n_rbf"]
     if n_rbf > n_colloc:
-        _fail("baseline.n_rbf", f"must not exceed baseline.n_colloc ({n_colloc}), got {n_rbf}")
+        _fail(f"{name}.n_rbf", f"must not exceed {name}.n_colloc ({n_colloc}), got {n_rbf}")
+
+
+# fewest boundary points the perimeter of each 2D domain is laid out
+# with: four sides of the square, two x edges of the space-time slab;
+# the 1D problems take their two end points whatever n_boundary says
+_LEAST_BOUNDARY = {"poisson": 4, "advection": 2}
+
+
+def _boundary_fits_the_domain(config: RunConfig):
+    ptype, n = config.problem["type"], config.baseline["n_boundary"]
+    least = _LEAST_BOUNDARY.get(ptype, 1)
+    if n < least:
+        _fail("baseline.n_boundary", f"the {ptype} problem needs at least {least} boundary points, got {n}")
 
 
 def _truth_gives_one_parameter(config: RunConfig):
@@ -634,6 +649,7 @@ def _schedule_decreases(config: RunConfig):
 # only when its section belongs to the run
 _CHECKS = (
     ("baseline", _kernels_fit_the_grid),
+    ("baseline", _boundary_fits_the_domain),
     ("sensors", _truth_gives_one_parameter),
     ("sensors", _placement_fits_the_domain),
     ("search", _forward_search_adapts),
@@ -642,6 +658,7 @@ _CHECKS = (
     ("search", _bounds_and_fixed_cover_the_search_vector),
     ("search", _eta_fits_the_domain),
     ("search", _searched_parameters_keep_their_sign),
+    ("advection", _kernels_fit_the_grid),
     ("advection", _bounds_name_the_tunables),
     ("advection", _tunables_lie_in_bounds),
     ("advection", _tuning_fits_the_march),

@@ -22,6 +22,7 @@ from .assembly import (
     SolvedModel,
     build_system,
     evaluate_model,
+    extend,
     fixed_block,
     operator_matrix,
     solve_system,
@@ -39,7 +40,6 @@ from .sampling import (
     boundary_points_rect,
     boundary_points_xsides,
     component_counts,
-    dedup_rows,
     default_eta,
     draw_widths,
     initial_points,
@@ -334,35 +334,29 @@ def forward_objective(
     yields (+inf, None). When the hyperparameters carry PDE-parameter
     entries the drawn/assigned value feeds both the operator and the
     width sampler.  fixed is the run's baseline block (see
-    _forward_fixed_block), reused by the assembly.
+    _forward_fixed_block) for hyperparameters without PDE parameters;
+    when it is None the evaluation builds the block for its own problem.
     """
     ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(2, int(eval_seed)))
     rng = np.random.default_rng(ss)
     problem = _effective_problem(spec.problem, hp, rng)
     try:
+        block = fixed if fixed is not None else _forward_fixed_block(problem, spec.baseline, sensors)
         cfg = sample_configuration(hp, spec.baseline, problem.domain, problem.nu, rng)
-        system = build_system(
-            problem,
-            cfg.basis,
-            cfg.interior_pts,
-            _boundary_points(problem, spec.baseline),
-            extra_rows=_extra_rows(problem, spec.baseline, sensors),
-            fixed=fixed,
-        )
-        model = solve_system(system, cfg.basis)
+        extra_values = [vals for _, vals in _extra_rows(problem, spec.baseline, sensors)]
+        system, basis = extend(block, cfg.adaptive, extra_values)
+        model = solve_system(system, basis)
     except (ArithmeticError, np.linalg.LinAlgError):
         return np.inf, None
-    model = replace(model, tags=cfg.component_of)
+    tags = np.concatenate([np.zeros(block.basis.n_kernels, dtype=int), cfg.component_of])
+    model = replace(model, tags=tags)
     return model.loss, model
 
 
-def _forward_fixed_block(spec: ForwardRunSpec, sensors=None):
+def _forward_fixed_block(problem: PdeProblem, baseline: BaselineConfig, sensors=None):
     """The baseline kernels' rows at the collocation grid, boundary and
-    extra points, shared by every evaluation of a run.  None when the run
-    searches a PDE parameter: the operator then changes per evaluation."""
-    if spec.pde_params:
-        return None
-    problem, baseline = spec.problem, spec.baseline
+    extra points, shared by every evaluation of a run that searches no
+    PDE parameter."""
     return fixed_block(
         problem,
         baseline_basis(problem.domain, baseline),
@@ -375,7 +369,9 @@ def _forward_fixed_block(spec: ForwardRunSpec, sensors=None):
 def _optimize_forward(spec: ForwardRunSpec, sensors=None) -> tuple:
     """Shared BO loop; returns (history, best model, w_named, w_opt)."""
     state = {"i": 0, "best_loss": np.inf, "best_model": None}
-    fixed = _forward_fixed_block(spec, sensors)
+    # a searched PDE parameter changes the operator per evaluation, so
+    # each evaluation then builds its own block
+    fixed = None if spec.pde_params else _forward_fixed_block(spec.problem, spec.baseline, sensors)
 
     def objective(w):
         values = dict(zip(spec.bounds.names, w))
@@ -608,7 +604,6 @@ def solve_advection_timeblocks(
         boundary_spec={"left": 0.0, "right": 0.0},
     )
     base = baseline_basis(unit, BaselineConfig(spec.n_colloc, spec.n_rbf, sigma_hat))
-    grid = uniform_grid(unit, spec.n_colloc)
     bc_pts = boundary_points_xsides(unit, spec.n_boundary)
     ic_pts = initial_points(unit, spec.n_initial)
     ic_xhat = ic_pts[:, 0]
@@ -634,7 +629,7 @@ def solve_advection_timeblocks(
     top_pts = np.column_stack([ic_xhat, np.ones_like(ic_xhat)])
     # the baseline kernels' entries are the same in every block: build them
     # once, and per block only the adaptive kernels' columns and rows
-    fixed = fixed_block(block_problem, base, grid, bc_pts, [(ic_pts, ic_vals)])
+    fixed = fixed_block(block_problem, base, uniform_grid(unit, spec.n_colloc), bc_pts, [(ic_pts, ic_vals)])
     val_base = operator_matrix(block_problem, base, val_pts)
     top_base = eval_matrix(base, top_pts)
     # [base | adaptive] rows of the blocks with adaptive kernels: n_adapt is
@@ -649,37 +644,22 @@ def solve_advection_timeblocks(
         rng = np.random.default_rng(block_seeds[k])
         mask = characteristic_mask(ic_xhat, ic_vals, a_hat, pad)
         if mask.empty or n_adapt == 0:
-            basis = base
-            interior = grid
-            tags = np.zeros(spec.n_rbf, dtype=int)
+            adapt = None
             val_rows, top_rows = val_base, top_base
         else:
             adapt_pts = _sample_mask_points(mask, n_adapt, rng)
             # sharp structure lives along x; time-direction kernels span the block
             widths = np.column_stack([np.full(n_adapt, wx), np.ones(n_adapt)])
-            basis = RbfBasis(
-                np.vstack([base.centers, adapt_pts]),
-                np.vstack([base.widths, widths]),
-            )
-            interior = dedup_rows(np.vstack([grid, adapt_pts]))
-            tags = np.concatenate([np.zeros(spec.n_rbf, dtype=int), np.ones(n_adapt, dtype=int)])
             adapt = RbfBasis(adapt_pts, widths)
             val_rows, top_rows = val_rows_adapt, top_rows_adapt
             val_rows[:, spec.n_rbf:] = operator_matrix(block_problem, adapt, val_pts)
             top_rows[:, spec.n_rbf:] = eval_matrix(adapt, top_pts)
-        system = build_system(
-            block_problem,
-            basis,
-            interior,
-            bc_pts,
-            extra_rows=[(ic_pts, ic_vals)],
-            fixed=fixed,
-        )
+        system, basis = extend(fixed, adapt, [ic_vals])
         try:
             model = solve_system(system, basis)
         except (ArithmeticError, np.linalg.LinAlgError) as err:
             raise ArithmeticError(f"time block {k} solve failed: {err}") from err
-        model = replace(model, tags=tags)
+        model = replace(model, tags=(np.arange(basis.n_kernels) >= spec.n_rbf).astype(int))
         models.append(model)
         losses.append(model.loss)
         with fixed_blas_threads():
@@ -738,14 +718,10 @@ class SensorPlacement(Enum):
 class SensorData:
     points: np.ndarray
     values: np.ndarray
-    noise_fraction: float
-    placement: SensorPlacement
 
     def __post_init__(self):
         if self.points.shape[0] != self.values.shape[0]:
             raise ValueError("points/values length mismatch")
-        if self.noise_fraction < 0:
-            raise ValueError("noise_fraction must be nonnegative")
 
 
 def generate_sensor_data(
@@ -764,6 +740,8 @@ def generate_sensor_data(
     """
     if n_points < 1:
         raise ValueError("need at least one sensor point")
+    if noise_fraction < 0:
+        raise ValueError("noise_fraction must be nonnegative")
     truth = _at_params(problem, true_params)
     dom = truth.domain
     if placement is SensorPlacement.UNIFORM_RANDOM:
@@ -779,7 +757,7 @@ def generate_sensor_data(
     if values is None:
         raise ValueError("sensor generation needs an exact solution")
     values = values * (1.0 + noise_fraction * rng.standard_normal(n_points))
-    return SensorData(pts, values, float(noise_fraction), placement)
+    return SensorData(pts, values)
 
 
 @dataclass(frozen=True)

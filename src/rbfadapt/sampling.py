@@ -1,14 +1,14 @@
 """Kernel-placement sampling.
 
-Centers come from a mixture of a deterministic uniform-grid baseline
-component and Gaussian adaptive components steered by a handful of
-distributional hyperparameters.  Adaptive widths come from an
-inverse-scale draw whose range grows as the problem gets stiffer, so
-small diffusion admits sharp kernels.  By default each adaptive
-component draws a single width its kernels share; an optional
+A network's kernels are a deterministic uniform-grid baseline plus
+Gaussian adaptive components steered by a handful of distributional
+hyperparameters; this module draws the adaptive kernels only (the
+baseline is the run's fixed block, see assembly).  Adaptive widths come
+from an inverse-scale draw whose range grows as the problem gets
+stiffer, so small diffusion admits sharp kernels.  By default each
+adaptive component draws a single width its kernels share; an optional
 per-kernel mode draws independently for every kernel, producing a
-multi-scale width ladder for extremely stiff problems.  Collocation
-points reuse the baseline grid plus every adaptive center verbatim.
+multi-scale width ladder for extremely stiff problems.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ class BaselineConfig:
 
 @dataclass(frozen=True)
 class SampledConfiguration:
-    basis: RbfBasis
-    interior_pts: np.ndarray
+    # the adaptive kernels, None when none were drawn
+    adaptive: Optional[RbfBasis]
+    # component id (1, 2, ...) of each adaptive kernel
     component_of: np.ndarray
 
 
@@ -213,20 +214,19 @@ def initial_points(domain: Box, n: int) -> np.ndarray:
 
 
 def sample_centers(hp: MixtureHyperparams, counts, domain: Box, rng):
-    """Draw kernel centers; returns (centers, component_of).
+    """Draw the adaptive kernel centers; returns (centers, component_of).
 
-    The baseline component is the deterministic uniform grid; adaptive
-    components draw i.i.d. normal with per-dimension std eta * tau,
-    redrawing out-of-domain points up to 100 times before clamping.
+    counts holds one kernel count per adaptive component.  Each component
+    draws i.i.d. normal with per-dimension std eta * tau, redrawing
+    out-of-domain points up to 100 times before clamping.
     """
-    if len(counts) != 1 + hp.n_adaptive:
+    if len(counts) != hp.n_adaptive:
         raise ValueError("counts do not match the number of components")
     if not eta_fits(domain, hp.eta):
         raise ValueError("eta exceeds one-tenth of the domain extent")
-    centers = [uniform_grid(domain, counts[0])]
-    tags = [np.zeros(counts[0], dtype=int)]
-    for k, comp in enumerate(hp.components, start=1):
-        n_k = counts[k]
+    centers = [np.empty((0, domain.dim))]
+    tags = [np.empty(0, dtype=int)]
+    for k, (comp, n_k) in enumerate(zip(hp.components, counts), start=1):
         if n_k == 0:
             continue
         if comp.dim != domain.dim:
@@ -286,29 +286,6 @@ def sample_widths(
     return widths
 
 
-def sample_collocation(
-    baseline: BaselineConfig, centers: np.ndarray, component_of: np.ndarray, domain: Box
-) -> np.ndarray:
-    """Interior points: the n_colloc uniform grid plus adaptive centers.
-
-    Exact duplicates are kept once, first occurrence order preserved.
-    """
-    grid = uniform_grid(domain, baseline.n_colloc)
-    adaptive = centers[component_of > 0]
-    combined = np.vstack([grid, adaptive]) if adaptive.size else grid
-    return dedup_rows(combined)
-
-
-def dedup_rows(pts: np.ndarray) -> np.ndarray:
-    """The rows of pts with exact duplicates dropped, first occurrences kept
-    in order.  Rows are compared by their bytes, so -0.0 and 0.0 differ."""
-    rows = np.ascontiguousarray(pts)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel().tolist()
-    # a dict keeps the last index given for a key: fed backwards, the first
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    return pts[sorted(first.values())]
-
-
 def sample_nu(hp: MixtureHyperparams, rng) -> float:
     """One positive draw of the diffusion parameter for inverse runs."""
     if hp.inverse_params is None or "mu_nu" not in hp.inverse_params:
@@ -331,21 +308,20 @@ def sample_configuration(
     nu: float,
     rng,
 ) -> SampledConfiguration:
-    """Draw a full kernel configuration and its collocation points."""
-    counts = component_counts(baseline.n_rbf, hp.fractions)
+    """Draw the adaptive kernels: centers, then widths capped at sigma_f."""
+    counts = component_counts(baseline.n_rbf, hp.fractions)[1:]
     centers, tags = sample_centers(hp, counts, domain, rng)
+    if not tags.size:
+        return SampledConfiguration(None, tags)
     widths = np.empty_like(centers)
-    widths[tags == 0] = baseline.sigma_f
     per_kernel = hp.width_sharing == "kernel"
     for k in range(1, hp.n_adaptive + 1):
         mask = tags == k
         if not np.any(mask):
             continue
         if per_kernel:
-            rows = np.flatnonzero(mask)
-            for i in rows:
+            for i in np.flatnonzero(mask):
                 widths[i] = sample_widths(hp, k, nu, baseline.sigma_f, rng)
         else:
             widths[mask] = sample_widths(hp, k, nu, baseline.sigma_f, rng)
-    interior = sample_collocation(baseline, centers, tags, domain)
-    return SampledConfiguration(RbfBasis(centers, widths), interior, tags)
+    return SampledConfiguration(RbfBasis(centers, widths), tags)

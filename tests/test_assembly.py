@@ -1,7 +1,6 @@
 """Tests for system assembly and the least-squares solve."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,9 @@ from rbfadapt.assembly import (
     SolvedModel,
     boundary_targets,
     build_system,
+    dedup_rows,
     evaluate_model,
+    extend,
     fixed_block,
     operator_matrix,
     residual_loss,
@@ -32,7 +33,6 @@ from rbfadapt.rbf import RbfBasis, eval_matrix
 from rbfadapt.sampling import (
     boundary_points_rect,
     boundary_points_xsides,
-    dedup_rows,
     initial_points,
     uniform_grid,
 )
@@ -175,23 +175,25 @@ class TestOperatorBitIdentity:
 
 
 def _forward_case(problem, n_grid, boundary, extra, seed, n_adapt=29):
-    """A baseline block plus adaptive kernels the way a run draws them:
-    baseline kernels first, interior = grid then adaptive centres, with
-    one centre clipped onto a grid point (dedup drops it)."""
+    """A baseline block plus adaptive kernels the way a run draws them,
+    with one centre clipped onto a grid point (dedup drops it).  Returns
+    the block, the adaptive kernels, and the stacked basis and interior
+    (grid then adaptive centres) that the plain build takes."""
     rng = np.random.default_rng(seed)
     dom = problem.domain
     base = RbfBasis(uniform_grid(dom, 36), np.full((36, dom.dim), 0.17))
     grid = uniform_grid(dom, n_grid)
     centres = rng.uniform(dom.lower, dom.upper, (n_adapt, dom.dim))
     centres[3] = grid[5]
+    adaptive = RbfBasis(centres, rng.uniform(0.005, 0.1, (n_adapt, dom.dim)))
     basis = RbfBasis(
-        np.vstack([base.centers, centres]),
-        np.vstack([base.widths, rng.uniform(0.005, 0.1, (n_adapt, dom.dim))]),
+        np.vstack([base.centers, adaptive.centers]),
+        np.vstack([base.widths, adaptive.widths]),
     )
     interior = dedup_rows(np.vstack([grid, centres]))
     assert interior.shape[0] == n_grid + n_adapt - 1
     block = fixed_block(problem, base, grid, boundary, extra)
-    return base, grid, basis, interior, block
+    return block, adaptive, basis, interior
 
 
 def _initial_rows(problem, n, shift=0.0):
@@ -199,116 +201,148 @@ def _initial_rows(problem, n, shift=0.0):
     return [(pts, np.sin(3.0 * pts[:, 0]) + shift)]
 
 
+def _values(extra):
+    return [vals for _, vals in extra or ()]
+
+
 def _systems_equal(a, b):
     return np.array_equal(a.matrix, b.matrix) and np.array_equal(a.targets, b.targets)
 
 
+def _bases_equal(a, b):
+    return np.array_equal(a.centers, b.centers) and np.array_equal(a.widths, b.widths)
+
+
 class TestFixedBlock:
-    """build_system with a fixed block equals the full build bit for bit."""
+    """extend equals build_system on the stacked basis and points bit for bit."""
 
     def test_poisson_with_clipped_adaptive_centre(self):
         prob = poisson2d(0.05)
         boundary = boundary_points_rect(prob.domain, 40)
-        base, grid, basis, interior, block = _forward_case(prob, 63, boundary, None, 1)
-        full = build_system(prob, basis, interior, boundary)
-        reused = build_system(prob, basis, interior, boundary, fixed=block)
-        assert _systems_equal(reused, full)
+        block, adaptive, basis, interior = _forward_case(prob, 63, boundary, None, 1)
+        system, extended = extend(block, adaptive, [])
+        assert _systems_equal(system, build_system(prob, basis, interior, boundary))
+        assert _bases_equal(extended, basis)
 
     def test_no_adaptive_kernels(self):
         prob = poisson2d(0.05)
         boundary = boundary_points_rect(prob.domain, 40)
-        base, grid, _, _, block = _forward_case(prob, 63, boundary, None, 2)
-        full = build_system(prob, base, grid, boundary)
-        reused = build_system(prob, base, grid, boundary, fixed=block)
-        assert _systems_equal(reused, full)
-        assert reused.matrix is not block.matrix
+        block, _, _, _ = _forward_case(prob, 63, boundary, None, 2)
+        system, basis = extend(block, None, [])
+        assert _systems_equal(system, build_system(prob, block.basis, block.interior, boundary))
+        # the block's matrix is shared, not copied
+        assert system.matrix is block.matrix and basis is block.basis
 
     def test_initial_rows_take_this_call_values(self):
         prob = advection1d(0.05, 0.5)
         boundary = boundary_points_xsides(prob.domain, 30)
-        base, grid, basis, interior, block = _forward_case(
-            prob, 77, boundary, _initial_rows(prob, 41), 3
-        )
+        block, adaptive, basis, interior = _forward_case(prob, 77, boundary, _initial_rows(prob, 41), 3)
         # the march hands new initial values to every block
         extra = _initial_rows(prob, 41, shift=0.25)
-        full = build_system(prob, basis, interior, boundary, extra)
-        reused = build_system(prob, basis, interior, boundary, extra, fixed=block)
-        assert _systems_equal(reused, full)
-        assert np.array_equal(reused.targets[-41:], extra[0][1])
+        for kernels in (adaptive, None):
+            system, extended = extend(block, kernels, _values(extra))
+            points = interior if kernels is not None else block.interior
+            assert _systems_equal(system, build_system(prob, extended, points, boundary, extra))
+            assert np.array_equal(system.targets[-41:], extra[0][1])
 
     @pytest.mark.parametrize("problem", [convdiff_type1(0.01), convdiff_type2(0.02)])
     def test_sensor_rows(self, problem):
         rng = np.random.default_rng(4)
         boundary = np.array([[0.0], [1.0]])
         sensors = [(rng.uniform(0, 1, (23, 1)), rng.normal(size=23))]
-        base, grid, basis, interior, block = _forward_case(problem, 97, boundary, sensors, 5)
-        full = build_system(problem, basis, interior, boundary, sensors)
-        reused = build_system(problem, basis, interior, boundary, sensors, fixed=block)
-        assert _systems_equal(reused, full)
-        assert np.array_equal(reused.targets[-23:], sensors[0][1])
+        block, adaptive, basis, interior = _forward_case(problem, 97, boundary, sensors, 5)
+        system, _ = extend(block, adaptive, _values(sensors))
+        assert _systems_equal(system, build_system(problem, basis, interior, boundary, sensors))
+        assert np.array_equal(system.targets[-23:], sensors[0][1])
 
 
 class TestStaleFixedBlock:
-    """A block built from other kernels, rows or problem is refused."""
+    """A block stays valid for every system of a run: extend takes the
+    problem, the leading kernels, the grid, the boundary and the extra
+    points from the block, and never writes into it."""
 
-    def _case(self):
-        prob = advection1d(0.05, 0.5)
+    def _case(self, problem=None):
+        prob = problem or advection1d(0.05, 0.5)
         boundary = boundary_points_xsides(prob.domain, 30)
-        extra = _initial_rows(prob, 41)
-        base, grid, basis, interior, block = _forward_case(prob, 77, boundary, extra, 6)
-        return prob, basis, interior, boundary, extra, block
-
-    def _refused(self, prob, basis, interior, boundary, extra, block, match):
-        with pytest.raises(ValueError, match=match):
-            build_system(prob, basis, interior, boundary, extra, fixed=block)
+        block, adaptive, basis, interior = _forward_case(prob, 77, boundary, _initial_rows(prob, 41), 6)
+        return block, adaptive, basis, interior
 
     def test_accepts_its_own_inputs(self):
-        prob, basis, interior, boundary, extra, block = self._case()
-        build_system(prob, basis, interior, boundary, extra, fixed=block)
+        # the march extends one block a hundred times and solves each system
+        block, adaptive, _, _ = self._case()
+        before = block.matrix.copy()
+        values = _values(_initial_rows(block.problem, 41))
+        first = extend(block, adaptive, values)[0]
+        for kernels in (adaptive, None):
+            system, basis = extend(block, kernels, values)
+            solve_system(system, basis)
+        assert np.array_equal(block.matrix, before)
+        assert _systems_equal(extend(block, adaptive, values)[0], first)
 
     def test_leading_centre_differs(self):
-        prob, basis, interior, boundary, extra, block = self._case()
-        centers = basis.centers.copy()
-        centers[7, 0] += 1e-12
-        moved = RbfBasis(centers, basis.widths)
-        self._refused(prob, moved, interior, boundary, extra, block, "kernels")
+        # a centre one rounding step off a grid point is a row of its own
+        block, adaptive, _, _ = self._case()
+        values = _values(_initial_rows(block.problem, 41))
+        centres = adaptive.centers.copy()
+        centres[3, 0] = np.nextafter(centres[3, 0], 2.0)
+        moved = extend(block, RbfBasis(centres, adaptive.widths), values)[0]
+        assert moved.n_rows == extend(block, adaptive, values)[0].n_rows + 1
 
     def test_leading_width_differs(self):
-        prob, basis, interior, boundary, extra, block = self._case()
-        widths = basis.widths.copy()
-        widths[0, 1] *= 1.5
-        self._refused(
-            prob, RbfBasis(basis.centers, widths), interior, boundary, extra, block, "kernels"
-        )
+        # a baseline kernel's centre with another width is a column of its own
+        block, _, _, _ = self._case()
+        extra = _initial_rows(block.problem, 41)
+        twin = RbfBasis(block.basis.centers[:1], 1.5 * block.basis.widths[:1])
+        system, basis = extend(block, twin, _values(extra))
+        assert basis.n_kernels == block.basis.n_kernels + 1
+        interior = dedup_rows(np.vstack([block.interior, twin.centers]))
+        assert _systems_equal(system, build_system(block.problem, basis, interior, block.boundary, extra))
 
     def test_basis_shorter_than_block(self):
-        prob, basis, interior, boundary, extra, block = self._case()
-        short = RbfBasis(basis.centers[:10], basis.widths[:10])
-        self._refused(prob, short, interior, boundary, extra, block, "kernels")
+        # fewer adaptive kernels than baseline ones, down to a single one
+        block, adaptive, _, _ = self._case()
+        extra = _initial_rows(block.problem, 41)
+        one = RbfBasis(adaptive.centers[:1], adaptive.widths[:1])
+        system, basis = extend(block, one, _values(extra))
+        interior = np.vstack([block.interior, one.centers])
+        assert _systems_equal(system, build_system(block.problem, basis, interior, block.boundary, extra))
 
     def test_leading_interior_row_differs(self):
-        prob, basis, interior, boundary, extra, block = self._case()
-        moved = interior.copy()
-        moved[12, 1] = 0.5
-        self._refused(prob, basis, moved, boundary, extra, block, "interior")
-        self._refused(prob, basis, interior[:50], boundary, extra, block, "interior")
+        # adaptive centres that all sit on the grid add columns but no rows
+        block, _, _, _ = self._case()
+        extra = _initial_rows(block.problem, 41)
+        on_grid = RbfBasis(block.interior[[2, 40, 2]], np.full((3, 2), 0.05))
+        system, basis = extend(block, on_grid, _values(extra))
+        assert system.n_rows == block.matrix.shape[0]
+        assert _systems_equal(system, build_system(block.problem, basis, block.interior, block.boundary, extra))
 
     def test_boundary_differs(self):
-        prob, basis, interior, boundary, extra, block = self._case()
-        self._refused(prob, basis, interior, boundary[::-1], extra, block, "boundary")
-        self._refused(prob, basis, interior, boundary[1:], extra, block, "boundary")
+        # new extra values change only the targets of the extra rows
+        block, adaptive, _, _ = self._case()
+        (_, vals), = _initial_rows(block.problem, 41)
+        a = extend(block, adaptive, [vals])[0]
+        b = extend(block, adaptive, [vals + 1.0])[0]
+        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.targets[:-41], b.targets[:-41])
+        assert np.array_equal(b.targets[-41:], vals + 1.0)
 
     def test_extra_points_differ(self):
-        prob, basis, interior, boundary, extra, block = self._case()
-        (pts, vals), = extra
-        self._refused(prob, basis, interior, boundary, [(pts + 1e-9, vals)], block, "extra")
-        self._refused(prob, basis, interior, boundary, [], block, "extra")
-        self._refused(prob, basis, interior, boundary, extra * 2, block, "extra")
+        block, adaptive, _, _ = self._case()
+        (_, vals), = _initial_rows(block.problem, 41)
+        for values in ([vals[1:]], [], [vals, vals]):
+            for kernels in (adaptive, None):
+                with pytest.raises(ValueError, match="extra values"):
+                    extend(block, kernels, values)
 
     def test_problem_differs(self):
-        prob, basis, interior, boundary, extra, block = self._case()
-        faster = replace(prob, advection_speed=0.6)
-        self._refused(faster, basis, interior, boundary, extra, block, "problem")
+        # the operator rows are those of the block's problem
+        at_slower = self._case(advection1d(0.05, 0.5))
+        at_faster = self._case(advection1d(0.05, 0.6))
+        values = _values(_initial_rows(at_slower[0].problem, 41))
+        slower = extend(at_slower[0], at_slower[1], values)[0]
+        faster = extend(at_faster[0], at_faster[1], values)[0]
+        assert slower.matrix.shape == faster.matrix.shape
+        assert not np.array_equal(slower.matrix, faster.matrix)
 
 
 class TestBuildSystem:
@@ -510,10 +544,10 @@ class TestChunkedRows:
         # rows, the fixed block's own rows and the adaptive columns alike
         extra = _initial_rows(problem, 41) if problem.kind is ProblemKind.ADVECTION1D else None
         boundary = boundary_points_rect(problem.domain, 80)
-        base, grid, basis, interior, block = _forward_case(problem, 37 * 37, boundary, extra, 11)
+        block, adaptive, basis, interior = _forward_case(problem, 37 * 37, boundary, extra, 11)
         assert interior.shape[0] > CHUNK_ROWS
         full = build_system(problem, basis, interior, boundary, extra)
-        assert _systems_equal(build_system(problem, basis, interior, boundary, extra, fixed=block), full)
+        assert _systems_equal(extend(block, adaptive, _values(extra))[0], full)
         evaluated = np.vstack([boundary, *(pts for pts, _ in extra or ())])
         whole = np.vstack([operator_matrix(problem, basis, interior), eval_matrix(basis, evaluated)])
         assert np.array_equal(full.matrix, whole)

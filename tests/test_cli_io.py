@@ -708,6 +708,14 @@ class TestErrorMessages:
 LATE_MISTAKES = [
     pytest.param(_forward(baseline={"n_colloc": 100, "n_rbf": 200}), "forward",
                  "baseline.n_rbf", id="more-kernels-than-points"),
+    pytest.param(_march(n_colloc=100, n_rbf=150), "advection",
+                 "advection.n_rbf", id="more-march-kernels-than-points"),
+    pytest.param(_march(n_rbf=1), "advection", "advection.n_rbf", id="one-march-kernel"),
+    pytest.param({"kind": "forward", "problem": {"type": "poisson"}, "baseline": {"n_boundary": 3}},
+                 "forward", "baseline.n_boundary", id="three-points-round-the-square"),
+    pytest.param(_march(n_boundary=1), "advection", "advection.n_boundary", id="one-march-edge-point"),
+    pytest.param(_inverse("advection", baseline={"n_boundary": 1}), "inverse",
+                 "baseline.n_boundary", id="one-slab-edge-point"),
     pytest.param(_inverse("advection", sensors={"placement": "boundary_layer_biased"}), "inverse",
                  "sensors.placement", id="biased-sensors-in-space-time"),
     pytest.param(_march(tunables=[9, 1, 3]), "advection",

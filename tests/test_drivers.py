@@ -7,6 +7,7 @@ import pytest
 
 from rbfadapt.assembly import (
     build_system,
+    dedup_rows,
     evaluate_model,
     operator_matrix,
     solve_system,
@@ -14,6 +15,7 @@ from rbfadapt.assembly import (
 from rbfadapt.bayesopt import BoConfig, SearchBounds
 from rbfadapt.blas import fixed_blas_threads
 from rbfadapt.drivers import (
+    _at_params,
     _forward_fixed_block,
     _sample_mask_points,
     ForwardRunSpec,
@@ -44,7 +46,6 @@ from rbfadapt.problems import (
 from rbfadapt.sampling import (
     BaselineConfig,
     boundary_points_xsides,
-    dedup_rows,
     initial_points,
     uniform_grid,
 )
@@ -196,8 +197,7 @@ class TestForwardObjective:
                 spec.problem, {"nu": 1e-3}, 17, 0.01, SensorPlacement.BOUNDARY_LAYER_BIASED,
                 np.random.default_rng(2),
             )
-        fixed = _forward_fixed_block(spec, sensors)
-        assert fixed is not None
+        fixed = _forward_fixed_block(spec.problem, spec.baseline, sensors)
         for i, (mu, tau) in enumerate([(0.995, 0.3), (0.95, 0.05), (0.9999, 0.5)]):
             w = {"f": 0.5, "mu": mu, "tau": tau, "lam": -0.3}
             hp = build_mixture(w, 1, 1, spec.eta_value)
@@ -207,13 +207,19 @@ class TestForwardObjective:
             assert np.array_equal(reused.coefficients, model.coefficients)
 
     def test_no_fixed_block_when_a_pde_parameter_is_searched(self):
+        # an evaluation at a searched speed builds the block for that speed
         spec = replace(
             _baseline_only_spec(0.01),
             problem=advection1d(0.1, 0.5),
             bounds=SearchBounds([("a", 0.1, 1.0)]),
             pde_params=("a",),
         )
-        assert _forward_fixed_block(spec) is None
+        hp = build_mixture({"a": 0.7}, 0, 2, spec.eta_value, pde_params=spec.pde_params)
+        fixed = _forward_fixed_block(_at_params(spec.problem, {"a": 0.7}), spec.baseline)
+        loss, model = forward_objective(spec, hp, 0)
+        given_loss, given = forward_objective(spec, hp, 0, fixed=fixed)
+        assert given_loss == loss
+        assert np.array_equal(given.coefficients, model.coefficients)
 
     def test_component_tags_attached_to_model(self):
         spec = _one_component_spec(0.01)
@@ -556,12 +562,7 @@ class TestInverse:
         outside = generate_sensor_data(
             problem, {"nu": 0.01}, 10, 0.0, SensorPlacement.UNIFORM_RANDOM, rng
         )
-        outside = type(outside)(
-            points=outside.points + 5.0,
-            values=outside.values,
-            noise_fraction=0.0,
-            placement=outside.placement,
-        )
+        outside = type(outside)(points=outside.points + 5.0, values=outside.values)
         forward_inv = ForwardRunSpec(
             problem=problem,
             baseline=baseline,

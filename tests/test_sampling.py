@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from rbfadapt.problems import Box
+from rbfadapt.assembly import build_system, dedup_rows, extend, fixed_block
+from rbfadapt.drivers import baseline_basis
+from rbfadapt.problems import Box, convdiff_type1
+from rbfadapt.rbf import RbfBasis
 from rbfadapt.sampling import (
     BaselineConfig,
     MixtureComponent,
@@ -12,12 +15,10 @@ from rbfadapt.sampling import (
     boundary_points_rect,
     boundary_points_xsides,
     component_counts,
-    dedup_rows,
     default_eta,
     initial_points,
     most_square_factors,
     sample_centers,
-    sample_collocation,
     sample_configuration,
     sample_nu,
     sample_widths,
@@ -133,16 +134,18 @@ class TestGrids:
 
 class TestSampleCenters:
     def test_baseline_grid_when_no_adaptive_draws(self):
+        # the baseline grid is the run's fixed block: with no adaptive
+        # draws nothing is added to it and the stream is left untouched
         hp = _hp_1d()
-        centers, tags = sample_centers(hp, [10, 0], UNIT, np.random.default_rng(0))
-        assert centers.shape == (10, 1)
-        assert np.all(tags == 0)
-        np.testing.assert_allclose(centers.ravel(), np.linspace(0, 1, 10))
+        rng = np.random.default_rng(0)
+        centers, tags = sample_centers(hp, [0], UNIT, rng)
+        assert centers.shape == (0, 1) and tags.size == 0
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_adaptive_moments(self):
         hp = _hp_1d(mu=0.5, tau=1.0, eta=0.1)
         rng = np.random.default_rng(42)
-        centers, tags = sample_centers(hp, [2, 100000], UNIT, rng)
+        centers, tags = sample_centers(hp, [100000], UNIT, rng)
         draws = centers[tags == 1].ravel()
         se_mean = 0.1 / np.sqrt(draws.size)
         assert abs(draws.mean() - 0.5) < 3 * se_mean
@@ -152,13 +155,13 @@ class TestSampleCenters:
     def test_all_inside_domain(self):
         # component hugging the right edge forces redraws and clamps
         hp = _hp_1d(mu=0.999, tau=0.5)
-        centers, _ = sample_centers(hp, [5, 5000], UNIT, np.random.default_rng(1))
+        centers, _ = sample_centers(hp, [5000], UNIT, np.random.default_rng(1))
         assert np.all((centers >= 0.0) & (centers <= 1.0))
 
     def test_eta_cap_enforced(self):
         hp = _hp_1d(eta=0.2)
         with pytest.raises(ValueError):
-            sample_centers(hp, [5, 5], UNIT, np.random.default_rng(0))
+            sample_centers(hp, [5], UNIT, np.random.default_rng(0))
 
     def test_default_eta(self):
         assert default_eta(UNIT) == pytest.approx(0.1)
@@ -216,29 +219,42 @@ class TestSampleWidths:
             sample_widths(_hp_1d(), 0, 0.01, 0.04, np.random.default_rng(0))
 
 
+def _extended(n_grid, adaptive):
+    """extend on a convdiff1 block of 4 baseline kernels over an n_grid
+    grid, and the plain build on the stacked basis; returns both."""
+    problem = convdiff_type1(0.1)
+    base = baseline_basis(UNIT, BaselineConfig(n_grid, 4, 0.1))
+    grid, boundary = uniform_grid(UNIT, n_grid), boundary_points_1d(UNIT)
+    system, basis = extend(fixed_block(problem, base, grid, boundary), adaptive, [])
+    return system, basis, problem, grid, boundary
+
+
 class TestCollocation:
+    """Collocation points of an extended system: the block's grid, then
+    every adaptive center."""
+
     def test_no_adaptive_is_pure_grid(self):
-        base = BaselineConfig(20, 10, 0.1)
-        centers = uniform_grid(UNIT, 10)
-        pts = sample_collocation(base, centers, np.zeros(10, dtype=int), UNIT)
-        np.testing.assert_array_equal(pts, uniform_grid(UNIT, 20))
+        system, basis, problem, grid, boundary = _extended(20, None)
+        full = build_system(problem, basis, grid, boundary)
+        assert system.n_rows == 20 + 2 and basis.n_kernels == 4
+        np.testing.assert_array_equal(system.matrix, full.matrix)
 
     def test_adaptive_centers_included_verbatim(self):
-        base = BaselineConfig(50, 20, 0.1)
-        hp = _hp_1d()
-        centers, tags = sample_centers(hp, [20, 10], UNIT, np.random.default_rng(4))
-        pts = sample_collocation(base, centers, tags, UNIT)
-        assert pts.shape == (60, 1)
-        grid_bytes = {row.tobytes() for row in pts}
-        for row in centers[tags == 1]:
-            assert row.tobytes() in grid_bytes
+        cfg = sample_configuration(_hp_1d(), BaselineConfig(50, 20, 0.1), UNIT, 0.01, np.random.default_rng(4))
+        system, basis, problem, grid, boundary = _extended(50, cfg.adaptive)
+        assert system.n_rows == 50 + 10 + 2
+        interior = np.vstack([grid, cfg.adaptive.centers])
+        full = build_system(problem, basis, interior, boundary)
+        np.testing.assert_array_equal(system.matrix, full.matrix)
+        np.testing.assert_array_equal(system.targets, full.targets)
 
     def test_exact_duplicates_kept_once(self):
-        base = BaselineConfig(5, 2, 0.1)
-        centers = np.array([[0.0], [0.33], [0.33]])
-        tags = np.array([0, 1, 1])
-        pts = sample_collocation(base, centers, tags, UNIT)
-        assert pts.shape == (6, 1)  # 5 grid + 1 unique adaptive
+        # 0.33 twice, and 0.0 on the grid already
+        adaptive = RbfBasis([[0.33], [0.33], [0.0]], [[0.01], [0.02], [0.03]])
+        system, basis, problem, grid, boundary = _extended(5, adaptive)
+        assert system.n_rows == 5 + 1 + 2  # 5 grid + 1 unique adaptive + 2 boundary
+        full = build_system(problem, basis, np.vstack([grid, [[0.33]]]), boundary)
+        np.testing.assert_array_equal(system.matrix, full.matrix)
 
     def test_dedup_keeps_first_occurrences_in_order(self):
         pts = np.array([[0.5, 1.0], [0.0, 0.0], [0.5, 1.0], [-0.0, 0.0], [0.0, 0.0]])
@@ -285,26 +301,26 @@ class TestSampleConfiguration:
     def test_baseline_widths_exact(self):
         hp = _hp_1d()
         base = BaselineConfig(40, 20, 0.04)
+        assert np.all(baseline_basis(UNIT, base).widths == 0.04)
         cfg = sample_configuration(hp, base, UNIT, 0.01, np.random.default_rng(5))
-        assert np.all(cfg.basis.widths[cfg.component_of == 0] == 0.04)
-        assert np.all(cfg.basis.widths[cfg.component_of == 1] <= 0.04)
+        assert np.all(cfg.adaptive.widths <= 0.04)
 
     def test_counts(self):
         hp = _hp_1d(f=0.5)
         base = BaselineConfig(40, 20, 0.04)
         cfg = sample_configuration(hp, base, UNIT, 0.01, np.random.default_rng(5))
-        assert cfg.basis.n_kernels == 30
-        assert (cfg.component_of == 1).sum() == 10
-        assert cfg.interior_pts.shape[0] == 50
+        assert cfg.adaptive.n_kernels == 10
+        assert np.all(cfg.component_of == 1) and cfg.component_of.size == 10
+        assert sample_configuration(_hp_1d(f=0.01), base, UNIT, 0.01, np.random.default_rng(5)).adaptive is None
 
     def test_determinism(self):
         hp = _hp_1d()
         base = BaselineConfig(40, 20, 0.04)
         a = sample_configuration(hp, base, UNIT, 0.01, np.random.default_rng(77))
         b = sample_configuration(hp, base, UNIT, 0.01, np.random.default_rng(77))
-        assert a.basis.centers.tobytes() == b.basis.centers.tobytes()
-        assert a.basis.widths.tobytes() == b.basis.widths.tobytes()
-        assert a.interior_pts.tobytes() == b.interior_pts.tobytes()
+        assert a.adaptive.centers.tobytes() == b.adaptive.centers.tobytes()
+        assert a.adaptive.widths.tobytes() == b.adaptive.widths.tobytes()
+        assert a.component_of.tobytes() == b.component_of.tobytes()
 
     def test_invalid_baseline(self):
         with pytest.raises(ValueError):
