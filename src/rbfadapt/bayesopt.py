@@ -3,10 +3,14 @@
 The optimizer works on loss values spanning many orders of magnitude, so
 the surrogate is trained on log10 of the loss with inputs min-max mapped
 to the unit cube (log10-mapped first for parameters flagged log-scale).
-Acquisition is expected improvement under the minimization convention,
-maximized by candidate enumeration.  The loop stops when the proposal
-step shrinks below a tolerance, the loss beats its tolerance, or the
-evaluation budget runs out.
+The first max(5, 2 d) proposals for d parameters are a Latin hypercube.
+After that, acquisition is expected improvement under the minimization
+convention, maximized over N_CANDIDATES (2,000) uniform candidates plus
+perturbations of the incumbent.  The loop stops when a surrogate
+proposal moves less than STEP_TOL (1e-4) in the unit cube from the one
+before it, when a loss reaches ``BoConfig.loss_tol``, or when the
+evaluation budget runs out.  The design size, the candidate count and
+the step tolerance are not options: no run varies them.
 
 The surrogate's hyperparameters maximize the marginal likelihood by
 L-BFGS-B over log length scales, log signal variance and log noise
@@ -66,6 +70,10 @@ _FAILURE_PENALTY_MIN = 1e6
 _NOISE_FLOOR = 1e-8
 # candidates per column chunk of gp_predict_batch (see the module docstring)
 CHUNK_CANDIDATES = 256
+# random candidates per acquisition, before the incumbent's perturbations
+N_CANDIDATES = 2000
+# the search stops when a proposal moves less than this in the unit cube
+STEP_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -163,21 +171,13 @@ class BoConfig:
     max_evals: int = 100
     # stop once a loss is at or below this; None runs to the budget
     loss_tol: Optional[float] = 1e-6
-    step_tol: float = 1e-4
-    n_initial: Optional[int] = None
-    n_candidates: int = 2000
     seed: int = 0
 
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
-        if (self.loss_tol is not None and self.loss_tol <= 0) or self.step_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-    def initial_count(self, n_params: int) -> int:
-        if self.n_initial is not None:
-            return self.n_initial
-        return max(5, 2 * n_params)
+        if self.loss_tol is not None and self.loss_tol <= 0:
+            raise ValueError("loss_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -436,7 +436,7 @@ def bayes_step(
     local perturbations of the incumbent) wins.  If every candidate has
     zero expected improvement the lowest predictive mean wins instead.
     """
-    n_init = config.initial_count(bounds.n_params)
+    n_init = max(5, 2 * bounds.n_params)
     if len(history) < n_init:
         design = _initial_design(n_init, bounds.n_params, config.seed)
         return bounds.from_unit(design[len(history)])
@@ -446,7 +446,7 @@ def bayes_step(
     targets = np.log10(np.maximum(losses, _LOSS_FLOOR))
     surrogate = gp_fit(inputs, targets)
 
-    candidates = rng.uniform(size=(config.n_candidates, bounds.n_params))
+    candidates = rng.uniform(size=(N_CANDIDATES, bounds.n_params))
     incumbent = inputs[int(np.argmin(targets))]
     local = incumbent + _PERTURBATION_SCALE * rng.standard_normal(
         (N_INCUMBENT_PERTURBATIONS, bounds.n_params)
@@ -470,7 +470,7 @@ def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig) -> tup
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
     history = BoHistory()
-    n_init = config.initial_count(bounds.n_params)
+    n_init = max(5, 2 * bounds.n_params)
     prev_unit = None
     while True:
         w = bayes_step(history, bounds, config, rng)
@@ -487,7 +487,7 @@ def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig) -> tup
             break
         unit = bounds.to_unit(w)
         if prev_unit is not None:
-            if float(np.linalg.norm(unit - prev_unit)) < config.step_tol:
+            if float(np.linalg.norm(unit - prev_unit)) < STEP_TOL:
                 history.stop_reason = "step_tol"
                 break
         if len(history) >= config.max_evals:

@@ -1,10 +1,22 @@
 """Sharp-gradient region detection on 1D baseline solutions.
 
 Finite-difference gradients are thresholded against their mean absolute
-value, and the surviving locations are grouped with a density-based
-clustering pass.  Each resulting cluster spans one steep feature of the
+value, and the surviving locations are grouped by DBSCAN (Ester et al.,
+KDD 1996).  Each resulting cluster spans one steep feature of the
 solution; the cluster count tells the caller how many adaptive kernel
 components to allocate and the intervals tell it where.
+
+On a line, DBSCAN is one sorted scan.  Each point's neighbours form an
+index window [left, right) of the sorted points, found by
+``searchsorted`` at x - epsilon and x + epsilon, and a core point's window
+holds at least min_pts points.  Both window edges grow with x, so a
+cluster is a run of consecutive cores grown rightwards from its leftmost
+core: the next core joins it when it lies in the previous core's window.
+Only that forward test is made.  Rounding makes the windows asymmetric:
+fl(0.7 + 0.2) < 0.9 while fl(0.9 - 0.2) <= 0.7, so cores at 0.7 and 0.9
+with epsilon 0.2 form two clusters, as a breadth-first search from the
+leftmost core also finds.  Every point then joins the cluster of the
+leftmost core whose window holds it, or is noise.
 """
 
 from __future__ import annotations
@@ -50,56 +62,40 @@ def dbscan(points, epsilon: float, min_pts: int):
     """Density-based clustering of scalars; returns (clusters, noise).
 
     A core point has at least min_pts neighbors within epsilon, itself
-    included.  Clusters are connected components of core points together
-    with the border points they reach; everything else is noise.  Both
-    outputs hold indices into the input list.  Clusters are ordered by
-    their minimum coordinate, and a border point reachable from several
-    clusters joins the one whose leftmost core is smallest, so the
-    partition does not depend on input order.
+    included; cores and the points they hold form clusters as the module
+    docstring says, and everything else is noise.  Both outputs hold
+    sorted indices into the input list, and the clusters are ordered by
+    their minimum coordinate, so the partition does not depend on input
+    order.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
     points = np.asarray(points, dtype=float).ravel()
-    n = points.size
-    if n == 0:
-        return [], []
     order = np.argsort(points, kind="stable")
     sorted_pts = points[order]
 
     # neighbor index window per point on the sorted axis
     left = np.searchsorted(sorted_pts, sorted_pts - epsilon, side="left")
     right = np.searchsorted(sorted_pts, sorted_pts + epsilon, side="right")
-    counts = right - left
-    is_core = counts >= min_pts
+    cores = np.flatnonzero(right - left >= min_pts)
+    # a core opens a cluster unless it lies in the previous core's window
+    opens = np.ones(cores.size, dtype=bool)
+    opens[1:] = cores[1:] >= right[cores[:-1]]
+    cluster_of_core = np.cumsum(opens) - 1
 
-    labels = np.full(n, -1, dtype=int)
-    cluster_id = 0
-    for seed in range(n):
-        if not is_core[seed] or labels[seed] != -1:
-            continue
-        queue = [seed]
-        labels[seed] = cluster_id
-        while queue:
-            i = queue.pop()
-            if not is_core[i]:
-                continue
-            for j in range(left[i], right[i]):
-                if labels[j] == -1:
-                    labels[j] = cluster_id
-                    queue.append(j)
-        cluster_id += 1
+    # per point, the first core whose window reaches past it; both window
+    # edges grow with the core, so if that one does not hold it, none does
+    first = np.searchsorted(right[cores], np.arange(points.size), side="right")
+    held = np.flatnonzero(first < cores.size)
+    held = held[left[cores[first[held]]] <= held]
+    labels = np.full(points.size, -1)
+    labels[held] = cluster_of_core[first[held]]
 
-    clusters = []
-    for cid in range(cluster_id):
-        members = order[np.nonzero(labels == cid)[0]]
-        clusters.append(sorted(int(i) for i in members))
-    # seeds were visited in ascending coordinate, so cids are already
-    # ordered by leftmost core; re-sort by min coordinate for safety
-    clusters.sort(key=lambda idx: points[idx].min())
-    noise = sorted(int(i) for i in order[np.nonzero(labels == -1)[0]])
-    return clusters, noise
+    # in scan order, the clusters are already ordered by minimum coordinate
+    clusters = [np.sort(order[labels == c]).tolist() for c in range(int(opens.sum()))]
+    return clusters, np.sort(order[labels < 0]).tolist()
 
 
 def detect_gradient_clusters(xs, ys) -> GradientClusterResult:

@@ -14,7 +14,7 @@ for 2D Poisson), and a march's result grades its t_final profile.
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -513,8 +513,13 @@ class TimeBlockSpec:
     def __post_init__(self):
         if self.n_blocks < 1:
             raise ValueError("need at least one block")
-        if min(self.n_colloc, self.n_boundary, self.n_initial, self.n_rbf) < 1:
+        if min(self.n_colloc, self.n_initial) < 1:
             raise ValueError("per-block counts must be positive")
+        for name, value in (("n_rbf", self.n_rbf), ("n_boundary", self.n_boundary)):
+            if value < 2:
+                raise ValueError(f"{name} must be at least 2, got {value}")
+        if self.n_rbf > self.n_colloc:
+            raise ValueError(f"n_rbf must not exceed n_colloc ({self.n_colloc}), got {self.n_rbf}")
         if self.t_final <= 0 or self.nu <= 0:
             raise ValueError("t_final and nu must be positive")
         if set(self.bounds.names) != {"f", "lam", "sigma_f"}:
@@ -574,7 +579,6 @@ def solve_advection_timeblocks(
     spec: TimeBlockSpec,
     tunables=DEFAULT_ADVECTION_TUNABLES,
     eval_seed: int = 0,
-    initial_profile: Optional[Callable] = None,
 ) -> AdvectionResult:
     """March the transport solve through sequential unit-square slabs.
 
@@ -611,10 +615,7 @@ def solve_advection_timeblocks(
     pad = 1.0 / (nx - 1)
     _, n_adapt = component_counts(spec.n_rbf, [f_ratio])
 
-    if initial_profile is None:
-        ic_vals = advection_initial(x0 + ic_xhat * length_x, spec.nu)
-    else:
-        ic_vals = np.asarray(initial_profile(x0 + ic_xhat * length_x), dtype=float)
+    ic_vals = advection_initial(x0 + ic_xhat * length_x, spec.nu)
 
     # per-block placement streams and the width stream are seeded so a
     # prefix run (fewer blocks, same eval_seed) reproduces the same draws

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 from scipy.optimize._numdiff import approx_derivative
 
 from rbfadapt.bayesopt import (
+    N_CANDIDATES,
     BoConfig,
     BoHistory,
     SearchBounds,
@@ -415,7 +416,7 @@ class TestExpectedImprovement:
 class TestBayesStep:
     def test_initial_design_phase(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(n_initial=5, seed=42)
+        config = BoConfig(seed=42)
         h = BoHistory()
         h.append([0.5], 1.0)
         got = bayes_step(h, bounds, config, np.random.default_rng(0))
@@ -430,9 +431,10 @@ class TestBayesStep:
 
     def test_tie_break_uses_lowest_mean(self, monkeypatch):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(n_initial=2, n_candidates=100, seed=0)
+        config = BoConfig(seed=0)
         h = BoHistory()
-        for xi, li in [(0.1, 3.0), (0.5, 2.0), (0.9, 1.0)]:
+        # five records: past the initial design of a one-parameter search
+        for xi, li in [(0.1, 3.0), (0.3, 2.5), (0.5, 2.0), (0.7, 1.5), (0.9, 1.0)]:
             h.append([xi], li)
 
         def certain_predictions(surrogate, xs):
@@ -446,7 +448,7 @@ class TestBayesStep:
         got = bayes_step(h, bounds, config, rng)
         # replay the same candidate stream to find the lowest-mean candidate
         rng2 = np.random.default_rng(4)
-        cands = rng2.uniform(size=(100, 1))
+        cands = rng2.uniform(size=(N_CANDIDATES, 1))
         local = np.clip(
             bounds.to_unit(h.best_w) + 0.05 * rng2.standard_normal((50, 1)), 0, 1
         )
@@ -479,16 +481,18 @@ class TestOptimize:
         assert len(history) == 1
         assert history.stop_reason == "loss_tol"
 
-    def test_zero_loss_without_loss_tol_runs_to_budget(self):
+    def test_zero_loss_without_loss_tol_runs_to_budget(self, monkeypatch):
+        monkeypatch.setattr("rbfadapt.bayesopt.STEP_TOL", 1e-300)
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=8, loss_tol=None, step_tol=1e-300, seed=2)
+        config = BoConfig(max_evals=8, loss_tol=None, seed=2)
         _, history = optimize(lambda w: 0.0, bounds, config)
         assert len(history) == 8
         assert history.stop_reason == "budget"
 
-    def test_budget_is_total_evaluations(self):
+    def test_budget_is_total_evaluations(self, monkeypatch):
+        monkeypatch.setattr("rbfadapt.bayesopt.STEP_TOL", 1e-300)
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=8, loss_tol=1e-300, step_tol=1e-300, seed=2)
+        config = BoConfig(max_evals=8, loss_tol=1e-300, seed=2)
         _, history = optimize(lambda w: 1.0 + w[0] ** 2, bounds, config)
         assert len(history) == 8
         assert history.stop_reason == "budget"

@@ -68,6 +68,40 @@ def _brute_force_dbscan(points, epsilon, min_pts):
     return [sorted(c) for c in clusters], sorted(noise)
 
 
+def _breadth_first_dbscan(points, epsilon, min_pts):
+    """Reference with the library's own windows: a breadth-first search
+    from each unlabeled core, in ascending coordinate, over the
+    searchsorted neighbour windows.  Unlike the brute force above it keeps
+    their rounding, so it agrees with the library on the asymmetric edges
+    of gridded points."""
+    points = np.asarray(points, dtype=float).ravel()
+    n = points.size
+    order = np.argsort(points, kind="stable")
+    sorted_pts = points[order]
+    left = np.searchsorted(sorted_pts, sorted_pts - epsilon, side="left")
+    right = np.searchsorted(sorted_pts, sorted_pts + epsilon, side="right")
+    is_core = right - left >= min_pts
+    labels = np.full(n, -1, dtype=int)
+    cluster_id = 0
+    for seed in range(n):
+        if not is_core[seed] or labels[seed] != -1:
+            continue
+        queue = [seed]
+        labels[seed] = cluster_id
+        while queue:
+            i = queue.pop()
+            if not is_core[i]:
+                continue
+            for j in range(left[i], right[i]):
+                if labels[j] == -1:
+                    labels[j] = cluster_id
+                    queue.append(j)
+        cluster_id += 1
+    clusters = [sorted(int(i) for i in order[labels == cid]) for cid in range(cluster_id)]
+    clusters.sort(key=lambda idx: points[idx].min())
+    return clusters, sorted(int(i) for i in order[labels == -1])
+
+
 class TestEstimateGradients:
     def test_constant(self):
         xs = np.linspace(0, 1, 10)
@@ -156,6 +190,28 @@ class TestDbscan:
             exp_c, exp_n = _brute_force_dbscan(pts, eps, min_pts)
             assert got_c == exp_c, f"clusters differ in case {case}"
             assert got_n == exp_n, f"noise differs in case {case}"
+
+    def test_asymmetric_windows_keep_two_clusters(self):
+        # fl(0.7 + 0.2) < 0.9 but fl(0.9 - 0.2) <= 0.7: only the 0.9s see
+        # the 0.7s, and no core reaches the other group going right
+        assert dbscan([0.7] * 3 + [0.9] * 3, 0.2, 3) == ([[0, 1, 2], [3, 4, 5]], [])
+
+    def test_rounding_edge_splits_a_grid(self):
+        pts = [0.9, 0.1, 0.3, 0.2, 0.4, 0.7, 0.9, 0.4, 0.6, 0.6, 0.1, 0.9, 0.7, 0.5, 0.2, 0.0, 1.0]
+        clusters, noise = dbscan(pts, 0.2, 3)
+        assert clusters == [[1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15], [0, 6, 11, 16]]
+        assert noise == []
+
+    def test_matches_breadth_first_search_on_grids(self):
+        # grid points put ties and rounding edges at every epsilon tried
+        rng = np.random.default_rng(7)
+        for case in range(3000):
+            step = (0.1, 0.01, 0.001)[case % 3]
+            n = int(rng.integers(0, 80))
+            pts = rng.integers(0, round(1 / step) + 1, n) * step
+            eps = float(rng.choice([0.2, 0.05, 0.02, 0.1 * step])) if case % 2 else float(rng.uniform(0.001, 0.3))
+            min_pts = int(rng.integers(1, 9))
+            assert dbscan(pts, eps, min_pts) == _breadth_first_dbscan(pts, eps, min_pts), f"case {case}"
 
     def test_min_cluster_size(self):
         rng = np.random.default_rng(55)

@@ -376,11 +376,10 @@ def _small_block_spec(**overrides):
 
 
 class TestTimeBlocks:
-    def test_zero_field_stays_zero(self):
+    def test_zero_field_stays_zero(self, monkeypatch):
+        monkeypatch.setattr("rbfadapt.drivers.advection_initial", lambda x, nu: np.zeros_like(x))
         spec = _small_block_spec(speed=0.0, n_blocks=2, t_final=0.02)
-        result = solve_advection_timeblocks(
-            spec, (1.25, 1.0, 3.5), initial_profile=lambda x: np.zeros_like(x)
-        )
+        result = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
         assert result.aggregate_loss <= 1e-8
         _, predicted, _ = result.graded_final_profile()
         assert np.max(np.abs(predicted)) <= 1e-8
@@ -462,6 +461,15 @@ class TestTimeBlocks:
             _small_block_spec(n_colloc=0)
         with pytest.raises(ValueError):
             _small_block_spec(t_final=-1.0)
+        # each of these once failed inside the march: a division by zero,
+        # too few boundary points per side, more kernels than grid points
+        for overrides, field_name in (
+            (dict(n_blocks=1, t_final=0.01, n_rbf=1, n_colloc=10), "n_rbf"),
+            (dict(n_boundary=1), "n_boundary"),
+            (dict(n_rbf=150, n_colloc=100), "n_rbf must not exceed n_colloc"),
+        ):
+            with pytest.raises(ValueError, match=field_name):
+                TimeBlockSpec(**overrides)
 
 
 # ---------------------------------------------------------------------------
