@@ -177,12 +177,6 @@ def _as_float(value, key: str) -> float:
     return out
 
 
-def _as_bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(key, f"expected true/false, got {value!r}")
-    return value
-
-
 def _as_choice(value, key: str, choices) -> str:
     if value not in choices:
         _fail(key, f"expected one of {sorted(choices)}, got {value!r}")
@@ -276,9 +270,12 @@ class _Key:
 
 @dataclass(frozen=True)
 class _Unused:
-    """Default of a key its profile has no use for; giving it fails with ``reason``."""
+    """Default of a key its profile has no use for; giving it fails with
+    ``reason``, unless the value given is ``accepted`` (a retired key's one
+    meaning, which older files still carry)."""
 
     reason: str
+    accepted: object = None
 
 
 @dataclass(frozen=True)
@@ -357,7 +354,9 @@ SCHEMA = {
         ),
         "fixed": _Key(_mapping_of(_as_float), {"f": 0.5}, {_FORWARD_POISSON: {}, _INVERSE_TRANSPORT: {}}),
         "eta": _Key(_optional(_positive), None),
-        "isotropic_widths": _Key(_as_bool, True),
+        "isotropic_widths": _Key(
+            None, _Unused("per-axis widths were removed: every adaptive kernel has one width", accepted=True)
+        ),
         "width_sharing": _Key(_choice("component", "kernel"), "component"),
     }),
     "sensors": _Section(("inverse",), {
@@ -486,7 +485,7 @@ def _parse_section(name: str, given, kind: str, ptype: str) -> dict:
         default = spec.default_for(kind, ptype)
         if not isinstance(default, _Unused):
             parsed[key] = spec.convert(given.get(key, default), f"{name}.{key}")
-        elif given.get(key) is not None:
+        elif given.get(key) is not None and given[key] is not default.accepted:
             _fail(f"{name}.{key}", default.reason)
     return parsed
 
@@ -742,7 +741,6 @@ def _forward_spec(config: RunConfig) -> ForwardRunSpec:
         seed=config.seed,
         fixed=search["fixed"],
         eta=search["eta"],
-        isotropic_widths=search["isotropic_widths"],
         width_sharing=search["width_sharing"],
         pde_params=_pde_params(config),
     )

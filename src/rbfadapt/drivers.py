@@ -92,7 +92,6 @@ def build_mixture(
     n_adap: int,
     dim: int,
     eta: float,
-    isotropic: bool = True,
     pde_params=(),
     width_sharing: str = "component",
 ) -> MixtureHyperparams:
@@ -104,9 +103,10 @@ def build_mixture(
             mu = np.array([values["mu" + tag]])
         else:
             mu = np.array([values["mu_x" + tag], values["mu_y" + tag]])
-        tau = np.full(dim, float(values["tau" + tag]))
         comps.append(
-            MixtureComponent(float(values["f" + tag]), mu, tau, float(values["lam" + tag]))
+            MixtureComponent(
+                float(values["f" + tag]), mu, float(values["tau" + tag]), float(values["lam" + tag])
+            )
         )
     inverse = None
     if "mu_nu" in pde_params:
@@ -121,7 +121,6 @@ def build_mixture(
         components=tuple(comps),
         eta=eta,
         inverse_params=inverse,
-        isotropic_widths=isotropic,
         width_sharing=width_sharing,
     )
 
@@ -140,7 +139,6 @@ class ForwardRunSpec:
     seed: int = 0
     fixed: dict = field(default_factory=dict)
     eta: Optional[float] = None
-    isotropic_widths: bool = True
     # "component" shares one width draw across a component's kernels;
     # "kernel" draws per kernel, building a multi-scale width ladder for
     # features far below the collocation grid scale
@@ -178,7 +176,7 @@ class ForwardResult:
     metrics: dict
     mesh: np.ndarray
     predicted: np.ndarray
-    reference: Optional[np.ndarray]
+    reference: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +231,7 @@ class CurriculumResult:
     model: SolvedModel
     mesh: np.ndarray
     predicted: np.ndarray
-    reference: Optional[np.ndarray]
-
-
-def _solvability_measure(model: SolvedModel, predicted: np.ndarray, exact) -> float:
-    """Max solution error on the test mesh; residual loss as fallback.
-
-    The residual's sup norm sits orders of magnitude above the actual
-    solution error for marginally resolved layers, so "accurate" is
-    judged against the exact solution whenever one exists.
-    """
-    if exact is None:
-        return model.loss
-    return float(np.max(np.abs(predicted - exact)))
+    reference: np.ndarray
 
 
 def run_baseline_curriculum(
@@ -276,7 +262,9 @@ def run_baseline_curriculum(
         at_nu = replace(problem, nu=nu)
         model, interior = solve_baseline(at_nu, baseline)
         predicted, exact = evaluate_model(model, mesh), at_nu.exact(mesh)
-        measure = _solvability_measure(model, predicted, exact)
+        # the max solution error: the residual's sup norm sits orders of
+        # magnitude above it for marginally resolved layers
+        measure = float(np.max(np.abs(predicted - exact)))
         measures.append((nu, model.loss, measure))
         if measure < threshold:
             solved = (nu, model, interior, predicted, exact)
@@ -381,7 +369,6 @@ def _optimize_forward(spec: ForwardRunSpec, sensors=None) -> tuple:
             spec.n_adap,
             spec.problem.dim,
             spec.eta_value,
-            spec.isotropic_widths,
             spec.pde_params,
             spec.width_sharing,
         )
@@ -444,9 +431,8 @@ def run_kapi_forward(spec: ForwardRunSpec) -> ForwardResult:
         "residual_loss": history.best_loss,
         "n_kernels": model.basis.n_kernels,
         "n_evals": len(history),
+        **error_metrics(predicted, reference),
     }
-    if reference is not None:
-        metrics.update(error_metrics(predicted, reference))
     return ForwardResult(w_opt, w_named, model, history, metrics, mesh, predicted, reference)
 
 

@@ -3,12 +3,12 @@
 A network's kernels are a deterministic uniform-grid baseline plus
 Gaussian adaptive components steered by a handful of distributional
 hyperparameters; this module draws the adaptive kernels only (the
-baseline is the run's fixed block, see assembly).  Adaptive widths come
-from an inverse-scale draw whose range grows as the problem gets
-stiffer, so small diffusion admits sharp kernels.  By default each
-adaptive component draws a single width its kernels share; an optional
-per-kernel mode draws independently for every kernel, producing a
-multi-scale width ladder for extremely stiff problems.
+baseline is the run's fixed block, see assembly).  Every adaptive kernel
+has one width, the same on every axis, from an inverse-scale draw whose
+range grows as the problem gets stiffer, so small diffusion admits sharp
+kernels.  By default each adaptive component draws a single width its
+kernels share; an optional per-kernel mode draws independently for every
+kernel, producing a multi-scale width ladder for extremely stiff problems.
 """
 
 from __future__ import annotations
@@ -26,24 +26,21 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class MixtureComponent:
-    """One adaptive component: fraction f_k, location mu, spread tau, decay."""
+    """One adaptive component: fraction f_k, location mu, spread tau (the
+    same on every axis), decay."""
 
     fraction: float
     mu: np.ndarray
-    tau: np.ndarray
+    tau: float
     decay: float
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
         if self.fraction <= 0:
             raise ValueError("component fraction must be positive")
-        if mu.shape != tau.shape:
-            raise ValueError("mu and tau must have matching dimension")
-        if np.any(tau <= 0):
-            raise ValueError("tau entries must be positive")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "tau", tau)
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
+        object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=float)))
+        object.__setattr__(self, "tau", float(self.tau))
 
     @property
     def dim(self) -> int:
@@ -55,7 +52,6 @@ class MixtureHyperparams:
     components: tuple = ()
     eta: float = 0.1
     inverse_params: Optional[dict] = None
-    isotropic_widths: bool = True
     # "component": one width draw shared by a component's kernels, the
     # default regime; "kernel": every kernel draws its own width, giving
     # the multi-scale ladder needed when the sharp feature is far below
@@ -217,7 +213,7 @@ def sample_centers(hp: MixtureHyperparams, counts, domain: Box, rng):
     """Draw the adaptive kernel centers; returns (centers, component_of).
 
     counts holds one kernel count per adaptive component.  Each component
-    draws i.i.d. normal with per-dimension std eta * tau, redrawing
+    draws i.i.d. normal with std eta * tau on every axis, redrawing
     out-of-domain points up to 100 times before clamping.
     """
     if len(counts) != hp.n_adaptive:
@@ -266,26 +262,6 @@ def draw_widths(sigma_f: float, nu: float, decay: float, n: int, rng) -> np.ndar
         return np.minimum(np.abs(1.0 / (_SQRT2 * xi)), sigma_f)
 
 
-def sample_widths(
-    hp: MixtureHyperparams, component: int, nu: float, sigma_f: float, rng
-) -> np.ndarray:
-    """Draw one width vector for an adaptive component, capped at sigma_f.
-
-    One inverse-scale draw per dimension.  Under ``width_sharing ==
-    "component"`` the vector is shared by every kernel of the component;
-    under ``"kernel"`` the caller invokes this once per kernel instead.
-    """
-    if component < 1:
-        raise ValueError("baseline widths are fixed; component must be >= 1")
-    comp = hp.components[component - 1]
-    dim = comp.dim
-    n_draws = 1 if (hp.isotropic_widths or dim == 1) else dim
-    widths = draw_widths(sigma_f, nu, comp.decay, n_draws, rng)
-    if n_draws == 1:
-        widths = np.full(dim, widths[0])
-    return widths
-
-
 def sample_nu(hp: MixtureHyperparams, rng) -> float:
     """One positive draw of the diffusion parameter for inverse runs."""
     if hp.inverse_params is None or "mu_nu" not in hp.inverse_params:
@@ -315,13 +291,9 @@ def sample_configuration(
         return SampledConfiguration(None, tags)
     widths = np.empty_like(centers)
     per_kernel = hp.width_sharing == "kernel"
-    for k in range(1, hp.n_adaptive + 1):
-        mask = tags == k
-        if not np.any(mask):
-            continue
-        if per_kernel:
-            for i in np.flatnonzero(mask):
-                widths[i] = sample_widths(hp, k, nu, baseline.sigma_f, rng)
-        else:
-            widths[mask] = sample_widths(hp, k, nu, baseline.sigma_f, rng)
+    for k, (comp, n_k) in enumerate(zip(hp.components, counts), start=1):
+        if n_k:
+            # one draw per kernel or per component, the same on every axis
+            draws = draw_widths(baseline.sigma_f, nu, comp.decay, n_k if per_kernel else 1, rng)
+            widths[tags == k] = draws[:, None]
     return SampledConfiguration(RbfBasis(centers, widths), tags)

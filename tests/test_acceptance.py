@@ -146,7 +146,6 @@ def test_criterion_5_poisson_2d_accuracy_and_budget():
         ),
         bo=BoConfig(max_evals=100, seed=1),
         seed=1,
-        isotropic_widths=True,
     )
     result = run_kapi_forward(spec)
     elapsed = time.perf_counter() - t0

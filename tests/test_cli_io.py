@@ -100,6 +100,10 @@ class TestParseConfig:
         assert config.search["max_evals"] == 100
         assert set(config.search["bounds"]) == {"mu", "tau", "lam"}
         assert config.search["fixed"] == {"f": 0.5}
+        # the retired isotropic_widths key: true, from older files, changes nothing
+        retired = {"kind": "forward", "problem": {"type": "convdiff1", "nu": 0.01},
+                   "search": {"isotropic_widths": True}}
+        assert parse_config(_dump(tmp_path, retired, "retired.yaml")) == config
 
     def test_empty_file_defaults_whole_run(self, tmp_path):
         path = _dump(tmp_path, {})
@@ -605,8 +609,9 @@ BAD_INPUTS = [
                  "problem.nu: must be finite", id="number-finite"),
     pytest.param(_forward(baseline={"sigma_f": 0}), None,
                  "baseline.sigma_f: must be positive, got 0", id="positive"),
-    pytest.param(_forward(search={"isotropic_widths": "yes"}), None,
-                 "search.isotropic_widths: expected true/false, got 'yes'", id="bool"),
+    pytest.param(_forward(search={"isotropic_widths": False}), None,
+                 "search.isotropic_widths: per-axis widths were removed: every adaptive kernel has one width",
+                 id="bool"),
     pytest.param(_forward(search={"width_sharing": "axis"}), None,
                  "search.width_sharing: expected one of ['component', 'kernel'], got 'axis'",
                  id="choice"),

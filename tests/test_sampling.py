@@ -16,12 +16,12 @@ from rbfadapt.sampling import (
     boundary_points_xsides,
     component_counts,
     default_eta,
+    draw_widths,
     initial_points,
     most_square_factors,
     sample_centers,
     sample_configuration,
     sample_nu,
-    sample_widths,
     uniform_grid,
     width_scale_bound,
 )
@@ -31,7 +31,7 @@ SQUARE = Box((0.0, 0.0), (1.0, 1.0))
 
 
 def _hp_1d(f=0.5, mu=0.5, tau=1.0, decay=0.5, eta=0.1, **kw):
-    comp = MixtureComponent(f, [mu], [tau], decay)
+    comp = MixtureComponent(f, [mu], tau, decay)
     return MixtureHyperparams((comp,), eta=eta, **kw)
 
 
@@ -64,7 +64,7 @@ class TestMixtureWeights:
         with pytest.raises(ValueError):
             component_counts(0, [0.5])
         with pytest.raises(ValueError):
-            MixtureComponent(0.0, [0.5], [1.0], 0.5)
+            MixtureComponent(0.0, [0.5], 1.0, 0.5)
 
 
 class TestComponentCounts:
@@ -188,35 +188,63 @@ class TestSampleWidths:
             def uniform(self, lo, hi, size):
                 return np.zeros(size)
 
-        hp = _hp_1d()
-        w = sample_widths(hp, 1, 0.01, 0.04, _ZeroRng())
+        w = draw_widths(0.04, 0.01, 0.5, 1, _ZeroRng())
         np.testing.assert_array_equal(w, [0.04])
 
     def test_widths_bounded_sweep(self):
-        hp = _hp_1d(decay=0.5)
-        rng = np.random.default_rng(9)
-        draws = np.array(
-            [sample_widths(hp, 1, 0.01, 0.04, rng)[0] for _ in range(100000)]
-        )
+        draws = draw_widths(0.04, 0.01, 0.5, 100000, np.random.default_rng(9))
         assert np.all(draws > 0)
         assert np.all(draws <= 0.04)
 
     def test_isotropic_2d(self):
-        comp = MixtureComponent(0.5, [0.5, 0.5], [1.0, 1.0], 0.5)
-        hp = MixtureHyperparams((comp,), eta=0.1)
-        w = sample_widths(hp, 1, 0.05, 0.2, np.random.default_rng(3))
-        assert w.shape == (2,)
-        assert w[0] == w[1]
+        # one width per kernel, the same on both axes, in either mode
+        comp = MixtureComponent(0.5, [0.5, 0.5], 1.0, 0.5)
+        for sharing in ("component", "kernel"):
+            hp = MixtureHyperparams((comp,), eta=0.1, width_sharing=sharing)
+            cfg = sample_configuration(hp, BaselineConfig(100, 40, 0.2), SQUARE, 0.05, np.random.default_rng(3))
+            w = cfg.adaptive.widths
+            assert w.shape == (20, 2)
+            np.testing.assert_array_equal(w[:, 0], w[:, 1])
+            assert (np.unique(w[:, 0]).size > 1) == (sharing == "kernel")
 
-    def test_per_dimension_2d(self):
-        comp = MixtureComponent(0.5, [0.5, 0.5], [1.0, 1.0], 0.5)
-        hp = MixtureHyperparams((comp,), eta=0.1, isotropic_widths=False)
-        w = sample_widths(hp, 1, 0.05, 0.2, np.random.default_rng(3))
-        assert w[0] != w[1]
 
-    def test_baseline_component_rejected(self):
-        with pytest.raises(ValueError):
-            sample_widths(_hp_1d(), 0, 0.01, 0.04, np.random.default_rng(0))
+def _one_kernel_at_a_time(hp, baseline, domain, nu, rng):
+    """The adaptive kernels drawn with one width per draw_widths call: one
+    call per component, or per kernel under width_sharing "kernel", each
+    width copied to every axis."""
+    counts = component_counts(baseline.n_rbf, hp.fractions)[1:]
+    centers, tags = sample_centers(hp, counts, domain, rng)
+    widths = np.empty_like(centers)
+    for k, comp in enumerate(hp.components, start=1):
+        rows = np.flatnonzero(tags == k)
+        if hp.width_sharing == "kernel":
+            for i in rows:
+                widths[i] = draw_widths(baseline.sigma_f, nu, comp.decay, 1, rng)[0]
+        elif rows.size:
+            widths[rows] = draw_widths(baseline.sigma_f, nu, comp.decay, 1, rng)[0]
+    return centers, widths, tags
+
+
+@pytest.mark.parametrize("sharing", ["component", "kernel"])
+@pytest.mark.parametrize("domain", [UNIT, SQUARE], ids=["1d", "2d"])
+def test_widths_match_one_kernel_at_a_time(domain, sharing):
+    # three components, the middle one too small for any kernel: the
+    # stream order across components and the state after the widths count
+    mus = [[0.3, 0.7], [0.5, 0.5], [0.6, 0.4]]
+    comps = tuple(
+        MixtureComponent(f, mu[: domain.dim], tau, decay)
+        for f, mu, tau, decay in zip([0.5, 0.01, 0.3], mus, [0.8, 1.0, 0.4], [0.5, 0.2, -0.3])
+    )
+    hp = MixtureHyperparams(comps, eta=0.1, width_sharing=sharing)
+    baseline = BaselineConfig(100, 40, 0.1)
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        cfg = sample_configuration(hp, baseline, domain, 0.01, rng)
+        centers, widths, tags = _one_kernel_at_a_time(hp, baseline, domain, 0.01, ref_rng)
+        assert cfg.adaptive.centers.tobytes() == centers.tobytes()
+        assert cfg.adaptive.widths.tobytes() == widths.tobytes()
+        np.testing.assert_array_equal(cfg.component_of, tags)
+        assert rng.random() == ref_rng.random()
 
 
 def _extended(n_grid, adaptive):
