@@ -47,6 +47,7 @@ from . import __version__
 from .bayesopt import BoConfig, BoHistory, SearchBounds
 from .blas import blas_thread_counts
 from .drivers import (
+    TUNABLE_NAMES,
     ForwardRunSpec,
     InverseRunSpec,
     SensorPlacement,
@@ -296,8 +297,6 @@ _POISSON = (_ANY, "poisson")
 _TRANSPORT = (_ANY, "advection")
 _CONVDIFF2 = (_ANY, "convdiff2")
 
-_TUNABLES = ("f", "lam", "sigma_f")
-
 # Every section and its keys.  config.yaml writes kind, problem, seed and
 # out, then the other sections in this order; within a section, keys in
 # table order.
@@ -541,6 +540,11 @@ def _boundary_fits_the_domain(config: RunConfig):
         _fail("baseline.n_boundary", f"the {ptype} problem needs at least {least} boundary points, got {n}")
 
 
+def _initial_rows_belong_to_the_transport_problem(config: RunConfig):
+    if config.baseline["n_initial"] is not None and config.problem["type"] != "advection":
+        _fail("baseline.n_initial", "only the transport problem has initial rows; leave it null")
+
+
 def _truth_gives_one_parameter(config: RunConfig):
     truth = config.sensors["truth"]
     if len(truth) != 1:
@@ -620,13 +624,13 @@ def _searched_parameters_keep_their_sign(config: RunConfig):
 
 def _bounds_name_the_tunables(config: RunConfig):
     bounds = config.advection["bounds"]
-    if set(bounds) != set(_TUNABLES):
+    if set(bounds) != set(TUNABLE_NAMES):
         _fail("advection.bounds", f"tunables are exactly f, lam, sigma_f; got {sorted(bounds)}")
 
 
 def _tunables_lie_in_bounds(config: RunConfig):
     tunables = config.advection["tunables"]
-    for name, value in zip(_TUNABLES, tunables or ()):
+    for name, value in zip(TUNABLE_NAMES, tunables or ()):
         lo, hi = config.advection["bounds"][name]
         if not lo <= value <= hi:
             _fail("advection.tunables", f"{name} = {value:g} lies outside advection.bounds.{name} [{lo:g}, {hi:g}]")
@@ -649,6 +653,7 @@ def _schedule_decreases(config: RunConfig):
 _CHECKS = (
     ("baseline", _kernels_fit_the_grid),
     ("baseline", _boundary_fits_the_domain),
+    ("baseline", _initial_rows_belong_to_the_transport_problem),
     ("sensors", _truth_gives_one_parameter),
     ("sensors", _placement_fits_the_domain),
     ("search", _forward_search_adapts),
@@ -802,13 +807,20 @@ def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicte
     }
 
 
-def _run_forward(config: RunConfig) -> dict:
-    result = run_kapi_forward(_forward_spec(config))
-    extras = {"w_opt": {k: float(v) for k, v in result.w_named.items()}}
+def _searched_payload(config: RunConfig, result) -> dict:
+    """The payload of a forward or inverse run from its drivers.SearchResult."""
+    extras = {
+        "w_opt": {k: float(v) for k, v in result.w_named.items()},
+        **{f"{k}_est": float(v) for k, v in result.estimates.items()},
+    }
     return _payload(
         config, result.history, dict(result.metrics), extras,
         (result.model,), result.mesh, result.predicted, result.reference,
     )
+
+
+def _run_forward(config: RunConfig) -> dict:
+    return _searched_payload(config, run_kapi_forward(_forward_spec(config)))
 
 
 def _run_inverse(config: RunConfig) -> dict:
@@ -823,15 +835,7 @@ def _run_inverse(config: RunConfig) -> dict:
         SensorPlacement(sensors_cfg["placement"]),
         rng,
     )
-    result = run_inverse(InverseRunSpec(spec, sensors, true_params=sensors_cfg["truth"]))
-    extras = {
-        "w_opt": {k: float(v) for k, v in result.w_named.items()},
-        **{f"{k}_est": float(v) for k, v in result.estimates.items()},
-    }
-    return _payload(
-        config, result.history, dict(result.metrics), extras,
-        (result.model,), result.mesh, result.predicted, result.reference,
-    )
+    return _searched_payload(config, run_inverse(InverseRunSpec(spec, sensors, true_params=sensors_cfg["truth"])))
 
 
 def _run_advection(config: RunConfig) -> dict:
@@ -859,7 +863,7 @@ def _run_advection(config: RunConfig) -> dict:
         "n_evals": 0 if history is None else len(history),
     }
     extras = {
-        "tunables": {"f": result.tunables[0], "lam": result.tunables[1], "sigma_f": result.tunables[2]},
+        "tunables": dict(zip(TUNABLE_NAMES, result.tunables)),
         "block_losses": [float(v) for v in result.block_losses],
         "validation_losses": [float(v) for v in result.validation_losses],
     }

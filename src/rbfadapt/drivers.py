@@ -45,10 +45,11 @@ from .sampling import (
     initial_points,
     most_square_factors,
     sample_configuration,
-    sample_nu,
     uniform_grid,
 )
 
+# the transport march's tunables, in the order a tunables tuple lists them
+TUNABLE_NAMES = ("f", "lam", "sigma_f")
 # tunable defaults for the 100-block transport run, fixed by calibration
 DEFAULT_ADVECTION_TUNABLES = (1.25, 1.0, 3.5)
 # x samples of the t_final profile a transport march is graded on
@@ -59,6 +60,13 @@ INVERSE_MESH_2D = 101
 
 # ---------------------------------------------------------------------------
 # hyperparameter vector layout
+
+
+def _component_names(n_adap: int, dim: int) -> list:
+    """(f, center names, tau, lam) of each adaptive component."""
+    axes = ["mu"] if dim == 1 else ["mu_x", "mu_y"]
+    tags = [""] if n_adap == 1 else [f"_{k}" for k in range(1, n_adap + 1)]
+    return [("f" + t, [a + t for a in axes], "tau" + t, "lam" + t) for t in tags]
 
 
 def hyperparam_names(n_adap: int, dim: int, pde_params=()) -> list:
@@ -72,57 +80,8 @@ def hyperparam_names(n_adap: int, dim: int, pde_params=()) -> list:
         raise ValueError("n_adap must be nonnegative")
     if dim not in (1, 2):
         raise ValueError("only 1D and 2D layouts exist")
-    names = []
-    for k in range(1, n_adap + 1):
-        tag = "" if n_adap == 1 else f"_{k}"
-        names.append("f" + tag)
-        if dim == 1:
-            names.append("mu" + tag)
-        else:
-            names.append("mu_x" + tag)
-            names.append("mu_y" + tag)
-        names.append("tau" + tag)
-        names.append("lam" + tag)
-    names.extend(pde_params)
-    return names
-
-
-def build_mixture(
-    values: dict,
-    n_adap: int,
-    dim: int,
-    eta: float,
-    pde_params=(),
-    width_sharing: str = "component",
-) -> MixtureHyperparams:
-    """Assemble mixture hyperparameters from a name -> value mapping."""
-    comps = []
-    for k in range(1, n_adap + 1):
-        tag = "" if n_adap == 1 else f"_{k}"
-        if dim == 1:
-            mu = np.array([values["mu" + tag]])
-        else:
-            mu = np.array([values["mu_x" + tag], values["mu_y" + tag]])
-        comps.append(
-            MixtureComponent(
-                float(values["f" + tag]), mu, float(values["tau" + tag]), float(values["lam" + tag])
-            )
-        )
-    inverse = None
-    if "mu_nu" in pde_params:
-        mu_nu = float(values["mu_nu"])
-        # cap the spread at a tenth of the mean: the drawn candidate must
-        # stay representative of the reported parameter, otherwise the
-        # search can score one diffusivity while reporting another
-        inverse = {"mu_nu": mu_nu, "sigma_nu": min(float(values["sigma_nu"]), 0.1 * mu_nu)}
-    elif "a" in pde_params:
-        inverse = {"a": float(values["a"])}
-    return MixtureHyperparams(
-        components=tuple(comps),
-        eta=eta,
-        inverse_params=inverse,
-        width_sharing=width_sharing,
-    )
+    names = [name for f, mu, tau, lam in _component_names(n_adap, dim) for name in (f, *mu, tau, lam)]
+    return names + list(pde_params)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +116,11 @@ class ForwardRunSpec:
                 f"got {sorted(searched | fixed)}"
             )
 
+    def named(self, w) -> dict:
+        """The search vector by name: w, in the order of the bounds, then
+        the fixed entries."""
+        return {**dict(zip(self.bounds.names, w)), **self.fixed}
+
     @property
     def eta_value(self) -> float:
         return self.eta if self.eta is not None else default_eta(self.problem.domain)
@@ -168,15 +132,20 @@ class ForwardRunSpec:
 
 
 @dataclass(frozen=True)
-class ForwardResult:
-    w_opt: np.ndarray
+class SearchResult:
+    """A searched run, forward or inverse: the incumbent's search vector by
+    name, its model graded on the test mesh (reference None when an
+    inverse run has no true parameters), and the PDE parameters an
+    inverse run estimates (empty for a forward run)."""
+
     w_named: dict
     model: SolvedModel
     history: BoHistory
     metrics: dict
     mesh: np.ndarray
     predicted: np.ndarray
-    reference: np.ndarray
+    reference: Optional[np.ndarray]
+    estimates: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +265,44 @@ def _at_params(problem: PdeProblem, params: dict) -> PdeProblem:
     return replace(problem, **overrides)
 
 
-def _effective_problem(problem: PdeProblem, hp: MixtureHyperparams, rng) -> PdeProblem:
-    """The problem one evaluation solves: at the searched speed, or at a
-    diffusivity drawn from the searched distribution."""
-    if hp.inverse_params is None:
+def _build_mixture(spec: ForwardRunSpec, values: dict) -> MixtureHyperparams:
+    """The kernel mixture of a search vector, read by name."""
+    comps = [
+        MixtureComponent(float(values[f]), np.array([values[m] for m in mu]), float(values[tau]), float(values[lam]))
+        for f, mu, tau, lam in _component_names(spec.n_adap, spec.problem.dim)
+    ]
+    return MixtureHyperparams(components=tuple(comps), eta=spec.eta_value, width_sharing=spec.width_sharing)
+
+
+def _draw_nu(mu_nu: float, sigma_nu: float, rng) -> float:
+    """One positive diffusivity draw from N(mu_nu, sigma_nu^2); after 100
+    nonpositive draws, mu_nu."""
+    if mu_nu <= 0:
+        raise ValueError("mu_nu must be positive")
+    if sigma_nu < 0:
+        raise ValueError("sigma_nu must be nonnegative")
+    if sigma_nu == 0.0:
+        return mu_nu
+    for _ in range(100):
+        draw = mu_nu + sigma_nu * rng.standard_normal()
+        if draw > 0:
+            return float(draw)
+    return mu_nu
+
+
+def _effective_problem(problem: PdeProblem, values: dict, rng) -> PdeProblem:
+    """The problem one evaluation solves: at the searched speed a, or at a
+    diffusivity drawn from N(mu_nu, sigma_nu^2)."""
+    if "a" in values:
+        return _at_params(problem, {"a": values["a"]})
+    if "mu_nu" not in values:
         return problem
-    if "a" in hp.inverse_params:
-        return _at_params(problem, hp.inverse_params)
-    return _at_params(problem, {"nu": sample_nu(hp, rng)})
+    mu_nu = float(values["mu_nu"])
+    # cap the spread at a tenth of the mean: the drawn candidate must
+    # stay representative of the reported parameter, otherwise the
+    # search can score one diffusivity while reporting another
+    sigma_nu = min(float(values["sigma_nu"]), 0.1 * mu_nu)
+    return _at_params(problem, {"nu": _draw_nu(mu_nu, sigma_nu, rng)})
 
 
 def _extra_rows(problem: PdeProblem, baseline: BaselineConfig, sensors=None) -> list:
@@ -313,21 +312,24 @@ def _extra_rows(problem: PdeProblem, baseline: BaselineConfig, sensors=None) -> 
     return extra
 
 
-def forward_objective(
-    spec: ForwardRunSpec, hp: MixtureHyperparams, eval_seed: int, sensors=None, fixed=None
-) -> tuple:
+def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, sensors=None, fixed=None) -> tuple:
     """One deterministic objective evaluation: sample, assemble, solve.
 
-    Returns (max-absolute-residual loss, solved model). Solver failure
-    yields (+inf, None). When the hyperparameters carry PDE-parameter
-    entries the drawn/assigned value feeds both the operator and the
-    width sampler.  fixed is the run's baseline block (see
-    _forward_fixed_block) for hyperparameters without PDE parameters;
-    when it is None the evaluation builds the block for its own problem.
+    values maps exactly the names of the spec's search vector (its bounds
+    and fixed entries, see hyperparam_names) to numbers.  Returns
+    (max-absolute-residual loss, solved model). Solver failure yields
+    (+inf, None). A searched speed, or a diffusivity drawn before the
+    kernels, feeds both the operator and the width sampler.  fixed is
+    the run's baseline block (see _forward_fixed_block) for a search
+    without PDE parameters; when it is None the evaluation builds the
+    block for its own problem.
     """
+    if set(values) != set(hyperparam_names(spec.n_adap, spec.problem.dim, spec.pde_params)):
+        raise ValueError(f"values must name exactly the spec's search vector, got {sorted(values)}")
+    hp = _build_mixture(spec, values)
     ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(2, int(eval_seed)))
     rng = np.random.default_rng(ss)
-    problem = _effective_problem(spec.problem, hp, rng)
+    problem = _effective_problem(spec.problem, values, rng)
     try:
         block = fixed if fixed is not None else _forward_fixed_block(problem, spec.baseline, sensors)
         cfg = sample_configuration(hp, spec.baseline, problem.domain, problem.nu, rng)
@@ -355,24 +357,14 @@ def _forward_fixed_block(problem: PdeProblem, baseline: BaselineConfig, sensors=
 
 
 def _optimize_forward(spec: ForwardRunSpec, sensors=None) -> tuple:
-    """Shared BO loop; returns (history, best model, w_named, w_opt)."""
+    """Shared BO loop; returns (history, best model, w_named)."""
     state = {"i": 0, "best_loss": np.inf, "best_model": None}
     # a searched PDE parameter changes the operator per evaluation, so
     # each evaluation then builds its own block
     fixed = None if spec.pde_params else _forward_fixed_block(spec.problem, spec.baseline, sensors)
 
     def objective(w):
-        values = dict(zip(spec.bounds.names, w))
-        values.update(spec.fixed)
-        hp = build_mixture(
-            values,
-            spec.n_adap,
-            spec.problem.dim,
-            spec.eta_value,
-            spec.pde_params,
-            spec.width_sharing,
-        )
-        loss, model = forward_objective(spec, hp, state["i"], sensors, fixed)
+        loss, model = forward_objective(spec, spec.named(w), state["i"], sensors, fixed)
         if loss < state["best_loss"]:
             state["best_loss"] = loss
             state["best_model"] = model
@@ -382,9 +374,7 @@ def _optimize_forward(spec: ForwardRunSpec, sensors=None) -> tuple:
     w_opt, history = optimize(objective, spec.bounds, spec.bo)
     if state["best_model"] is None:
         raise ArithmeticError("every objective evaluation failed")
-    w_named = dict(zip(spec.bounds.names, w_opt))
-    w_named.update(spec.fixed)
-    return history, state["best_model"], w_named, np.asarray(w_opt)
+    return history, state["best_model"], spec.named(w_opt)
 
 
 def _test_mesh(problem: PdeProblem, n: int) -> np.ndarray:
@@ -411,14 +401,14 @@ def error_metrics(predicted: np.ndarray, reference: np.ndarray) -> dict:
     return {"linf": float(np.max(np.abs(diff))) if diff.size else 0.0, "rel_l2": rel}
 
 
-def run_kapi_forward(spec: ForwardRunSpec) -> ForwardResult:
+def run_kapi_forward(spec: ForwardRunSpec) -> SearchResult:
     """Tune the kernel mixture by Bayesian search and grade the winner.
 
     The best model (by residual loss) is evaluated on a test mesh much
     finer than the collocation grid; for the 2D Poisson problem the
     reference is the finite-difference oracle, elsewhere the closed form.
     """
-    history, model, w_named, w_opt = _optimize_forward(spec)
+    history, model, w_named = _optimize_forward(spec)
     mesh = _test_mesh(spec.problem, spec.test_mesh_size)
     predicted = evaluate_model(model, mesh)
     if spec.problem.kind is ProblemKind.POISSON2D:
@@ -433,7 +423,7 @@ def run_kapi_forward(spec: ForwardRunSpec) -> ForwardResult:
         "n_evals": len(history),
         **error_metrics(predicted, reference),
     }
-    return ForwardResult(w_opt, w_named, model, history, metrics, mesh, predicted, reference)
+    return SearchResult(w_named, model, history, metrics, mesh, predicted, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +498,17 @@ class TimeBlockSpec:
             raise ValueError(f"n_rbf must not exceed n_colloc ({self.n_colloc}), got {self.n_rbf}")
         if self.t_final <= 0 or self.nu <= 0:
             raise ValueError("t_final and nu must be positive")
-        if set(self.bounds.names) != {"f", "lam", "sigma_f"}:
+        if set(self.bounds.names) != set(TUNABLE_NAMES):
             raise ValueError("tunable bounds must name f, lam, sigma_f")
 
     @property
     def block_dt(self) -> float:
         return self.t_final / self.n_blocks
+
+    def tunables_of(self, w) -> tuple:
+        """The search vector w, in the order of the bounds, as (f, lam, sigma_f)."""
+        named = dict(zip(self.bounds.names, w))
+        return tuple(named[name] for name in TUNABLE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -576,7 +571,7 @@ def solve_advection_timeblocks(
     baseline grid alone.
     """
     f_ratio, lam, sigma_tun = (float(v) for v in tunables)
-    for name, value in (("f", f_ratio), ("lam", lam), ("sigma_f", sigma_tun)):
+    for name, value in zip(TUNABLE_NAMES, (f_ratio, lam, sigma_tun)):
         i = spec.bounds.index_of(name)
         if not (spec.bounds.lowers[i] <= value <= spec.bounds.uppers[i]):
             raise ValueError(f"tunable {name}={value:g} outside bounds")
@@ -685,10 +680,10 @@ def run_advection_forward(spec: TimeBlockSpec, tunables=None, tuning_blocks: int
     def objective(w):
         i = state["i"]
         state["i"] += 1
-        return solve_advection_timeblocks(prefix, tuple(w), eval_seed=i).aggregate_validation
+        return solve_advection_timeblocks(prefix, spec.tunables_of(w), eval_seed=i).aggregate_validation
 
     w_opt, history = optimize(objective, spec.bounds, spec.bo)
-    result = solve_advection_timeblocks(spec, tuple(w_opt), eval_seed=int(history.incumbent_index))
+    result = solve_advection_timeblocks(spec, spec.tunables_of(w_opt), eval_seed=int(history.incumbent_index))
     return result, history
 
 
@@ -762,19 +757,7 @@ class InverseRunSpec:
             raise ValueError("sensor points must lie inside the problem domain")
 
 
-@dataclass(frozen=True)
-class InverseResult:
-    estimates: dict
-    history: BoHistory
-    model: SolvedModel
-    w_named: dict
-    metrics: dict
-    mesh: np.ndarray
-    predicted: np.ndarray
-    reference: Optional[np.ndarray]
-
-
-def run_inverse(spec: InverseRunSpec) -> InverseResult:
+def run_inverse(spec: InverseRunSpec) -> SearchResult:
     """Estimate PDE parameters by minimizing the full-system residual.
 
     Sensor rows join the collocation system on every evaluation; the
@@ -785,7 +768,7 @@ def run_inverse(spec: InverseRunSpec) -> InverseResult:
     reference is None.
     """
     problem = spec.forward.problem
-    history, model, w_named, _ = _optimize_forward(spec.forward, spec.sensors)
+    history, model, w_named = _optimize_forward(spec.forward, spec.sensors)
     mesh = _test_mesh(problem, spec.forward.test_mesh_size if problem.dim == 1 else INVERSE_MESH_2D)
     predicted = evaluate_model(model, mesh)
     reference = _at_params(problem, spec.true_params).exact(mesh) if spec.true_params else None
@@ -798,4 +781,4 @@ def run_inverse(spec: InverseRunSpec) -> InverseResult:
         if name in spec.true_params:
             truth = float(spec.true_params[name])
             metrics[f"{name}_rel_error"] = abs(est - truth) / abs(truth)
-    return InverseResult(estimates, history, model, w_named, metrics, mesh, predicted, reference)
+    return SearchResult(w_named, model, history, metrics, mesh, predicted, reference, estimates)

@@ -51,7 +51,6 @@ class MixtureComponent:
 class MixtureHyperparams:
     components: tuple = ()
     eta: float = 0.1
-    inverse_params: Optional[dict] = None
     # "component": one width draw shared by a component's kernels, the
     # default regime; "kernel": every kernel draws its own width, giving
     # the multi-scale ladder needed when the sharp feature is far below
@@ -64,17 +63,6 @@ class MixtureHyperparams:
             raise ValueError("eta must be positive")
         if self.width_sharing not in ("component", "kernel"):
             raise ValueError("width_sharing must be 'component' or 'kernel'")
-        if self.inverse_params is not None:
-            keys = set(self.inverse_params)
-            if keys != {"mu_nu", "sigma_nu"} and keys != {"a"}:
-                raise ValueError(
-                    "inverse_params must be {mu_nu, sigma_nu} or {a}"
-                )
-            if "mu_nu" in keys:
-                if self.inverse_params["mu_nu"] <= 0:
-                    raise ValueError("mu_nu must be positive")
-                if self.inverse_params["sigma_nu"] < 0:
-                    raise ValueError("sigma_nu must be nonnegative")
 
     @property
     def n_adaptive(self) -> int:
@@ -260,21 +248,6 @@ def draw_widths(sigma_f: float, nu: float, decay: float, n: int, rng) -> np.ndar
     xi = rng.uniform(-zeta / 2.0, zeta / 2.0, n)
     with np.errstate(divide="ignore"):
         return np.minimum(np.abs(1.0 / (_SQRT2 * xi)), sigma_f)
-
-
-def sample_nu(hp: MixtureHyperparams, rng) -> float:
-    """One positive draw of the diffusion parameter for inverse runs."""
-    if hp.inverse_params is None or "mu_nu" not in hp.inverse_params:
-        raise ValueError("inverse_params with mu_nu/sigma_nu required")
-    mu = float(hp.inverse_params["mu_nu"])
-    sigma = float(hp.inverse_params["sigma_nu"])
-    if sigma == 0.0:
-        return mu
-    for _ in range(100):
-        draw = mu + sigma * rng.standard_normal()
-        if draw > 0:
-            return float(draw)
-    return mu
 
 
 def sample_configuration(

@@ -370,6 +370,25 @@ class TestRunCommand:
         assert header == ["x", "t", "predicted", "exact", "abs_error"]
         assert (Path(bundle.out_dir) / "loss_history.csv").read_text() == "k,f,lam,sigma_f,loss\n"
 
+    @pytest.mark.parametrize("order", [("sigma_f", "lam", "f"), ("lam", "f", "sigma_f")])
+    def test_advection_tuning_reads_bounds_in_any_order(self, order, tmp_path):
+        # each tunable gets its own range, so reading the search vector by
+        # position lands out of bounds or swaps f and lam
+        bounds = {"f": [1.0, 1.25], "lam": [1.25, 1.5], "sigma_f": [2.5, 4.5]}
+        advection = dict(TINY_ADVECTION["advection"], tunables=None, tuning_blocks=1, max_evals=2,
+                         bounds={name: bounds[name] for name in order})
+        out = tmp_path / "tuned"
+        path = _dump(tmp_path, dict(TINY_ADVECTION, advection=advection), name="tuned.yaml")
+        assert main(["advection", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        for name, value in summary["tunables"].items():
+            assert bounds[name][0] <= value <= bounds[name][1], name
+        with (out / "loss_history.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["k", *order, "loss"]
+        best = min(rows[1:], key=lambda row: float(row[-1]))
+        assert summary["tunables"] == {name: float(v) for name, v in zip(order, best[1:-1])}
+
     def test_baseline_study_reports_schedule_walk(self, tmp_path):
         bundle = _run_tiny(tmp_path, TINY_STUDY, subdir="study")
         assert bundle.exit_code == EXIT_OK
@@ -723,6 +742,8 @@ LATE_MISTAKES = [
                  "baseline.n_boundary", id="one-slab-edge-point"),
     pytest.param(_inverse("advection", sensors={"placement": "boundary_layer_biased"}), "inverse",
                  "sensors.placement", id="biased-sensors-in-space-time"),
+    pytest.param(_forward(baseline={"n_initial": 40}), "forward",
+                 "baseline.n_initial", id="initial-rows-without-a-time-axis"),
     pytest.param(_march(tunables=[9, 1, 3]), "advection",
                  "advection.tunables", id="tunables-outside-bounds"),
     pytest.param(_march(n_blocks=2), "advection",

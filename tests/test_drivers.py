@@ -16,13 +16,13 @@ from rbfadapt.bayesopt import BoConfig, SearchBounds
 from rbfadapt.blas import fixed_blas_threads
 from rbfadapt.drivers import (
     _at_params,
+    _draw_nu,
     _forward_fixed_block,
     _sample_mask_points,
     ForwardRunSpec,
     InverseRunSpec,
     SensorPlacement,
     TimeBlockSpec,
-    build_mixture,
     characteristic_mask,
     error_metrics,
     forward_objective,
@@ -148,33 +148,29 @@ def _one_component_spec(nu):
 class TestForwardObjective:
     def test_baseline_resolves_mild_layer(self):
         spec = _baseline_only_spec(0.1)
-        loss, model = forward_objective(spec, build_mixture({}, 0, 1, spec.eta_value), 0)
+        loss, model = forward_objective(spec, {}, 0)
         assert loss < 1e-3
         assert model.basis.n_kernels == 250
 
     def test_identical_evaluation_is_bit_identical(self):
         spec = _one_component_spec(1e-3)
-        hp = build_mixture({"f": 0.5, "mu": 0.995, "tau": 0.3, "lam": -0.3}, 1, 1, spec.eta_value)
-        first, _ = forward_objective(spec, hp, 3)
-        second, _ = forward_objective(spec, hp, 3)
+        values = {"f": 0.5, "mu": 0.995, "tau": 0.3, "lam": -0.3}
+        first, _ = forward_objective(spec, values, 3)
+        second, _ = forward_objective(spec, values, 3)
         assert first == second
 
     def test_placed_component_beats_baseline_by_orders(self):
         base_spec = _baseline_only_spec(1e-3)
-        base_loss, _ = forward_objective(
-            base_spec, build_mixture({}, 0, 1, base_spec.eta_value), 0
-        )
+        base_loss, _ = forward_objective(base_spec, {}, 0)
         spec = _one_component_spec(1e-3)
-        hp = build_mixture({"f": 0.5, "mu": 0.995, "tau": 0.3, "lam": -0.3}, 1, 1, spec.eta_value)
-        placed = min(forward_objective(spec, hp, s)[0] for s in range(5))
+        values = {"f": 0.5, "mu": 0.995, "tau": 0.3, "lam": -0.3}
+        placed = min(forward_objective(spec, values, s)[0] for s in range(5))
         assert placed <= 1e-2
         assert placed * 50 < base_loss
 
     def test_min_over_random_draws_beats_baseline(self):
         base_spec = _baseline_only_spec(1e-3)
-        base_loss, _ = forward_objective(
-            base_spec, build_mixture({}, 0, 1, base_spec.eta_value), 0
-        )
+        base_loss, _ = forward_objective(base_spec, {}, 0)
         spec = _one_component_spec(1e-3)
         rng = np.random.default_rng(123)
         draws = []
@@ -185,7 +181,7 @@ class TestForwardObjective:
                 "tau": rng.uniform(0.05, 0.5),
                 "lam": rng.uniform(-0.4, -0.15),
             }
-            draws.append(forward_objective(spec, build_mixture(w, 1, 1, spec.eta_value), i)[0])
+            draws.append(forward_objective(spec, w, i)[0])
         assert min(draws) * 50 < base_loss
 
     @pytest.mark.parametrize("with_sensors", [False, True])
@@ -200,9 +196,8 @@ class TestForwardObjective:
         fixed = _forward_fixed_block(spec.problem, spec.baseline, sensors)
         for i, (mu, tau) in enumerate([(0.995, 0.3), (0.95, 0.05), (0.9999, 0.5)]):
             w = {"f": 0.5, "mu": mu, "tau": tau, "lam": -0.3}
-            hp = build_mixture(w, 1, 1, spec.eta_value)
-            loss, model = forward_objective(spec, hp, i, sensors)
-            reused_loss, reused = forward_objective(spec, hp, i, sensors, fixed)
+            loss, model = forward_objective(spec, w, i, sensors)
+            reused_loss, reused = forward_objective(spec, w, i, sensors, fixed)
             assert reused_loss == loss
             assert np.array_equal(reused.coefficients, model.coefficients)
 
@@ -214,20 +209,76 @@ class TestForwardObjective:
             bounds=SearchBounds([("a", 0.1, 1.0)]),
             pde_params=("a",),
         )
-        hp = build_mixture({"a": 0.7}, 0, 2, spec.eta_value, pde_params=spec.pde_params)
         fixed = _forward_fixed_block(_at_params(spec.problem, {"a": 0.7}), spec.baseline)
-        loss, model = forward_objective(spec, hp, 0)
-        given_loss, given = forward_objective(spec, hp, 0, fixed=fixed)
+        loss, model = forward_objective(spec, {"a": 0.7}, 0)
+        given_loss, given = forward_objective(spec, {"a": 0.7}, 0, fixed=fixed)
         assert given_loss == loss
         assert np.array_equal(given.coefficients, model.coefficients)
 
+    @pytest.mark.parametrize("change", [
+        {"mu_nu": 0.05, "sigma_nu": 0.0},  # a diffusivity the spec does not search
+        {"a": 3.0},
+        {"tau": None},  # a missing name
+    ])
+    def test_values_must_name_the_search_vector(self, change):
+        spec = _one_component_spec(0.01)
+        values = {"f": 0.5, "mu": 0.95, "tau": 0.3, "lam": 0.7, **change}
+        values = {name: v for name, v in values.items() if v is not None}
+        with pytest.raises(ValueError, match="search vector"):
+            forward_objective(spec, values, 0)
+
     def test_component_tags_attached_to_model(self):
         spec = _one_component_spec(0.01)
-        hp = build_mixture({"f": 0.5, "mu": 0.95, "tau": 0.3, "lam": 0.7}, 1, 1, spec.eta_value)
-        _, model = forward_objective(spec, hp, 0)
+        _, model = forward_objective(spec, {"f": 0.5, "mu": 0.95, "tau": 0.3, "lam": 0.7}, 0)
         assert model.tags is not None
         assert model.tags.shape[0] == model.basis.n_kernels
         assert set(np.unique(model.tags)) == {0, 1}
+
+
+def _diffusivity_spec(n_adap=0, max_evals=1):
+    # an inverse-style search of the diffusivity on convdiff1
+    bounds = [("mu_nu", 1e-4, 1e-1), ("sigma_nu", 1e-6, 1e-2)]
+    if n_adap:
+        bounds = [("mu", 0.93, 0.99), ("tau", 0.15, 0.45), ("lam", -0.4, -0.15)] + bounds
+    return ForwardRunSpec(
+        problem=convdiff_type1(0.01),
+        baseline=BaselineConfig(200, 100, 0.05),
+        n_adap=n_adap,
+        bounds=SearchBounds(bounds, log_scale={"mu_nu": True, "sigma_nu": True}),
+        bo=BoConfig(max_evals=max_evals, seed=0),
+        seed=0,
+        fixed={"f": 0.5} if n_adap else {},
+        pde_params=("mu_nu", "sigma_nu"),
+    )
+
+
+class TestDiffusivityDraw:
+    def test_degenerate_sigma(self):
+        assert _draw_nu(0.01, 0.0, np.random.default_rng(0)) == 0.01
+
+    def test_mean_recovery(self):
+        rng = np.random.default_rng(12)
+        draws = np.array([_draw_nu(0.05, 0.001, rng) for _ in range(100000)])
+        assert np.all(draws > 0)
+        assert abs(draws.mean() - 0.05) < 3 * 0.001 / np.sqrt(draws.size)
+
+    @pytest.mark.parametrize("mu_nu,sigma_nu,name", [
+        (0.0, 0.001, "mu_nu"), (-0.01, 0.001, "mu_nu"), (0.01, -1e-9, "sigma_nu"),
+    ])
+    def test_invalid_distribution_rejected(self, mu_nu, sigma_nu, name):
+        with pytest.raises(ValueError, match=name):
+            _draw_nu(mu_nu, sigma_nu, np.random.default_rng(0))
+
+    def test_spread_above_a_tenth_of_the_mean_is_capped(self):
+        spec = _diffusivity_spec()
+        mu_nu = 0.01
+        at_cap, _ = forward_objective(spec, {"mu_nu": mu_nu, "sigma_nu": 0.1 * mu_nu}, 4)
+        for above in (0.0015, 0.01):
+            loss, _ = forward_objective(spec, {"mu_nu": mu_nu, "sigma_nu": above}, 4)
+            assert np.float64(loss).tobytes() == np.float64(at_cap).tobytes()
+        # the spread does move the loss below the cap, so the pin is not vacuous
+        below, _ = forward_objective(spec, {"mu_nu": mu_nu, "sigma_nu": 0.05 * mu_nu}, 4)
+        assert below != at_cap
 
 
 class TestForwardRun:
@@ -284,7 +335,8 @@ class TestForwardRun:
         names = spec.bounds.names
         for i, name in enumerate(names):
             assert spec.bounds.lowers[i] <= result.w_named[name] <= spec.bounds.uppers[i]
-        np.testing.assert_array_equal(result.w_opt, result.history.best_w)
+        assert result.w_named == {**dict(zip(names, result.history.best_w)), **spec.fixed}
+        assert result.estimates == {}
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +577,50 @@ class TestSensorData:
 # inverse estimation
 
 
+class TestReEvaluation:
+    """A run's incumbent, re-evaluated through forward_objective at its own
+    evaluation index, reproduces the incumbent's loss bit for bit."""
+
+    @staticmethod
+    def _reevaluated(spec, result, sensors=None):
+        loss, _ = forward_objective(spec, result.w_named, result.history.incumbent_index, sensors)
+        assert np.isfinite(loss)
+        assert np.float64(loss).tobytes() == np.float64(result.history.best_loss).tobytes()
+
+    def test_forward_run(self):
+        spec = _one_component_spec(1e-3)
+        spec = replace(spec, bo=BoConfig(max_evals=4, seed=0))
+        self._reevaluated(spec, run_kapi_forward(spec))
+
+    def test_inverse_diffusivity_run(self):
+        spec = _diffusivity_spec(n_adap=1, max_evals=4)
+        sensors = generate_sensor_data(
+            spec.problem, {"nu": 0.01}, 30, 0.05, SensorPlacement.BOUNDARY_LAYER_BIASED,
+            np.random.default_rng(5),
+        )
+        result = run_inverse(InverseRunSpec(spec, sensors, true_params={"nu": 0.01}))
+        assert result.estimates == {"nu": result.w_named["mu_nu"]}
+        self._reevaluated(spec, result, sensors)
+
+    def test_inverse_speed_run(self):
+        problem = advection1d(0.1, 0.5)
+        spec = ForwardRunSpec(
+            problem=problem,
+            baseline=BaselineConfig(400, 400, 0.1, n_boundary=20, n_initial=21),
+            n_adap=0,
+            bounds=SearchBounds([("a", 0.1, 1.0)]),
+            bo=BoConfig(max_evals=3, seed=1),
+            seed=1,
+            pde_params=("a",),
+        )
+        sensors = generate_sensor_data(
+            problem, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
+        )
+        result = run_inverse(InverseRunSpec(spec, sensors, true_params={"a": 0.5}))
+        assert result.estimates == {"a": result.w_named["a"]}
+        self._reevaluated(spec, result, sensors)
+
+
 class TestInverse:
     def test_true_speed_has_far_lower_loss_than_wrong_speeds(self):
         problem = advection1d(0.1, 0.5)
@@ -544,8 +640,7 @@ class TestInverse:
                 seed=0,
                 pde_params=("a",),
             )
-            hp = build_mixture({"a": a_try}, 0, 2, spec.eta_value, pde_params=("a",))
-            losses[a_try] = forward_objective(spec, hp, 0, sensors)[0]
+            losses[a_try] = forward_objective(spec, {"a": a_try}, 0, sensors)[0]
         assert losses[0.5] < 1e-4
         assert losses[0.5] * 1000 < losses[0.25]
         assert losses[0.5] * 1000 < losses[0.75]

@@ -21,7 +21,6 @@ from rbfadapt.sampling import (
     most_square_factors,
     sample_centers,
     sample_configuration,
-    sample_nu,
     uniform_grid,
     width_scale_bound,
 )
@@ -30,9 +29,9 @@ UNIT = Box((0.0,), (1.0,))
 SQUARE = Box((0.0, 0.0), (1.0, 1.0))
 
 
-def _hp_1d(f=0.5, mu=0.5, tau=1.0, decay=0.5, eta=0.1, **kw):
+def _hp_1d(f=0.5, mu=0.5, tau=1.0, decay=0.5, eta=0.1):
     comp = MixtureComponent(f, [mu], tau, decay)
-    return MixtureHyperparams((comp,), eta=eta, **kw)
+    return MixtureHyperparams((comp,), eta=eta)
 
 
 class TestMixtureWeights:
@@ -302,27 +301,6 @@ class TestCollocation:
                 keep.append(i)
         out = dedup_rows(pts)
         assert out.tobytes() == pts[keep].tobytes() and out.shape == (len(keep), dim)
-
-
-class TestSampleNu:
-    def test_degenerate_sigma(self):
-        hp = _hp_1d(inverse_params={"mu_nu": 0.01, "sigma_nu": 0.0})
-        assert sample_nu(hp, np.random.default_rng(0)) == 0.01
-
-    def test_mean_recovery(self):
-        hp = _hp_1d(inverse_params={"mu_nu": 0.05, "sigma_nu": 0.001})
-        rng = np.random.default_rng(12)
-        draws = np.array([sample_nu(hp, rng) for _ in range(100000)])
-        assert np.all(draws > 0)
-        assert abs(draws.mean() - 0.05) < 3 * 0.001 / np.sqrt(draws.size)
-
-    def test_requires_inverse_params(self):
-        with pytest.raises(ValueError):
-            sample_nu(_hp_1d(), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_nu(
-                _hp_1d(inverse_params={"a": 0.5}), np.random.default_rng(0)
-            )
 
 
 class TestSampleConfiguration:

@@ -24,7 +24,7 @@ import numpy as np
 
 from rbfadapt.assembly import SolvedModel, evaluate_model
 from rbfadapt.bayesopt import BoConfig, SearchBounds, gp_fit, gp_predict_batch
-from rbfadapt.drivers import ForwardRunSpec, build_mixture, forward_objective
+from rbfadapt.drivers import ForwardRunSpec, forward_objective
 from rbfadapt.problems import convdiff_type1, poisson2d
 from rbfadapt.rbf import RbfBasis
 from rbfadapt.sampling import BaselineConfig, uniform_grid
@@ -38,8 +38,7 @@ spec = ForwardRunSpec(
     seed=0,
     fixed={"f": 0.5},
 )
-hp = build_mixture({"mu": 0.95, "tau": 0.2, "lam": 0.7, "f": 0.5}, 1, 1, spec.eta_value)
-loss, model = forward_objective(spec, hp, 0)
+loss, model = forward_objective(spec, {"mu": 0.95, "tau": 0.2, "lam": 0.7, "f": 0.5}, 0)
 
 # a surrogate as large as a 100-evaluation search ever fits
 rng = np.random.default_rng(0)
