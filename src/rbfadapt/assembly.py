@@ -152,22 +152,24 @@ def _as_points(pts) -> np.ndarray:
     return np.atleast_2d(np.asarray(pts, dtype=float))
 
 
-def _row_chunks(n: int):
-    """Row slices of CHUNK_ROWS rows that cover range(n) in order.
+def _row_chunks(n: int, size: int):
+    """Slices of size rows (or columns) that cover range(n) in order.
 
-    The last slice holds the rest; a rest of one row joins the slice
-    before it, because numpy takes a one-row product by a dot product
-    instead of dgemv, which rounds another way.
+    The last slice holds the rest; a rest of one joins the slice before
+    it, because a lone row or column rounds another way: numpy takes a
+    one-row product by a dot product instead of dgemv, and sums down a
+    lone column pairwise but down a wider array's columns one row after
+    another.
     """
-    starts = list(range(0, n, CHUNK_ROWS))
-    if n > 1 and n % CHUNK_ROWS == 1:
+    starts = list(range(0, n, size))
+    if n > 1 and n % size == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _fill_rows(out: np.ndarray, rows_at, points: np.ndarray) -> None:
     """out[i] = rows_at(points)[i] for every row, one chunk at a time."""
-    for rows in _row_chunks(points.shape[0]):
+    for rows in _row_chunks(points.shape[0], CHUNK_ROWS):
         out[rows] = rows_at(points[rows])
 
 
@@ -302,6 +304,6 @@ def evaluate_model(model: SolvedModel, points: np.ndarray) -> np.ndarray:
     points x kernels matrix at a time."""
     points = _as_points(points)
     out = np.empty(points.shape[0])
-    for rows in _row_chunks(points.shape[0]):
+    for rows in _row_chunks(points.shape[0], CHUNK_ROWS):
         np.matmul(eval_matrix(model.basis, points[rows]), model.coefficients, out=out[rows])
     return out

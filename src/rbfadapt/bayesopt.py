@@ -38,10 +38,8 @@ and 512 matched it for d in {1, 2, 3, 5} and n in {6, 17, 50, 99}, at
 candidate counts from 1 to 4,097 on both sides of the chunk edges (one
 BLAS thread).  Two rules keep it so:
 
-* numpy sums k* * v down a lone column pairwise, but down the columns of
-  a wider array one row after another, so a last chunk of one column
-  joins the chunk before it (a single candidate is one column either
-  way);
+* the chunk edges are ``assembly._row_chunks``', so a last chunk of one
+  column joins the chunk before it (its docstring says why);
 * the mean is not taken per chunk, since a mat-vec over a contiguous
   slice of k* rounds another way than the whole product.  So k*
   (n x candidates, 1.6 MB at n = 99 and 2,050 candidates) is kept, and
@@ -60,6 +58,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
+from .assembly import _row_chunks
 from .blas import fixed_blas_threads
 
 N_INCUMBENT_PERTURBATIONS = 50
@@ -95,10 +94,13 @@ class SearchBounds:
         uppers = np.array([float(p[2]) for p in params])
         if np.any(lowers >= uppers):
             raise ValueError("each lower bound must be below its upper bound")
-        flags = tuple(bool((log_scale or {}).get(n, False)) for n in names)
-        for name, flag, lo in zip(names, flags, lowers):
-            if flag and lo <= 0:
-                raise ValueError(f"log-scale parameter {name} needs positive bounds")
+        log_scale = log_scale or {}
+        for name, flag in log_scale.items():
+            if name not in names:
+                raise ValueError(f"{name!r} is not a searched parameter")
+            if flag and lowers[names.index(name)] <= 0:
+                raise ValueError(f"log-scale parameter {name!r} needs positive bounds")
+        flags = tuple(bool(log_scale.get(n, False)) for n in names)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "lowers", lowers)
         object.__setattr__(self, "uppers", uppers)
@@ -367,11 +369,7 @@ def gp_predict_batch(surrogate: GpSurrogate, xs) -> tuple:
     m = xs.shape[0]
     kstar = np.empty((surrogate.inputs.shape[0], m))
     var_std = np.empty(m)
-    edges = list(range(0, m, CHUNK_CANDIDATES)) + [m]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]  # no one-column chunk after others (module docstring)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        cols = slice(lo, hi)
+    for cols in _row_chunks(m, CHUNK_CANDIDATES):
         sq = _pairwise_sqdists(surrogate.inputs, xs[cols])
         chunk = surrogate.signal_var * _gaussian(sq, surrogate.length_scales)
         kstar[:, cols] = chunk

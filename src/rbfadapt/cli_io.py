@@ -33,7 +33,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -54,14 +53,13 @@ from .drivers import (
     TimeBlockSpec,
     error_metrics,
     generate_sensor_data,
-    hyperparam_names,
     run_advection_forward,
     run_baseline_curriculum,
     run_inverse,
     run_kapi_forward,
 )
 from .problems import advection1d, convdiff_type1, convdiff_type2, poisson2d
-from .sampling import BaselineConfig, default_eta, eta_fits
+from .sampling import BaselineConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -519,14 +517,6 @@ def _given_bounds_replace_the_search_space(raw: dict) -> dict:
     return raw
 
 
-def _kernels_fit_the_grid(config: RunConfig):
-    name = "baseline" if config.baseline is not None else "advection"
-    section = getattr(config, name)
-    n_colloc, n_rbf = section["n_colloc"], section["n_rbf"]
-    if n_rbf > n_colloc:
-        _fail(f"{name}.n_rbf", f"must not exceed {name}.n_colloc ({n_colloc}), got {n_rbf}")
-
-
 # fewest boundary points the perimeter of each 2D domain is laid out
 # with: four sides of the square, two x edges of the space-time slab;
 # the 1D problems take their two end points whatever n_boundary says
@@ -551,6 +541,12 @@ def _truth_gives_one_parameter(config: RunConfig):
         _fail("sensors.truth", "give exactly one true parameter: nu or a")
     if "a" in truth and config.problem["type"] != "advection":
         _fail("sensors.truth", "the speed 'a' belongs to the transport problem")
+    # the run reports and grades at the problem's value, the sensors
+    # measure at the truth: the two must be one value
+    name, value = next(iter(truth.items()))
+    key = "nu" if name == "nu" else "speed"
+    if value != config.problem[key]:
+        _fail("sensors.truth", f"{name} = {value:g} differs from problem.{key} ({config.problem[key]:g})")
 
 
 def _placement_fits_the_domain(config: RunConfig):
@@ -566,66 +562,6 @@ def _forward_search_adapts(config: RunConfig):
 def _search_has_a_parameter(config: RunConfig):
     if not config.search["bounds"]:
         _fail("search.bounds", "at least one parameter must be searched")
-
-
-def _log10_names_positive_searched_parameters(config: RunConfig):
-    bounds = config.search["bounds"]
-    for name in config.search["log10"]:
-        if name not in bounds:
-            _fail("search.log10", f"{name!r} is not a searched parameter")
-        if bounds[name][0] <= 0:
-            _fail("search.log10", f"log-scale parameter {name!r} needs positive bounds")
-
-
-def _bounds_and_fixed_cover_the_search_vector(config: RunConfig):
-    searched, fixed = set(config.search["bounds"]), set(config.search["fixed"])
-    overlap = searched & fixed
-    if overlap:
-        _fail("search.fixed", f"parameters both searched and fixed: {sorted(overlap)}")
-    # the transport problem lives in 2D space-time, so any adaptive
-    # components searched on top of it carry per-axis center names
-    expected = set(
-        hyperparam_names(config.search["n_adaptive"], _build_problem(config.problem).dim, _pde_params(config))
-    )
-    got = searched | fixed
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing {missing}")
-        if extra:
-            parts.append(f"unexpected {extra}")
-        _fail("search.bounds", "; ".join(parts) + f" (need exactly {sorted(expected)})")
-
-
-def _eta_fits_the_domain(config: RunConfig):
-    eta = config.search["eta"]
-    domain = _build_problem(config.problem).domain
-    if eta is not None and not eta_fits(domain, eta):
-        limit = default_eta(domain)
-        _fail("search.eta", f"must not exceed a tenth of the domain's longest side ({limit:g}), got {eta:g}")
-
-
-# what the sampler requires of a parameter, by name without a component's
-# _k suffix
-_POSITIVE = (lambda v: v > 0, "positive")
-_SIGN_RULES = {"f": _POSITIVE, "tau": _POSITIVE, "mu_nu": _POSITIVE, "sigma_nu": (lambda v: v >= 0, "nonnegative")}
-
-
-def _searched_parameters_keep_their_sign(config: RunConfig):
-    lowest = [(f"search.bounds.{name}", name, lo) for name, (lo, _) in config.search["bounds"].items()]
-    lowest += [(f"search.fixed.{name}", name, value) for name, value in config.search["fixed"].items()]
-    for key, name, value in lowest:
-        rule = _SIGN_RULES.get(re.sub(r"_\d+$", "", name))
-        if rule is not None and not rule[0](value):
-            _fail(key, f"{name} must stay {rule[1]}, but reaches {value:g}")
-
-
-def _bounds_name_the_tunables(config: RunConfig):
-    bounds = config.advection["bounds"]
-    if set(bounds) != set(TUNABLE_NAMES):
-        _fail("advection.bounds", f"tunables are exactly f, lam, sigma_f; got {sorted(bounds)}")
 
 
 def _tunables_lie_in_bounds(config: RunConfig):
@@ -648,22 +584,29 @@ def _schedule_decreases(config: RunConfig):
         _fail("curriculum.schedule", "values must be strictly decreasing")
 
 
+def _built(prefix: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError a ConfigValueError that puts
+    prefix before the message: "search." before a spec's "bounds.tau: ..."."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigValueError(f"{prefix}{err}") from err
+
+
 # (section, check), run in order once the sections parse; a check runs
-# only when its section belongs to the run
+# only when its section belongs to the run.  The rules of the library's
+# specs are checked by building the specs.
 _CHECKS = (
-    ("baseline", _kernels_fit_the_grid),
+    ("baseline", lambda config: _built("baseline.", BaselineConfig, **config.baseline)),
     ("baseline", _boundary_fits_the_domain),
     ("baseline", _initial_rows_belong_to_the_transport_problem),
     ("sensors", _truth_gives_one_parameter),
     ("sensors", _placement_fits_the_domain),
     ("search", _forward_search_adapts),
     ("search", _search_has_a_parameter),
-    ("search", _log10_names_positive_searched_parameters),
-    ("search", _bounds_and_fixed_cover_the_search_vector),
-    ("search", _eta_fits_the_domain),
-    ("search", _searched_parameters_keep_their_sign),
-    ("advection", _kernels_fit_the_grid),
-    ("advection", _bounds_name_the_tunables),
+    ("search", lambda config: _built("search.log10: ", _build_search_bounds, config.search)),
+    ("search", lambda config: _built("search.", _forward_spec, config)),
+    ("advection", lambda config: _built("advection.", _march_spec, config)),
     ("advection", _tunables_lie_in_bounds),
     ("advection", _tuning_fits_the_march),
     ("curriculum", _schedule_decreases),
@@ -726,9 +669,10 @@ def _build_problem(problem: dict):
     return advection1d(problem["nu"], problem["speed"])
 
 
-def _build_search_bounds(bounds: dict, log10=()) -> SearchBounds:
-    params = [(name, lo, hi) for name, (lo, hi) in bounds.items()]
-    return SearchBounds(params, log_scale={name: True for name in log10})
+def _build_search_bounds(section: dict) -> SearchBounds:
+    """The bounds of a search or advection section (the latter has no log10)."""
+    params = [(name, lo, hi) for name, (lo, hi) in section["bounds"].items()]
+    return SearchBounds(params, log_scale={name: True for name in section.get("log10", ())})
 
 
 def _build_bo(section: dict, seed: int) -> BoConfig:
@@ -741,7 +685,7 @@ def _forward_spec(config: RunConfig) -> ForwardRunSpec:
         problem=_build_problem(config.problem),
         baseline=BaselineConfig(**config.baseline),
         n_adap=search["n_adaptive"],
-        bounds=_build_search_bounds(search["bounds"], search["log10"]),
+        bounds=_build_search_bounds(search),
         bo=_build_bo(search, config.seed),
         seed=config.seed,
         fixed=search["fixed"],
@@ -838,9 +782,9 @@ def _run_inverse(config: RunConfig) -> dict:
     return _searched_payload(config, run_inverse(InverseRunSpec(spec, sensors, true_params=sensors_cfg["truth"])))
 
 
-def _run_advection(config: RunConfig) -> dict:
+def _march_spec(config: RunConfig) -> TimeBlockSpec:
     a = config.advection
-    spec = TimeBlockSpec(
+    return TimeBlockSpec(
         speed=config.problem["speed"],
         nu=config.problem["nu"],
         n_blocks=a["n_blocks"],
@@ -849,10 +793,15 @@ def _run_advection(config: RunConfig) -> dict:
         n_initial=a["n_initial"],
         n_rbf=a["n_rbf"],
         t_final=a["t_final"],
-        bounds=_build_search_bounds(a["bounds"]),
+        bounds=_build_search_bounds(a),
         bo=_build_bo(a, config.seed),
         seed=config.seed,
     )
+
+
+def _run_advection(config: RunConfig) -> dict:
+    a = config.advection
+    spec = _march_spec(config)
     tunables = None if a["tunables"] is None else tuple(a["tunables"])
     result, history = run_advection_forward(spec, tunables, tuning_blocks=a["tuning_blocks"])
     mesh, predicted, reference = result.graded_final_profile()
@@ -911,20 +860,11 @@ def _write_csv(path: Path, header, columns):
             f.writelines(template % row for row in chunk)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
+def _json_default(value):
+    """numpy arrays and scalars as Python lists and numbers, for json.dumps."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _provenance() -> dict:
@@ -1015,7 +955,7 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         **payload["extras"],
     }
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n")
     files.append(summary_path)
 
     for name, (header, columns) in payload["tables"].items():

@@ -12,6 +12,7 @@ results carry the test mesh, the model's values there and the reference
 for 2D Poisson), and a march's result grades its t_final profile.
 """
 
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
@@ -42,6 +43,7 @@ from .sampling import (
     component_counts,
     default_eta,
     draw_widths,
+    eta_fits,
     initial_points,
     most_square_factors,
     sample_configuration,
@@ -88,8 +90,22 @@ def hyperparam_names(n_adap: int, dim: int, pde_params=()) -> list:
 # run specifications
 
 
+# what the sampler requires of a search-vector entry, by its name without
+# a component's _k suffix
+_POSITIVE = (lambda v: v > 0, "positive")
+_SIGN_RULES = {"f": _POSITIVE, "tau": _POSITIVE, "mu_nu": _POSITIVE, "sigma_nu": (lambda v: v >= 0, "nonnegative")}
+
+
 @dataclass(frozen=True)
 class ForwardRunSpec:
+    """A searched forward or inverse run.
+
+    Construction refuses the settings the sampler would reject mid-run.
+    Each message names the field at fault first, "field: reason" (for
+    example "bounds.tau: tau must stay positive, but reaches -0.5"), so a
+    caller can put its own section in front.
+    """
+
     problem: PdeProblem
     baseline: BaselineConfig
     n_adap: int
@@ -105,16 +121,35 @@ class ForwardRunSpec:
     pde_params: tuple = ()
 
     def __post_init__(self):
+        searched, fixed = set(self.bounds.names), set(self.fixed)
+        overlap = searched & fixed
+        if overlap:
+            raise ValueError(f"fixed: parameters both searched and fixed: {sorted(overlap)}")
         expected = set(hyperparam_names(self.n_adap, self.problem.dim, self.pde_params))
-        searched = set(self.bounds.names)
-        fixed = set(self.fixed)
-        if searched & fixed:
-            raise ValueError(f"parameters both searched and fixed: {searched & fixed}")
-        if searched | fixed != expected:
-            raise ValueError(
-                f"bounds+fixed must cover exactly {sorted(expected)}, "
-                f"got {sorted(searched | fixed)}"
-            )
+        got = searched | fixed
+        if got != expected:
+            missing = sorted(expected - got)
+            extra = sorted(got - expected)
+            parts = []
+            if missing:
+                parts.append(f"missing {missing}")
+            if extra:
+                parts.append(f"unexpected {extra}")
+            raise ValueError("bounds: " + "; ".join(parts) + f" (need exactly {sorted(expected)})")
+        domain = self.problem.domain
+        if self.eta is not None and self.eta <= 0:
+            raise ValueError(f"eta: must be positive, got {self.eta:g}")
+        if self.eta is not None and not eta_fits(domain, self.eta):
+            limit = default_eta(domain)
+            raise ValueError(f"eta: must not exceed a tenth of the domain's longest side ({limit:g}), got {self.eta:g}")
+        lowest = [(f"bounds.{name}", name, lo) for name, lo in zip(self.bounds.names, self.bounds.lowers)]
+        lowest += [(f"fixed.{name}", name, value) for name, value in self.fixed.items()]
+        for key, name, value in lowest:
+            rule = _SIGN_RULES.get(re.sub(r"_\d+$", "", name))
+            if rule is not None and not rule[0](value):
+                raise ValueError(f"{key}: {name} must stay {rule[1]}, but reaches {value:g}")
+        if self.width_sharing not in ("component", "kernel"):
+            raise ValueError(f"width_sharing: expected one of ['component', 'kernel'], got {self.width_sharing!r}")
 
     def named(self, w) -> dict:
         """The search vector by name: w, in the order of the bounds, then
@@ -487,19 +522,17 @@ class TimeBlockSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError("need at least one block")
-        if min(self.n_colloc, self.n_initial) < 1:
-            raise ValueError("per-block counts must be positive")
-        for name, value in (("n_rbf", self.n_rbf), ("n_boundary", self.n_boundary)):
-            if value < 2:
-                raise ValueError(f"{name} must be at least 2, got {value}")
+        # each message names the field at fault first, as ForwardRunSpec's do
+        for name, least in (("n_blocks", 1), ("n_colloc", 1), ("n_initial", 1), ("n_rbf", 2), ("n_boundary", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name}: must be at least {least}, got {getattr(self, name)}")
         if self.n_rbf > self.n_colloc:
-            raise ValueError(f"n_rbf must not exceed n_colloc ({self.n_colloc}), got {self.n_rbf}")
-        if self.t_final <= 0 or self.nu <= 0:
-            raise ValueError("t_final and nu must be positive")
+            raise ValueError(f"n_rbf: must not exceed n_colloc ({self.n_colloc}), got {self.n_rbf}")
+        for name in ("t_final", "nu"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name):g}")
         if set(self.bounds.names) != set(TUNABLE_NAMES):
-            raise ValueError("tunable bounds must name f, lam, sigma_f")
+            raise ValueError(f"bounds: tunables are exactly f, lam, sigma_f; got {sorted(self.bounds.names)}")
 
     @property
     def block_dt(self) -> float:

@@ -82,12 +82,14 @@ class BaselineConfig:
     n_initial: Optional[int] = None
 
     def __post_init__(self):
-        if self.n_rbf < 1 or self.n_colloc < 1 or self.n_boundary < 1:
-            raise ValueError("point counts must be positive")
+        # each message names the field at fault first: "field: reason"
+        for name in ("n_colloc", "n_rbf", "n_boundary"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.n_rbf > self.n_colloc:
-            raise ValueError("n_rbf must not exceed n_colloc")
+            raise ValueError(f"n_rbf: must not exceed n_colloc ({self.n_colloc}), got {self.n_rbf}")
         if self.sigma_f <= 0:
-            raise ValueError("sigma_f must be positive")
+            raise ValueError(f"sigma_f: must be positive, got {self.sigma_f:g}")
 
 
 @dataclass(frozen=True)

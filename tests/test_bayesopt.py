@@ -57,6 +57,11 @@ class TestSearchBounds:
         with pytest.raises(ValueError):
             SearchBounds([("x", -1.0, 1.0)], log_scale={"x": True})
 
+    def test_unknown_log_scale_name_refused(self):
+        # a misspelt name once left its axis searched linearly
+        with pytest.raises(ValueError, match="'nu' is not a searched parameter"):
+            SearchBounds([("mu_nu", 1e-4, 1e-1)], log_scale={"nu": True})
+
 
 class TestHistory:
     def test_incumbent_tracking(self):

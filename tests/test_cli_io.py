@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from rbfadapt.cli_io import (
     ConfigSyntaxError,
     ConfigValueError,
     RunConfig,
+    _forward_spec,
     _write_csv,
     compare_to_exact,
     default_config,
@@ -33,6 +35,7 @@ from rbfadapt.cli_io import (
     run_command,
     write_config,
 )
+from rbfadapt.bayesopt import SearchBounds
 from rbfadapt.problems import advection_exact, exact_type1
 
 
@@ -765,7 +768,45 @@ LATE_MISTAKES = [
     pytest.param(_inverse(search={"bounds": {**INVERSE_BOUNDS, "sigma_nu": [-0.01, 0.01]},
                                   "fixed": {"f": 0.5}}), "inverse",
                  "search.bounds.sigma_nu", id="negative-sigma-nu"),
+    # the sensors measure at the truth, the run reports the problem's value
+    pytest.param(_inverse(problem={"nu": 0.05}), "inverse", "sensors.truth", id="truth-nu-differs"),
+    pytest.param(_inverse("advection", problem={"type": "advection", "speed": 0.9}), "inverse",
+                 "sensors.truth", id="truth-speed-differs"),
 ]
+
+
+# (search section of a file, the same change to the library spec, message):
+# the run spec refuses what parsing refuses, in the same words
+SPEC_REFUSALS = [
+    pytest.param(_forward(search={"bounds": {**FORWARD_BOUNDS, "tau": [-0.05, 0.5]}, "fixed": {"f": 0.5}}),
+                 {"bounds": SearchBounds([("mu", 0.9, 0.99), ("tau", -0.05, 0.5), ("lam", 0.5, 0.9)])},
+                 "search.bounds.tau: tau must stay positive, but reaches -0.05", id="tau-box-reaches-zero"),
+    pytest.param(_forward(search={"fixed": {"f": -0.5}}), {"fixed": {"f": -0.5}},
+                 "search.fixed.f: f must stay positive, but reaches -0.5", id="fixed-fraction-negative"),
+    pytest.param(_forward(search={"eta": -0.1}), {"eta": -0.1},
+                 "search.eta: must be positive, got -0.1", id="eta-positive"),
+    pytest.param(_forward(search={"eta": 0.5}), {"eta": 0.5},
+                 "search.eta: must not exceed a tenth of the domain's longest side (0.1), got 0.5",
+                 id="eta-above-a-tenth"),
+    pytest.param(_forward(search={"width_sharing": "axis"}), {"width_sharing": "axis"},
+                 "search.width_sharing: expected one of ['component', 'kernel'], got 'axis'", id="width-sharing"),
+    pytest.param(_inverse(search={"bounds": {**INVERSE_BOUNDS, "sigma_nu": [-0.01, 0.01]}, "fixed": {"f": 0.5}}),
+                 {"bounds": SearchBounds([(name, lo, hi) for name, (lo, hi) in
+                                          {**INVERSE_BOUNDS, "sigma_nu": [-0.01, 0.01]}.items()])},
+                 "search.bounds.sigma_nu: sigma_nu must stay nonnegative, but reaches -0.01",
+                 id="sigma-nu-nonnegative"),
+]
+
+
+@pytest.mark.parametrize("mapping,change,message", SPEC_REFUSALS)
+def test_the_spec_refuses_what_parsing_refuses(mapping, change, message, tmp_path):
+    with pytest.raises(ConfigValueError) as parsed:
+        parse_config(_dump(tmp_path, mapping))
+    assert str(parsed.value) == message
+    spec = _forward_spec(default_config(mapping["kind"]))
+    with pytest.raises(ValueError) as built:
+        replace(spec, **change)
+    assert "search." + str(built.value) == message
 
 
 class TestMistakesCaughtAtParse:

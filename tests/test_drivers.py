@@ -283,7 +283,7 @@ class TestDiffusivityDraw:
 
 class TestForwardRun:
     def test_search_vector_coverage_enforced(self):
-        with pytest.raises(ValueError, match="cover exactly"):
+        with pytest.raises(ValueError, match="need exactly"):
             ForwardRunSpec(
                 problem=convdiff_type1(0.01),
                 baseline=BaselineConfig(100, 50, 0.1),
@@ -518,7 +518,7 @@ class TestTimeBlocks:
         for overrides, field_name in (
             (dict(n_blocks=1, t_final=0.01, n_rbf=1, n_colloc=10), "n_rbf"),
             (dict(n_boundary=1), "n_boundary"),
-            (dict(n_rbf=150, n_colloc=100), "n_rbf must not exceed n_colloc"),
+            (dict(n_rbf=150, n_colloc=100), "n_rbf: must not exceed n_colloc"),
         ):
             with pytest.raises(ValueError, match=field_name):
                 TimeBlockSpec(**overrides)
