@@ -461,24 +461,31 @@ def bayes_step(
 
 
 def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig) -> tuple:
-    """Run the optimization loop; returns (best w, history).
+    """Run the optimization loop; returns (history, the incumbent's result).
 
-    Failed objective evaluations are recorded as +inf and the loop
-    continues; the surrogate sees them as a large finite penalty.
+    ``objective(w, index)`` returns (loss, result); index is w's position
+    in the history, which is also its evaluation seed.  Only the result
+    of ``history.incumbent_index``, the first minimum, is kept; it is None
+    when no evaluation finished.  A failed evaluation (a raised
+    ArithmeticError or LinAlgError, or a non-finite loss) is recorded as
+    +inf with no result; the surrogate sees it as a large finite penalty.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
     history = BoHistory()
+    incumbent_result = None
     n_init = max(5, 2 * bounds.n_params)
     prev_unit = None
     while True:
         w = bayes_step(history, bounds, config, rng)
         try:
-            loss = float(objective(w))
+            loss, result = objective(w, len(history))
         except (ArithmeticError, np.linalg.LinAlgError):
-            loss = np.inf
+            loss, result = np.inf, None
         if not np.isfinite(loss):
-            loss = np.inf
+            loss, result = np.inf, None
         history.append(w, loss)
+        if history.incumbent_index == len(history) - 1:
+            incumbent_result = result
 
         if config.loss_tol is not None and loss <= config.loss_tol:
             history.stop_reason = "loss_tol"
@@ -493,4 +500,4 @@ def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig) -> tup
             break
         if len(history) > n_init:
             prev_unit = unit
-    return history.best_w, history
+    return history, incumbent_result

@@ -4,7 +4,8 @@ Four entry points: run_baseline_curriculum stiffens a plain collocation
 solve until it breaks and reports where the sharp features sit;
 run_kapi_forward tunes the kernel mixture for one forward problem;
 solve_advection_timeblocks marches a transport problem through sequential
-space-time slabs; run_inverse estimates PDE parameters from noisy sensors.
+space-time slabs; run_inverse estimates PDE parameters from the noisy
+sensors its ForwardRunSpec carries.
 
 The drivers also grade every run: the forward, inverse and curriculum
 results carry the test mesh, the model's values there and the reference
@@ -40,6 +41,7 @@ from .sampling import (
     boundary_points_1d,
     boundary_points_rect,
     boundary_points_xsides,
+    check_grid_count,
     component_counts,
     default_eta,
     draw_widths,
@@ -94,16 +96,30 @@ def hyperparam_names(n_adap: int, dim: int, pde_params=()) -> list:
 # a component's _k suffix
 _POSITIVE = (lambda v: v > 0, "positive")
 _SIGN_RULES = {"f": _POSITIVE, "tau": _POSITIVE, "mu_nu": _POSITIVE, "sigma_nu": (lambda v: v >= 0, "nonnegative")}
+# fewest boundary points the perimeter of a 2D domain is laid out with:
+# four sides of the square, two x edges of the space-time slab
+_LEAST_BOUNDARY = {ProblemKind.POISSON2D: 4, ProblemKind.ADVECTION1D: 2}
+
+
+@dataclass(frozen=True)
+class SensorData:
+    points: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.points.shape[0] != self.values.shape[0]:
+            raise ValueError("points/values length mismatch")
 
 
 @dataclass(frozen=True)
 class ForwardRunSpec:
     """A searched forward or inverse run.
 
-    Construction refuses the settings the sampler would reject mid-run.
-    Each message names the field at fault first, "field: reason" (for
-    example "bounds.tau: tau must stay positive, but reaches -0.5"), so a
-    caller can put its own section in front.
+    An inverse run carries sensors, the last len(sensors) rows of every
+    system it solves.  Construction refuses the settings the sampler or
+    the grids would reject mid-run.  Each message names the field at fault
+    first, "field: reason" (for example "bounds.tau: tau must stay
+    positive, but reaches -0.5"), so a caller can put its section in front.
     """
 
     problem: PdeProblem
@@ -119,6 +135,7 @@ class ForwardRunSpec:
     # features far below the collocation grid scale
     width_sharing: str = "component"
     pde_params: tuple = ()
+    sensors: Optional[SensorData] = None
 
     def __post_init__(self):
         searched, fixed = set(self.bounds.names), set(self.fixed)
@@ -150,6 +167,19 @@ class ForwardRunSpec:
                 raise ValueError(f"{key}: {name} must stay {rule[1]}, but reaches {value:g}")
         if self.width_sharing not in ("component", "kernel"):
             raise ValueError(f"width_sharing: expected one of ['component', 'kernel'], got {self.width_sharing!r}")
+        if self.problem.dim == 2:
+            for name in ("n_colloc", "n_rbf"):
+                check_grid_count(getattr(self.baseline, name), f"baseline.{name}")
+        least = _LEAST_BOUNDARY.get(self.problem.kind, 1)
+        if self.baseline.n_boundary < least:
+            kind, n = self.problem.kind.value, self.baseline.n_boundary
+            raise ValueError(f"baseline.n_boundary: must be at least {least} for the {kind} problem, got {n}")
+        _initial_rows(self.problem, self.baseline)  # refuses a transport problem without n_initial
+        if self.sensors is not None:
+            if not self.pde_params:
+                raise ValueError("sensors: an inverse run needs PDE parameters in the search vector")
+            if not bool(np.all(domain.contains(self.sensors.points))):
+                raise ValueError("sensors: points must lie inside the problem domain")
 
     def named(self, w) -> dict:
         """The search vector by name: w, in the order of the bounds, then
@@ -204,8 +234,9 @@ def _boundary_points(problem: PdeProblem, baseline: BaselineConfig) -> np.ndarra
 def _initial_rows(problem: PdeProblem, baseline: BaselineConfig):
     if problem.kind is not ProblemKind.ADVECTION1D:
         return []
-    n = baseline.n_initial if baseline.n_initial is not None else 2 * baseline.n_boundary
-    pts = initial_points(problem.domain, n)
+    if baseline.n_initial is None:
+        raise ValueError("baseline.n_initial: the transport problem needs a count of initial rows")
+    pts = initial_points(problem.domain, baseline.n_initial)
     vals = advection_initial(pts[:, 0], problem.nu)
     return [(pts, vals)]
 
@@ -340,14 +371,15 @@ def _effective_problem(problem: PdeProblem, values: dict, rng) -> PdeProblem:
     return _at_params(problem, {"nu": _draw_nu(mu_nu, sigma_nu, rng)})
 
 
-def _extra_rows(problem: PdeProblem, baseline: BaselineConfig, sensors=None) -> list:
-    extra = _initial_rows(problem, baseline)
-    if sensors is not None:
-        extra = extra + [(sensors.points, sensors.values)]
+def _extra_rows(spec: ForwardRunSpec, problem: PdeProblem) -> list:
+    """problem's initial rows, then the spec's sensor rows, last."""
+    extra = _initial_rows(problem, spec.baseline)
+    if spec.sensors is not None:
+        extra = extra + [(spec.sensors.points, spec.sensors.values)]
     return extra
 
 
-def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, sensors=None, fixed=None) -> tuple:
+def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, fixed=None) -> tuple:
     """One deterministic objective evaluation: sample, assemble, solve.
 
     values maps exactly the names of the spec's search vector (its bounds
@@ -366,9 +398,9 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, sensor
     rng = np.random.default_rng(ss)
     problem = _effective_problem(spec.problem, values, rng)
     try:
-        block = fixed if fixed is not None else _forward_fixed_block(problem, spec.baseline, sensors)
+        block = fixed if fixed is not None else _forward_fixed_block(spec, problem)
         cfg = sample_configuration(hp, spec.baseline, problem.domain, problem.nu, rng)
-        extra_values = [vals for _, vals in _extra_rows(problem, spec.baseline, sensors)]
+        extra_values = [vals for _, vals in _extra_rows(spec, problem)]
         system, basis = extend(block, cfg.adaptive, extra_values)
         model = solve_system(system, basis)
     except (ArithmeticError, np.linalg.LinAlgError):
@@ -378,38 +410,30 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, sensor
     return model.loss, model
 
 
-def _forward_fixed_block(problem: PdeProblem, baseline: BaselineConfig, sensors=None):
+def _forward_fixed_block(spec: ForwardRunSpec, problem: PdeProblem):
     """The baseline kernels' rows at the collocation grid, boundary and
-    extra points, shared by every evaluation of a run that searches no
-    PDE parameter."""
+    extra points of problem (the spec's, or one at a searched PDE
+    parameter), shared by every evaluation of a run that searches none."""
     return fixed_block(
         problem,
-        baseline_basis(problem.domain, baseline),
-        uniform_grid(problem.domain, baseline.n_colloc),
-        _boundary_points(problem, baseline),
-        _extra_rows(problem, baseline, sensors),
+        baseline_basis(problem.domain, spec.baseline),
+        uniform_grid(problem.domain, spec.baseline.n_colloc),
+        _boundary_points(problem, spec.baseline),
+        _extra_rows(spec, problem),
     )
 
 
-def _optimize_forward(spec: ForwardRunSpec, sensors=None) -> tuple:
-    """Shared BO loop; returns (history, best model, w_named)."""
-    state = {"i": 0, "best_loss": np.inf, "best_model": None}
+def _optimize_forward(spec: ForwardRunSpec) -> tuple:
+    """Shared BO loop; returns (history, the incumbent's model, its w_named)."""
     # a searched PDE parameter changes the operator per evaluation, so
     # each evaluation then builds its own block
-    fixed = None if spec.pde_params else _forward_fixed_block(spec.problem, spec.baseline, sensors)
-
-    def objective(w):
-        loss, model = forward_objective(spec, spec.named(w), state["i"], sensors, fixed)
-        if loss < state["best_loss"]:
-            state["best_loss"] = loss
-            state["best_model"] = model
-        state["i"] += 1
-        return loss
-
-    w_opt, history = optimize(objective, spec.bounds, spec.bo)
-    if state["best_model"] is None:
+    fixed = None if spec.pde_params else _forward_fixed_block(spec, spec.problem)
+    history, model = optimize(
+        lambda w, index: forward_objective(spec, spec.named(w), index, fixed), spec.bounds, spec.bo
+    )
+    if model is None:
         raise ArithmeticError("every objective evaluation failed")
-    return history, state["best_model"], spec.named(w_opt)
+    return history, model, spec.named(history.best_w)
 
 
 def _test_mesh(problem: PdeProblem, n: int) -> np.ndarray:
@@ -423,9 +447,12 @@ def _test_mesh(problem: PdeProblem, n: int) -> np.ndarray:
 def error_metrics(predicted: np.ndarray, reference: np.ndarray) -> dict:
     """Max-norm and relative L2 error of predicted against reference.
 
-    Against an identically zero reference the relative L2 error is 0 for
-    a perfect match and inf otherwise.
+    Mismatched shapes raise ValueError.  Against an identically zero
+    reference the relative L2 error is 0 for a perfect match and inf
+    otherwise.
     """
+    if predicted.shape != reference.shape:
+        raise ValueError(f"mesh mismatch: {predicted.shape} predicted vs {reference.shape} reference values")
     diff = predicted - reference
     denom = float(np.linalg.norm(reference))
     num = float(np.linalg.norm(diff))
@@ -528,6 +555,8 @@ class TimeBlockSpec:
                 raise ValueError(f"{name}: must be at least {least}, got {getattr(self, name)}")
         if self.n_rbf > self.n_colloc:
             raise ValueError(f"n_rbf: must not exceed n_colloc ({self.n_colloc}), got {self.n_rbf}")
+        for name in ("n_colloc", "n_rbf"):
+            check_grid_count(getattr(self, name), name)
         for name in ("t_final", "nu"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name):g}")
@@ -708,15 +737,13 @@ def run_advection_forward(spec: TimeBlockSpec, tunables=None, tuning_blocks: int
         raise ValueError(f"tuning_blocks must lie in [1, {spec.n_blocks}], got {tuning_blocks}")
     prefix = replace(spec, n_blocks=tuning_blocks, t_final=spec.block_dt * tuning_blocks)
 
-    state = {"i": 0}
-
-    def objective(w):
-        i = state["i"]
-        state["i"] += 1
-        return solve_advection_timeblocks(prefix, spec.tunables_of(w), eval_seed=i).aggregate_validation
-
-    w_opt, history = optimize(objective, spec.bounds, spec.bo)
-    result = solve_advection_timeblocks(spec, spec.tunables_of(w_opt), eval_seed=int(history.incumbent_index))
+    # the full march replays the incumbent's draws, so no prefix march is kept
+    history, _ = optimize(
+        lambda w, index: (solve_advection_timeblocks(prefix, spec.tunables_of(w), index).aggregate_validation, None),
+        spec.bounds,
+        spec.bo,
+    )
+    result = solve_advection_timeblocks(spec, spec.tunables_of(history.best_w), history.incumbent_index)
     return result, history
 
 
@@ -727,16 +754,6 @@ def run_advection_forward(spec: TimeBlockSpec, tunables=None, tuning_blocks: int
 class SensorPlacement(Enum):
     UNIFORM_RANDOM = "uniform_random"
     BOUNDARY_LAYER_BIASED = "boundary_layer_biased"
-
-
-@dataclass(frozen=True)
-class SensorData:
-    points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.points.shape[0] != self.values.shape[0]:
-            raise ValueError("points/values length mismatch")
 
 
 def generate_sensor_data(
@@ -775,43 +792,31 @@ def generate_sensor_data(
     return SensorData(pts, values)
 
 
-@dataclass(frozen=True)
-class InverseRunSpec:
-    forward: ForwardRunSpec
-    sensors: SensorData
-    # reporting and grading only; the search never sees it
-    true_params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.forward.pde_params:
-            raise ValueError("inverse run needs PDE parameters in the search vector")
-        inside = self.forward.problem.domain.contains(self.sensors.points)
-        if not bool(np.all(inside)):
-            raise ValueError("sensor points must lie inside the problem domain")
-
-
-def run_inverse(spec: InverseRunSpec) -> SearchResult:
+def run_inverse(spec: ForwardRunSpec, true_params: Optional[dict] = None) -> SearchResult:
     """Estimate PDE parameters by minimizing the full-system residual.
 
-    Sensor rows join the collocation system on every evaluation; the
-    reported estimate is the incumbent's distribution mean (mu_nu) or
-    speed (a), not any single draw.  The best model is graded on the
-    forward test mesh in 1D and an INVERSE_MESH_2D-per-axis mesh in 2D,
-    against the closed form at the true parameters; without them the
-    reference is None.
+    The spec's sensor rows join the collocation system on every
+    evaluation; the reported estimate is the incumbent's distribution
+    mean (mu_nu) or speed (a), not any single draw.  The best model is
+    graded on the forward test mesh in 1D and an INVERSE_MESH_2D-per-axis
+    mesh in 2D, against the closed form at true_params, which only
+    reporting and grading see; without them the reference is None.
     """
-    problem = spec.forward.problem
-    history, model, w_named = _optimize_forward(spec.forward, spec.sensors)
-    mesh = _test_mesh(problem, spec.forward.test_mesh_size if problem.dim == 1 else INVERSE_MESH_2D)
+    if spec.sensors is None:
+        raise ValueError("sensors: an inverse run needs sensor data")
+    true_params = true_params or {}
+    problem = spec.problem
+    history, model, w_named = _optimize_forward(spec)
+    mesh = _test_mesh(problem, spec.test_mesh_size if problem.dim == 1 else INVERSE_MESH_2D)
     predicted = evaluate_model(model, mesh)
-    reference = _at_params(problem, spec.true_params).exact(mesh) if spec.true_params else None
-    if "mu_nu" in spec.forward.pde_params:
+    reference = _at_params(problem, true_params).exact(mesh) if true_params else None
+    if "mu_nu" in spec.pde_params:
         estimates = {"nu": float(w_named["mu_nu"])}
     else:
         estimates = {"a": float(w_named["a"])}
     metrics = {"residual_loss": history.best_loss, "n_evals": len(history)}
     for name, est in estimates.items():
-        if name in spec.true_params:
-            truth = float(spec.true_params[name])
+        if name in true_params:
+            truth = float(true_params[name])
             metrics[f"{name}_rel_error"] = abs(est - truth) / abs(truth)
     return SearchResult(w_named, model, history, metrics, mesh, predicted, reference, estimates)

@@ -127,11 +127,20 @@ def most_square_factors(n: int):
     return a, n // a
 
 
+def check_grid_count(n: int, name: str = "grid size"):
+    """Refuse a 2D point count n, named name in the message, that lays out
+    with one point on a side: a prime n would put every point on one edge."""
+    small, large = most_square_factors(n)
+    if small < 2:
+        raise ValueError(f"{name}: {n} points lay out only as {small} x {large}; a 2D grid needs two per side")
+
+
 def uniform_grid(domain: Box, n: int) -> np.ndarray:
     """Deterministic uniform coverage of the box with exactly n points.
 
     1D: n equispaced points including endpoints.  2D: the most nearly
-    square factorization of n, the larger factor along the longer side.
+    square factorization of n, the larger factor along the longer side,
+    with at least two points per side (see check_grid_count).
     """
     if n < 1:
         raise ValueError("grid size must be positive")
@@ -140,6 +149,7 @@ def uniform_grid(domain: Box, n: int) -> np.ndarray:
         return np.linspace(lo[0], hi[0], n).reshape(-1, 1)
     if domain.dim != 2:
         raise ValueError("uniform_grid supports 1D and 2D domains")
+    check_grid_count(n)
     small, large = most_square_factors(n)
     sides = domain.side_lengths
     counts = (large, small) if sides[0] >= sides[1] else (small, large)

@@ -19,7 +19,6 @@ from rbfadapt.bayesopt import BoConfig, SearchBounds, expected_improvement, opti
 from rbfadapt.clustering import dbscan
 from rbfadapt.drivers import (
     ForwardRunSpec,
-    InverseRunSpec,
     SensorPlacement,
     TimeBlockSpec,
     generate_sensor_data,
@@ -198,8 +197,9 @@ def test_criterion_7_transport_speed_estimation():
         bo=BoConfig(max_evals=20, seed=seed),
         seed=seed,
         pde_params=("a",),
+        sensors=sensors,
     )
-    result = run_inverse(InverseRunSpec(forward, sensors, true_params={"a": 0.5}))
+    result = run_inverse(forward, true_params={"a": 0.5})
     elapsed = time.perf_counter() - t0
     a_est = result.estimates["a"]
     err = abs(a_est - 0.5)
@@ -228,8 +228,9 @@ def _estimate_diffusivity(nu_true: float, mixture_bounds) -> tuple:
         fixed={"f": 0.5},
         pde_params=("mu_nu", "sigma_nu"),
         width_sharing="component",
+        sensors=sensors,
     )
-    result = run_inverse(InverseRunSpec(forward, sensors, true_params={"nu": nu_true}))
+    result = run_inverse(forward, true_params={"nu": nu_true})
     return result.estimates["nu"], result.metrics["nu_rel_error"], result.metrics["n_evals"]
 
 
@@ -329,10 +330,10 @@ def test_criterion_9_property_suite():
         failures.append("acquisition")
 
     # the optimizer finds a 1D quadratic minimum
-    best_w, history = optimize(
-        lambda w: (w[0] - 0.3) ** 2, SearchBounds([("x", 0.0, 1.0)]), BoConfig(max_evals=30, seed=5)
+    history, _ = optimize(
+        lambda w, i: ((w[0] - 0.3) ** 2, None), SearchBounds([("x", 0.0, 1.0)]), BoConfig(max_evals=30, seed=5)
     )
-    if not (abs(best_w[0] - 0.3) <= 0.05 and len(history) <= 30):
+    if not (abs(history.best_w[0] - 0.3) <= 0.05 and len(history) <= 30):
         failures.append("optimizer")
 
     # byte-identical loss history under a fixed seed

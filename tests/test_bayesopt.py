@@ -466,23 +466,23 @@ class TestOptimize:
     def test_quadratic_recovery(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
         config = BoConfig(max_evals=30, seed=5)
-        best_w, history = optimize(
-            lambda w: (w[0] - 0.3) ** 2, bounds, config
+        history, _ = optimize(
+            lambda w, i: ((w[0] - 0.3) ** 2, None), bounds, config
         )
-        assert abs(best_w[0] - 0.3) <= 0.05
+        assert abs(history.best_w[0] - 0.3) <= 0.05
         assert len(history) <= 30
 
     def test_early_exit_on_loss_tol(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
         config = BoConfig(max_evals=30, loss_tol=100.0, seed=1)
-        _, history = optimize(lambda w: 1.0, bounds, config)
+        history, _ = optimize(lambda w, i: (1.0, None), bounds, config)
         assert len(history) == 1
         assert history.stop_reason == "loss_tol"
 
     def test_loss_equal_to_loss_tol_stops(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
         config = BoConfig(max_evals=30, loss_tol=1.0, seed=1)
-        _, history = optimize(lambda w: 1.0, bounds, config)
+        history, _ = optimize(lambda w, i: (1.0, None), bounds, config)
         assert len(history) == 1
         assert history.stop_reason == "loss_tol"
 
@@ -490,7 +490,7 @@ class TestOptimize:
         monkeypatch.setattr("rbfadapt.bayesopt.STEP_TOL", 1e-300)
         bounds = SearchBounds([("x", 0.0, 1.0)])
         config = BoConfig(max_evals=8, loss_tol=None, seed=2)
-        _, history = optimize(lambda w: 0.0, bounds, config)
+        history, _ = optimize(lambda w, i: (0.0, None), bounds, config)
         assert len(history) == 8
         assert history.stop_reason == "budget"
 
@@ -498,24 +498,24 @@ class TestOptimize:
         monkeypatch.setattr("rbfadapt.bayesopt.STEP_TOL", 1e-300)
         bounds = SearchBounds([("x", 0.0, 1.0)])
         config = BoConfig(max_evals=8, loss_tol=1e-300, seed=2)
-        _, history = optimize(lambda w: 1.0 + w[0] ** 2, bounds, config)
+        history, _ = optimize(lambda w, i: (1.0 + w[0] ** 2, None), bounds, config)
         assert len(history) == 8
         assert history.stop_reason == "budget"
 
     def test_bowl_2d(self):
         bounds = SearchBounds([("x", 0.0, 1.0), ("y", 0.0, 1.0)])
         config = BoConfig(max_evals=50, seed=9)
-        best_w, history = optimize(
-            lambda w: (w[0] - 0.3) ** 2 + (w[1] - 0.7) ** 2, bounds, config
+        history, _ = optimize(
+            lambda w, i: ((w[0] - 0.3) ** 2 + (w[1] - 0.7) ** 2, None), bounds, config
         )
         assert history.best_loss < 1e-2
 
     def test_deterministic(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
         config = BoConfig(max_evals=15, seed=33)
-        obj = lambda w: np.sin(5 * w[0]) + w[0] ** 2
-        _, h1 = optimize(obj, bounds, config)
-        _, h2 = optimize(obj, bounds, config)
+        obj = lambda w, i: (np.sin(5 * w[0]) + w[0] ** 2, None)
+        h1, _ = optimize(obj, bounds, config)
+        h2, _ = optimize(obj, bounds, config)
         assert len(h1) == len(h2)
         for (w1, l1), (w2, l2) in zip(h1.records, h2.records):
             assert w1.tobytes() == w2.tobytes()
@@ -524,7 +524,7 @@ class TestOptimize:
     def test_incumbent_nonincreasing(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
         config = BoConfig(max_evals=20, seed=13)
-        _, history = optimize(lambda w: (w[0] - 0.6) ** 2, bounds, config)
+        history, _ = optimize(lambda w, i: ((w[0] - 0.6) ** 2, None), bounds, config)
         running = np.minimum.accumulate([l for _, l in history.records])
         incumbents = [
             min(l for _, l in history.records[: i + 1])
@@ -536,13 +536,47 @@ class TestOptimize:
         bounds = SearchBounds([("x", 0.0, 1.0)])
         config = BoConfig(max_evals=12, seed=3)
 
-        def flaky(w):
+        def flaky(w, i):
             if w[0] < 0.4:
                 raise ArithmeticError("manufactured failure")
-            return (w[0] - 0.6) ** 2
+            return (w[0] - 0.6) ** 2, None
 
-        best_w, history = optimize(flaky, bounds, config)
+        history, _ = optimize(flaky, bounds, config)
+        best_w = history.best_w
         losses = [l for _, l in history.records]
         assert any(np.isinf(l) for l in losses)
         assert np.isfinite(history.best_loss)
         assert best_w[0] >= 0.4
+
+    def test_objective_gets_its_history_position(self):
+        bounds = SearchBounds([("x", 0.0, 1.0)])
+        seen = []
+
+        def objective(w, index):
+            seen.append(index)
+            return (w[0] - 0.6) ** 2, index
+
+        history, result = optimize(objective, bounds, BoConfig(max_evals=9, seed=3))
+        assert seen == list(range(len(history)))
+        assert result == history.incumbent_index
+
+    def test_equal_losses_keep_the_earlier_result(self):
+        bounds = SearchBounds([("x", 0.0, 1.0)])
+        config = BoConfig(max_evals=4, loss_tol=None, seed=1)
+        history, result = optimize(lambda w, i: (1.0, f"evaluation {i}"), bounds, config)
+        assert len(history) == 4
+        assert history.incumbent_index == 0
+        assert result == "evaluation 0"
+
+    def test_no_result_when_every_evaluation_fails(self):
+        bounds = SearchBounds([("x", 0.0, 1.0)])
+
+        def failing(w, i):
+            if i % 2:
+                raise ArithmeticError("manufactured failure")
+            return np.nan, "a result with a non-finite loss"
+
+        history, result = optimize(failing, bounds, BoConfig(max_evals=4, seed=1))
+        assert len(history) == 4
+        assert all(np.isinf(loss) for _, loss in history.records)
+        assert result is None

@@ -36,6 +36,7 @@ from rbfadapt.cli_io import (
     write_config,
 )
 from rbfadapt.bayesopt import SearchBounds
+from rbfadapt.drivers import error_metrics
 from rbfadapt.problems import advection_exact, exact_type1
 
 
@@ -247,6 +248,9 @@ class TestRoundTrip:
 
 
 class TestCompareToExact:
+    def test_is_the_drivers_grading_function(self):
+        assert compare_to_exact is error_metrics
+
     def test_identical_fields_grade_zero(self):
         values = np.linspace(0.0, 1.0, 11)
         assert compare_to_exact(values, values.copy()) == {"linf": 0.0, "rel_l2": 0.0}
@@ -715,6 +719,21 @@ BAD_INPUTS = [
     pytest.param(_march(tunables=[1.0, 2.0]), None,
                  "advection.tunables: expected [f, lam, sigma_f], got [1.0, 2.0]",
                  id="tunables-length"),
+    pytest.param({"kind": "forward", "problem": {"type": "poisson"}, "baseline": {"n_colloc": 1601, "n_rbf": 401}},
+                 None, "baseline.n_colloc: 1601 points lay out only as 1 x 1601; a 2D grid needs two per side",
+                 id="colloc-grid-one-row"),
+    pytest.param({"kind": "forward", "problem": {"type": "poisson"}, "baseline": {"n_rbf": 401}}, None,
+                 "baseline.n_rbf: 401 points lay out only as 1 x 401; a 2D grid needs two per side",
+                 id="kernel-grid-one-row"),
+    pytest.param(_march(n_colloc=601), None,
+                 "advection.n_colloc: 601 points lay out only as 1 x 601; a 2D grid needs two per side",
+                 id="march-colloc-grid-one-row"),
+    pytest.param(_march(n_rbf=151), None,
+                 "advection.n_rbf: 151 points lay out only as 1 x 151; a 2D grid needs two per side",
+                 id="march-kernel-grid-one-row"),
+    pytest.param(_inverse("advection", baseline={"n_initial": None}), None,
+                 "baseline.n_initial: the transport problem needs a count of initial rows",
+                 id="transport-without-initial-rows"),
     pytest.param(_study(schedule=[]), None,
                  "curriculum.schedule: expected a non-empty list, got []", id="schedule-list"),
     pytest.param(_study(schedule=[0.1, 0.1]), None,

@@ -20,7 +20,6 @@ from rbfadapt.drivers import (
     _forward_fixed_block,
     _sample_mask_points,
     ForwardRunSpec,
-    InverseRunSpec,
     SensorPlacement,
     TimeBlockSpec,
     characteristic_mask,
@@ -32,6 +31,7 @@ from rbfadapt.drivers import (
     run_inverse,
     run_kapi_forward,
     solve_advection_timeblocks,
+    solve_baseline,
 )
 from rbfadapt.problems import (
     ADVECTION_X,
@@ -42,6 +42,7 @@ from rbfadapt.problems import (
     advection_initial,
     convdiff_type1,
     convdiff_type2,
+    poisson2d,
 )
 from rbfadapt.sampling import (
     BaselineConfig,
@@ -187,17 +188,23 @@ class TestForwardObjective:
     @pytest.mark.parametrize("with_sensors", [False, True])
     def test_fixed_block_changes_no_bit(self, with_sensors):
         spec = _one_component_spec(1e-3)
-        sensors = None
+        pde = {}
         if with_sensors:
             sensors = generate_sensor_data(
                 spec.problem, {"nu": 1e-3}, 17, 0.01, SensorPlacement.BOUNDARY_LAYER_BIASED,
                 np.random.default_rng(2),
             )
-        fixed = _forward_fixed_block(spec.problem, spec.baseline, sensors)
+            # a spec with sensors searches a PDE parameter; at mu_nu = nu
+            # and sigma_nu = 0 every evaluation solves the spec's problem
+            searched = [*zip(spec.bounds.names, spec.bounds.lowers, spec.bounds.uppers)]
+            bounds = SearchBounds(searched + [("mu_nu", 1e-4, 1e-1), ("sigma_nu", 0.0, 1e-2)])
+            spec = replace(spec, bounds=bounds, pde_params=("mu_nu", "sigma_nu"), sensors=sensors)
+            pde = {"mu_nu": 1e-3, "sigma_nu": 0.0}
+        fixed = _forward_fixed_block(spec, spec.problem)
         for i, (mu, tau) in enumerate([(0.995, 0.3), (0.95, 0.05), (0.9999, 0.5)]):
-            w = {"f": 0.5, "mu": mu, "tau": tau, "lam": -0.3}
-            loss, model = forward_objective(spec, w, i, sensors)
-            reused_loss, reused = forward_objective(spec, w, i, sensors, fixed)
+            w = {"f": 0.5, "mu": mu, "tau": tau, "lam": -0.3, **pde}
+            loss, model = forward_objective(spec, w, i)
+            reused_loss, reused = forward_objective(spec, w, i, fixed)
             assert reused_loss == loss
             assert np.array_equal(reused.coefficients, model.coefficients)
 
@@ -206,10 +213,11 @@ class TestForwardObjective:
         spec = replace(
             _baseline_only_spec(0.01),
             problem=advection1d(0.1, 0.5),
+            baseline=BaselineConfig(500, 250, 0.04, n_initial=4),
             bounds=SearchBounds([("a", 0.1, 1.0)]),
             pde_params=("a",),
         )
-        fixed = _forward_fixed_block(_at_params(spec.problem, {"a": 0.7}), spec.baseline)
+        fixed = _forward_fixed_block(spec, _at_params(spec.problem, {"a": 0.7}))
         loss, model = forward_objective(spec, {"a": 0.7}, 0)
         given_loss, given = forward_objective(spec, {"a": 0.7}, 0, fixed=fixed)
         assert given_loss == loss
@@ -281,7 +289,48 @@ class TestDiffusivityDraw:
         assert below != at_cap
 
 
+def _poisson_spec(baseline):
+    return ForwardRunSpec(
+        problem=poisson2d(0.05),
+        baseline=baseline,
+        n_adap=1,
+        bounds=SearchBounds(
+            [("f", 0.5, 1.0), ("mu_x", 0.4, 0.6), ("mu_y", 0.4, 0.6), ("tau", 0.2, 1.0), ("lam", 0.5, 1.0)]
+        ),
+        bo=BoConfig(max_evals=1),
+    )
+
+
 class TestForwardRun:
+    @pytest.mark.parametrize("baseline,message", [
+        (BaselineConfig(1601, 401, 0.2, n_boundary=400), "baseline.n_colloc: 1601 points lay out only as 1 x 1601"),
+        (BaselineConfig(1600, 401, 0.2, n_boundary=400), "baseline.n_rbf: 401 points lay out only as 1 x 401"),
+        (BaselineConfig(1600, 400, 0.2, n_boundary=3), "baseline.n_boundary: must be at least 4"),
+    ])
+    def test_2d_baseline_counts_must_lay_out(self, baseline, message):
+        with pytest.raises(ValueError, match=message):
+            _poisson_spec(baseline)
+
+    def test_transport_problem_needs_initial_rows(self):
+        with pytest.raises(ValueError, match="baseline.n_initial: the transport problem needs"):
+            replace(
+                _baseline_only_spec(0.01),
+                problem=advection1d(0.1, 0.5),
+                bounds=SearchBounds([("a", 0.1, 1.0)]),
+                pde_params=("a",),
+            )
+        with pytest.raises(ValueError, match="baseline.n_initial: the transport problem needs"):
+            solve_baseline(advection1d(0.1, 0.5), BaselineConfig(100, 100, 0.1, n_boundary=20))
+
+    def test_every_failed_evaluation_raises(self, monkeypatch):
+        def fail(system, basis):
+            raise np.linalg.LinAlgError("manufactured failure")
+
+        monkeypatch.setattr("rbfadapt.drivers.solve_system", fail)
+        spec = replace(_one_component_spec(0.01), bo=BoConfig(max_evals=2, seed=0))
+        with pytest.raises(ArithmeticError, match="every objective evaluation failed"):
+            run_kapi_forward(spec)
+
     def test_search_vector_coverage_enforced(self):
         with pytest.raises(ValueError, match="need exactly"):
             ForwardRunSpec(
@@ -404,6 +453,11 @@ class TestErrorMetrics:
         metrics = error_metrics(np.array([3.0, 5.0]), reference)
         assert metrics == {"linf": 1.0, "rel_l2": 0.2}
 
+    def test_mismatched_shapes_rejected(self):
+        # a (5,) array would broadcast against a (1,) one
+        with pytest.raises(ValueError, match="mesh mismatch"):
+            error_metrics(np.zeros(5), np.zeros(1))
+
     def test_zero_reference_is_zero_for_a_match_and_inf_otherwise(self):
         zeros = np.zeros(4)
         assert error_metrics(zeros.copy(), zeros) == {"linf": 0.0, "rel_l2": 0.0}
@@ -506,6 +560,14 @@ class TestTimeBlocks:
         with pytest.raises(ValueError, match="sigma_f"):
             solve_advection_timeblocks(spec, (1.25, 1.0, 9.0))
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(n_colloc=601), "n_colloc: 601 points lay out only as 1 x 601"),
+        (dict(n_rbf=151), "n_rbf: 151 points lay out only as 1 x 151"),
+    ])
+    def test_grid_counts_must_lay_out(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            TimeBlockSpec(**overrides)
+
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             _small_block_spec(n_blocks=0)
@@ -582,8 +644,8 @@ class TestReEvaluation:
     evaluation index, reproduces the incumbent's loss bit for bit."""
 
     @staticmethod
-    def _reevaluated(spec, result, sensors=None):
-        loss, _ = forward_objective(spec, result.w_named, result.history.incumbent_index, sensors)
+    def _reevaluated(spec, result):
+        loss, _ = forward_objective(spec, result.w_named, result.history.incumbent_index)
         assert np.isfinite(loss)
         assert np.float64(loss).tobytes() == np.float64(result.history.best_loss).tobytes()
 
@@ -598,9 +660,10 @@ class TestReEvaluation:
             spec.problem, {"nu": 0.01}, 30, 0.05, SensorPlacement.BOUNDARY_LAYER_BIASED,
             np.random.default_rng(5),
         )
-        result = run_inverse(InverseRunSpec(spec, sensors, true_params={"nu": 0.01}))
+        spec = replace(spec, sensors=sensors)
+        result = run_inverse(spec, true_params={"nu": 0.01})
         assert result.estimates == {"nu": result.w_named["mu_nu"]}
-        self._reevaluated(spec, result, sensors)
+        self._reevaluated(spec, result)
 
     def test_inverse_speed_run(self):
         problem = advection1d(0.1, 0.5)
@@ -616,9 +679,10 @@ class TestReEvaluation:
         sensors = generate_sensor_data(
             problem, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
         )
-        result = run_inverse(InverseRunSpec(spec, sensors, true_params={"a": 0.5}))
+        spec = replace(spec, sensors=sensors)
+        result = run_inverse(spec, true_params={"a": 0.5})
         assert result.estimates == {"a": result.w_named["a"]}
-        self._reevaluated(spec, result, sensors)
+        self._reevaluated(spec, result)
 
 
 class TestInverse:
@@ -639,8 +703,9 @@ class TestInverse:
                 bo=BoConfig(max_evals=1),
                 seed=0,
                 pde_params=("a",),
+                sensors=sensors,
             )
-            losses[a_try] = forward_objective(spec, {"a": a_try}, 0, sensors)[0]
+            losses[a_try] = forward_objective(spec, {"a": a_try}, 0)[0]
         assert losses[0.5] < 1e-4
         assert losses[0.5] * 1000 < losses[0.25]
         assert losses[0.5] * 1000 < losses[0.75]
@@ -660,8 +725,8 @@ class TestInverse:
             bo=BoConfig(max_evals=2),
             fixed={"f": 0.5},
         )
-        with pytest.raises(ValueError, match="PDE parameters"):
-            InverseRunSpec(forward, sensors)
+        with pytest.raises(ValueError, match="sensors: .*PDE parameters"):
+            replace(forward, sensors=sensors)
         outside = generate_sensor_data(
             problem, {"nu": 0.01}, 10, 0.0, SensorPlacement.UNIFORM_RANDOM, rng
         )
@@ -675,8 +740,12 @@ class TestInverse:
             bo=BoConfig(max_evals=2),
             pde_params=("mu_nu", "sigma_nu"),
         )
-        with pytest.raises(ValueError, match="inside"):
-            InverseRunSpec(forward_inv, outside)
+        with pytest.raises(ValueError, match="sensors: .*inside"):
+            replace(forward_inv, sensors=outside)
+
+    def test_run_needs_sensors(self):
+        with pytest.raises(ValueError, match="sensors: an inverse run needs sensor data"):
+            run_inverse(_diffusivity_spec())
 
     def test_estimate_is_the_incumbent_not_a_transformed_copy(self):
         # searching the diffusivity on a log axis must hand back exactly
@@ -705,8 +774,9 @@ class TestInverse:
             seed=0,
             fixed={"f": 0.5},
             pde_params=("mu_nu", "sigma_nu"),
+            sensors=sensors,
         )
-        result = run_inverse(InverseRunSpec(forward, sensors, true_params={"nu": 0.01}))
+        result = run_inverse(forward, true_params={"nu": 0.01})
         idx = bounds.index_of("mu_nu")
         assert result.estimates["nu"] == float(result.history.best_w[idx])
         assert result.w_named["mu_nu"] == result.estimates["nu"]
@@ -729,8 +799,9 @@ class TestInverse:
             ),
             bo=BoConfig(max_evals=2, seed=0),
             pde_params=("mu_nu", "sigma_nu"),
+            sensors=sensors,
         )
-        result = run_inverse(InverseRunSpec(forward, sensors))
+        result = run_inverse(forward)
         assert result.reference is None
         assert "nu_rel_error" not in result.metrics
         np.testing.assert_array_equal(result.mesh, np.linspace(0.0, 1.0, 2000)[:, None])

@@ -101,6 +101,11 @@ class TestGrids:
         assert g.shape == (600, 2)
         assert len(np.unique(g[:, 0])) in (24, 25)
 
+    def test_2d_count_that_lays_out_as_one_row_rejected(self):
+        # 1,601 is prime: its only layout, 1 x 1,601, puts every point on y = 0
+        with pytest.raises(ValueError, match="1601 points lay out only as 1 x 1601"):
+            uniform_grid(SQUARE, 1601)
+
     def test_longer_side_gets_more_points(self):
         wide = Box((0.0, 0.0), (2.0, 1.0))
         g = uniform_grid(wide, 12)
