@@ -110,32 +110,24 @@ class SearchBounds:
     def n_params(self) -> int:
         return len(self.names)
 
-    def _axes(self):
-        lo = self.lowers.copy()
-        hi = self.uppers.copy()
-        for d, flag in enumerate(self.log_scale):
-            if flag:
-                lo[d] = np.log10(lo[d])
-                hi[d] = np.log10(hi[d])
-        return lo, hi
+    def _axes(self) -> list:
+        # log10 of a linear axis may be nan; np.where keeps that axis as is
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [np.where(self.log_scale, np.log10(corner), corner) for corner in (self.lowers, self.uppers)]
 
     def to_unit(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         lo, hi = self._axes()
-        v = w.copy()
-        for d, flag in enumerate(self.log_scale):
-            if flag:
-                v[..., d] = np.log10(v[..., d])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.where(self.log_scale, np.log10(w), w)
         return (v - lo) / (hi - lo)
 
     def from_unit(self, u) -> np.ndarray:
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         lo, hi = self._axes()
         v = lo + u * (hi - lo)
-        for d, flag in enumerate(self.log_scale):
-            if flag:
-                v[..., d] = 10.0 ** v[..., d]
-        return v
+        with np.errstate(over="ignore"):
+            return np.where(self.log_scale, 10.0**v, v)
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)

@@ -550,20 +550,6 @@ def _search_has_a_parameter(config: RunConfig):
         _fail("search.bounds", "at least one parameter must be searched")
 
 
-def _tunables_lie_in_bounds(config: RunConfig):
-    tunables = config.advection["tunables"]
-    for name, value in zip(TUNABLE_NAMES, tunables or ()):
-        lo, hi = config.advection["bounds"][name]
-        if not lo <= value <= hi:
-            _fail("advection.tunables", f"{name} = {value:g} lies outside advection.bounds.{name} [{lo:g}, {hi:g}]")
-
-
-def _tuning_fits_the_march(config: RunConfig):
-    blocks, tuning = config.advection["n_blocks"], config.advection["tuning_blocks"]
-    if config.advection["tunables"] is None and tuning > blocks:
-        _fail("advection.tuning_blocks", f"must not exceed advection.n_blocks ({blocks}), got {tuning}")
-
-
 def _schedule_decreases(config: RunConfig):
     schedule = config.curriculum["schedule"]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -594,8 +580,6 @@ _CHECKS = (
     ("search", lambda config: _built("search.log10: ", _build_search_bounds, config.search)),
     ("search", lambda config: _built("search.", _forward_spec, config)),
     ("advection", lambda config: _built("advection.", _march_spec, config)),
-    ("advection", _tunables_lie_in_bounds),
-    ("advection", _tuning_fits_the_march),
     ("curriculum", _schedule_decreases),
 )
 
@@ -770,14 +754,13 @@ def _march_spec(config: RunConfig) -> TimeBlockSpec:
         bounds=_build_search_bounds(a),
         bo=_build_bo(a, config.seed),
         seed=config.seed,
+        tunables=a["tunables"],
+        tuning_blocks=a["tuning_blocks"],
     )
 
 
 def _run_advection(config: RunConfig) -> dict:
-    a = config.advection
-    spec = _march_spec(config)
-    tunables = None if a["tunables"] is None else tuple(a["tunables"])
-    result, history = run_advection_forward(spec, tunables, tuning_blocks=a["tuning_blocks"])
+    result, history = run_advection_forward(_march_spec(config))
     mesh, predicted, reference = result.graded_final_profile()
     metrics = {
         "residual_loss": result.aggregate_loss,

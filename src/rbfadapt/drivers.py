@@ -3,9 +3,10 @@
 Four entry points: run_baseline_curriculum stiffens a plain collocation
 solve until it breaks and reports where the sharp features sit;
 run_kapi_forward tunes the kernel mixture for one forward problem;
-solve_advection_timeblocks marches a transport problem through sequential
-space-time slabs; run_inverse estimates PDE parameters from the noisy
-sensors its ForwardRunSpec carries.
+run_advection_forward marches a transport problem through sequential
+space-time slabs, at the tunables its TimeBlockSpec carries or tuned on
+the spec's leading stretch of blocks; run_inverse estimates PDE
+parameters from the noisy sensors its ForwardRunSpec carries.
 
 The drivers also grade every run: the forward, inverse and curriculum
 results carry the test mesh, the model's values there and the reference
@@ -32,7 +33,7 @@ from .assembly import (
 from .bayesopt import BoConfig, BoHistory, SearchBounds, optimize
 from .blas import fixed_blas_threads
 from .clustering import GradientClusterResult, detect_gradient_clusters
-from .problems import ADVECTION_X, Box, PdeProblem, ProblemKind, advection_exact, advection_initial
+from .problems import ADVECTION_X, Box, PdeProblem, ProblemKind, advection1d, advection_exact, advection_initial
 from .rbf import RbfBasis, eval_matrix
 from .sampling import (
     BaselineConfig,
@@ -54,8 +55,6 @@ from .sampling import (
 
 # the transport march's tunables, in the order a tunables tuple lists them
 TUNABLE_NAMES = ("f", "lam", "sigma_f")
-# tunable defaults for the 100-block transport run, fixed by calibration
-DEFAULT_ADVECTION_TUNABLES = (1.25, 1.0, 3.5)
 # x samples of the t_final profile a transport march is graded on
 FINAL_PROFILE_POINTS = 2001
 # per-axis count of the test mesh a 2D inverse run is graded on
@@ -241,6 +240,19 @@ def _initial_rows(problem: PdeProblem, baseline: BaselineConfig):
     return [(pts, vals)]
 
 
+def baseline_block(problem: PdeProblem, baseline: BaselineConfig, extra_rows=()):
+    """The baseline kernels' rows at problem's collocation grid, boundary
+    points and extra (points, values) rows, shared by every evaluation of
+    a searched run whose operator stays fixed."""
+    return fixed_block(
+        problem,
+        baseline_basis(problem.domain, baseline),
+        uniform_grid(problem.domain, baseline.n_colloc),
+        _boundary_points(problem, baseline),
+        extra_rows,
+    )
+
+
 def solve_baseline(problem: PdeProblem, baseline: BaselineConfig) -> tuple:
     """Uniform-grid fixed-width solve; returns (model, interior points)."""
     basis = baseline_basis(problem.domain, baseline)
@@ -387,9 +399,9 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, fixed=
     (max-absolute-residual loss, solved model). Solver failure yields
     (+inf, None). A searched speed, or a diffusivity drawn before the
     kernels, feeds both the operator and the width sampler.  fixed is
-    the run's baseline block (see _forward_fixed_block) for a search
-    without PDE parameters; when it is None the evaluation builds the
-    block for its own problem.
+    the run's baseline block (see baseline_block) for a search without
+    PDE parameters; when it is None the evaluation builds the block for
+    its own problem.
     """
     if set(values) != set(hyperparam_names(spec.n_adap, spec.problem.dim, spec.pde_params)):
         raise ValueError(f"values must name exactly the spec's search vector, got {sorted(values)}")
@@ -398,7 +410,7 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, fixed=
     rng = np.random.default_rng(ss)
     problem = _effective_problem(spec.problem, values, rng)
     try:
-        block = fixed if fixed is not None else _forward_fixed_block(spec, problem)
+        block = fixed if fixed is not None else baseline_block(problem, spec.baseline, _extra_rows(spec, problem))
         cfg = sample_configuration(hp, spec.baseline, problem.domain, problem.nu, rng)
         extra_values = [vals for _, vals in _extra_rows(spec, problem)]
         system, basis = extend(block, cfg.adaptive, extra_values)
@@ -410,24 +422,11 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, fixed=
     return model.loss, model
 
 
-def _forward_fixed_block(spec: ForwardRunSpec, problem: PdeProblem):
-    """The baseline kernels' rows at the collocation grid, boundary and
-    extra points of problem (the spec's, or one at a searched PDE
-    parameter), shared by every evaluation of a run that searches none."""
-    return fixed_block(
-        problem,
-        baseline_basis(problem.domain, spec.baseline),
-        uniform_grid(problem.domain, spec.baseline.n_colloc),
-        _boundary_points(problem, spec.baseline),
-        _extra_rows(spec, problem),
-    )
-
-
 def _optimize_forward(spec: ForwardRunSpec) -> tuple:
     """Shared BO loop; returns (history, the incumbent's model, its w_named)."""
     # a searched PDE parameter changes the operator per evaluation, so
     # each evaluation then builds its own block
-    fixed = None if spec.pde_params else _forward_fixed_block(spec, spec.problem)
+    fixed = None if spec.pde_params else baseline_block(spec.problem, spec.baseline, _extra_rows(spec, spec.problem))
     history, model = optimize(
         lambda w, index: forward_objective(spec, spec.named(w), index, fixed), spec.bounds, spec.bo
     )
@@ -521,15 +520,33 @@ def characteristic_mask(xs, ys, speed: float, pad: float) -> CharacteristicMask:
     return CharacteristicMask(clusters.intervals, speed, pad)
 
 
+def check_tunables(bounds: SearchBounds, tunables) -> tuple:
+    """tunables as floats in the order of TUNABLE_NAMES; a value outside
+    its bounds is refused by name."""
+    values = tuple(float(v) for v in tunables)
+    if len(values) != len(TUNABLE_NAMES):
+        raise ValueError(f"tunables: expected (f, lam, sigma_f), got {tuple(tunables)}")
+    for name, value in zip(TUNABLE_NAMES, values):
+        i = bounds.index_of(name)
+        lo, hi = bounds.lowers[i], bounds.uppers[i]
+        if not lo <= value <= hi:
+            raise ValueError(f"tunables: {name} = {value:g} lies outside its bounds [{lo:g}, {hi:g}]")
+    return values
+
+
 @dataclass(frozen=True)
 class TimeBlockSpec:
-    """Sequential space-time slab configuration for the transport problem.
+    """A transport march through sequential space-time slabs.
 
     Counts are per block. Tunables (f, lam, sigma_f) live in block
     coordinates: each slab of ADVECTION_X x [t_k, t_k + block_dt] is
     affinely mapped to the unit square and sigma_f is divided by
     sqrt(n_rbf) there, the 2D analog of the inverse-count width heuristic
-    used for the 1D baselines.
+    used for the 1D baselines.  Fixed tunables must lie inside bounds;
+    without them the march is tuned on its first tuning_blocks blocks,
+    a stretch in [1, n_blocks].  As in ForwardRunSpec, construction
+    refuses what the march would reject, each message naming its field
+    first.
     """
 
     speed: float = 0.5
@@ -545,11 +562,13 @@ class TimeBlockSpec:
             [("f", 1.0, 1.5), ("lam", 1.0, 1.5), ("sigma_f", 2.5, 4.5)]
         )
     )
-    bo: BoConfig = field(default_factory=lambda: BoConfig(max_evals=40))
+    bo: BoConfig = field(default_factory=lambda: BoConfig(max_evals=40, loss_tol=None))
     seed: int = 0
+    # fixed (f, lam, sigma_f), or None to tune them
+    tunables: Optional[tuple] = None
+    tuning_blocks: int = 10
 
     def __post_init__(self):
-        # each message names the field at fault first, as ForwardRunSpec's do
         for name, least in (("n_blocks", 1), ("n_colloc", 1), ("n_initial", 1), ("n_rbf", 2), ("n_boundary", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name}: must be at least {least}, got {getattr(self, name)}")
@@ -562,6 +581,10 @@ class TimeBlockSpec:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name):g}")
         if set(self.bounds.names) != set(TUNABLE_NAMES):
             raise ValueError(f"bounds: tunables are exactly f, lam, sigma_f; got {sorted(self.bounds.names)}")
+        if self.tunables is not None:
+            object.__setattr__(self, "tunables", check_tunables(self.bounds, self.tunables))
+        elif not 1 <= self.tuning_blocks <= self.n_blocks:
+            raise ValueError(f"tuning_blocks: must lie in [1, {self.n_blocks}], got {self.tuning_blocks}")
 
     @property
     def block_dt(self) -> float:
@@ -618,11 +641,7 @@ def _sample_mask_points(mask: CharacteristicMask, n: int, rng) -> np.ndarray:
     return np.column_stack([xs, ts])
 
 
-def solve_advection_timeblocks(
-    spec: TimeBlockSpec,
-    tunables=DEFAULT_ADVECTION_TUNABLES,
-    eval_seed: int = 0,
-) -> AdvectionResult:
+def solve_advection_timeblocks(spec: TimeBlockSpec, tunables, eval_seed: int = 0) -> AdvectionResult:
     """March the transport solve through sequential unit-square slabs.
 
     Each block solves u_t + a_hat u_x = 0 in normalized coordinates with
@@ -630,28 +649,16 @@ def solve_advection_timeblocks(
     previous block's solution. Adaptive kernels and their collocation
     points are confined to the characteristic mask around the block's
     sharp initial features; a block with no sharp features runs with the
-    baseline grid alone.
+    baseline grid alone.  tunables, (f, lam, sigma_f), must lie inside
+    the spec's bounds.
     """
-    f_ratio, lam, sigma_tun = (float(v) for v in tunables)
-    for name, value in zip(TUNABLE_NAMES, (f_ratio, lam, sigma_tun)):
-        i = spec.bounds.index_of(name)
-        if not (spec.bounds.lowers[i] <= value <= spec.bounds.uppers[i]):
-            raise ValueError(f"tunable {name}={value:g} outside bounds")
-
+    f_ratio, lam, sigma_tun = check_tunables(spec.bounds, tunables)
     x0, x1 = ADVECTION_X
     length_x = x1 - x0
     a_hat = spec.speed * spec.block_dt / length_x
     sigma_hat = sigma_tun / np.sqrt(spec.n_rbf)
     unit = Box((0.0, 0.0), (1.0, 1.0))
-    block_problem = PdeProblem(
-        kind=ProblemKind.ADVECTION1D,
-        domain=unit,
-        nu=spec.nu,
-        advection_speed=a_hat,
-        boundary_spec={"left": 0.0, "right": 0.0},
-    )
-    base = baseline_basis(unit, BaselineConfig(spec.n_colloc, spec.n_rbf, sigma_hat))
-    bc_pts = boundary_points_xsides(unit, spec.n_boundary)
+    block_problem = replace(advection1d(spec.nu, a_hat), domain=unit)
     ic_pts = initial_points(unit, spec.n_initial)
     ic_xhat = ic_pts[:, 0]
     nx = max(most_square_factors(spec.n_rbf))
@@ -673,7 +680,9 @@ def solve_advection_timeblocks(
     top_pts = np.column_stack([ic_xhat, np.ones_like(ic_xhat)])
     # the baseline kernels' entries are the same in every block: build them
     # once, and per block only the adaptive kernels' columns and rows
-    fixed = fixed_block(block_problem, base, uniform_grid(unit, spec.n_colloc), bc_pts, [(ic_pts, ic_vals)])
+    baseline = BaselineConfig(spec.n_colloc, spec.n_rbf, sigma_hat, spec.n_boundary, spec.n_initial)
+    fixed = baseline_block(block_problem, baseline, [(ic_pts, ic_vals)])
+    base = fixed.basis
     val_base = operator_matrix(block_problem, base, val_pts)
     top_base = eval_matrix(base, top_pts)
     # [base | adaptive] rows of the blocks with adaptive kernels: n_adapt is
@@ -720,22 +729,19 @@ def solve_advection_timeblocks(
     )
 
 
-def run_advection_forward(spec: TimeBlockSpec, tunables=None, tuning_blocks: int = 10) -> tuple:
-    """Solve the transport problem, tuning (f, lam, sigma_f) when not given.
+def run_advection_forward(spec: TimeBlockSpec) -> tuple:
+    """Solve the transport problem at the spec's tunables, or tune them.
 
-    Tuning evaluates a short leading stretch of blocks and scores each
+    Tuning evaluates the spec's first tuning_blocks blocks and scores each
     candidate by its off-grid validation residual, which penalizes
     kernels sharp enough to alias between collocation points; the draws
     of the winning evaluation carry over verbatim to the full sweep
     because the sampling streams only depend on (seed, eval index,
-    block index).  tuning_blocks must lie in [1, spec.n_blocks].  Returns
-    (AdvectionResult, BoHistory or None).
+    block index).  Returns (AdvectionResult, BoHistory or None).
     """
-    if tunables is not None:
-        return solve_advection_timeblocks(spec, tunables), None
-    if not 1 <= tuning_blocks <= spec.n_blocks:
-        raise ValueError(f"tuning_blocks must lie in [1, {spec.n_blocks}], got {tuning_blocks}")
-    prefix = replace(spec, n_blocks=tuning_blocks, t_final=spec.block_dt * tuning_blocks)
+    if spec.tunables is not None:
+        return solve_advection_timeblocks(spec, spec.tunables), None
+    prefix = replace(spec, n_blocks=spec.tuning_blocks, t_final=spec.block_dt * spec.tuning_blocks)
 
     # the full march replays the incumbent's draws, so no prefix march is kept
     history, _ = optimize(

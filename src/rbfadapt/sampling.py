@@ -83,9 +83,10 @@ class BaselineConfig:
 
     def __post_init__(self):
         # each message names the field at fault first: "field: reason"
-        for name in ("n_colloc", "n_rbf", "n_boundary"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        for name in ("n_colloc", "n_rbf", "n_boundary", "n_initial"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name}: must be positive, got {value}")
         if self.n_rbf > self.n_colloc:
             raise ValueError(f"n_rbf: must not exceed n_colloc ({self.n_colloc}), got {self.n_rbf}")
         if self.sigma_f <= 0:
@@ -129,10 +130,12 @@ def most_square_factors(n: int):
 
 def check_grid_count(n: int, name: str = "grid size"):
     """Refuse a 2D point count n, named name in the message, that lays out
-    with one point on a side: a prime n would put every point on one edge."""
+    with fewer than three points on a side: a prime n would put every point
+    on one edge, and 2 x m points all lie on two opposite edges, so the
+    grid would have no interior point."""
     small, large = most_square_factors(n)
-    if small < 2:
-        raise ValueError(f"{name}: {n} points lay out only as {small} x {large}; a 2D grid needs two per side")
+    if small < 3:
+        raise ValueError(f"{name}: {n} points lay out only as {small} x {large}; a 2D grid needs three per side")
 
 
 def uniform_grid(domain: Box, n: int) -> np.ndarray:
@@ -140,7 +143,7 @@ def uniform_grid(domain: Box, n: int) -> np.ndarray:
 
     1D: n equispaced points including endpoints.  2D: the most nearly
     square factorization of n, the larger factor along the longer side,
-    with at least two points per side (see check_grid_count).
+    with at least three points per side (see check_grid_count).
     """
     if n < 1:
         raise ValueError("grid size must be positive")

@@ -27,6 +27,7 @@ from rbfadapt.cli_io import (
     ConfigValueError,
     RunConfig,
     _forward_spec,
+    _march_spec,
     _write_csv,
     compare_to_exact,
     default_config,
@@ -36,7 +37,7 @@ from rbfadapt.cli_io import (
     write_config,
 )
 from rbfadapt.bayesopt import SearchBounds
-from rbfadapt.drivers import error_metrics
+from rbfadapt.drivers import TimeBlockSpec, error_metrics
 from rbfadapt.problems import advection_exact, exact_type1
 
 
@@ -720,16 +721,19 @@ BAD_INPUTS = [
                  "advection.tunables: expected [f, lam, sigma_f], got [1.0, 2.0]",
                  id="tunables-length"),
     pytest.param({"kind": "forward", "problem": {"type": "poisson"}, "baseline": {"n_colloc": 1601, "n_rbf": 401}},
-                 None, "baseline.n_colloc: 1601 points lay out only as 1 x 1601; a 2D grid needs two per side",
+                 None, "baseline.n_colloc: 1601 points lay out only as 1 x 1601; a 2D grid needs three per side",
                  id="colloc-grid-one-row"),
     pytest.param({"kind": "forward", "problem": {"type": "poisson"}, "baseline": {"n_rbf": 401}}, None,
-                 "baseline.n_rbf: 401 points lay out only as 1 x 401; a 2D grid needs two per side",
+                 "baseline.n_rbf: 401 points lay out only as 1 x 401; a 2D grid needs three per side",
                  id="kernel-grid-one-row"),
+    pytest.param({"kind": "forward", "problem": {"type": "poisson"}, "baseline": {"n_colloc": 1594}}, None,
+                 "baseline.n_colloc: 1594 points lay out only as 2 x 797; a 2D grid needs three per side",
+                 id="colloc-grid-two-rows"),
     pytest.param(_march(n_colloc=601), None,
-                 "advection.n_colloc: 601 points lay out only as 1 x 601; a 2D grid needs two per side",
+                 "advection.n_colloc: 601 points lay out only as 1 x 601; a 2D grid needs three per side",
                  id="march-colloc-grid-one-row"),
     pytest.param(_march(n_rbf=151), None,
-                 "advection.n_rbf: 151 points lay out only as 1 x 151; a 2D grid needs two per side",
+                 "advection.n_rbf: 151 points lay out only as 1 x 151; a 2D grid needs three per side",
                  id="march-kernel-grid-one-row"),
     pytest.param(_inverse("advection", baseline={"n_initial": None}), None,
                  "baseline.n_initial: the transport problem needs a count of initial rows",
@@ -826,6 +830,36 @@ def test_the_spec_refuses_what_parsing_refuses(mapping, change, message, tmp_pat
     with pytest.raises(ValueError) as built:
         replace(spec, **change)
     assert "search." + str(built.value) == message
+
+
+# (advection section of a file, the same change to the library spec, message)
+MARCH_REFUSALS = [
+    pytest.param(_march(tunables=[9, 1, 3]), {"tunables": (9, 1, 3)},
+                 "advection.tunables: f = 9 lies outside its bounds [1, 1.5]", id="tunables-outside-bounds"),
+    pytest.param(_march(n_blocks=2), {"n_blocks": 2},
+                 "advection.tuning_blocks: must lie in [1, 2], got 10", id="more-tuning-blocks-than-blocks"),
+]
+
+
+@pytest.mark.parametrize("mapping,change,message", MARCH_REFUSALS)
+def test_the_march_spec_refuses_what_parsing_refuses(mapping, change, message, tmp_path):
+    with pytest.raises(ConfigValueError) as parsed:
+        parse_config(_dump(tmp_path, mapping))
+    assert str(parsed.value) == message
+    with pytest.raises(ValueError) as built:
+        replace(TimeBlockSpec(), **change)
+    assert "advection." + str(built.value) == message
+
+
+def test_the_march_defaults_are_the_library_defaults():
+    parsed, library = _march_spec(default_config("advection")), TimeBlockSpec()
+    for name in TimeBlockSpec.__dataclass_fields__:
+        if name != "bounds":
+            assert getattr(parsed, name) == getattr(library, name), name
+    assert parsed.bounds.names == library.bounds.names
+    assert parsed.bounds.log_scale == library.bounds.log_scale
+    assert np.array_equal(parsed.bounds.lowers, library.bounds.lowers)
+    assert np.array_equal(parsed.bounds.uppers, library.bounds.uppers)
 
 
 class TestMistakesCaughtAtParse:

@@ -17,16 +17,18 @@ from rbfadapt.blas import fixed_blas_threads
 from rbfadapt.drivers import (
     _at_params,
     _draw_nu,
-    _forward_fixed_block,
+    _extra_rows,
     _sample_mask_points,
     ForwardRunSpec,
     SensorPlacement,
     TimeBlockSpec,
+    baseline_block,
     characteristic_mask,
     error_metrics,
     forward_objective,
     generate_sensor_data,
     hyperparam_names,
+    run_advection_forward,
     run_baseline_curriculum,
     run_inverse,
     run_kapi_forward,
@@ -200,7 +202,7 @@ class TestForwardObjective:
             bounds = SearchBounds(searched + [("mu_nu", 1e-4, 1e-1), ("sigma_nu", 0.0, 1e-2)])
             spec = replace(spec, bounds=bounds, pde_params=("mu_nu", "sigma_nu"), sensors=sensors)
             pde = {"mu_nu": 1e-3, "sigma_nu": 0.0}
-        fixed = _forward_fixed_block(spec, spec.problem)
+        fixed = baseline_block(spec.problem, spec.baseline, _extra_rows(spec, spec.problem))
         for i, (mu, tau) in enumerate([(0.995, 0.3), (0.95, 0.05), (0.9999, 0.5)]):
             w = {"f": 0.5, "mu": mu, "tau": tau, "lam": -0.3, **pde}
             loss, model = forward_objective(spec, w, i)
@@ -217,7 +219,8 @@ class TestForwardObjective:
             bounds=SearchBounds([("a", 0.1, 1.0)]),
             pde_params=("a",),
         )
-        fixed = _forward_fixed_block(spec, _at_params(spec.problem, {"a": 0.7}))
+        at_speed = _at_params(spec.problem, {"a": 0.7})
+        fixed = baseline_block(at_speed, spec.baseline, _extra_rows(spec, at_speed))
         loss, model = forward_objective(spec, {"a": 0.7}, 0)
         given_loss, given = forward_objective(spec, {"a": 0.7}, 0, fixed=fixed)
         assert given_loss == loss
@@ -476,6 +479,7 @@ def _small_block_spec(**overrides):
         n_boundary=60,
         n_initial=150,
         n_rbf=100,
+        tunables=(1.25, 1.0, 3.5),
     )
     defaults.update(overrides)
     return TimeBlockSpec(**defaults)
@@ -561,8 +565,35 @@ class TestTimeBlocks:
             solve_advection_timeblocks(spec, (1.25, 1.0, 9.0))
 
     @pytest.mark.parametrize("overrides,message", [
+        (dict(tunables=(1.25, 1.0, 9.0)), r"^tunables: sigma_f = 9 lies outside its bounds \[2.5, 4.5\]$"),
+        (dict(tunables=(1.25, 1.0)), r"^tunables: expected \(f, lam, sigma_f\), got \(1.25, 1.0\)$"),
+        (dict(tunables=None, tuning_blocks=5), r"^tuning_blocks: must lie in \[1, 4\], got 5$"),
+        (dict(tunables=None, tuning_blocks=0), r"^tuning_blocks: must lie in \[1, 4\], got 0$"),
+    ])
+    def test_spec_refuses_tunables_and_tuning_stretch(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _small_block_spec(**overrides)
+
+    def test_fixed_tunables_need_no_tuning_stretch(self):
+        spec = _small_block_spec(tunables=[1, 1, 3], tuning_blocks=50)
+        assert spec.tunables == (1.0, 1.0, 3.0)
+
+    def test_forward_run_takes_the_march_from_its_spec(self):
+        spec = _small_block_spec(n_blocks=2, t_final=0.02)
+        result, history = run_advection_forward(spec)
+        assert history is None
+        assert np.array_equal(result.block_losses, solve_advection_timeblocks(spec, spec.tunables).block_losses)
+        tuned = replace(spec, tunables=None, tuning_blocks=1, bo=BoConfig(max_evals=2, loss_tol=None))
+        result, history = run_advection_forward(tuned)
+        assert len(history) == 2
+        best = solve_advection_timeblocks(tuned, tuned.tunables_of(history.best_w), history.incumbent_index)
+        assert result.tunables == best.tunables
+        assert np.array_equal(result.block_losses, best.block_losses)
+
+    @pytest.mark.parametrize("overrides,message", [
         (dict(n_colloc=601), "n_colloc: 601 points lay out only as 1 x 601"),
         (dict(n_rbf=151), "n_rbf: 151 points lay out only as 1 x 151"),
+        (dict(n_colloc=614), "n_colloc: 614 points lay out only as 2 x 307; a 2D grid needs three per side"),
     ])
     def test_grid_counts_must_lay_out(self, overrides, message):
         with pytest.raises(ValueError, match=message):

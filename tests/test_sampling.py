@@ -106,6 +106,11 @@ class TestGrids:
         with pytest.raises(ValueError, match="1601 points lay out only as 1 x 1601"):
             uniform_grid(SQUARE, 1601)
 
+    def test_2d_count_that_lays_out_as_two_rows_rejected(self):
+        # 1,594 = 2 x 797: both rows would lie on the edges y = 0 and y = 1
+        with pytest.raises(ValueError, match="1594 points lay out only as 2 x 797; a 2D grid needs three per side"):
+            uniform_grid(SQUARE, 1594)
+
     def test_longer_side_gets_more_points(self):
         wide = Box((0.0, 0.0), (2.0, 1.0))
         g = uniform_grid(wide, 12)
@@ -338,3 +343,8 @@ class TestSampleConfiguration:
             BaselineConfig(10, 20, 0.1)
         with pytest.raises(ValueError):
             BaselineConfig(10, 5, -0.1)
+
+    @pytest.mark.parametrize("n_initial", [0, -1])
+    def test_initial_row_count_must_be_positive(self, n_initial):
+        with pytest.raises(ValueError, match=f"^n_initial: must be positive, got {n_initial}$"):
+            BaselineConfig(400, 400, 0.1, n_boundary=20, n_initial=n_initial)
