@@ -116,6 +116,7 @@ class SearchBounds:
             return [np.where(self.log_scale, np.log10(corner), corner) for corner in (self.lowers, self.uppers)]
 
     def to_unit(self, w) -> np.ndarray:
+        """w, one vector or vectors stacked as rows, in the unit cube."""
         w = np.asarray(w, dtype=float)
         lo, hi = self._axes()
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -431,7 +432,7 @@ def bayes_step(
         design = _initial_design(n_init, bounds.n_params, config.seed)
         return bounds.from_unit(design[len(history)])
 
-    inputs = np.array([bounds.to_unit(w) for w, _ in history.records])
+    inputs = bounds.to_unit(np.array([w for w, _ in history.records]))
     losses = _penalized_losses([loss for _, loss in history.records])
     targets = np.log10(np.maximum(losses, _LOSS_FLOOR))
     surrogate = gp_fit(inputs, targets)

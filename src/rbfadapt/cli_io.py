@@ -50,6 +50,7 @@ from .drivers import (
     ForwardRunSpec,
     SensorPlacement,
     TimeBlockSpec,
+    check_boundary_count,
     error_metrics,
     generate_sensor_data,
     run_advection_forward,
@@ -58,7 +59,7 @@ from .drivers import (
     run_kapi_forward,
 )
 from .problems import advection1d, convdiff_type1, convdiff_type2, poisson2d
-from .sampling import BaselineConfig
+from .sampling import WIDTH_SHARING, BaselineConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,7 +119,7 @@ class ResultBundle:
     """Everything a run persists, returned for programmatic use."""
 
     config: RunConfig
-    history: Optional[BoHistory]  # None when the run searched nothing
+    history: BoHistory  # empty when the run searched nothing
     metrics: dict
     extras: dict
     timings: dict
@@ -353,7 +354,7 @@ SCHEMA = {
         "isotropic_widths": _Key(
             None, _Unused("per-axis widths were removed: every adaptive kernel has one width", accepted=True)
         ),
-        "width_sharing": _Key(_choice("component", "kernel"), "component"),
+        "width_sharing": _Key(_choice(*WIDTH_SHARING), "component"),
     }),
     "sensors": _Section(("inverse",), {
         "count": _Key(_int(1), 51, {_TRANSPORT: 200}),
@@ -486,13 +487,6 @@ def _parse_section(name: str, given, kind: str, ptype: str) -> dict:
     return parsed
 
 
-def _pde_params(config: RunConfig) -> tuple:
-    """PDE parameters the search estimates, named by the sensors' true value."""
-    if config.sensors is None:
-        return ()
-    return ("a",) if "a" in config.sensors["truth"] else ("mu_nu", "sigma_nu")
-
-
 # rules that span keys; each failure names the key to change
 
 
@@ -573,6 +567,9 @@ def _built(prefix: str, build, *args, **kwargs):
 _CHECKS = (
     ("baseline", lambda config: _built("baseline.", BaselineConfig, **config.baseline)),
     ("baseline", _initial_rows_belong_to_the_transport_problem),
+    ("baseline", lambda config: _built(
+        "baseline.", check_boundary_count, _build_problem(config.problem), config.baseline["n_boundary"]
+    )),
     ("sensors", _truth_gives_one_parameter),
     ("sensors", _placement_fits_the_domain),
     ("search", _forward_search_adapts),
@@ -638,9 +635,19 @@ def _build_bo(section: dict, seed: int) -> BoConfig:
 
 
 def _forward_spec(config: RunConfig) -> ForwardRunSpec:
+    """A forward or inverse run's whole spec.  An inverse run's sensors are
+    drawn from the seed's stream 9, and its search estimates the PDE
+    parameter their truth names."""
     search = config.search
+    problem = _build_problem(config.problem)
+    sensors, pde_params = None, ()
+    if config.sensors is not None:
+        s = config.sensors
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(9,)))
+        sensors = generate_sensor_data(problem, s["truth"], s["count"], s["noise"], SensorPlacement(s["placement"]), rng)
+        pde_params = ("a",) if "a" in s["truth"] else ("mu_nu", "sigma_nu")
     return ForwardRunSpec(
-        problem=_build_problem(config.problem),
+        problem=problem,
         baseline=BaselineConfig(**config.baseline),
         n_adap=search["n_adaptive"],
         bounds=_build_search_bounds(search),
@@ -649,7 +656,8 @@ def _forward_spec(config: RunConfig) -> ForwardRunSpec:
         fixed=search["fixed"],
         eta=search["eta"],
         width_sharing=search["width_sharing"],
-        pde_params=_pde_params(config),
+        pde_params=pde_params,
+        sensors=sensors,
     )
 
 
@@ -682,7 +690,7 @@ def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicte
     """
     searched = _searched(config)
     names = [] if searched is None else list(searched["bounds"])
-    records = [] if history is None else history.records
+    records = history.records
     ws = np.array([w for w, _ in records], dtype=float).reshape(len(records), len(names))
     losses = np.array([loss for _, loss in records], dtype=float)
     axes = ["x", "t"] if config.problem["type"] == "advection" else ["x", "y"][: mesh.shape[1]]
@@ -709,8 +717,10 @@ def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicte
     }
 
 
-def _searched_payload(config: RunConfig, result) -> dict:
-    """The payload of a forward or inverse run from its drivers.SearchResult."""
+def _run_searched(config: RunConfig) -> dict:
+    """A forward or inverse run, from its spec's drivers.SearchResult."""
+    spec = _forward_spec(config)
+    result = run_kapi_forward(spec) if spec.sensors is None else run_inverse(spec)
     extras = {
         "w_opt": {k: float(v) for k, v in result.w_named.items()},
         **{f"{k}_est": float(v) for k, v in result.estimates.items()},
@@ -719,25 +729,6 @@ def _searched_payload(config: RunConfig, result) -> dict:
         config, result.history, dict(result.metrics), extras,
         (result.model,), result.mesh, result.predicted, result.reference,
     )
-
-
-def _run_forward(config: RunConfig) -> dict:
-    return _searched_payload(config, run_kapi_forward(_forward_spec(config)))
-
-
-def _run_inverse(config: RunConfig) -> dict:
-    sensors_cfg = config.sensors
-    spec = _forward_spec(config)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(9,)))
-    sensors = generate_sensor_data(
-        spec.problem,
-        sensors_cfg["truth"],
-        sensors_cfg["count"],
-        sensors_cfg["noise"],
-        SensorPlacement(sensors_cfg["placement"]),
-        rng,
-    )
-    return _searched_payload(config, run_inverse(replace(spec, sensors=sensors), sensors_cfg["truth"]))
 
 
 def _march_spec(config: RunConfig) -> TimeBlockSpec:
@@ -766,10 +757,10 @@ def _run_advection(config: RunConfig) -> dict:
         "residual_loss": result.aggregate_loss,
         "validation_loss": result.aggregate_validation,
         **error_metrics(predicted, reference),
-        "n_evals": 0 if history is None else len(history),
+        "n_evals": len(history),
     }
     extras = {
-        "tunables": dict(zip(TUNABLE_NAMES, result.tunables)),
+        "tunables": dict(zip(TUNABLE_NAMES, result.spec.tunables)),
         "block_losses": [float(v) for v in result.block_losses],
         "validation_losses": [float(v) for v in result.validation_losses],
     }
@@ -796,7 +787,7 @@ def _run_curriculum(config: RunConfig) -> dict:
         ],
         "cluster_intervals": [[float(a), float(b)] for a, b in result.clusters.intervals],
     }
-    return _payload(config, None, metrics, extras, (result.model,), result.mesh, result.predicted, result.reference)
+    return _payload(config, BoHistory(), metrics, extras, (result.model,), result.mesh, result.predicted, result.reference)
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +840,8 @@ def _provenance() -> dict:
 
 
 _RUNNERS = {
-    "forward": _run_forward,
-    "inverse": _run_inverse,
+    "forward": _run_searched,
+    "inverse": _run_searched,
     "advection": _run_advection,
     "baseline-study": _run_curriculum,
 }
@@ -883,12 +874,7 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
     exit_code = EXIT_OK
     searched = _searched(config)
     loss_tol = None if searched is None else searched["loss_tol"]
-    if (
-        history is not None
-        and loss_tol is not None
-        and history.stop_reason == "budget"
-        and history.best_loss > loss_tol
-    ):
+    if loss_tol is not None and history.stop_reason == "budget" and history.best_loss > loss_tol:
         exit_code = EXIT_BUDGET
 
     timings = {"total_seconds": elapsed}
@@ -905,8 +891,8 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         "seed": config.seed,
         "metrics": metrics,
         "timings": timings,
-        "n_evaluations": 0 if history is None else len(history),
-        "stop_reason": None if history is None else history.stop_reason,
+        "n_evaluations": len(history),
+        "stop_reason": history.stop_reason,
         "exit_code": exit_code,
         "provenance": _provenance(),
         **payload["extras"],

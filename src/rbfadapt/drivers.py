@@ -1,12 +1,14 @@
 """End-to-end workflows built on the sampling, assembly and search modules.
 
-Four entry points: run_baseline_curriculum stiffens a plain collocation
-solve until it breaks and reports where the sharp features sit;
-run_kapi_forward tunes the kernel mixture for one forward problem;
-run_advection_forward marches a transport problem through sequential
-space-time slabs, at the tunables its TimeBlockSpec carries or tuned on
-the spec's leading stretch of blocks; run_inverse estimates PDE
-parameters from the noisy sensors its ForwardRunSpec carries.
+Four entry points, each taking its whole run from one spec:
+run_baseline_curriculum stiffens a plain collocation solve until it
+breaks and reports where the sharp features sit; run_kapi_forward tunes
+the kernel mixture for one forward problem; run_advection_forward
+marches a transport problem through sequential space-time slabs, at the
+tunables its TimeBlockSpec carries or tuned on the spec's leading stretch
+of blocks; run_inverse estimates PDE parameters from the noisy sensors
+its ForwardRunSpec carries, which also record the truth they measured.
+A searched run returns its BoHistory, empty when it searched nothing.
 
 The drivers also grade every run: the forward, inverse and curriculum
 results carry the test mesh, the model's values there and the reference
@@ -39,6 +41,7 @@ from .sampling import (
     BaselineConfig,
     MixtureComponent,
     MixtureHyperparams,
+    WIDTH_SHARING,
     boundary_points_1d,
     boundary_points_rect,
     boundary_points_xsides,
@@ -95,15 +98,26 @@ def hyperparam_names(n_adap: int, dim: int, pde_params=()) -> list:
 # a component's _k suffix
 _POSITIVE = (lambda v: v > 0, "positive")
 _SIGN_RULES = {"f": _POSITIVE, "tau": _POSITIVE, "mu_nu": _POSITIVE, "sigma_nu": (lambda v: v >= 0, "nonnegative")}
-# fewest boundary points the perimeter of a 2D domain is laid out with:
-# four sides of the square, two x edges of the space-time slab
-_LEAST_BOUNDARY = {ProblemKind.POISSON2D: 4, ProblemKind.ADVECTION1D: 2}
+
+
+def check_boundary_count(problem: PdeProblem, n_boundary: int):
+    """Refuse a boundary count problem's perimeter cannot take: a 1D
+    problem has exactly its two end points, the square at least one
+    point a side and the space-time slab at least one per x edge."""
+    kind = problem.kind.value
+    if problem.dim == 1 and n_boundary != 2:
+        raise ValueError(f"baseline.n_boundary: the {kind} problem has exactly 2 boundary points, got {n_boundary}")
+    least = 4 if problem.kind is ProblemKind.POISSON2D else 2
+    if n_boundary < least:
+        raise ValueError(f"baseline.n_boundary: must be at least {least} for the {kind} problem, got {n_boundary}")
 
 
 @dataclass(frozen=True)
 class SensorData:
     points: np.ndarray
     values: np.ndarray
+    # the parameters the sensors measured at, by name; empty when unknown
+    truth: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.points.shape[0] != self.values.shape[0]:
@@ -129,10 +143,7 @@ class ForwardRunSpec:
     seed: int = 0
     fixed: dict = field(default_factory=dict)
     eta: Optional[float] = None
-    # "component" shares one width draw across a component's kernels;
-    # "kernel" draws per kernel, building a multi-scale width ladder for
-    # features far below the collocation grid scale
-    width_sharing: str = "component"
+    width_sharing: str = "component"  # one of sampling.WIDTH_SHARING
     pde_params: tuple = ()
     sensors: Optional[SensorData] = None
 
@@ -164,15 +175,12 @@ class ForwardRunSpec:
             rule = _SIGN_RULES.get(re.sub(r"_\d+$", "", name))
             if rule is not None and not rule[0](value):
                 raise ValueError(f"{key}: {name} must stay {rule[1]}, but reaches {value:g}")
-        if self.width_sharing not in ("component", "kernel"):
-            raise ValueError(f"width_sharing: expected one of ['component', 'kernel'], got {self.width_sharing!r}")
+        if self.width_sharing not in WIDTH_SHARING:
+            raise ValueError(f"width_sharing: expected one of {list(WIDTH_SHARING)}, got {self.width_sharing!r}")
         if self.problem.dim == 2:
             for name in ("n_colloc", "n_rbf"):
                 check_grid_count(getattr(self.baseline, name), f"baseline.{name}")
-        least = _LEAST_BOUNDARY.get(self.problem.kind, 1)
-        if self.baseline.n_boundary < least:
-            kind, n = self.problem.kind.value, self.baseline.n_boundary
-            raise ValueError(f"baseline.n_boundary: must be at least {least} for the {kind} problem, got {n}")
+        check_boundary_count(self.problem, self.baseline.n_boundary)
         _initial_rows(self.problem, self.baseline)  # refuses a transport problem without n_initial
         if self.sensors is not None:
             if not self.pde_params:
@@ -301,6 +309,7 @@ def run_baseline_curriculum(
         raise ValueError("nu schedule must be strictly decreasing")
     if problem.dim != 1:
         raise ValueError("curriculum cluster detection is one-dimensional")
+    check_boundary_count(problem, baseline.n_boundary)
 
     measures = []
     solved = None
@@ -491,47 +500,13 @@ def run_kapi_forward(spec: ForwardRunSpec) -> SearchResult:
 # sequential time-block transport solve
 
 
-@dataclass(frozen=True)
-class CharacteristicMask:
-    """Sharp-feature region tracked along straight characteristics.
-
-    Intervals are recorded at the start of a unit block, t = 0; at time t
-    each interval shifts by speed * t and extends by pad on both ends.
+def characteristic_mask(xs, ys) -> tuple:
+    """The sharp-feature intervals of a start-of-block profile: its
+    gradient clusters (clustering.detect_gradient_clusters).  A flat
+    profile (or one whose gradients never clear the threshold) has none,
+    and its block runs baseline-only.
     """
-
-    intervals: tuple
-    speed: float
-    pad: float
-
-    @property
-    def empty(self) -> bool:
-        return len(self.intervals) == 0
-
-
-def characteristic_mask(xs, ys, speed: float, pad: float) -> CharacteristicMask:
-    """Locate sharp gradients in a start-of-block profile and track them.
-
-    The intervals are the profile's gradient clusters
-    (clustering.detect_gradient_clusters).  A flat profile (or one whose
-    gradients never clear the threshold) produces an empty mask, meaning
-    the block runs baseline-only.
-    """
-    clusters = detect_gradient_clusters(xs, ys)
-    return CharacteristicMask(clusters.intervals, speed, pad)
-
-
-def check_tunables(bounds: SearchBounds, tunables) -> tuple:
-    """tunables as floats in the order of TUNABLE_NAMES; a value outside
-    its bounds is refused by name."""
-    values = tuple(float(v) for v in tunables)
-    if len(values) != len(TUNABLE_NAMES):
-        raise ValueError(f"tunables: expected (f, lam, sigma_f), got {tuple(tunables)}")
-    for name, value in zip(TUNABLE_NAMES, values):
-        i = bounds.index_of(name)
-        lo, hi = bounds.lowers[i], bounds.uppers[i]
-        if not lo <= value <= hi:
-            raise ValueError(f"tunables: {name} = {value:g} lies outside its bounds [{lo:g}, {hi:g}]")
-    return values
+    return detect_gradient_clusters(xs, ys).intervals
 
 
 @dataclass(frozen=True)
@@ -582,7 +557,16 @@ class TimeBlockSpec:
         if set(self.bounds.names) != set(TUNABLE_NAMES):
             raise ValueError(f"bounds: tunables are exactly f, lam, sigma_f; got {sorted(self.bounds.names)}")
         if self.tunables is not None:
-            object.__setattr__(self, "tunables", check_tunables(self.bounds, self.tunables))
+            # stored as floats in the order of TUNABLE_NAMES
+            values = tuple(float(v) for v in self.tunables)
+            if len(values) != len(TUNABLE_NAMES):
+                raise ValueError(f"tunables: expected (f, lam, sigma_f), got {tuple(self.tunables)}")
+            for name, value in zip(TUNABLE_NAMES, values):
+                i = self.bounds.index_of(name)
+                lo, hi = self.bounds.lowers[i], self.bounds.uppers[i]
+                if not lo <= value <= hi:
+                    raise ValueError(f"tunables: {name} = {value:g} lies outside its bounds [{lo:g}, {hi:g}]")
+            object.__setattr__(self, "tunables", values)
         elif not 1 <= self.tuning_blocks <= self.n_blocks:
             raise ValueError(f"tuning_blocks: must lie in [1, {self.n_blocks}], got {self.tuning_blocks}")
 
@@ -590,16 +574,16 @@ class TimeBlockSpec:
     def block_dt(self) -> float:
         return self.t_final / self.n_blocks
 
-    def tunables_of(self, w) -> tuple:
-        """The search vector w, in the order of the bounds, as (f, lam, sigma_f)."""
+    def at(self, w) -> "TimeBlockSpec":
+        """The spec at the search vector w, read in the order of the bounds
+        as its tunables (f, lam, sigma_f)."""
         named = dict(zip(self.bounds.names, w))
-        return tuple(named[name] for name in TUNABLE_NAMES)
+        return replace(self, tunables=tuple(named[name] for name in TUNABLE_NAMES))
 
 
 @dataclass(frozen=True)
 class AdvectionResult:
-    spec: TimeBlockSpec
-    tunables: tuple
+    spec: TimeBlockSpec  # the march's spec, tunables included
     models: tuple
     block_losses: np.ndarray
     # operator residual on a staggered off-grid set; catches solutions
@@ -629,30 +613,35 @@ class AdvectionResult:
         return np.column_stack([xs, ts]), predicted, advection_exact(xs, spec.t_final, spec.speed, spec.nu)
 
 
-def _sample_mask_points(mask: CharacteristicMask, n: int, rng) -> np.ndarray:
-    """Uniform draws over the padded, characteristic-shifted mask region."""
-    lens = np.array([hi - lo + 2 * mask.pad for lo, hi in mask.intervals])
+def _sample_mask_points(intervals, speed: float, pad: float, n: int, rng) -> np.ndarray:
+    """Uniform draws over the mask: intervals recorded at the start of a
+    unit block, t = 0, each extended by pad on both ends and, at time t,
+    shifted by speed * t along the characteristics."""
+    lens = np.array([hi - lo + 2 * pad for lo, hi in intervals])
     ts = rng.uniform(0.0, 1.0, n)
     pick = rng.choice(len(lens), size=n, p=lens / lens.sum()) if len(lens) > 1 else np.zeros(n, dtype=int)
     frac = rng.uniform(0.0, 1.0, n)
-    lows = np.array([lo for lo, _ in mask.intervals])[pick] - mask.pad
-    shift = mask.speed * ts
+    lows = np.array([lo for lo, _ in intervals])[pick] - pad
+    shift = speed * ts
     xs = np.clip(lows + shift + frac * lens[pick], 0.0, 1.0)
     return np.column_stack([xs, ts])
 
 
-def solve_advection_timeblocks(spec: TimeBlockSpec, tunables, eval_seed: int = 0) -> AdvectionResult:
-    """March the transport solve through sequential unit-square slabs.
+def solve_advection_timeblocks(spec: TimeBlockSpec, eval_seed: int = 0) -> AdvectionResult:
+    """March the transport solve through sequential unit-square slabs at
+    the spec's tunables, which it must carry (run_advection_forward tunes
+    a spec without them).
 
     Each block solves u_t + a_hat u_x = 0 in normalized coordinates with
     Dirichlet zeros on the x edges and initial rows handed off from the
     previous block's solution. Adaptive kernels and their collocation
     points are confined to the characteristic mask around the block's
     sharp initial features; a block with no sharp features runs with the
-    baseline grid alone.  tunables, (f, lam, sigma_f), must lie inside
-    the spec's bounds.
+    baseline grid alone.  eval_seed picks the evaluation's draws.
     """
-    f_ratio, lam, sigma_tun = check_tunables(spec.bounds, tunables)
+    if spec.tunables is None:
+        raise ValueError("tunables: the march needs fixed (f, lam, sigma_f); run_advection_forward tunes them")
+    f_ratio, lam, sigma_tun = spec.tunables
     x0, x1 = ADVECTION_X
     length_x = x1 - x0
     a_hat = spec.speed * spec.block_dt / length_x
@@ -695,12 +684,12 @@ def solve_advection_timeblocks(spec: TimeBlockSpec, tunables, eval_seed: int = 0
     models, losses, val_losses = [], [], []
     for k in range(spec.n_blocks):
         rng = np.random.default_rng(block_seeds[k])
-        mask = characteristic_mask(ic_xhat, ic_vals, a_hat, pad)
-        if mask.empty or n_adapt == 0:
+        intervals = characteristic_mask(ic_xhat, ic_vals)
+        if not intervals or n_adapt == 0:
             adapt = None
             val_rows, top_rows = val_base, top_base
         else:
-            adapt_pts = _sample_mask_points(mask, n_adapt, rng)
+            adapt_pts = _sample_mask_points(intervals, a_hat, pad, n_adapt, rng)
             # sharp structure lives along x; time-direction kernels span the block
             widths = np.column_stack([np.full(n_adapt, wx), np.ones(n_adapt)])
             adapt = RbfBasis(adapt_pts, widths)
@@ -720,13 +709,7 @@ def solve_advection_timeblocks(spec: TimeBlockSpec, tunables, eval_seed: int = 0
             # next block's initial rows: this block's top edge, taken verbatim
             ic_vals = top_rows @ model.coefficients
 
-    return AdvectionResult(
-        spec,
-        (f_ratio, lam, sigma_tun),
-        tuple(models),
-        np.array(losses),
-        np.array(val_losses),
-    )
+    return AdvectionResult(spec, tuple(models), np.array(losses), np.array(val_losses))
 
 
 def run_advection_forward(spec: TimeBlockSpec) -> tuple:
@@ -737,20 +720,20 @@ def run_advection_forward(spec: TimeBlockSpec) -> tuple:
     kernels sharp enough to alias between collocation points; the draws
     of the winning evaluation carry over verbatim to the full sweep
     because the sampling streams only depend on (seed, eval index,
-    block index).  Returns (AdvectionResult, BoHistory or None).
+    block index).  Returns (AdvectionResult, BoHistory); the history is
+    empty when the spec's tunables were fixed.
     """
     if spec.tunables is not None:
-        return solve_advection_timeblocks(spec, spec.tunables), None
+        return solve_advection_timeblocks(spec), BoHistory()
     prefix = replace(spec, n_blocks=spec.tuning_blocks, t_final=spec.block_dt * spec.tuning_blocks)
 
     # the full march replays the incumbent's draws, so no prefix march is kept
     history, _ = optimize(
-        lambda w, index: (solve_advection_timeblocks(prefix, spec.tunables_of(w), index).aggregate_validation, None),
+        lambda w, index: (solve_advection_timeblocks(prefix.at(w), index).aggregate_validation, None),
         spec.bounds,
         spec.bo,
     )
-    result = solve_advection_timeblocks(spec, spec.tunables_of(history.best_w), history.incumbent_index)
-    return result, history
+    return solve_advection_timeblocks(spec.at(history.best_w), history.incumbent_index), history
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +753,8 @@ def generate_sensor_data(
     placement: SensorPlacement,
     rng,
 ) -> SensorData:
-    """Noisy point observations of the exact solution at the true parameters.
+    """Noisy point observations of the exact solution at the true
+    parameters, which the data records as its truth.
 
     Multiplicative noise: value = exact * (1 + noise_fraction * N(0,1)).
     The biased placement puts ceil(2n/3) points in (0.9, 1) where the
@@ -795,22 +779,23 @@ def generate_sensor_data(
     if values is None:
         raise ValueError("sensor generation needs an exact solution")
     values = values * (1.0 + noise_fraction * rng.standard_normal(n_points))
-    return SensorData(pts, values)
+    return SensorData(pts, values, dict(true_params))
 
 
-def run_inverse(spec: ForwardRunSpec, true_params: Optional[dict] = None) -> SearchResult:
+def run_inverse(spec: ForwardRunSpec) -> SearchResult:
     """Estimate PDE parameters by minimizing the full-system residual.
 
     The spec's sensor rows join the collocation system on every
     evaluation; the reported estimate is the incumbent's distribution
     mean (mu_nu) or speed (a), not any single draw.  The best model is
     graded on the forward test mesh in 1D and an INVERSE_MESH_2D-per-axis
-    mesh in 2D, against the closed form at true_params, which only
-    reporting and grading see; without them the reference is None.
+    mesh in 2D, against the closed form at the sensors' truth, which only
+    reporting and grading see; when the truth is empty the reference is
+    None.
     """
     if spec.sensors is None:
         raise ValueError("sensors: an inverse run needs sensor data")
-    true_params = true_params or {}
+    true_params = spec.sensors.truth
     problem = spec.problem
     history, model, w_named = _optimize_forward(spec)
     mesh = _test_mesh(problem, spec.test_mesh_size if problem.dim == 1 else INVERSE_MESH_2D)

@@ -22,6 +22,11 @@ from .problems import Box
 from .rbf import RbfBasis
 
 _SQRT2 = np.sqrt(2.0)
+# "component": one width draw shared by a component's kernels, the
+# default regime; "kernel": every kernel draws its own width, giving
+# the multi-scale ladder needed when the sharp feature is far below
+# the collocation grid scale
+WIDTH_SHARING = ("component", "kernel")
 
 
 @dataclass(frozen=True)
@@ -51,17 +56,13 @@ class MixtureComponent:
 class MixtureHyperparams:
     components: tuple = ()
     eta: float = 0.1
-    # "component": one width draw shared by a component's kernels, the
-    # default regime; "kernel": every kernel draws its own width, giving
-    # the multi-scale ladder needed when the sharp feature is far below
-    # the collocation grid scale
-    width_sharing: str = "component"
+    width_sharing: str = "component"  # one of WIDTH_SHARING
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.width_sharing not in ("component", "kernel"):
+        if self.width_sharing not in WIDTH_SHARING:
             raise ValueError("width_sharing must be 'component' or 'kernel'")
 
     @property

@@ -199,7 +199,7 @@ def test_criterion_7_transport_speed_estimation():
         pde_params=("a",),
         sensors=sensors,
     )
-    result = run_inverse(forward, true_params={"a": 0.5})
+    result = run_inverse(forward)
     elapsed = time.perf_counter() - t0
     a_est = result.estimates["a"]
     err = abs(a_est - 0.5)
@@ -230,7 +230,7 @@ def _estimate_diffusivity(nu_true: float, mixture_bounds) -> tuple:
         width_sharing="component",
         sensors=sensors,
     )
-    result = run_inverse(forward, true_params={"nu": nu_true})
+    result = run_inverse(forward)
     return result.estimates["nu"], result.metrics["nu_rel_error"], result.metrics["n_evals"]
 
 

@@ -57,6 +57,21 @@ class TestSearchBounds:
         with pytest.raises(ValueError):
             SearchBounds([("x", -1.0, 1.0)], log_scale={"x": True})
 
+    @pytest.mark.parametrize("n", [1, 5, 17, 64, 100, 500])
+    @pytest.mark.parametrize("params,log_scale", [
+        ([("mu", 0.93, 0.99), ("tau", 0.15, 0.45), ("lam", -0.4, -0.15), ("mu_nu", 1e-4, 1e-1),
+          ("sigma_nu", 1e-6, 1e-2)], {"mu_nu": True, "sigma_nu": True}),
+        ([("a", 0.1, 1.0)], None),
+        ([("f", 1.0, 1.5), ("lam", 1.0, 1.5), ("sigma_f", 2.5, 4.5)], None),
+        ([("f", 0.5, 1.0), ("mu_x", 0.4, 0.6), ("mu_y", 0.4, 0.6), ("tau", 0.2, 1.0), ("lam", 0.5, 1.0)], None),
+    ], ids=["inverse-diffusivity", "speed", "march", "poisson"])
+    def test_stacked_rows_map_to_each_row_s_bytes(self, params, log_scale, n):
+        # bayes_step maps its whole history in one call
+        b = SearchBounds(params, log_scale=log_scale)
+        rng = np.random.default_rng(n)
+        rows = np.array([b.from_unit(u) for u in rng.uniform(size=(n, len(params)))])
+        assert b.to_unit(rows).tobytes() == np.array([b.to_unit(w) for w in rows]).tobytes()
+
     def test_unknown_log_scale_name_refused(self):
         # a misspelt name once left its axis searched linearly
         with pytest.raises(ValueError, match="'nu' is not a searched parameter"):

@@ -36,8 +36,8 @@ from rbfadapt.cli_io import (
     run_command,
     write_config,
 )
-from rbfadapt.bayesopt import SearchBounds
-from rbfadapt.drivers import TimeBlockSpec, error_metrics
+from rbfadapt.bayesopt import BoHistory, SearchBounds
+from rbfadapt.drivers import TimeBlockSpec, error_metrics, forward_objective
 from rbfadapt.problems import advection_exact, exact_type1
 
 
@@ -80,6 +80,14 @@ TINY_ADVECTION = {
         "n_rbf": 100,
         "tunables": [1.25, 1.0, 3.5],
     },
+}
+
+TINY_DIFFUSIVITY = {
+    "kind": "inverse",
+    "problem": {"type": "convdiff1", "nu": 0.01},
+    "baseline": {"n_colloc": 200, "n_rbf": 100, "sigma_f": 0.05},
+    "search": {"max_evals": 3},
+    "sensors": {"count": 20, "truth": {"nu": 0.01}},
 }
 
 TINY_STUDY = {
@@ -406,6 +414,30 @@ class TestRunCommand:
         assert [entry["nu"] for entry in summary["schedule"]] == [0.1, 0.05]
         assert summary["cluster_intervals"]
         assert (Path(bundle.out_dir) / "loss_history.csv").read_text() == "k,loss\n"
+
+    @pytest.mark.parametrize("mapping", [TINY_ADVECTION, TINY_STUDY], ids=["fixed-tunables", "baseline-study"])
+    def test_a_run_that_searched_nothing_returns_an_empty_history(self, mapping, tmp_path):
+        bundle = _run_tiny(tmp_path, mapping, subdir="unsearched")
+        assert isinstance(bundle.history, BoHistory)
+        assert len(bundle.history) == 0 and bundle.history.stop_reason is None
+        summary = json.loads((Path(bundle.out_dir) / "summary.json").read_text())
+        assert summary["n_evaluations"] == 0 and summary["stop_reason"] is None
+        with (Path(bundle.out_dir) / "loss_history.csv").open() as fh:
+            assert len(fh.readlines()) == 1
+
+    @pytest.mark.parametrize("mapping", [TINY_INVERSE, TINY_DIFFUSIVITY], ids=["speed", "diffusivity"])
+    def test_an_inverse_run_rescores_from_its_own_config(self, mapping, tmp_path):
+        # the spec built from the written config carries the run's sensors:
+        # its incumbent, re-evaluated at its own index, gives the best loss
+        bundle = _run_tiny(tmp_path, mapping, subdir="inv")
+        out = Path(bundle.out_dir)
+        spec = _forward_spec(parse_config(out / "config.yaml"))
+        assert spec.sensors is not None and spec.sensors.truth == mapping["sensors"]["truth"]
+        summary = json.loads((out / "summary.json").read_text())
+        with (out / "loss_history.csv").open() as fh:
+            losses = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+        loss, _ = forward_objective(spec, summary["w_opt"], int(np.argmin(losses)))
+        assert np.float64(loss).tobytes() == np.float64(summary["metrics"]["residual_loss"]).tobytes()
 
     def test_budget_exhaustion_with_unmet_target_exits_four(self, tmp_path):
         mapping = dict(TINY_FORWARD)
@@ -738,6 +770,9 @@ BAD_INPUTS = [
     pytest.param(_inverse("advection", baseline={"n_initial": None}), None,
                  "baseline.n_initial: the transport problem needs a count of initial rows",
                  id="transport-without-initial-rows"),
+    pytest.param({"kind": "baseline-study", "problem": {"type": "convdiff2"}, "baseline": {"n_boundary": 50}}, None,
+                 "baseline.n_boundary: the convdiff2 problem has exactly 2 boundary points, got 50",
+                 id="study-boundary-count"),
     pytest.param(_study(schedule=[]), None,
                  "curriculum.schedule: expected a non-empty list, got []", id="schedule-list"),
     pytest.param(_study(schedule=[0.1, 0.1]), None,
@@ -766,6 +801,11 @@ LATE_MISTAKES = [
     pytest.param(_march(n_boundary=1), "advection", "advection.n_boundary", id="one-march-edge-point"),
     pytest.param(_inverse("advection", baseline={"n_boundary": 1}), "inverse",
                  "baseline.n_boundary", id="one-slab-edge-point"),
+    pytest.param(_forward(baseline={"n_boundary": 50}), "forward",
+                 "baseline.n_boundary", id="fifty-end-points"),
+    pytest.param(_inverse(baseline={"n_boundary": 1}), "inverse", "baseline.n_boundary", id="one-end-point"),
+    pytest.param({"kind": "baseline-study", "baseline": {"n_boundary": 3}}, "baseline-study",
+                 "baseline.n_boundary", id="three-study-end-points"),
     pytest.param(_inverse("advection", sensors={"placement": "boundary_layer_biased"}), "inverse",
                  "sensors.placement", id="biased-sensors-in-space-time"),
     pytest.param(_forward(baseline={"n_initial": 40}), "forward",

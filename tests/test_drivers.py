@@ -20,6 +20,7 @@ from rbfadapt.drivers import (
     _extra_rows,
     _sample_mask_points,
     ForwardRunSpec,
+    SensorData,
     SensorPlacement,
     TimeBlockSpec,
     baseline_block,
@@ -119,6 +120,11 @@ class TestBaselineCurriculum:
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
             run_baseline_curriculum(convdiff_type1(0.1), self.BASE, [])
+
+    def test_boundary_count_other_than_two_rejected(self):
+        # the 1D problems lay out their two end points whatever the count
+        with pytest.raises(ValueError, match="^baseline.n_boundary: the convdiff1 problem has exactly 2"):
+            run_baseline_curriculum(convdiff_type1(0.1), replace(self.BASE, n_boundary=50), [0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +320,13 @@ class TestForwardRun:
         with pytest.raises(ValueError, match=message):
             _poisson_spec(baseline)
 
+    @pytest.mark.parametrize("n_boundary", [1, 3, 50])
+    def test_1d_problem_takes_exactly_two_boundary_points(self, n_boundary):
+        # the 1D problems lay out their two end points whatever the count
+        message = rf"^baseline.n_boundary: the convdiff1 problem has exactly 2 boundary points, got {n_boundary}$"
+        with pytest.raises(ValueError, match=message):
+            replace(_baseline_only_spec(0.01), baseline=BaselineConfig(500, 250, 0.04, n_boundary=n_boundary))
+
     def test_transport_problem_needs_initial_rows(self):
         with pytest.raises(ValueError, match="baseline.n_initial: the transport problem needs"):
             replace(
@@ -403,47 +416,44 @@ class TestCharacteristicMask:
         return xs, sum(np.exp(-((xs - c) ** 2) / (2 * width**2)) for c in centers)
 
     @staticmethod
-    def _inside(mask, pts):
+    def _inside(intervals, speed, pad, pts):
         """Which (x, t) rows lie in a padded interval shifted along the flow to t."""
-        x = pts[:, :1] - mask.speed * pts[:, 1:]
-        lo = np.array([a for a, _ in mask.intervals]) - mask.pad
-        hi = np.array([b for _, b in mask.intervals]) + mask.pad
+        x = pts[:, :1] - speed * pts[:, 1:]
+        lo = np.array([a for a, _ in intervals]) - pad
+        hi = np.array([b for _, b in intervals]) + pad
         return (x >= lo - 1e-12) & (x <= hi + 1e-12)
 
     def test_peak_is_tracked_and_moves_with_the_flow(self):
         xs, ys = self._profile()
-        mask = characteristic_mask(xs, ys, speed=0.5, pad=0.02)
-        assert not mask.empty
-        (lo, hi), = mask.intervals
+        intervals = characteristic_mask(xs, ys)
+        (lo, hi), = intervals
         assert lo < 0.3 < hi
-        pts = _sample_mask_points(mask, 2000, np.random.default_rng(0))
+        pts = _sample_mask_points(intervals, 0.5, 0.02, 2000, np.random.default_rng(0))
         assert np.all((pts[:, 1] >= 0.0) & (pts[:, 1] <= 1.0))
-        assert np.all(self._inside(mask, pts))
+        assert np.all(self._inside(intervals, 0.5, 0.02, pts))
         late = pts[:, 1] > 0.8
-        assert np.any(late) and np.all(pts[late, 0] > hi + mask.pad)
+        assert np.any(late) and np.all(pts[late, 0] > hi + 0.02)
 
     def test_zero_speed_mask_is_time_invariant(self):
         xs, ys = self._profile()
-        mask = characteristic_mask(xs, ys, speed=0.0, pad=0.02)
-        pts = _sample_mask_points(mask, 2000, np.random.default_rng(1))
-        (lo, hi), = mask.intervals
-        assert np.all((pts[:, 0] >= lo - mask.pad) & (pts[:, 0] <= hi + mask.pad))
+        intervals = characteristic_mask(xs, ys)
+        pts = _sample_mask_points(intervals, 0.0, 0.02, 2000, np.random.default_rng(1))
+        (lo, hi), = intervals
+        assert np.all((pts[:, 0] >= lo - 0.02) & (pts[:, 0] <= hi + 0.02))
         assert pts[:, 1].min() < 0.1 and pts[:, 1].max() > 0.9
 
     def test_draws_follow_the_shifted_intervals(self):
         xs, ys = self._profile(centers=(0.15, 0.4))
-        mask = characteristic_mask(xs, ys, speed=0.5, pad=0.02)
-        assert len(mask.intervals) == 2
-        pts = _sample_mask_points(mask, 2000, np.random.default_rng(2))
-        inside = self._inside(mask, pts)
+        intervals = characteristic_mask(xs, ys)
+        assert len(intervals) == 2
+        pts = _sample_mask_points(intervals, 0.5, 0.02, 2000, np.random.default_rng(2))
+        inside = self._inside(intervals, 0.5, 0.02, pts)
         assert np.all(inside.any(axis=1))
         assert np.all(inside.sum(axis=0) > 0)
 
     def test_flat_profile_gives_empty_mask(self):
         xs = np.linspace(-1.0, 1.0, 101)
-        mask = characteristic_mask(xs, np.ones_like(xs), speed=0.5, pad=0.05)
-        assert mask.empty
-        assert mask.intervals == ()
+        assert characteristic_mask(xs, np.ones_like(xs)) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +499,14 @@ class TestTimeBlocks:
     def test_zero_field_stays_zero(self, monkeypatch):
         monkeypatch.setattr("rbfadapt.drivers.advection_initial", lambda x, nu: np.zeros_like(x))
         spec = _small_block_spec(speed=0.0, n_blocks=2, t_final=0.02)
-        result = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
+        result = solve_advection_timeblocks(spec)
         assert result.aggregate_loss <= 1e-8
         _, predicted, _ = result.graded_final_profile()
         assert np.max(np.abs(predicted)) <= 1e-8
 
     def test_blocks_hand_off_continuously(self):
         spec = _small_block_spec()
-        result = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
+        result = solve_advection_timeblocks(spec)
         ic = initial_points(Box((0.0, 0.0), (1.0, 1.0)), spec.n_initial)
         xh = ic[:, 0]
         top = np.column_stack([xh, np.ones_like(xh)])
@@ -511,7 +521,7 @@ class TestTimeBlocks:
         # every block's system, validation residual and hand-off, rebuilt
         # from scratch without the march's shared baseline entries
         spec = _small_block_spec()
-        result = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
+        result = solve_advection_timeblocks(spec)
         assert any(m.basis.n_kernels > spec.n_rbf for m in result.models)
         x0, x1 = ADVECTION_X
         unit = Box((0.0, 0.0), (1.0, 1.0))
@@ -544,25 +554,37 @@ class TestTimeBlocks:
 
     def test_result_shapes_and_echo(self):
         spec = _small_block_spec(n_blocks=3, t_final=0.03)
-        result = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
+        result = solve_advection_timeblocks(spec)
         assert len(result.models) == 3
         assert result.block_losses.shape == (3,)
         assert result.validation_losses.shape == (3,)
-        assert result.tunables == (1.25, 1.0, 3.5)
+        assert result.spec.tunables == (1.25, 1.0, 3.5)
         for model in result.models:
             assert model.tags is not None
             assert model.tags.shape[0] == model.basis.n_kernels
 
     def test_repeat_run_is_deterministic(self):
         spec = _small_block_spec(n_blocks=2, t_final=0.02)
-        a = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
-        b = solve_advection_timeblocks(spec, (1.25, 1.0, 3.5))
+        a = solve_advection_timeblocks(spec)
+        b = solve_advection_timeblocks(spec)
         np.testing.assert_array_equal(a.block_losses, b.block_losses)
 
     def test_tunable_outside_bounds_rejected(self):
         spec = _small_block_spec()
         with pytest.raises(ValueError, match="sigma_f"):
-            solve_advection_timeblocks(spec, (1.25, 1.0, 9.0))
+            replace(spec, tunables=(1.25, 1.0, 9.0))
+
+    def test_march_refuses_a_spec_without_tunables(self):
+        spec = _small_block_spec(tunables=None, tuning_blocks=1)
+        with pytest.raises(ValueError, match=r"^tunables: the march needs fixed \(f, lam, sigma_f\)"):
+            solve_advection_timeblocks(spec)
+
+    def test_spec_at_a_search_vector_reads_it_by_name(self):
+        spec = _small_block_spec(tunables=None, tuning_blocks=1,
+                                 bounds=SearchBounds([("sigma_f", 2.5, 4.5), ("f", 1.0, 1.5), ("lam", 1.0, 1.5)]))
+        assert spec.at(np.array([3.0, 1.25, 1.5])).tunables == (1.25, 1.5, 3.0)
+        with pytest.raises(ValueError, match="f = 2 lies outside"):
+            spec.at([3.0, 2.0, 1.5])
 
     @pytest.mark.parametrize("overrides,message", [
         (dict(tunables=(1.25, 1.0, 9.0)), r"^tunables: sigma_f = 9 lies outside its bounds \[2.5, 4.5\]$"),
@@ -581,13 +603,13 @@ class TestTimeBlocks:
     def test_forward_run_takes_the_march_from_its_spec(self):
         spec = _small_block_spec(n_blocks=2, t_final=0.02)
         result, history = run_advection_forward(spec)
-        assert history is None
-        assert np.array_equal(result.block_losses, solve_advection_timeblocks(spec, spec.tunables).block_losses)
+        assert len(history) == 0 and history.stop_reason is None
+        assert np.array_equal(result.block_losses, solve_advection_timeblocks(spec).block_losses)
         tuned = replace(spec, tunables=None, tuning_blocks=1, bo=BoConfig(max_evals=2, loss_tol=None))
         result, history = run_advection_forward(tuned)
         assert len(history) == 2
-        best = solve_advection_timeblocks(tuned, tuned.tunables_of(history.best_w), history.incumbent_index)
-        assert result.tunables == best.tunables
+        best = solve_advection_timeblocks(tuned.at(history.best_w), history.incumbent_index)
+        assert result.spec == best.spec == tuned.at(history.best_w)
         assert np.array_equal(result.block_losses, best.block_losses)
 
     @pytest.mark.parametrize("overrides,message", [
@@ -658,6 +680,13 @@ class TestSensorData:
         ratios = data.values / exact
         assert np.std(ratios) == pytest.approx(0.05, rel=0.2)
 
+    def test_data_records_the_truth_it_measured(self):
+        rng = np.random.default_rng(4)
+        data = generate_sensor_data(self.PROBLEM, {"nu": 0.02}, 10, 0.0, SensorPlacement.UNIFORM_RANDOM, rng)
+        assert data.truth == {"nu": 0.02}
+        np.testing.assert_array_equal(data.values, convdiff_type1(0.02).exact(data.points))
+        assert SensorData(data.points, data.values).truth == {}
+
     def test_invalid_inputs_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -692,7 +721,7 @@ class TestReEvaluation:
             np.random.default_rng(5),
         )
         spec = replace(spec, sensors=sensors)
-        result = run_inverse(spec, true_params={"nu": 0.01})
+        result = run_inverse(spec)
         assert result.estimates == {"nu": result.w_named["mu_nu"]}
         self._reevaluated(spec, result)
 
@@ -711,7 +740,7 @@ class TestReEvaluation:
             problem, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
         )
         spec = replace(spec, sensors=sensors)
-        result = run_inverse(spec, true_params={"a": 0.5})
+        result = run_inverse(spec)
         assert result.estimates == {"a": result.w_named["a"]}
         self._reevaluated(spec, result)
 
@@ -807,12 +836,23 @@ class TestInverse:
             pde_params=("mu_nu", "sigma_nu"),
             sensors=sensors,
         )
-        result = run_inverse(forward, true_params={"nu": 0.01})
+        result = run_inverse(forward)
         idx = bounds.index_of("mu_nu")
         assert result.estimates["nu"] == float(result.history.best_w[idx])
         assert result.w_named["mu_nu"] == result.estimates["nu"]
         assert "nu_rel_error" in result.metrics
         assert len(result.history) <= 6
+
+    def test_run_grades_at_the_sensors_truth(self):
+        # the sensors measured at nu = 0.02: the run grades and reports
+        # there, not at the problem's nu
+        sensors = generate_sensor_data(
+            convdiff_type1(0.02), {"nu": 0.02}, 30, 0.05, SensorPlacement.BOUNDARY_LAYER_BIASED,
+            np.random.default_rng(5),
+        )
+        result = run_inverse(replace(_diffusivity_spec(max_evals=2), sensors=sensors))
+        np.testing.assert_array_equal(result.reference, convdiff_type1(0.02).exact(result.mesh))
+        assert result.metrics["nu_rel_error"] == abs(result.estimates["nu"] - 0.02) / 0.02
 
     def test_run_without_true_parameters_grades_against_no_reference(self):
         problem = convdiff_type1(0.01)
@@ -820,6 +860,7 @@ class TestInverse:
         sensors = generate_sensor_data(
             problem, {"nu": 0.01}, 30, 0.05, SensorPlacement.BOUNDARY_LAYER_BIASED, rng
         )
+        sensors = replace(sensors, truth={})
         forward = ForwardRunSpec(
             problem=problem,
             baseline=BaselineConfig(200, 100, 0.05),
