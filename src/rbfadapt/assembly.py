@@ -11,7 +11,9 @@ adaptive kernels to [B | A]: fixed_block builds the baseline kernels'
 rows at the uniform collocation grid, boundary and extra points once,
 and extend appends the adaptive columns.  Collocation points reuse the
 baseline grid plus every adaptive center verbatim, so extend also adds
-the baseline columns' rows at the new centers.
+the baseline columns' rows at the new centers.  kept_columns picks a
+matrix's numerically independent columns by pivoted QR, so that a run
+whose systems share their columns can solve on those alone.
 
 Every points x kernels product is filled in row chunks of CHUNK_ROWS, so
 no whole (points x kernels) matrix is built besides the system itself;
@@ -43,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .blas import fixed_blas_threads
 from .problems import PdeProblem, ProblemKind
@@ -50,7 +53,8 @@ from .rbf import RbfBasis, deriv_matrix, eval_matrix
 
 # rows per chunk of a points x kernels product; a multiple of 64 (see above)
 CHUNK_ROWS = 256
-# relative cutoff of the singular values kept by the least-squares solve
+# relative cutoff of the singular values kept by the least-squares solve,
+# and of the pivoted-QR diagonal kept by kept_columns
 RCOND = 1e-12
 
 
@@ -167,7 +171,7 @@ def _row_chunks(n: int, size: int):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _fill_rows(out: np.ndarray, rows_at, points: np.ndarray) -> None:
+def fill_rows(out: np.ndarray, rows_at, points: np.ndarray) -> None:
     """out[i] = rows_at(points)[i] for every row, one chunk at a time."""
     for rows in _row_chunks(points.shape[0], CHUNK_ROWS):
         out[rows] = rows_at(points[rows])
@@ -213,8 +217,8 @@ def build_system(
     evaluated = np.vstack([boundary_pts, *(pts for pts, _ in extra_rows)])
     n_int = interior_pts.shape[0]
     matrix = np.empty((n_int + evaluated.shape[0], basis.n_kernels))
-    _fill_rows(matrix[:n_int], lambda pts: operator_matrix(problem, basis, pts), interior_pts)
-    _fill_rows(matrix[n_int:], lambda pts: eval_matrix(basis, pts), evaluated)
+    fill_rows(matrix[:n_int], lambda pts: operator_matrix(problem, basis, pts), interior_pts)
+    fill_rows(matrix[n_int:], lambda pts: eval_matrix(basis, pts), evaluated)
     return LinearSystem(matrix, _targets(problem, interior_pts, boundary_pts, [v for _, v in extra_rows]))
 
 
@@ -265,11 +269,29 @@ def extend(block: FixedBlock, adaptive: RbfBasis | None, extra_values) -> tuple:
     matrix = np.empty((n_int + evaluated.shape[0], n_base + adaptive.n_kernels))
     matrix[:n_grid, :n_base] = block.matrix[:n_grid]
     matrix[n_int:, :n_base] = block.matrix[n_grid:]
-    _fill_rows(matrix[n_grid:n_int, :n_base], lambda pts: operator_matrix(problem, base, pts), interior[n_grid:])
-    _fill_rows(matrix[:n_int, n_base:], lambda pts: operator_matrix(problem, adaptive, pts), interior)
-    _fill_rows(matrix[n_int:, n_base:], lambda pts: eval_matrix(adaptive, pts), evaluated)
+    fill_rows(matrix[n_grid:n_int, :n_base], lambda pts: operator_matrix(problem, base, pts), interior[n_grid:])
+    fill_rows(matrix[:n_int, n_base:], lambda pts: operator_matrix(problem, adaptive, pts), interior)
+    fill_rows(matrix[n_int:, n_base:], lambda pts: eval_matrix(adaptive, pts), evaluated)
     basis = RbfBasis(np.vstack([base.centers, adaptive.centers]), np.vstack([base.widths, adaptive.widths]))
     return LinearSystem(matrix, _targets(problem, interior, block.boundary, extra_values)), basis
+
+
+def kept_columns(matrix: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the columns a pivoted QR (LAPACK dgeqp3,
+    under fixed_blas_threads) finds numerically independent: those whose
+    |R_ii| exceeds RCOND * |R_00|.  A Fortran-ordered float64 matrix is
+    factored in place, so it is overwritten; any other is copied first.
+    """
+    a = np.asfortranarray(matrix, dtype=float)
+    with fixed_blas_threads():
+        # dgeqp3's optimal workspace: with scipy's default minimum it runs
+        # unblocked, 2.9 s against 1.5 s at 3,561 x 1,600 on one thread
+        lwork = int(lapack.dgeqp3(a, lwork=-1, overwrite_a=1)[3][0])
+        r, jpvt, _, _, info = lapack.dgeqp3(a, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise ArithmeticError(f"pivoted QR failed (info={info})")
+    diag = np.abs(np.diag(r))
+    return np.sort(jpvt[diag > RCOND * diag[0]] - 1)
 
 
 @fixed_blas_threads()

@@ -106,6 +106,16 @@ class SearchBounds:
         object.__setattr__(self, "uppers", uppers)
         object.__setattr__(self, "log_scale", flags)
 
+    def _key(self) -> tuple:
+        return self.names, tuple(self.lowers.tolist()), tuple(self.uppers.tolist()), self.log_scale
+
+    # the generated field-wise forms would compare and hash the bound arrays
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, SearchBounds) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def n_params(self) -> int:
         return len(self.names)

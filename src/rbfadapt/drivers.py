@@ -24,11 +24,14 @@ from typing import Optional
 import numpy as np
 
 from .assembly import (
+    FixedBlock,
     SolvedModel,
     build_system,
     evaluate_model,
     extend,
+    fill_rows,
     fixed_block,
+    kept_columns,
     operator_matrix,
     solve_system,
 )
@@ -248,13 +251,14 @@ def _initial_rows(problem: PdeProblem, baseline: BaselineConfig):
     return [(pts, vals)]
 
 
-def baseline_block(problem: PdeProblem, baseline: BaselineConfig, extra_rows=()):
+def baseline_block(problem: PdeProblem, baseline: BaselineConfig, extra_rows=(), basis=None):
     """The baseline kernels' rows at problem's collocation grid, boundary
     points and extra (points, values) rows, shared by every evaluation of
-    a searched run whose operator stays fixed."""
+    a searched run whose operator stays fixed.  basis defaults to the
+    whole baseline (baseline_basis)."""
     return fixed_block(
         problem,
-        baseline_basis(problem.domain, baseline),
+        basis if basis is not None else baseline_basis(problem.domain, baseline),
         uniform_grid(problem.domain, baseline.n_colloc),
         _boundary_points(problem, baseline),
         extra_rows,
@@ -400,29 +404,89 @@ def _extra_rows(spec: ForwardRunSpec, problem: PdeProblem) -> list:
     return extra
 
 
-def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, fixed=None) -> tuple:
+def _operator_ends(spec: ForwardRunSpec) -> tuple:
+    """spec's problem at two values of the PDE parameter its operator moves
+    with: the speed a, or the diffusivity that mu_nu centres.  The operator
+    is affine in either, so its rows at two distinct values span its rows
+    at every value an evaluation can reach.  A searched parameter takes
+    the ends of its box, a fixed value v takes v and 2v."""
+    name = "a" if "a" in spec.pde_params else "mu_nu"
+    if name in spec.bounds.names:
+        i = spec.bounds.index_of(name)
+        values = (spec.bounds.lowers[i], spec.bounds.uppers[i])
+    else:
+        values = (spec.fixed[name], 2.0 * spec.fixed[name])
+    key = "a" if name == "a" else "nu"
+    return tuple(_at_params(spec.problem, {key: v}) for v in values)
+
+
+def _kept_baseline(spec: ForwardRunSpec) -> RbfBasis:
+    """The baseline kernels that stay numerically independent in every
+    system of a search over a PDE parameter without adaptive kernels.
+
+    The operator rows at both ends of the parameter (_operator_ends) are
+    stacked with the boundary, initial and sensor rows in one
+    Fortran-ordered array, which kept_columns factors in place.
+    Choosing the columns once per run extends the paper: the run then
+    solves on these kernels only, not for gelsd's minimum-norm
+    coefficients over the whole baseline.
+    """
+    problem, baseline = spec.problem, spec.baseline
+    basis = baseline_basis(problem.domain, baseline)
+    interior = uniform_grid(problem.domain, baseline.n_colloc)
+    evaluated = np.vstack([_boundary_points(problem, baseline), *(pts for pts, _ in _extra_rows(spec, problem))])
+    n = interior.shape[0]
+    stack = np.empty((2 * n + evaluated.shape[0], basis.n_kernels), order="F")
+    for k, end in enumerate(_operator_ends(spec)):
+        fill_rows(stack[k * n:(k + 1) * n], lambda pts: operator_matrix(end, basis, pts), interior)
+    fill_rows(stack[2 * n:], lambda pts: eval_matrix(basis, pts), evaluated)
+    keep = kept_columns(stack)
+    return RbfBasis(basis.centers[keep], basis.widths[keep])
+
+
+def shared_baseline(spec: ForwardRunSpec):
+    """What every evaluation of spec's run shares, from the spec alone.
+
+    Without a searched PDE parameter the operator stays fixed, and this is
+    the run's FixedBlock (baseline_block).  Otherwise each evaluation
+    builds its own block at its own parameter, and this is the RbfBasis it
+    builds on: the whole baseline, or, when the run draws no adaptive
+    kernels, only the kernels _kept_baseline keeps.
+    """
+    problem, baseline = spec.problem, spec.baseline
+    if not spec.pde_params:
+        return baseline_block(problem, baseline, _extra_rows(spec, problem))
+    if spec.n_adap == 0:
+        return _kept_baseline(spec)
+    return baseline_basis(problem.domain, baseline)
+
+
+def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared=None) -> tuple:
     """One deterministic objective evaluation: sample, assemble, solve.
 
     values maps exactly the names of the spec's search vector (its bounds
     and fixed entries, see hyperparam_names) to numbers.  Returns
     (max-absolute-residual loss, solved model). Solver failure yields
     (+inf, None). A searched speed, or a diffusivity drawn before the
-    kernels, feeds both the operator and the width sampler.  fixed is
-    the run's baseline block (see baseline_block) for a search without
-    PDE parameters; when it is None the evaluation builds the block for
-    its own problem.
+    kernels, feeds both the operator and the width sampler.  shared is
+    what the run's evaluations share (shared_baseline): a FixedBlock the
+    evaluation extends, or the baseline kernels it builds its own
+    problem's block on.  When it is None the evaluation computes it from
+    the spec, with the same bits.
     """
     if set(values) != set(hyperparam_names(spec.n_adap, spec.problem.dim, spec.pde_params)):
         raise ValueError(f"values must name exactly the spec's search vector, got {sorted(values)}")
+    if shared is None:
+        shared = shared_baseline(spec)
     hp = _build_mixture(spec, values)
     ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(2, int(eval_seed)))
     rng = np.random.default_rng(ss)
     problem = _effective_problem(spec.problem, values, rng)
+    extra = _extra_rows(spec, problem)
     try:
-        block = fixed if fixed is not None else baseline_block(problem, spec.baseline, _extra_rows(spec, problem))
+        block = shared if isinstance(shared, FixedBlock) else baseline_block(problem, spec.baseline, extra, shared)
         cfg = sample_configuration(hp, spec.baseline, problem.domain, problem.nu, rng)
-        extra_values = [vals for _, vals in _extra_rows(spec, problem)]
-        system, basis = extend(block, cfg.adaptive, extra_values)
+        system, basis = extend(block, cfg.adaptive, [vals for _, vals in extra])
         model = solve_system(system, basis)
     except (ArithmeticError, np.linalg.LinAlgError):
         return np.inf, None
@@ -433,11 +497,9 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, fixed=
 
 def _optimize_forward(spec: ForwardRunSpec) -> tuple:
     """Shared BO loop; returns (history, the incumbent's model, its w_named)."""
-    # a searched PDE parameter changes the operator per evaluation, so
-    # each evaluation then builds its own block
-    fixed = None if spec.pde_params else baseline_block(spec.problem, spec.baseline, _extra_rows(spec, spec.problem))
+    shared = shared_baseline(spec)
     history, model = optimize(
-        lambda w, index: forward_objective(spec, spec.named(w), index, fixed), spec.bounds, spec.bo
+        lambda w, index: forward_objective(spec, spec.named(w), index, shared), spec.bounds, spec.bo
     )
     if model is None:
         raise ArithmeticError("every objective evaluation failed")
@@ -805,7 +867,7 @@ def run_inverse(spec: ForwardRunSpec) -> SearchResult:
         estimates = {"nu": float(w_named["mu_nu"])}
     else:
         estimates = {"a": float(w_named["a"])}
-    metrics = {"residual_loss": history.best_loss, "n_evals": len(history)}
+    metrics = {"residual_loss": history.best_loss, "n_kernels": model.basis.n_kernels, "n_evals": len(history)}
     for name, est in estimates.items():
         if name in true_params:
             truth = float(true_params[name])

@@ -16,6 +16,7 @@ from rbfadapt.assembly import (
     evaluate_model,
     extend,
     fixed_block,
+    kept_columns,
     operator_matrix,
     residual_loss,
     solve_least_squares,
@@ -588,3 +589,33 @@ class TestChunkedRows:
             tracemalloc.stop()
         assert system.matrix.shape == (2160, 1600)
         assert peak <= system.matrix.nbytes + 16 * 2**20, peak / 2**20
+
+
+class TestKeptColumns:
+    @staticmethod
+    def _dependent():
+        # columns 0, 1 and 3 are independent; 2 repeats 0 and 4 is 1 + 3
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((40, 3))
+        return np.column_stack([a[:, 0], a[:, 1], a[:, 0], a[:, 2], a[:, 1] + a[:, 2]])
+
+    def test_keeps_exactly_an_independent_set_in_ascending_order(self):
+        # which of 0 and 2, or of 1, 3 and 4, goes is a tie that rounding
+        # settles; the kept set must be independent and as large as the rank
+        m = self._dependent()
+        keep = kept_columns(m.copy()).tolist()
+        assert keep == sorted(keep) and len(keep) == 3
+        assert not {0, 2} <= set(keep) and not {1, 3, 4} <= set(keep)
+        assert np.linalg.matrix_rank(m[:, keep]) == 3
+
+    def test_full_rank_keeps_every_column(self):
+        m = np.random.default_rng(0).standard_normal((30, 7))
+        assert kept_columns(m).tolist() == list(range(7))
+
+    def test_a_fortran_matrix_is_factored_in_place(self):
+        m = self._dependent()
+        fortran = np.asfortranarray(m)
+        c_order = np.ascontiguousarray(m)
+        assert np.array_equal(kept_columns(fortran), kept_columns(c_order))
+        assert not np.array_equal(fortran, m)  # overwritten by the factor
+        assert np.array_equal(c_order, m)  # copied first

@@ -72,6 +72,17 @@ class TestSearchBounds:
         rows = np.array([b.from_unit(u) for u in rng.uniform(size=(n, len(params)))])
         assert b.to_unit(rows).tobytes() == np.array([b.to_unit(w) for w in rows]).tobytes()
 
+    def test_equal_boxes_compare_equal(self):
+        params = [("mu_nu", 1e-4, 1e-1), ("sigma_nu", 0, 1e-2)]
+        box = SearchBounds(params, log_scale={"mu_nu": True})
+        same = SearchBounds(params, log_scale={"mu_nu": True, "sigma_nu": False})
+        assert box == same and hash(box) == hash(same)
+        assert box != SearchBounds(params)  # another log-scale flag
+        assert box != SearchBounds([params[0], ("sigma_nu", 0, 2e-2)], log_scale={"mu_nu": True})
+        assert box != SearchBounds([params[0], ("sigma", 0, 1e-2)], log_scale={"mu_nu": True})
+        assert box != SearchBounds(params[::-1], log_scale={"mu_nu": True})  # the vector's order
+        assert box != params
+
     def test_unknown_log_scale_name_refused(self):
         # a misspelt name once left its axis searched linearly
         with pytest.raises(ValueError, match="'nu' is not a searched parameter"):

@@ -439,6 +439,16 @@ class TestRunCommand:
         loss, _ = forward_objective(spec, summary["w_opt"], int(np.argmin(losses)))
         assert np.float64(loss).tobytes() == np.float64(summary["metrics"]["residual_loss"]).tobytes()
 
+    def test_a_speed_run_lists_the_kernels_it_kept(self, tmp_path):
+        # no adaptive kernels: the run solves on the baseline kernels it
+        # kept, and kernels.csv lists those alone
+        mapping = dict(TINY_INVERSE, baseline=dict(TINY_INVERSE["baseline"], sigma_f=0.2))
+        out = Path(_run_tiny(tmp_path, mapping, subdir="kept").out_dir)
+        n_kernels = json.loads((out / "summary.json").read_text())["metrics"]["n_kernels"]
+        with (out / "kernels.csv").open() as fh:
+            assert len(fh.readlines()) - 1 == n_kernels
+        assert 0 < n_kernels < mapping["baseline"]["n_rbf"]
+
     def test_budget_exhaustion_with_unmet_target_exits_four(self, tmp_path):
         mapping = dict(TINY_FORWARD)
         mapping["search"] = dict(TINY_FORWARD["search"], max_evals=2, loss_tol=1e-12)
@@ -892,14 +902,7 @@ def test_the_march_spec_refuses_what_parsing_refuses(mapping, change, message, t
 
 
 def test_the_march_defaults_are_the_library_defaults():
-    parsed, library = _march_spec(default_config("advection")), TimeBlockSpec()
-    for name in TimeBlockSpec.__dataclass_fields__:
-        if name != "bounds":
-            assert getattr(parsed, name) == getattr(library, name), name
-    assert parsed.bounds.names == library.bounds.names
-    assert parsed.bounds.log_scale == library.bounds.log_scale
-    assert np.array_equal(parsed.bounds.lowers, library.bounds.lowers)
-    assert np.array_equal(parsed.bounds.uppers, library.bounds.uppers)
+    assert _march_spec(default_config("advection")) == TimeBlockSpec()
 
 
 class TestMistakesCaughtAtParse:

@@ -33,6 +33,7 @@ from rbfadapt.drivers import (
     run_baseline_curriculum,
     run_inverse,
     run_kapi_forward,
+    shared_baseline,
     solve_advection_timeblocks,
     solve_baseline,
 )
@@ -47,6 +48,7 @@ from rbfadapt.problems import (
     convdiff_type2,
     poisson2d,
 )
+from rbfadapt.rbf import RbfBasis
 from rbfadapt.sampling import (
     BaselineConfig,
     boundary_points_xsides,
@@ -217,7 +219,8 @@ class TestForwardObjective:
             assert np.array_equal(reused.coefficients, model.coefficients)
 
     def test_no_fixed_block_when_a_pde_parameter_is_searched(self):
-        # an evaluation at a searched speed builds the block for that speed
+        # an evaluation at a searched speed builds the block for that speed,
+        # on the baseline kernels the run keeps
         spec = replace(
             _baseline_only_spec(0.01),
             problem=advection1d(0.1, 0.5),
@@ -225,10 +228,12 @@ class TestForwardObjective:
             bounds=SearchBounds([("a", 0.1, 1.0)]),
             pde_params=("a",),
         )
+        kept = shared_baseline(spec)
+        assert isinstance(kept, RbfBasis)
         at_speed = _at_params(spec.problem, {"a": 0.7})
-        fixed = baseline_block(at_speed, spec.baseline, _extra_rows(spec, at_speed))
+        fixed = baseline_block(at_speed, spec.baseline, _extra_rows(spec, at_speed), kept)
         loss, model = forward_objective(spec, {"a": 0.7}, 0)
-        given_loss, given = forward_objective(spec, {"a": 0.7}, 0, fixed=fixed)
+        given_loss, given = forward_objective(spec, {"a": 0.7}, 0, fixed)
         assert given_loss == loss
         assert np.array_equal(given.coefficients, model.coefficients)
 
@@ -743,6 +748,43 @@ class TestReEvaluation:
         result = run_inverse(spec)
         assert result.estimates == {"a": result.w_named["a"]}
         self._reevaluated(spec, result)
+
+
+def _small_speed_spec(bo_seed=1):
+    problem = advection1d(0.1, 0.5)
+    sensors = generate_sensor_data(
+        problem, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
+    )
+    return ForwardRunSpec(
+        problem=problem,
+        baseline=BaselineConfig(400, 400, 0.2, n_boundary=20, n_initial=21),
+        n_adap=0,
+        bounds=SearchBounds([("a", 0.1, 1.0)]),
+        bo=BoConfig(max_evals=1, seed=bo_seed),
+        seed=1,
+        pde_params=("a",),
+        sensors=sensors,
+    )
+
+
+class TestKeptBaseline:
+    def test_a_speed_run_solves_on_the_kept_kernels_whatever_it_proposes(self):
+        # two search seeds propose different first speeds; both runs solve
+        # on the same kept kernels, a strict subset of the baseline
+        one, two = (run_inverse(_small_speed_spec(bo_seed)) for bo_seed in (1, 2))
+        assert one.history.records[0][0][0] != two.history.records[0][0][0]
+        kept = shared_baseline(_small_speed_spec())
+        assert 0 < kept.n_kernels < 400
+        for result in (one, two):
+            assert np.array_equal(result.model.basis.centers, kept.centers)
+            assert np.array_equal(result.model.basis.widths, kept.widths)
+            assert result.metrics["n_kernels"] == kept.n_kernels
+
+    def test_other_runs_share_the_whole_baseline(self):
+        forward = shared_baseline(_one_component_spec(0.01))
+        assert forward.basis.n_kernels == 250 and forward.matrix.shape[1] == 250
+        searched = shared_baseline(_diffusivity_spec(n_adap=1))
+        assert isinstance(searched, RbfBasis) and searched.n_kernels == 100
 
 
 class TestInverse:

@@ -1,8 +1,10 @@
 """Results must not depend on the BLAS thread count.
 
 One objective evaluation (the convdiff1 ``nu=0.01`` system, whose matrix
-has a condition number near 1e18), one surrogate fit and one chunked 2D
-grading (769 kernels on the 201 x 201 mesh, 40 row chunks) run in fresh
+has a condition number near 1e18), one surrogate fit, one chunked 2D
+grading (769 kernels on the 201 x 201 mesh, 40 row chunks) and the
+baseline kernels a small transport-speed search keeps (a pivoted QR of
+its stacked rows) run in fresh
 interpreters started with ``OPENBLAS_NUM_THREADS=1`` and ``=2``; their
 outputs must be bit-equal.  OpenBLAS reads the variable when it loads,
 so each thread count needs its own process.
@@ -24,8 +26,14 @@ import numpy as np
 
 from rbfadapt.assembly import SolvedModel, evaluate_model
 from rbfadapt.bayesopt import BoConfig, SearchBounds, gp_fit, gp_predict_batch
-from rbfadapt.drivers import ForwardRunSpec, forward_objective
-from rbfadapt.problems import convdiff_type1, poisson2d
+from rbfadapt.drivers import (
+    ForwardRunSpec,
+    SensorPlacement,
+    forward_objective,
+    generate_sensor_data,
+    shared_baseline,
+)
+from rbfadapt.problems import advection1d, convdiff_type1, poisson2d
 from rbfadapt.rbf import RbfBasis
 from rbfadapt.sampling import BaselineConfig, uniform_grid
 
@@ -51,6 +59,18 @@ basis = RbfBasis(rng.uniform(size=(769, 2)), rng.uniform(0.01, 0.2, size=(769, 2
 graded = SolvedModel(basis, 1e3 * rng.standard_normal(769), 0.0)
 predicted = evaluate_model(graded, uniform_grid(poisson2d(0.05).domain, 201 * 201))
 
+transport = advection1d(0.1, 0.5)
+speed_spec = ForwardRunSpec(
+    problem=transport,
+    baseline=BaselineConfig(400, 400, 0.2, n_boundary=20, n_initial=21),
+    n_adap=0,
+    bounds=SearchBounds([("a", 0.1, 1.0)]),
+    bo=BoConfig(max_evals=1),
+    pde_params=("a",),
+    sensors=generate_sensor_data(transport, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, rng),
+)
+kept = shared_baseline(speed_spec)
+
 np.savez(
     sys.argv[1],
     loss=loss,
@@ -59,6 +79,7 @@ np.savez(
     mean=mean,
     var=var,
     predicted=predicted,
+    kept_centers=kept.centers,
 )
 """
 
@@ -75,6 +96,6 @@ def _run(tmp_path, threads: int) -> dict:
 def test_objective_and_surrogate_bit_equal_across_thread_counts(tmp_path):
     one = _run(tmp_path, 1)
     two = _run(tmp_path, 2)
-    for key in ("loss", "coefficients", "alpha", "mean", "var", "predicted"):
+    for key in ("loss", "coefficients", "alpha", "mean", "var", "predicted", "kept_centers"):
         diff = float(np.max(np.abs(one[key] - two[key])))
         assert one[key].tobytes() == two[key].tobytes(), f"{key} differs by up to {diff:.3e}"
