@@ -50,13 +50,12 @@ from .drivers import (
     ForwardRunSpec,
     SensorPlacement,
     TimeBlockSpec,
-    check_boundary_count,
+    check_baseline,
     error_metrics,
     generate_sensor_data,
     run_advection_forward,
     run_baseline_curriculum,
-    run_inverse,
-    run_kapi_forward,
+    run_kapi,
 )
 from .problems import advection1d, convdiff_type1, convdiff_type2, poisson2d
 from .sampling import WIDTH_SHARING, BaselineConfig
@@ -116,13 +115,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ResultBundle:
-    """Everything a run persists, returned for programmatic use."""
+    """What a run returns for programmatic use; summary.json holds the rest."""
 
-    config: RunConfig
     history: BoHistory  # empty when the run searched nothing
     metrics: dict
-    extras: dict
-    timings: dict
     exit_code: int
     out_dir: str
     files: tuple
@@ -510,11 +506,6 @@ def _given_bounds_replace_the_search_space(raw: dict) -> dict:
     return raw
 
 
-def _initial_rows_belong_to_the_transport_problem(config: RunConfig):
-    if config.baseline["n_initial"] is not None and config.problem["type"] != "advection":
-        _fail("baseline.n_initial", "only the transport problem has initial rows; leave it null")
-
-
 def _truth_gives_one_parameter(config: RunConfig):
     truth = config.sensors["truth"]
     if len(truth) != 1:
@@ -565,10 +556,11 @@ def _built(prefix: str, build, *args, **kwargs):
 # only when its section belongs to the run.  The rules of the library's
 # specs are checked by building the specs.
 _CHECKS = (
-    ("baseline", lambda config: _built("baseline.", BaselineConfig, **config.baseline)),
-    ("baseline", _initial_rows_belong_to_the_transport_problem),
     ("baseline", lambda config: _built(
-        "baseline.", check_boundary_count, _build_problem(config.problem), config.baseline["n_boundary"]
+        "baseline.",
+        check_baseline,
+        _build_problem(config.problem),
+        _built("baseline.", BaselineConfig, **config.baseline),
     )),
     ("sensors", _truth_gives_one_parameter),
     ("sensors", _placement_fits_the_domain),
@@ -719,8 +711,7 @@ def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicte
 
 def _run_searched(config: RunConfig) -> dict:
     """A forward or inverse run, from its spec's drivers.SearchResult."""
-    spec = _forward_spec(config)
-    result = run_kapi_forward(spec) if spec.sensors is None else run_inverse(spec)
+    result = run_kapi(_forward_spec(config))
     extras = {
         "w_opt": {k: float(v) for k, v in result.w_named.items()},
         **{f"{k}_est": float(v) for k, v in result.estimates.items()},
@@ -912,11 +903,8 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         print(f"results written to {out_dir}")
 
     return ResultBundle(
-        config=config,
         history=history,
         metrics=metrics,
-        extras=payload["extras"],
-        timings=timings,
         exit_code=exit_code,
         out_dir=str(out_dir),
         files=tuple(str(p) for p in files),

@@ -1,19 +1,20 @@
 """End-to-end workflows built on the sampling, assembly and search modules.
 
-Four entry points, each taking its whole run from one spec:
+Three entry points, each taking its whole run from one spec:
 run_baseline_curriculum stiffens a plain collocation solve until it
-breaks and reports where the sharp features sit; run_kapi_forward tunes
-the kernel mixture for one forward problem; run_advection_forward
-marches a transport problem through sequential space-time slabs, at the
-tunables its TimeBlockSpec carries or tuned on the spec's leading stretch
-of blocks; run_inverse estimates PDE parameters from the noisy sensors
-its ForwardRunSpec carries, which also record the truth they measured.
-A searched run returns its BoHistory, empty when it searched nothing.
+breaks and reports where the sharp features sit; run_kapi tunes the
+kernel mixture for one problem by Bayesian search, and an inverse run
+searches a PDE parameter with it, from the noisy sensors its
+ForwardRunSpec carries, which also record the truth they measured;
+run_advection_forward marches a transport problem through sequential
+space-time slabs, at the tunables its TimeBlockSpec carries or tuned on
+the spec's leading stretch of blocks.  A searched run returns its
+BoHistory, empty when it searched nothing.
 
-The drivers also grade every run: the forward, inverse and curriculum
-results carry the test mesh, the model's values there and the reference
-(a closed form at the true parameters, or the finite-difference solve
-for 2D Poisson), and a march's result grades its t_final profile.
+The drivers also grade every run: the searched and curriculum results
+carry the test mesh, the model's values there and the reference (a
+closed form at the true parameters, or the finite-difference solve for
+2D Poisson), and a march's result grades its t_final profile.
 """
 
 import re
@@ -63,8 +64,6 @@ from .sampling import (
 TUNABLE_NAMES = ("f", "lam", "sigma_f")
 # x samples of the t_final profile a transport march is graded on
 FINAL_PROFILE_POINTS = 2001
-# per-axis count of the test mesh a 2D inverse run is graded on
-INVERSE_MESH_2D = 101
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +102,27 @@ _POSITIVE = (lambda v: v > 0, "positive")
 _SIGN_RULES = {"f": _POSITIVE, "tau": _POSITIVE, "mu_nu": _POSITIVE, "sigma_nu": (lambda v: v >= 0, "nonnegative")}
 
 
-def check_boundary_count(problem: PdeProblem, n_boundary: int):
-    """Refuse a boundary count problem's perimeter cannot take: a 1D
-    problem has exactly its two end points, the square at least one
-    point a side and the space-time slab at least one per x edge."""
-    kind = problem.kind.value
+def check_baseline(problem: PdeProblem, baseline: BaselineConfig):
+    """Refuse a baseline that problem's grids cannot take, naming the
+    field first: a 2D grid count that lays out as no grid, a boundary count the
+    perimeter cannot take (a 1D problem has exactly its two end points,
+    the square at least one point a side and the space-time slab at least
+    one per x edge), and initial rows on any problem but the transport
+    one, which needs them."""
+    kind, n_boundary = problem.kind.value, baseline.n_boundary
+    if problem.dim == 2:
+        for name in ("n_colloc", "n_rbf"):
+            check_grid_count(getattr(baseline, name), f"baseline.{name}")
     if problem.dim == 1 and n_boundary != 2:
         raise ValueError(f"baseline.n_boundary: the {kind} problem has exactly 2 boundary points, got {n_boundary}")
     least = 4 if problem.kind is ProblemKind.POISSON2D else 2
     if n_boundary < least:
         raise ValueError(f"baseline.n_boundary: must be at least {least} for the {kind} problem, got {n_boundary}")
+    transport = problem.kind is ProblemKind.ADVECTION1D
+    if transport and baseline.n_initial is None:
+        raise ValueError("baseline.n_initial: the transport problem needs a count of initial rows")
+    if not transport and baseline.n_initial is not None:
+        raise ValueError("baseline.n_initial: only the transport problem has initial rows; leave it null")
 
 
 @dataclass(frozen=True)
@@ -180,11 +190,9 @@ class ForwardRunSpec:
                 raise ValueError(f"{key}: {name} must stay {rule[1]}, but reaches {value:g}")
         if self.width_sharing not in WIDTH_SHARING:
             raise ValueError(f"width_sharing: expected one of {list(WIDTH_SHARING)}, got {self.width_sharing!r}")
-        if self.problem.dim == 2:
-            for name in ("n_colloc", "n_rbf"):
-                check_grid_count(getattr(self.baseline, name), f"baseline.{name}")
-        check_boundary_count(self.problem, self.baseline.n_boundary)
-        _initial_rows(self.problem, self.baseline)  # refuses a transport problem without n_initial
+        check_baseline(self.problem, self.baseline)
+        if "a" in self.pde_params and self.problem.advection_speed is None:
+            raise ValueError(f"pde_params: the {self.problem.kind.value} problem has no advection speed to search")
         if self.sensors is not None:
             if not self.pde_params:
                 raise ValueError("sensors: an inverse run needs PDE parameters in the search vector")
@@ -202,16 +210,20 @@ class ForwardRunSpec:
 
     @property
     def test_mesh_size(self) -> int:
-        # per-axis count in 2D, total count in 1D
-        return 10 * self.baseline.n_colloc if self.problem.dim == 1 else 201
+        """The test mesh's total count in 1D, ten times the collocation
+        grid's, and its per-axis count in 2D: 201 for the Poisson square,
+        the oracle's grid, and 101 for the transport slab."""
+        if self.problem.dim == 1:
+            return 10 * self.baseline.n_colloc
+        return 201 if self.problem.kind is ProblemKind.POISSON2D else 101
 
 
 @dataclass(frozen=True)
 class SearchResult:
     """A searched run, forward or inverse: the incumbent's search vector by
     name, its model graded on the test mesh (reference None when an
-    inverse run has no true parameters), and the PDE parameters an
-    inverse run estimates (empty for a forward run)."""
+    inverse run has no true parameters), and the estimates of the PDE
+    parameters it searched (empty when it searched none)."""
 
     w_named: dict
     model: SolvedModel
@@ -242,10 +254,10 @@ def _boundary_points(problem: PdeProblem, baseline: BaselineConfig) -> np.ndarra
 
 
 def _initial_rows(problem: PdeProblem, baseline: BaselineConfig):
+    """The transport problem's initial (points, values) rows, which a
+    checked baseline counts (check_baseline); none elsewhere."""
     if problem.kind is not ProblemKind.ADVECTION1D:
         return []
-    if baseline.n_initial is None:
-        raise ValueError("baseline.n_initial: the transport problem needs a count of initial rows")
     pts = initial_points(problem.domain, baseline.n_initial)
     vals = advection_initial(pts[:, 0], problem.nu)
     return [(pts, vals)]
@@ -267,6 +279,7 @@ def baseline_block(problem: PdeProblem, baseline: BaselineConfig, extra_rows=(),
 
 def solve_baseline(problem: PdeProblem, baseline: BaselineConfig) -> tuple:
     """Uniform-grid fixed-width solve; returns (model, interior points)."""
+    check_baseline(problem, baseline)
     basis = baseline_basis(problem.domain, baseline)
     interior = uniform_grid(problem.domain, baseline.n_colloc)
     system = build_system(
@@ -313,7 +326,7 @@ def run_baseline_curriculum(
         raise ValueError("nu schedule must be strictly decreasing")
     if problem.dim != 1:
         raise ValueError("curriculum cluster detection is one-dimensional")
-    check_boundary_count(problem, baseline.n_boundary)
+    check_baseline(problem, baseline)
 
     measures = []
     solved = None
@@ -343,7 +356,7 @@ def run_baseline_curriculum(
 
 
 # ---------------------------------------------------------------------------
-# forward objective and the tuned forward run
+# forward objective and the searched run
 
 
 def _at_params(problem: PdeProblem, params: dict) -> PdeProblem:
@@ -495,17 +508,6 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared
     return model.loss, model
 
 
-def _optimize_forward(spec: ForwardRunSpec) -> tuple:
-    """Shared BO loop; returns (history, the incumbent's model, its w_named)."""
-    shared = shared_baseline(spec)
-    history, model = optimize(
-        lambda w, index: forward_objective(spec, spec.named(w), index, shared), spec.bounds, spec.bo
-    )
-    if model is None:
-        raise ArithmeticError("every objective evaluation failed")
-    return history, model, spec.named(history.best_w)
-
-
 def _test_mesh(problem: PdeProblem, n: int) -> np.ndarray:
     if problem.dim == 1:
         lo, hi = problem.domain.lower[0], problem.domain.upper[0]
@@ -533,29 +535,46 @@ def error_metrics(predicted: np.ndarray, reference: np.ndarray) -> dict:
     return {"linf": float(np.max(np.abs(diff))) if diff.size else 0.0, "rel_l2": rel}
 
 
-def run_kapi_forward(spec: ForwardRunSpec) -> SearchResult:
-    """Tune the kernel mixture by Bayesian search and grade the winner.
+def run_kapi(spec: ForwardRunSpec) -> SearchResult:
+    """Tune the kernel mixture, and the PDE parameters an inverse run
+    estimates, by Bayesian search, and grade the winner.
 
-    The best model (by residual loss) is evaluated on a test mesh much
-    finer than the collocation grid; for the 2D Poisson problem the
-    reference is the finite-difference oracle, elsewhere the closed form.
+    The best model (by residual loss) is evaluated on the spec's test mesh,
+    much finer than the collocation grid, against the problem at the
+    sensors' truth, which only reporting and grading see: the
+    finite-difference oracle for the 2D Poisson problem, elsewhere the
+    closed form.  An inverse run whose sensors record no truth has no
+    reference.  The estimate of a searched diffusivity is the incumbent's
+    distribution mean mu_nu, not any single draw.
     """
-    history, model, w_named = _optimize_forward(spec)
-    mesh = _test_mesh(spec.problem, spec.test_mesh_size)
+    shared = shared_baseline(spec)
+    history, model = optimize(
+        lambda w, index: forward_objective(spec, spec.named(w), index, shared), spec.bounds, spec.bo
+    )
+    if model is None:
+        raise ArithmeticError("every objective evaluation failed")
+    w_named = spec.named(history.best_w)
+    truth = spec.sensors.truth if spec.sensors is not None else {}
+    graded = _at_params(spec.problem, truth)
+    mesh = _test_mesh(graded, spec.test_mesh_size)
     predicted = evaluate_model(model, mesh)
-    if spec.problem.kind is ProblemKind.POISSON2D:
+    if spec.sensors is not None and not truth:
+        reference = None
+    elif graded.kind is ProblemKind.POISSON2D:
         from .problems import poisson_fdm_oracle
 
-        reference = poisson_fdm_oracle(spec.problem.nu, spec.test_mesh_size).ravel()
+        reference = poisson_fdm_oracle(graded.nu, spec.test_mesh_size).ravel()
     else:
-        reference = spec.problem.exact(mesh)
-    metrics = {
-        "residual_loss": history.best_loss,
-        "n_kernels": model.basis.n_kernels,
-        "n_evals": len(history),
-        **error_metrics(predicted, reference),
-    }
-    return SearchResult(w_named, model, history, metrics, mesh, predicted, reference)
+        reference = graded.exact(mesh)
+    metrics = {"residual_loss": history.best_loss, "n_kernels": model.basis.n_kernels, "n_evals": len(history)}
+    if reference is not None:
+        metrics.update(error_metrics(predicted, reference))
+    estimates = {name: float(w_named[key]) for name, key in (("nu", "mu_nu"), ("a", "a")) if key in spec.pde_params}
+    for name, est in estimates.items():
+        if name in truth:
+            true = float(truth[name])
+            metrics[f"{name}_rel_error"] = abs(est - true) / abs(true)
+    return SearchResult(w_named, model, history, metrics, mesh, predicted, reference, estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +818,7 @@ def run_advection_forward(spec: TimeBlockSpec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# sensor data and inverse estimation
+# sensor data
 
 
 class SensorPlacement(Enum):
@@ -842,34 +861,3 @@ def generate_sensor_data(
         raise ValueError("sensor generation needs an exact solution")
     values = values * (1.0 + noise_fraction * rng.standard_normal(n_points))
     return SensorData(pts, values, dict(true_params))
-
-
-def run_inverse(spec: ForwardRunSpec) -> SearchResult:
-    """Estimate PDE parameters by minimizing the full-system residual.
-
-    The spec's sensor rows join the collocation system on every
-    evaluation; the reported estimate is the incumbent's distribution
-    mean (mu_nu) or speed (a), not any single draw.  The best model is
-    graded on the forward test mesh in 1D and an INVERSE_MESH_2D-per-axis
-    mesh in 2D, against the closed form at the sensors' truth, which only
-    reporting and grading see; when the truth is empty the reference is
-    None.
-    """
-    if spec.sensors is None:
-        raise ValueError("sensors: an inverse run needs sensor data")
-    true_params = spec.sensors.truth
-    problem = spec.problem
-    history, model, w_named = _optimize_forward(spec)
-    mesh = _test_mesh(problem, spec.test_mesh_size if problem.dim == 1 else INVERSE_MESH_2D)
-    predicted = evaluate_model(model, mesh)
-    reference = _at_params(problem, true_params).exact(mesh) if true_params else None
-    if "mu_nu" in spec.pde_params:
-        estimates = {"nu": float(w_named["mu_nu"])}
-    else:
-        estimates = {"a": float(w_named["a"])}
-    metrics = {"residual_loss": history.best_loss, "n_kernels": model.basis.n_kernels, "n_evals": len(history)}
-    for name, est in estimates.items():
-        if name in true_params:
-            truth = float(true_params[name])
-            metrics[f"{name}_rel_error"] = abs(est - truth) / abs(truth)
-    return SearchResult(w_named, model, history, metrics, mesh, predicted, reference, estimates)

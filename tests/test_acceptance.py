@@ -24,8 +24,7 @@ from rbfadapt.drivers import (
     generate_sensor_data,
     run_advection_forward,
     run_baseline_curriculum,
-    run_inverse,
-    run_kapi_forward,
+    run_kapi,
     solve_baseline,
 )
 from rbfadapt.problems import advection1d, convdiff_type1, convdiff_type2, poisson2d
@@ -54,7 +53,7 @@ def test_criterion_1_sharp_layer_forward_accuracy():
         seed=0,
         fixed={"f": 0.5},
     )
-    result = run_kapi_forward(spec)
+    result = run_kapi(spec)
     elapsed = time.perf_counter() - t0
     linf = result.metrics["linf"]
     n_evals = len(result.history)
@@ -76,7 +75,7 @@ def test_criterion_2_extreme_layer_residual_and_count():
         eta=0.01,
         width_sharing="kernel",
     )
-    result = run_kapi_forward(spec)
+    result = run_kapi(spec)
     elapsed = time.perf_counter() - t0
     loss = result.history.best_loss
     n_star = result.model.basis.n_kernels
@@ -146,7 +145,7 @@ def test_criterion_5_poisson_2d_accuracy_and_budget():
         bo=BoConfig(max_evals=100, seed=1),
         seed=1,
     )
-    result = run_kapi_forward(spec)
+    result = run_kapi(spec)
     elapsed = time.perf_counter() - t0
     rel_l2 = result.metrics["rel_l2"]
     n_star = result.model.basis.n_kernels
@@ -199,7 +198,7 @@ def test_criterion_7_transport_speed_estimation():
         pde_params=("a",),
         sensors=sensors,
     )
-    result = run_inverse(forward)
+    result = run_kapi(forward)
     elapsed = time.perf_counter() - t0
     a_est = result.estimates["a"]
     err = abs(a_est - 0.5)
@@ -230,7 +229,7 @@ def _estimate_diffusivity(nu_true: float, mixture_bounds) -> tuple:
         width_sharing="component",
         sensors=sensors,
     )
-    result = run_inverse(forward)
+    result = run_kapi(forward)
     return result.estimates["nu"], result.metrics["nu_rel_error"], result.metrics["n_evals"]
 
 
@@ -347,7 +346,7 @@ def test_criterion_9_property_suite():
             seed=0,
             fixed={"f": 0.5},
         )
-        result = run_kapi_forward(spec)
+        result = run_kapi(spec)
         return b"".join(
             np.asarray(w, dtype=float).tobytes() + np.float64(loss).tobytes()
             for w, loss in result.history.records

@@ -368,6 +368,14 @@ class TestRunCommand:
             header = fh.readline().strip().split(",")
         assert header == ["k", "a", "loss"]
 
+    def test_an_inverse_summary_reports_the_largest_solution_error(self, tmp_path):
+        out = Path(_run_tiny(tmp_path, TINY_INVERSE, subdir="inv").out_dir)
+        metrics = json.loads((out / "summary.json").read_text())["metrics"]
+        with (out / "solution.csv").open() as fh:
+            errors = [float(row["abs_error"]) for row in csv.DictReader(fh)]
+        assert metrics["linf"] == max(errors)
+        assert metrics["rel_l2"] > 0
+
     def test_advection_run_with_fixed_tunables_skips_tuning(self, tmp_path):
         bundle = _run_tiny(tmp_path, TINY_ADVECTION, subdir="adv")
         assert bundle.exit_code == EXIT_OK

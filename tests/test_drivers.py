@@ -31,8 +31,7 @@ from rbfadapt.drivers import (
     hyperparam_names,
     run_advection_forward,
     run_baseline_curriculum,
-    run_inverse,
-    run_kapi_forward,
+    run_kapi,
     shared_baseline,
     solve_advection_timeblocks,
     solve_baseline,
@@ -127,6 +126,12 @@ class TestBaselineCurriculum:
         # the 1D problems lay out their two end points whatever the count
         with pytest.raises(ValueError, match="^baseline.n_boundary: the convdiff1 problem has exactly 2"):
             run_baseline_curriculum(convdiff_type1(0.1), replace(self.BASE, n_boundary=50), [0.1])
+
+    def test_initial_rows_rejected(self):
+        # only the transport problem has initial rows; a count elsewhere is refused, not ignored
+        message = "^baseline.n_initial: only the transport problem has initial rows; leave it null$"
+        with pytest.raises(ValueError, match=message):
+            run_baseline_curriculum(convdiff_type1(0.1), replace(self.BASE, n_initial=81), [0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +348,16 @@ class TestForwardRun:
         with pytest.raises(ValueError, match="baseline.n_initial: the transport problem needs"):
             solve_baseline(advection1d(0.1, 0.5), BaselineConfig(100, 100, 0.1, n_boundary=20))
 
+    def test_initial_rows_belong_to_the_transport_problem(self):
+        message = "^baseline.n_initial: only the transport problem has initial rows; leave it null$"
+        with pytest.raises(ValueError, match=message):
+            replace(_baseline_only_spec(0.01), baseline=BaselineConfig(500, 250, 0.04, n_initial=81))
+
+    def test_speed_search_needs_an_advection_speed(self):
+        # convdiff1 has no speed to move, so every proposed a would score alike
+        with pytest.raises(ValueError, match="^pde_params: the convdiff1 problem has no advection speed to search$"):
+            replace(_baseline_only_spec(0.01), bounds=SearchBounds([("a", 0.1, 1.0)]), pde_params=("a",))
+
     def test_every_failed_evaluation_raises(self, monkeypatch):
         def fail(system, basis):
             raise np.linalg.LinAlgError("manufactured failure")
@@ -350,7 +365,7 @@ class TestForwardRun:
         monkeypatch.setattr("rbfadapt.drivers.solve_system", fail)
         spec = replace(_one_component_spec(0.01), bo=BoConfig(max_evals=2, seed=0))
         with pytest.raises(ArithmeticError, match="every objective evaluation failed"):
-            run_kapi_forward(spec)
+            run_kapi(spec)
 
     def test_search_vector_coverage_enforced(self):
         with pytest.raises(ValueError, match="need exactly"):
@@ -396,7 +411,7 @@ class TestForwardRun:
             seed=0,
             fixed={"f": 0.5},
         )
-        result = run_kapi_forward(spec)
+        result = run_kapi(spec)
         assert len(result.history) <= 5
         assert result.metrics["residual_loss"] == result.history.best_loss
         assert result.metrics["n_kernels"] == result.model.basis.n_kernels
@@ -717,7 +732,7 @@ class TestReEvaluation:
     def test_forward_run(self):
         spec = _one_component_spec(1e-3)
         spec = replace(spec, bo=BoConfig(max_evals=4, seed=0))
-        self._reevaluated(spec, run_kapi_forward(spec))
+        self._reevaluated(spec, run_kapi(spec))
 
     def test_inverse_diffusivity_run(self):
         spec = _diffusivity_spec(n_adap=1, max_evals=4)
@@ -726,7 +741,7 @@ class TestReEvaluation:
             np.random.default_rng(5),
         )
         spec = replace(spec, sensors=sensors)
-        result = run_inverse(spec)
+        result = run_kapi(spec)
         assert result.estimates == {"nu": result.w_named["mu_nu"]}
         self._reevaluated(spec, result)
 
@@ -745,7 +760,7 @@ class TestReEvaluation:
             problem, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
         )
         spec = replace(spec, sensors=sensors)
-        result = run_inverse(spec)
+        result = run_kapi(spec)
         assert result.estimates == {"a": result.w_named["a"]}
         self._reevaluated(spec, result)
 
@@ -771,7 +786,7 @@ class TestKeptBaseline:
     def test_a_speed_run_solves_on_the_kept_kernels_whatever_it_proposes(self):
         # two search seeds propose different first speeds; both runs solve
         # on the same kept kernels, a strict subset of the baseline
-        one, two = (run_inverse(_small_speed_spec(bo_seed)) for bo_seed in (1, 2))
+        one, two = (run_kapi(_small_speed_spec(bo_seed)) for bo_seed in (1, 2))
         assert one.history.records[0][0][0] != two.history.records[0][0][0]
         kept = shared_baseline(_small_speed_spec())
         assert 0 < kept.n_kernels < 400
@@ -845,10 +860,6 @@ class TestInverse:
         with pytest.raises(ValueError, match="sensors: .*inside"):
             replace(forward_inv, sensors=outside)
 
-    def test_run_needs_sensors(self):
-        with pytest.raises(ValueError, match="sensors: an inverse run needs sensor data"):
-            run_inverse(_diffusivity_spec())
-
     def test_estimate_is_the_incumbent_not_a_transformed_copy(self):
         # searching the diffusivity on a log axis must hand back exactly
         # the parameter recorded for the best evaluation
@@ -878,7 +889,7 @@ class TestInverse:
             pde_params=("mu_nu", "sigma_nu"),
             sensors=sensors,
         )
-        result = run_inverse(forward)
+        result = run_kapi(forward)
         idx = bounds.index_of("mu_nu")
         assert result.estimates["nu"] == float(result.history.best_w[idx])
         assert result.w_named["mu_nu"] == result.estimates["nu"]
@@ -892,7 +903,7 @@ class TestInverse:
             convdiff_type1(0.02), {"nu": 0.02}, 30, 0.05, SensorPlacement.BOUNDARY_LAYER_BIASED,
             np.random.default_rng(5),
         )
-        result = run_inverse(replace(_diffusivity_spec(max_evals=2), sensors=sensors))
+        result = run_kapi(replace(_diffusivity_spec(max_evals=2), sensors=sensors))
         np.testing.assert_array_equal(result.reference, convdiff_type1(0.02).exact(result.mesh))
         assert result.metrics["nu_rel_error"] == abs(result.estimates["nu"] - 0.02) / 0.02
 
@@ -915,8 +926,33 @@ class TestInverse:
             pde_params=("mu_nu", "sigma_nu"),
             sensors=sensors,
         )
-        result = run_inverse(forward)
+        result = run_kapi(forward)
         assert result.reference is None
         assert "nu_rel_error" not in result.metrics
         np.testing.assert_array_equal(result.mesh, np.linspace(0.0, 1.0, 2000)[:, None])
         np.testing.assert_array_equal(result.predicted, evaluate_model(result.model, result.mesh))
+
+
+def _graded_spec(kind):
+    if kind == "forward":
+        return replace(_one_component_spec(0.01), bo=BoConfig(max_evals=2, seed=0))
+    if kind == "speed":
+        return _small_speed_spec()
+    spec = _diffusivity_spec(max_evals=2)
+    sensors = generate_sensor_data(
+        spec.problem, {"nu": 0.01}, 30, 0.05, SensorPlacement.BOUNDARY_LAYER_BIASED, np.random.default_rng(5)
+    )
+    return replace(spec, sensors=sensors if kind == "diffusivity" else replace(sensors, truth={}))
+
+
+@pytest.mark.parametrize("kind", ["forward", "speed", "diffusivity", "no-truth"])
+def test_every_searched_run_is_graded_by_one_rule(kind):
+    # forward and inverse runs alike report the error against their
+    # reference; an inverse run whose sensors record no truth has none
+    result = run_kapi(_graded_spec(kind))
+    if kind == "no-truth":
+        assert result.reference is None
+        assert not {"linf", "rel_l2"} & set(result.metrics)
+    else:
+        graded = {name: result.metrics[name] for name in ("linf", "rel_l2")}
+        assert graded == error_metrics(result.predicted, result.reference)

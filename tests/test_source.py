@@ -1,8 +1,10 @@
-"""Source hygiene: every import in src/rbfadapt is read, and every
-module-level private name is referenced somewhere in src/rbfadapt.
+"""Source hygiene: every import in src/rbfadapt is read, every
+module-level private name is referenced somewhere in src/rbfadapt, and so
+is every public module-level function and class, unless the benchmark's
+tracer names it (bench/spans.py's SPANS and PINNED).
 
-Tests may reach private names, but they do not keep one alive: a private
-helper that only tests call is dead code.
+Tests may reach any name, but they do not keep one alive: a helper or a
+public function that only tests call is dead code.
 """
 
 import ast
@@ -10,8 +12,22 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "rbfadapt").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "rbfadapt").glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+
+def _traced(tree) -> set:
+    """The "module.function" names a spans module lists in SPANS and PINNED."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in ("SPANS", "PINNED") for t in node.targets):
+            listed = node.value.keys if isinstance(node.value, ast.Dict) else node.value.elts
+            out.update(item.value for item in listed)
+    return out
+
+
+TRACED = _traced(ast.parse((ROOT / "bench" / "spans.py").read_text()))
 
 
 def _read_names(tree) -> set:
@@ -27,16 +43,27 @@ def _imported(tree) -> list:
     return out
 
 
-def _private_definitions(tree) -> list:
-    """(name, line) of each private function, class or variable the module body defines."""
+def _definitions(tree, variables: bool = True) -> list:
+    """(name, line) of each function and class the module body defines,
+    and of each variable when variables."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((node.name, node.lineno))
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        elif variables and isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out += [(n.id, node.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [(name, line) for name, line in out if name.startswith("_") and not name.endswith("__")]
+    return out
+
+
+def _private_definitions(tree) -> list:
+    """(name, line) of each private function, class or variable the module body defines."""
+    return [(name, line) for name, line in _definitions(tree) if name.startswith("_") and not name.endswith("__")]
+
+
+def _public_definitions(tree) -> list:
+    """(name, line) of each public function or class the module body defines."""
+    return [(name, line) for name, line in _definitions(tree, variables=False) if not name.startswith("_")]
 
 
 def _references(tree) -> set:
@@ -65,7 +92,21 @@ def test_every_private_name_is_referenced(name):
     assert [(n, line) for n, line in _private_definitions(TREES[name]) if n not in referenced] == []
 
 
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_public_function_and_class_is_used_or_traced(name):
+    referenced = set().union(*(_references(tree) for tree in TREES.values()))
+    module = name.removesuffix(".py")
+    public = _public_definitions(TREES[name])
+    assert [(n, line) for n, line in public if n not in referenced and f"{module}.{n}" not in TRACED] == []
+
+
 def test_the_checks_see_unused_code():
-    tree = ast.parse("import os\nfrom math import pi as _pi\n_LIMIT = 3\ndef _helper():\n    return _LIMIT\n")
+    tree = ast.parse(
+        "import os\nfrom math import pi as _pi\n_LIMIT = 3\nLIMIT = 4\n"
+        "def _helper():\n    return _LIMIT\ndef helper():\n    pass\nclass Used:\n    pass\nUsed()\n"
+    )
     assert [bound for bound, _ in _imported(tree) if bound not in _read_names(tree)] == ["os", "_pi"]
     assert [n for n, _ in _private_definitions(tree) if n not in _references(tree)] == ["_helper"]
+    assert [n for n, _ in _public_definitions(tree) if n not in _references(tree)] == ["helper"]
+    spans = ast.parse('SPANS = {"drivers.run": None}\nPINNED = ("blas.pin",)\nOTHER = ("x.y",)\n')
+    assert _traced(spans) == {"drivers.run", "blas.pin"}
