@@ -18,14 +18,18 @@ whose systems share their columns can solve on those alone.
 Every points x kernels product is filled in row chunks of CHUNK_ROWS, so
 no whole (points x kernels) matrix is built besides the system itself;
 grading a model on a fine mesh needs only chunk-sized temporaries.
-CHUNK_ROWS is 256: each chunk's Gaussian factors and derivative terms
-are a few temporaries of 256 x kernels doubles, 3.2 MB at 1,600 kernels,
+CHUNK_ROWS is 64, the smallest multiple of 64, which evaluate_model's
+bits need (below).  Each chunk's Gaussian factors and derivative terms
+are a few temporaries of 64 x kernels doubles, 0.8 MB at 1,600 kernels,
 so a build or a grading pass adds only a small, fixed amount to the
-memory of the system it fills.  At 1,024 rows those temporaries took
-about 13 MB each and set the peak of a 2,160 x 1,600 inverse build,
-and builds and grading ran 7 to 19% slower than at 256 (interleaved
-timings on a 2-core machine).  The chunks keep every result bit for
-bit:
+memory of the array it fills.  At 256 rows they took 12.7 MB in all and
+set the peak of a transport-speed search while its 3,561 x 1,600
+column-choice stack (drivers._kept_baseline) was filled.  In
+interleaved timings on a shared 2-core machine, 64 rows against 256
+built a 1,961 x 1,124 transport-speed block and graded on a 201 x 201
+Poisson mesh 3 to 15% faster, and a narrow 627 x 375 extend up to 0.7
+ms slower, 0.07 s in a 100-evaluation search.  The chunks keep every
+result bit for bit:
 
 * entry-wise builds (eval_matrix, deriv_matrix, operator_matrix) compute
   each entry from its own row alone, so any chunk size gives the same
@@ -52,7 +56,7 @@ from .problems import PdeProblem, ProblemKind
 from .rbf import RbfBasis, deriv_matrix, eval_matrix
 
 # rows per chunk of a points x kernels product; a multiple of 64 (see above)
-CHUNK_ROWS = 256
+CHUNK_ROWS = 64
 # relative cutoff of the singular values kept by the least-squares solve,
 # and of the pivoted-QR diagonal kept by kept_columns
 RCOND = 1e-12

@@ -31,12 +31,15 @@ in likelihood calls, 15,000 // (d + 3).
 The posterior (Rasmussen & Williams, GPML, Algorithm 2.1) is scored in
 column chunks of CHUNK_CANDIDATES candidates, so no (d x n x candidates)
 distance tensor is built.  Each chunk's columns of k* come from their
-own chunk-sized distances and Gaussian, and each chunk's variance from
-one ``dpotrs`` on those columns.  All three work column by column, so
-the chunks keep the bits of the whole formula.  Chunks of 64, 128, 256
-and 512 matched it for d in {1, 2, 3, 5} and n in {6, 17, 50, 99}, at
-candidate counts from 1 to 4,097 on both sides of the chunk edges (one
-BLAS thread).  Two rules keep it so:
+own chunk-sized distances and Gaussian.  Its variance is signal_var
+minus the column sums of v**2, with v = L^-1 k* from one triangular
+solve (``dtrtrs``) on the stored lower factor L: the variance needs
+only the norm of L^-1 k*, not K^-1 k*, which would take ``dpotrs``' two
+solves.  All three work column by column, so the chunks keep the bits
+of the whole formula.  Chunks of 64, 128, 256 and 512 matched it for d
+in {1, 2, 3, 5} and n in {6, 17, 50, 99}, at candidate counts from 1 to
+4,097 on both sides of the chunk edges (one and two BLAS threads).  Two
+rules keep it so:
 
 * the chunk edges are ``assembly._row_chunks``', so a last chunk of one
   column joins the chunk before it (its docstring says why);
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
@@ -376,9 +379,9 @@ def gp_predict_batch(surrogate: GpSurrogate, xs) -> tuple:
         sq = _pairwise_sqdists(surrogate.inputs, xs[cols])
         chunk = surrogate.signal_var * _gaussian(sq, surrogate.length_scales)
         kstar[:, cols] = chunk
-        # dpotrs on the stored factor, without finiteness scans
-        v, _ = dpotrs(surrogate.chol, chunk, lower=1)
-        var_std[cols] = surrogate.signal_var - np.sum(chunk * v, axis=0)
+        # L^-1 k* on the stored factor, without finiteness scans
+        v, _ = dtrtrs(surrogate.chol, chunk, lower=1)
+        var_std[cols] = surrogate.signal_var - np.sum(v * v, axis=0)
     mean_std = kstar.T @ surrogate.alpha
     mean = surrogate.target_mean + surrogate.target_scale * mean_std
     var = surrogate.target_scale**2 * np.maximum(var_std, 0.0)

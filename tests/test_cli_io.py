@@ -226,7 +226,8 @@ class TestParseConfig:
 
 
 class TestDocumentedExamples:
-    EXAMPLES = sorted((Path(__file__).parent.parent / "docs" / "examples").glob("*.yaml"))
+    ROOT = Path(__file__).parent.parent
+    EXAMPLES = sorted((ROOT / "docs" / "examples").glob("*.yaml"))
 
     def test_one_example_exists_per_kind(self):
         kinds = {parse_config(p).kind for p in self.EXAMPLES}
@@ -237,6 +238,13 @@ class TestDocumentedExamples:
         config = parse_config(path)
         again = write_config(config, tmp_path / path.name)
         assert parse_config(again) == config
+
+    def test_readme_commands_name_configs_of_their_kind(self):
+        # every `rbfadapt <kind> --config <path>` line of the quick start
+        commands = re.findall(r"^rbfadapt (\S+) --config (\S+)", (self.ROOT / "README.md").read_text(), re.M)
+        assert commands
+        for kind, path in commands:
+            assert parse_config(self.ROOT / path).kind == kind, path
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
 """End-to-end driver workflows: curriculum, tuned forward solve, transport blocks, inverse runs."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -794,6 +795,21 @@ class TestKeptBaseline:
             assert np.array_equal(result.model.basis.centers, kept.centers)
             assert np.array_equal(result.model.basis.widths, kept.widths)
             assert result.metrics["n_kernels"] == kept.n_kernels
+
+    def test_column_choice_memory_stays_chunk_sized(self):
+        # speed-inverse's column choice: 1,600 kernels, a stack of 3,391
+        # rows (the operator at both ends of the speed box, boundary,
+        # initial and sensor rows); beyond the stack only temporaries of
+        # one 64-row chunk may be held, which measured 3.3 MB
+        spec = replace(_small_speed_spec(), baseline=BaselineConfig(1600, 1600, 0.1, n_boundary=80, n_initial=81))
+        tracemalloc.start()
+        try:
+            shared_baseline(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack_bytes = (2 * 1600 + 80 + 81 + 30) * 1600 * 8
+        assert peak <= stack_bytes + 4 * 2**20, peak / 2**20
 
     def test_other_runs_share_the_whole_baseline(self):
         forward = shared_baseline(_one_component_spec(0.01))
