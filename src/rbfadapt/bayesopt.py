@@ -95,6 +95,9 @@ class SearchBounds:
             raise ValueError("parameter names must be unique")
         lowers = np.array([float(p[1]) for p in params])
         uppers = np.array([float(p[2]) for p in params])
+        for name, lo, hi in zip(names, lowers, uppers):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"{name}: bounds must be finite, got [{lo:g}, {hi:g}]")
         if np.any(lowers >= uppers):
             raise ValueError("each lower bound must be below its upper bound")
         log_scale = log_scale or {}
@@ -186,6 +189,8 @@ class BoConfig:
             raise ValueError("max_evals must be at least 1")
         if self.loss_tol is not None and self.loss_tol <= 0:
             raise ValueError("loss_tol must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

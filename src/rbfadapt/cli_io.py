@@ -7,10 +7,13 @@ and the echo.  Unknown keys are rejected by name, and the parsed
 configuration echoes back to disk so a run directory always carries the
 exact inputs that produced it.
 
-Persisted outputs per run:
+Every run kind's driver grades and reports its own run and returns one
+``drivers.RunResult``; this module only writes it out.  Persisted
+outputs per run:
 
 * ``config.yaml``   — the fully resolved configuration (provenance echo)
-* ``summary.json``  — scalar results: metrics, tuned parameters, timings,
+* ``summary.json``  — scalar results: the run's metrics and report (tuned
+  parameters, estimates, per-block losses or the schedule walk), timings,
   and the package, numpy, scipy and BLAS versions with the BLAS thread counts
 * ``loss_history.csv`` — one row per objective evaluation ``(k, w..., loss)``;
   a header alone when the run searched nothing
@@ -46,8 +49,8 @@ from . import __version__
 from .bayesopt import BoConfig, BoHistory, SearchBounds
 from .blas import blas_thread_counts
 from .drivers import (
-    TUNABLE_NAMES,
     ForwardRunSpec,
+    RunResult,
     SensorPlacement,
     TimeBlockSpec,
     check_baseline,
@@ -658,70 +661,6 @@ def _searched(config: RunConfig) -> Optional[dict]:
     return config.search if config.search is not None else config.advection
 
 
-def _kernel_columns(models, numbered: bool) -> list:
-    """kernels.csv as columns: the block number when numbered, then centers,
-    widths, coefficient and component tag, every model's kernels in turn."""
-    centers = np.concatenate([m.basis.centers for m in models])
-    widths = np.concatenate([m.basis.widths for m in models])
-    coeffs = np.concatenate([m.coefficients for m in models])
-    counts = [m.coefficients.shape[0] for m in models]
-    tags = np.concatenate(
-        [np.zeros(n, dtype=int) if m.tags is None else m.tags for m, n in zip(models, counts)]
-    )
-    blocks = [np.repeat(np.arange(len(models)), counts)] if numbered else []
-    return [*blocks, *centers.T, *widths.T, coeffs, tags]
-
-
-def _payload(config: RunConfig, history, metrics, extras, models, mesh, predicted, reference) -> dict:
-    """The summary entries and the tables of a run, each table a (header,
-    columns) pair of 1-D arrays.
-
-    The drivers graded the run: mesh, predicted and reference (None when
-    the run has none) fill solution.csv.  The march numbers its kernels
-    by block.
-    """
-    searched = _searched(config)
-    names = [] if searched is None else list(searched["bounds"])
-    records = history.records
-    ws = np.array([w for w, _ in records], dtype=float).reshape(len(records), len(names))
-    losses = np.array([loss for _, loss in records], dtype=float)
-    axes = ["x", "t"] if config.problem["type"] == "advection" else ["x", "y"][: mesh.shape[1]]
-    block = ["block"] if config.kind == "advection" else []
-    kernel_header = block + [f"center_{a}" for a in axes] + [f"width_{a}" for a in axes]
-    solution = [*mesh.T, predicted]
-    if reference is not None:
-        solution += [reference, np.abs(predicted - reference)]
-    return {
-        "history": history,
-        "metrics": metrics,
-        "extras": extras,
-        "tables": {
-            "loss_history.csv": (["k", *names, "loss"], [np.arange(len(records)), *ws.T, losses]),
-            "kernels.csv": (
-                kernel_header + ["coefficient", "component"],
-                _kernel_columns(models, numbered=bool(block)),
-            ),
-            "solution.csv": (
-                axes + ["predicted"] + ([] if reference is None else ["exact", "abs_error"]),
-                solution,
-            ),
-        },
-    }
-
-
-def _run_searched(config: RunConfig) -> dict:
-    """A forward or inverse run, from its spec's drivers.SearchResult."""
-    result = run_kapi(_forward_spec(config))
-    extras = {
-        "w_opt": {k: float(v) for k, v in result.w_named.items()},
-        **{f"{k}_est": float(v) for k, v in result.estimates.items()},
-    }
-    return _payload(
-        config, result.history, dict(result.metrics), extras,
-        (result.model,), result.mesh, result.predicted, result.reference,
-    )
-
-
 def _march_spec(config: RunConfig) -> TimeBlockSpec:
     a = config.advection
     return TimeBlockSpec(
@@ -741,48 +680,54 @@ def _march_spec(config: RunConfig) -> TimeBlockSpec:
     )
 
 
-def _run_advection(config: RunConfig) -> dict:
-    result, history = run_advection_forward(_march_spec(config))
-    mesh, predicted, reference = result.graded_final_profile()
-    metrics = {
-        "residual_loss": result.aggregate_loss,
-        "validation_loss": result.aggregate_validation,
-        **error_metrics(predicted, reference),
-        "n_evals": len(history),
-    }
-    extras = {
-        "tunables": dict(zip(TUNABLE_NAMES, result.spec.tunables)),
-        "block_losses": [float(v) for v in result.block_losses],
-        "validation_losses": [float(v) for v in result.validation_losses],
-    }
-    return _payload(config, history, metrics, extras, result.models, mesh, predicted, reference)
-
-
-def _run_curriculum(config: RunConfig) -> dict:
-    result = run_baseline_curriculum(
-        _build_problem(config.problem),
-        BaselineConfig(**config.baseline),
-        config.curriculum["schedule"],
-        threshold=config.curriculum["threshold"],
-    )
-    metrics = {
-        "nu_solved": result.nu_solved,
-        "n_clusters": result.clusters.n_clusters,
-        "residual_loss": result.model.loss,
-        "n_evals": 0,
-    }
-    extras = {
-        "schedule": [
-            {"nu": nu, "residual_loss": loss, "solvability": measure}
-            for nu, loss, measure in result.measures
-        ],
-        "cluster_intervals": [[float(a), float(b)] for a, b in result.clusters.intervals],
-    }
-    return _payload(config, BoHistory(), metrics, extras, (result.model,), result.mesh, result.predicted, result.reference)
-
-
 # ---------------------------------------------------------------------------
 # persistence
+
+
+def _kernel_columns(models, numbered: bool) -> list:
+    """kernels.csv as columns: the block number when numbered, then centers,
+    widths, coefficient and component tag, every model's kernels in turn."""
+    centers = np.concatenate([m.basis.centers for m in models])
+    widths = np.concatenate([m.basis.widths for m in models])
+    coeffs = np.concatenate([m.coefficients for m in models])
+    counts = [m.coefficients.shape[0] for m in models]
+    tags = np.concatenate(
+        [np.zeros(n, dtype=int) if m.tags is None else m.tags for m, n in zip(models, counts)]
+    )
+    blocks = [np.repeat(np.arange(len(models)), counts)] if numbered else []
+    return [*blocks, *centers.T, *widths.T, coeffs, tags]
+
+
+def _tables(config: RunConfig, result: RunResult) -> dict:
+    """The three CSVs of a run, each a (header, columns) pair of 1-D arrays.
+
+    The driver graded the run: its mesh, predicted and reference (None
+    when the run has none) fill solution.csv.  The march numbers its
+    kernels by block.
+    """
+    searched = _searched(config)
+    names = [] if searched is None else list(searched["bounds"])
+    records = result.history.records
+    ws = np.array([w for w, _ in records], dtype=float).reshape(len(records), len(names))
+    losses = np.array([loss for _, loss in records], dtype=float)
+    mesh, predicted, reference = result.mesh, result.predicted, result.reference
+    axes = ["x", "t"] if config.problem["type"] == "advection" else ["x", "y"][: mesh.shape[1]]
+    block = ["block"] if config.kind == "advection" else []
+    kernel_header = block + [f"center_{a}" for a in axes] + [f"width_{a}" for a in axes]
+    solution = [*mesh.T, predicted]
+    if reference is not None:
+        solution += [reference, np.abs(predicted - reference)]
+    return {
+        "loss_history.csv": (["k", *names, "loss"], [np.arange(len(records)), *ws.T, losses]),
+        "kernels.csv": (
+            kernel_header + ["coefficient", "component"],
+            _kernel_columns(result.models, numbered=bool(block)),
+        ),
+        "solution.csv": (
+            axes + ["predicted"] + ([] if reference is None else ["exact", "abs_error"]),
+            solution,
+        ),
+    }
 
 
 def _write_csv(path: Path, header, columns):
@@ -830,11 +775,14 @@ def _provenance() -> dict:
     }
 
 
+# each kind's driver, which grades and reports the run
 _RUNNERS = {
-    "forward": _run_searched,
-    "inverse": _run_searched,
-    "advection": _run_advection,
-    "baseline-study": _run_curriculum,
+    "forward": lambda config: run_kapi(_forward_spec(config)),
+    "inverse": lambda config: run_kapi(_forward_spec(config)),
+    "advection": lambda config: run_advection_forward(_march_spec(config)),
+    "baseline-study": lambda config: run_baseline_curriculum(
+        _build_problem(config.problem), BaselineConfig(**config.baseline), **config.curriculum
+    ),
 }
 
 
@@ -851,17 +799,16 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
     out_dir = Path(out_override or os.environ.get(OUT_ENV_VAR) or config.out)
     t0 = time.perf_counter()
     try:
-        payload = _RUNNERS[config.kind](config)
+        result = _RUNNERS[config.kind](config)
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         raise NumericalFailureError(str(err)) from err
     elapsed = time.perf_counter() - t0
 
-    metrics = payload["metrics"]
+    metrics, history = result.metrics, result.history
     for name, value in metrics.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise NumericalFailureError(f"metric {name} is not finite")
 
-    history = payload["history"]
     exit_code = EXIT_OK
     searched = _searched(config)
     loss_tol = None if searched is None else searched["loss_tol"]
@@ -886,13 +833,13 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         "stop_reason": history.stop_reason,
         "exit_code": exit_code,
         "provenance": _provenance(),
-        **payload["extras"],
+        **result.report,
     }
     summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n")
     files.append(summary_path)
 
-    for name, (header, columns) in payload["tables"].items():
+    for name, (header, columns) in _tables(config, result).items():
         path = out_dir / name
         _write_csv(path, header, columns)
         files.append(path)

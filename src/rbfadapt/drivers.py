@@ -8,13 +8,14 @@ searches a PDE parameter with it, from the noisy sensors its
 ForwardRunSpec carries, which also record the truth they measured;
 run_advection_forward marches a transport problem through sequential
 space-time slabs, at the tunables its TimeBlockSpec carries or tuned on
-the spec's leading stretch of blocks.  A searched run returns its
-BoHistory, empty when it searched nothing.
+the spec's leading stretch of blocks.
 
-The drivers also grade every run: the searched and curriculum results
-carry the test mesh, the model's values there and the reference (a
-closed form at the true parameters, or the finite-difference solve for
-2D Poisson), and a march's result grades its t_final profile.
+Each returns one RunResult, and each grades and reports its own run: the
+search history (empty when it searched nothing), the models, the
+metrics, the other summary entries, and the test mesh with the model's
+values there and the reference (a closed form at the true parameters,
+the finite-difference solve for 2D Poisson, the transported profile at
+a march's t_final).
 """
 
 import re
@@ -26,7 +27,6 @@ import numpy as np
 
 from .assembly import (
     FixedBlock,
-    SolvedModel,
     build_system,
     evaluate_model,
     extend,
@@ -38,7 +38,7 @@ from .assembly import (
 )
 from .bayesopt import BoConfig, BoHistory, SearchBounds, optimize
 from .blas import fixed_blas_threads
-from .clustering import GradientClusterResult, detect_gradient_clusters
+from .clustering import detect_gradient_clusters
 from .problems import ADVECTION_X, Box, PdeProblem, ProblemKind, advection1d, advection_exact, advection_initial
 from .rbf import RbfBasis, eval_matrix
 from .sampling import (
@@ -64,6 +64,8 @@ from .sampling import (
 TUNABLE_NAMES = ("f", "lam", "sigma_f")
 # x samples of the t_final profile a transport march is graded on
 FINAL_PROFILE_POINTS = 2001
+# each PDE parameter a run can estimate, with the search-vector entry that estimates it
+_ESTIMATED = {"nu": "mu_nu", "a": "a"}
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,8 @@ class ForwardRunSpec:
     sensors: Optional[SensorData] = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
         searched, fixed = set(self.bounds.names), set(self.fixed)
         overlap = searched & fixed
         if overlap:
@@ -198,6 +202,10 @@ class ForwardRunSpec:
                 raise ValueError("sensors: an inverse run needs PDE parameters in the search vector")
             if not bool(np.all(domain.contains(self.sensors.points))):
                 raise ValueError("sensors: points must lie inside the problem domain")
+            # the run grades and reports at the truth, so it must estimate every parameter named there
+            unsearched = sorted(name for name in self.sensors.truth if _ESTIMATED.get(name) not in self.pde_params)
+            if unsearched:
+                raise ValueError(f"sensors: the truth names {unsearched}, which the run does not search")
 
     def named(self, w) -> dict:
         """The search vector by name: w, in the order of the bounds, then
@@ -219,20 +227,19 @@ class ForwardRunSpec:
 
 
 @dataclass(frozen=True)
-class SearchResult:
-    """A searched run, forward or inverse: the incumbent's search vector by
-    name, its model graded on the test mesh (reference None when an
-    inverse run has no true parameters), and the estimates of the PDE
-    parameters it searched (empty when it searched none)."""
+class RunResult:
+    """What every run returns.  history is empty when the run searched
+    nothing, and the march has one model per time block.  report holds the
+    summary entries other than metrics.  reference is None when the run
+    has none."""
 
-    w_named: dict
-    model: SolvedModel
     history: BoHistory
+    models: tuple
     metrics: dict
+    report: dict
     mesh: np.ndarray
     predicted: np.ndarray
     reference: Optional[np.ndarray]
-    estimates: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -292,34 +299,22 @@ def solve_baseline(problem: PdeProblem, baseline: BaselineConfig) -> tuple:
     return solve_system(system, basis), interior
 
 
-@dataclass(frozen=True)
-class CurriculumResult:
-    """The solved schedule entry, graded on a 10x-finer mesh against the
-    closed form at nu_solved."""
-
-    nu_solved: float
-    clusters: GradientClusterResult
-    measures: tuple  # ((nu, residual loss, solvability measure), ...) in order
-    model: SolvedModel
-    mesh: np.ndarray
-    predicted: np.ndarray
-    reference: np.ndarray
-
-
 def run_baseline_curriculum(
     problem: PdeProblem,
     baseline: BaselineConfig,
-    nu_schedule,
+    schedule,
     threshold: float = 1e-3,
-) -> CurriculumResult:
+) -> RunResult:
     """Solve with the plain baseline at decreasing nu until it breaks.
 
     Walks the schedule from the largest nu down, stopping at the first
     value whose solvability measure reaches the threshold; the
     sharp-gradient clusters of the last still-solvable solution tell the
-    caller how many adaptive components the problem wants and where.
+    caller how many adaptive components the problem wants and where.  The
+    solved entry is graded on a 10x-finer mesh against the closed form at
+    its nu, reported as nu_solved.
     """
-    schedule = [float(v) for v in nu_schedule]
+    schedule = [float(v) for v in schedule]
     if not schedule:
         raise ValueError("nu schedule is empty")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -338,21 +333,21 @@ def run_baseline_curriculum(
         # the max solution error: the residual's sup norm sits orders of
         # magnitude above it for marginally resolved layers
         measure = float(np.max(np.abs(predicted - exact)))
-        measures.append((nu, model.loss, measure))
+        measures.append({"nu": nu, "residual_loss": model.loss, "solvability": measure})
         if measure < threshold:
             solved = (nu, model, interior, predicted, exact)
         else:
             if solved is not None:
                 break
     if solved is None:
-        detail = ", ".join(f"nu={nu:g}: measure={ms:.3e}" for nu, _, ms in measures)
+        detail = ", ".join(f"nu={m['nu']:g}: measure={m['solvability']:.3e}" for m in measures)
         raise ArithmeticError(f"baseline solved no schedule entry ({detail})")
 
     nu_solved, model, interior, predicted, exact = solved
-    xs = interior[:, 0]
-    ys = evaluate_model(model, interior)
-    clusters = detect_gradient_clusters(xs, ys)
-    return CurriculumResult(nu_solved, clusters, tuple(measures), model, mesh, predicted, exact)
+    clusters = detect_gradient_clusters(interior[:, 0], evaluate_model(model, interior))
+    metrics = {"nu_solved": nu_solved, "n_clusters": clusters.n_clusters, "residual_loss": model.loss, "n_evals": 0}
+    report = {"schedule": measures, "cluster_intervals": [[float(a), float(b)] for a, b in clusters.intervals]}
+    return RunResult(BoHistory(), (model,), metrics, report, mesh, predicted, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +355,14 @@ def run_baseline_curriculum(
 
 
 def _at_params(problem: PdeProblem, params: dict) -> PdeProblem:
-    """The problem at the diffusivity (key nu) and advection speed (key a) of params."""
+    """The problem at the diffusivity (key nu) and advection speed (key a)
+    of params; any other key, or a speed for a problem without one, is
+    refused."""
+    unknown = sorted(set(params) - set(_ESTIMATED))
+    if unknown:
+        raise ValueError(f"{unknown[0]}: not a PDE parameter; expected nu or a")
+    if "a" in params and problem.advection_speed is None:
+        raise ValueError(f"a: the {problem.kind.value} problem has no advection speed")
     overrides = {}
     if "nu" in params:
         overrides["nu"] = float(params["nu"])
@@ -535,7 +537,7 @@ def error_metrics(predicted: np.ndarray, reference: np.ndarray) -> dict:
     return {"linf": float(np.max(np.abs(diff))) if diff.size else 0.0, "rel_l2": rel}
 
 
-def run_kapi(spec: ForwardRunSpec) -> SearchResult:
+def run_kapi(spec: ForwardRunSpec) -> RunResult:
     """Tune the kernel mixture, and the PDE parameters an inverse run
     estimates, by Bayesian search, and grade the winner.
 
@@ -544,8 +546,10 @@ def run_kapi(spec: ForwardRunSpec) -> SearchResult:
     sensors' truth, which only reporting and grading see: the
     finite-difference oracle for the 2D Poisson problem, elsewhere the
     closed form.  An inverse run whose sensors record no truth has no
-    reference.  The estimate of a searched diffusivity is the incumbent's
-    distribution mean mu_nu, not any single draw.
+    reference.  The report holds the incumbent's search vector by name
+    (w_opt) and an estimate <name>_est of each PDE parameter searched; the
+    estimate of a diffusivity is the incumbent's distribution mean mu_nu,
+    not any single draw.
     """
     shared = shared_baseline(spec)
     history, model = optimize(
@@ -553,7 +557,7 @@ def run_kapi(spec: ForwardRunSpec) -> SearchResult:
     )
     if model is None:
         raise ArithmeticError("every objective evaluation failed")
-    w_named = spec.named(history.best_w)
+    w_opt = {name: float(v) for name, v in spec.named(history.best_w).items()}
     truth = spec.sensors.truth if spec.sensors is not None else {}
     graded = _at_params(spec.problem, truth)
     mesh = _test_mesh(graded, spec.test_mesh_size)
@@ -569,12 +573,14 @@ def run_kapi(spec: ForwardRunSpec) -> SearchResult:
     metrics = {"residual_loss": history.best_loss, "n_kernels": model.basis.n_kernels, "n_evals": len(history)}
     if reference is not None:
         metrics.update(error_metrics(predicted, reference))
-    estimates = {name: float(w_named[key]) for name, key in (("nu", "mu_nu"), ("a", "a")) if key in spec.pde_params}
-    for name, est in estimates.items():
-        if name in truth:
-            true = float(truth[name])
-            metrics[f"{name}_rel_error"] = abs(est - true) / abs(true)
-    return SearchResult(w_named, model, history, metrics, mesh, predicted, reference, estimates)
+    report = {"w_opt": w_opt}
+    for name, key in _ESTIMATED.items():
+        if key in spec.pde_params:
+            report[f"{name}_est"] = est = w_opt[key]
+            if name in truth:
+                true = float(truth[name])
+                metrics[f"{name}_rel_error"] = abs(est - true) / abs(true)
+    return RunResult(history, (model,), metrics, report, mesh, predicted, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +631,8 @@ class TimeBlockSpec:
     tuning_blocks: int = 10
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
         for name, least in (("n_blocks", 1), ("n_colloc", 1), ("n_initial", 1), ("n_rbf", 2), ("n_boundary", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name}: must be at least {least}, got {getattr(self, name)}")
@@ -793,28 +801,35 @@ def solve_advection_timeblocks(spec: TimeBlockSpec, eval_seed: int = 0) -> Advec
     return AdvectionResult(spec, tuple(models), np.array(losses), np.array(val_losses))
 
 
-def run_advection_forward(spec: TimeBlockSpec) -> tuple:
-    """Solve the transport problem at the spec's tunables, or tune them.
+def run_advection_forward(spec: TimeBlockSpec) -> RunResult:
+    """Solve the transport problem at the spec's tunables, or tune them,
+    and grade the march's t_final profile (graded_final_profile).
 
     Tuning evaluates the spec's first tuning_blocks blocks and scores each
     candidate by its off-grid validation residual, which penalizes
     kernels sharp enough to alias between collocation points; the draws
     of the winning evaluation carry over verbatim to the full sweep
     because the sampling streams only depend on (seed, eval index,
-    block index).  Returns (AdvectionResult, BoHistory); the history is
-    empty when the spec's tunables were fixed.
+    block index).  The history is empty when the spec's tunables were
+    fixed; the report holds the tunables and the per-block losses.
     """
-    if spec.tunables is not None:
-        return solve_advection_timeblocks(spec), BoHistory()
-    prefix = replace(spec, n_blocks=spec.tuning_blocks, t_final=spec.block_dt * spec.tuning_blocks)
-
-    # the full march replays the incumbent's draws, so no prefix march is kept
-    history, _ = optimize(
-        lambda w, index: (solve_advection_timeblocks(prefix.at(w), index).aggregate_validation, None),
-        spec.bounds,
-        spec.bo,
-    )
-    return solve_advection_timeblocks(spec.at(history.best_w), history.incumbent_index), history
+    history, eval_seed = BoHistory(), 0
+    if spec.tunables is None:
+        prefix = replace(spec, n_blocks=spec.tuning_blocks, t_final=spec.block_dt * spec.tuning_blocks)
+        # the full march replays the incumbent's draws, so no prefix march is kept
+        history, _ = optimize(
+            lambda w, index: (solve_advection_timeblocks(prefix.at(w), index).aggregate_validation, None),
+            spec.bounds,
+            spec.bo,
+        )
+        spec, eval_seed = spec.at(history.best_w), history.incumbent_index
+    march = solve_advection_timeblocks(spec, eval_seed)
+    mesh, predicted, reference = march.graded_final_profile()
+    metrics = {"residual_loss": march.aggregate_loss, "validation_loss": march.aggregate_validation,
+               **error_metrics(predicted, reference), "n_evals": len(history)}
+    report = {"tunables": dict(zip(TUNABLE_NAMES, spec.tunables)), "block_losses": march.block_losses.tolist(),
+              "validation_losses": march.validation_losses.tolist()}
+    return RunResult(history, march.models, metrics, report, mesh, predicted, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,19 @@ class TestSearchBounds:
         with pytest.raises(ValueError, match="'nu' is not a searched parameter"):
             SearchBounds([("mu_nu", 1e-4, 1e-1)], log_scale={"nu": True})
 
+    @pytest.mark.parametrize("lo,hi", [(np.nan, 0.99), (0.9, np.nan), (-np.inf, 0.99), (0.9, np.inf)])
+    def test_non_finite_bounds_refused(self, lo, hi):
+        # nan >= hi is False, so a nan bound once passed the order check and
+        # every evaluation of the run failed; an infinite one mapped to nan
+        with pytest.raises(ValueError, match="^mu: bounds must be finite, got"):
+            SearchBounds([("mu", lo, hi), ("tau", 0.05, 0.5)])
+
+
+def test_negative_seed_refused():
+    # numpy refuses it only at the first draw, mid-run
+    with pytest.raises(ValueError, match="^seed: must be nonnegative, got -1$"):
+        BoConfig(seed=-1)
+
 
 class TestHistory:
     def test_incumbent_tracking(self):

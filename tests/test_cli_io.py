@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+from rbfadapt import cli_io
 from rbfadapt.cli_io import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -521,6 +522,45 @@ def test_solution_table_grades_against_the_true_closed_form(mapping, axes, n_row
     pts, predicted, reference, error = table[:, : len(axes)], table[:, -3], table[:, -2], table[:, -1]
     np.testing.assert_allclose(reference, exact(pts, summary), rtol=1e-13, atol=0)
     np.testing.assert_array_equal(error, np.abs(predicted - reference))
+
+
+TINY_TUNED_MARCH = dict(
+    TINY_ADVECTION, advection=dict(TINY_ADVECTION["advection"], tunables=None, tuning_blocks=1, max_evals=2)
+)
+SUMMARY_KEYS = {"kind", "problem", "seed", "metrics", "timings", "n_evaluations", "stop_reason", "exit_code",
+                "provenance"}
+SEARCHED_METRICS = {"residual_loss", "n_kernels", "n_evals", "linf", "rel_l2"}
+MARCH_METRICS = {"residual_loss", "validation_loss", "linf", "rel_l2", "n_evals"}
+MARCH_REPORT = {"tunables", "block_losses", "validation_losses"}
+
+
+# Each kind's summary.json: its top-level keys (the common ones plus the
+# driver's report) and its metric names, which are the driver's own.
+@pytest.mark.parametrize(
+    "mapping, report, metrics",
+    [
+        (TINY_FORWARD, {"w_opt"}, SEARCHED_METRICS),
+        (TINY_DIFFUSIVITY, {"w_opt", "nu_est"}, SEARCHED_METRICS | {"nu_rel_error"}),
+        (TINY_INVERSE, {"w_opt", "a_est"}, SEARCHED_METRICS | {"a_rel_error"}),
+        (TINY_TUNED_MARCH, MARCH_REPORT, MARCH_METRICS),
+        (TINY_ADVECTION, MARCH_REPORT, MARCH_METRICS),
+        (TINY_STUDY, {"schedule", "cluster_intervals"}, {"nu_solved", "n_clusters", "residual_loss", "n_evals"}),
+    ],
+    ids=["forward", "inverse-nu", "inverse-a", "tuned-march", "fixed-march", "baseline-study"],
+)
+def test_summary_layout_is_the_driver_result(mapping, report, metrics, tmp_path, monkeypatch):
+    results = []
+    runner = cli_io._RUNNERS[mapping["kind"]]
+    monkeypatch.setitem(cli_io._RUNNERS, mapping["kind"], lambda config: results.append(runner(config)) or results[-1])
+    bundle = _run_tiny(tmp_path, mapping)
+    summary = json.loads((Path(bundle.out_dir) / "summary.json").read_text())
+    (result,) = results
+    assert set(summary) == SUMMARY_KEYS | report
+    assert set(result.report) == report
+    assert set(summary["metrics"]) == metrics
+    assert summary["metrics"] == result.metrics
+    assert {key: summary[key] for key in report} == json.loads(json.dumps(result.report))
+    assert summary["n_evaluations"] == len(result.history) == result.metrics["n_evals"]
 
 
 def test_csv_rows_format_as_the_per_value_join(tmp_path):

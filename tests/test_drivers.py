@@ -16,6 +16,7 @@ from rbfadapt.assembly import (
 from rbfadapt.bayesopt import BoConfig, SearchBounds
 from rbfadapt.blas import fixed_blas_threads
 from rbfadapt.drivers import (
+    TUNABLE_NAMES,
     _at_params,
     _draw_nu,
     _extra_rows,
@@ -94,22 +95,22 @@ class TestBaselineCurriculum:
         result = run_baseline_curriculum(
             convdiff_type1(0.1), self.BASE, [0.1, 0.05, 0.01]
         )
-        assert result.nu_solved == 0.05
-        assert [m[0] for m in result.measures] == [0.1, 0.05, 0.01]
-        assert result.clusters.n_clusters == 1
-        (lo, hi), = result.clusters.intervals
+        assert result.metrics["nu_solved"] == 0.05
+        assert [m["nu"] for m in result.report["schedule"]] == [0.1, 0.05, 0.01]
+        assert result.metrics["n_clusters"] == 1
+        (lo, hi), = result.report["cluster_intervals"]
         assert 0.85 <= lo < hi <= 1.0
 
     def test_single_entry_schedule_short_circuits(self):
         result = run_baseline_curriculum(convdiff_type1(0.1), self.BASE, [0.1])
-        assert result.nu_solved == 0.1
-        assert len(result.measures) == 1
+        assert result.metrics["nu_solved"] == 0.1
+        assert len(result.report["schedule"]) == 1
 
     def test_interior_front_problem_finds_two_sharp_regions(self):
         result = run_baseline_curriculum(
             convdiff_type2(0.3), self.BASE, [0.3, 0.2, 0.15, 0.1]
         )
-        assert result.clusters.n_clusters == 2
+        assert result.metrics["n_clusters"] == 2
 
     def test_unsolvable_schedule_raises_with_diagnostics(self):
         with pytest.raises(ArithmeticError, match="nu=0.001"):
@@ -359,6 +360,22 @@ class TestForwardRun:
         with pytest.raises(ValueError, match="^pde_params: the convdiff1 problem has no advection speed to search$"):
             replace(_baseline_only_spec(0.01), bounds=SearchBounds([("a", 0.1, 1.0)]), pde_params=("a",))
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="^seed: must be nonnegative, got -1$"):
+            replace(_baseline_only_spec(0.01), seed=-1)
+
+    @pytest.mark.parametrize("truth,unsearched", [({"a": 0.5}, "a"), ({"mu": 0.5}, "mu")])
+    def test_sensors_truth_names_a_searched_parameter(self, truth, unsearched):
+        # the run grades and reports at the truth: a diffusivity search
+        # cannot report a speed, nor anything at an unknown parameter
+        spec = _diffusivity_spec()
+        sensors = generate_sensor_data(
+            spec.problem, {"nu": 0.01}, 10, 0.0, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(0)
+        )
+        message = rf"^sensors: the truth names \['{unsearched}'\], which the run does not search$"
+        with pytest.raises(ValueError, match=message):
+            replace(spec, sensors=replace(sensors, truth=truth))
+
     def test_every_failed_evaluation_raises(self, monkeypatch):
         def fail(system, basis):
             raise np.linalg.LinAlgError("manufactured failure")
@@ -415,14 +432,15 @@ class TestForwardRun:
         result = run_kapi(spec)
         assert len(result.history) <= 5
         assert result.metrics["residual_loss"] == result.history.best_loss
-        assert result.metrics["n_kernels"] == result.model.basis.n_kernels
+        assert result.metrics["n_kernels"] == result.models[0].basis.n_kernels
         assert result.mesh.shape[0] == 3000
         assert np.isfinite(result.metrics["linf"])
         names = spec.bounds.names
+        w_opt = result.report["w_opt"]
         for i, name in enumerate(names):
-            assert spec.bounds.lowers[i] <= result.w_named[name] <= spec.bounds.uppers[i]
-        assert result.w_named == {**dict(zip(names, result.history.best_w)), **spec.fixed}
-        assert result.estimates == {}
+            assert spec.bounds.lowers[i] <= w_opt[name] <= spec.bounds.uppers[i]
+        assert w_opt == {**dict(zip(names, result.history.best_w)), **spec.fixed}
+        assert set(result.report) == {"w_opt"}
 
 
 # ---------------------------------------------------------------------------
@@ -617,21 +635,26 @@ class TestTimeBlocks:
         with pytest.raises(ValueError, match=message):
             _small_block_spec(**overrides)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="^seed: must be nonnegative, got -1$"):
+            _small_block_spec(seed=-1)
+
     def test_fixed_tunables_need_no_tuning_stretch(self):
         spec = _small_block_spec(tunables=[1, 1, 3], tuning_blocks=50)
         assert spec.tunables == (1.0, 1.0, 3.0)
 
     def test_forward_run_takes_the_march_from_its_spec(self):
         spec = _small_block_spec(n_blocks=2, t_final=0.02)
-        result, history = run_advection_forward(spec)
-        assert len(history) == 0 and history.stop_reason is None
-        assert np.array_equal(result.block_losses, solve_advection_timeblocks(spec).block_losses)
+        result = run_advection_forward(spec)
+        assert len(result.history) == 0 and result.history.stop_reason is None
+        assert result.report["block_losses"] == solve_advection_timeblocks(spec).block_losses.tolist()
         tuned = replace(spec, tunables=None, tuning_blocks=1, bo=BoConfig(max_evals=2, loss_tol=None))
-        result, history = run_advection_forward(tuned)
+        result = run_advection_forward(tuned)
+        history = result.history
         assert len(history) == 2
         best = solve_advection_timeblocks(tuned.at(history.best_w), history.incumbent_index)
-        assert result.spec == best.spec == tuned.at(history.best_w)
-        assert np.array_equal(result.block_losses, best.block_losses)
+        assert result.report["tunables"] == dict(zip(TUNABLE_NAMES, tuned.at(history.best_w).tunables))
+        assert result.report["block_losses"] == best.block_losses.tolist()
 
     @pytest.mark.parametrize("overrides,message", [
         (dict(n_colloc=601), "n_colloc: 601 points lay out only as 1 x 601"),
@@ -708,6 +731,15 @@ class TestSensorData:
         np.testing.assert_array_equal(data.values, convdiff_type1(0.02).exact(data.points))
         assert SensorData(data.points, data.values).truth == {}
 
+    @pytest.mark.parametrize("truth,message", [
+        ({"mu": 0.5}, "^mu: not a PDE parameter; expected nu or a$"),
+        ({"a": 0.5}, "^a: the convdiff1 problem has no advection speed$"),
+    ])
+    def test_truth_must_be_a_parameter_of_the_problem(self, truth, message):
+        # either one once measured at the problem's own nu while recording the truth given
+        with pytest.raises(ValueError, match=message):
+            generate_sensor_data(self.PROBLEM, truth, 10, 0.0, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(0))
+
     def test_invalid_inputs_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -726,7 +758,7 @@ class TestReEvaluation:
 
     @staticmethod
     def _reevaluated(spec, result):
-        loss, _ = forward_objective(spec, result.w_named, result.history.incumbent_index)
+        loss, _ = forward_objective(spec, result.report["w_opt"], result.history.incumbent_index)
         assert np.isfinite(loss)
         assert np.float64(loss).tobytes() == np.float64(result.history.best_loss).tobytes()
 
@@ -743,7 +775,7 @@ class TestReEvaluation:
         )
         spec = replace(spec, sensors=sensors)
         result = run_kapi(spec)
-        assert result.estimates == {"nu": result.w_named["mu_nu"]}
+        assert result.report == {"w_opt": result.report["w_opt"], "nu_est": result.report["w_opt"]["mu_nu"]}
         self._reevaluated(spec, result)
 
     def test_inverse_speed_run(self):
@@ -762,7 +794,7 @@ class TestReEvaluation:
         )
         spec = replace(spec, sensors=sensors)
         result = run_kapi(spec)
-        assert result.estimates == {"a": result.w_named["a"]}
+        assert result.report == {"w_opt": result.report["w_opt"], "a_est": result.report["w_opt"]["a"]}
         self._reevaluated(spec, result)
 
 
@@ -792,8 +824,8 @@ class TestKeptBaseline:
         kept = shared_baseline(_small_speed_spec())
         assert 0 < kept.n_kernels < 400
         for result in (one, two):
-            assert np.array_equal(result.model.basis.centers, kept.centers)
-            assert np.array_equal(result.model.basis.widths, kept.widths)
+            assert np.array_equal(result.models[0].basis.centers, kept.centers)
+            assert np.array_equal(result.models[0].basis.widths, kept.widths)
             assert result.metrics["n_kernels"] == kept.n_kernels
 
     def test_column_choice_memory_stays_chunk_sized(self):
@@ -907,8 +939,8 @@ class TestInverse:
         )
         result = run_kapi(forward)
         idx = bounds.index_of("mu_nu")
-        assert result.estimates["nu"] == float(result.history.best_w[idx])
-        assert result.w_named["mu_nu"] == result.estimates["nu"]
+        assert result.report["nu_est"] == float(result.history.best_w[idx])
+        assert result.report["w_opt"]["mu_nu"] == result.report["nu_est"]
         assert "nu_rel_error" in result.metrics
         assert len(result.history) <= 6
 
@@ -921,7 +953,7 @@ class TestInverse:
         )
         result = run_kapi(replace(_diffusivity_spec(max_evals=2), sensors=sensors))
         np.testing.assert_array_equal(result.reference, convdiff_type1(0.02).exact(result.mesh))
-        assert result.metrics["nu_rel_error"] == abs(result.estimates["nu"] - 0.02) / 0.02
+        assert result.metrics["nu_rel_error"] == abs(result.report["nu_est"] - 0.02) / 0.02
 
     def test_run_without_true_parameters_grades_against_no_reference(self):
         problem = convdiff_type1(0.01)
@@ -946,7 +978,7 @@ class TestInverse:
         assert result.reference is None
         assert "nu_rel_error" not in result.metrics
         np.testing.assert_array_equal(result.mesh, np.linspace(0.0, 1.0, 2000)[:, None])
-        np.testing.assert_array_equal(result.predicted, evaluate_model(result.model, result.mesh))
+        np.testing.assert_array_equal(result.predicted, evaluate_model(result.models[0], result.mesh))
 
 
 def _graded_spec(kind):

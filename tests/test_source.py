@@ -1,7 +1,7 @@
 """Source hygiene: every import in src/rbfadapt is read, every
 module-level private name is referenced somewhere in src/rbfadapt, and so
-is every public module-level function and class, unless the benchmark's
-tracer names it (bench/spans.py's SPANS and PINNED).
+is every public module-level function, class and constant, unless the
+benchmark's tracer names it (bench/spans.py's SPANS and PINNED).
 
 Tests may reach any name, but they do not keep one alive: a helper or a
 public function that only tests call is dead code.
@@ -61,9 +61,10 @@ def _private_definitions(tree) -> list:
     return [(name, line) for name, line in _definitions(tree) if name.startswith("_") and not name.endswith("__")]
 
 
-def _public_definitions(tree) -> list:
-    """(name, line) of each public function or class the module body defines."""
-    return [(name, line) for name, line in _definitions(tree, variables=False) if not name.startswith("_")]
+def _public_definitions(tree, variables: bool = False) -> list:
+    """(name, line) of each public function or class the module body
+    defines, and of each public variable when variables."""
+    return [(name, line) for name, line in _definitions(tree, variables) if not name.startswith("_")]
 
 
 def _references(tree) -> set:
@@ -92,12 +93,23 @@ def test_every_private_name_is_referenced(name):
     assert [(n, line) for n, line in _private_definitions(TREES[name]) if n not in referenced] == []
 
 
-@pytest.mark.parametrize("name", sorted(TREES))
-def test_every_public_function_and_class_is_used_or_traced(name):
+def _unused_public(name: str, variables: bool) -> list:
     referenced = set().union(*(_references(tree) for tree in TREES.values()))
     module = name.removesuffix(".py")
-    public = _public_definitions(TREES[name])
-    assert [(n, line) for n, line in public if n not in referenced and f"{module}.{n}" not in TRACED] == []
+    public = _public_definitions(TREES[name], variables)
+    return [(n, line) for n, line in public if n not in referenced and f"{module}.{n}" not in TRACED]
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_public_function_and_class_is_used_or_traced(name):
+    assert _unused_public(name, variables=False) == []
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_public_constant_is_read_or_traced(name):
+    # an alias kept for the tracer alone (cli_io.compare_to_exact) is traced
+    functions_and_classes = _public_definitions(TREES[name])
+    assert [d for d in _unused_public(name, variables=True) if d not in functions_and_classes] == []
 
 
 def test_the_checks_see_unused_code():
@@ -108,5 +120,7 @@ def test_the_checks_see_unused_code():
     assert [bound for bound, _ in _imported(tree) if bound not in _read_names(tree)] == ["os", "_pi"]
     assert [n for n, _ in _private_definitions(tree) if n not in _references(tree)] == ["_helper"]
     assert [n for n, _ in _public_definitions(tree) if n not in _references(tree)] == ["helper"]
+    unread = [n for n, _ in _public_definitions(tree, variables=True) if n not in _references(tree)]
+    assert unread == ["LIMIT", "helper"]
     spans = ast.parse('SPANS = {"drivers.run": None}\nPINNED = ("blas.pin",)\nOTHER = ("x.y",)\n')
     assert _traced(spans) == {"drivers.run", "blas.pin"}
