@@ -140,11 +140,15 @@ class SearchBounds:
         return (v - lo) / (hi - lo)
 
     def from_unit(self, u) -> np.ndarray:
+        """u, clipped to the unit cube, mapped into the box.  lo + u (hi - lo)
+        can round one ulp past hi (at u = 1 on (0.3, 0.9)), and 10**v past
+        either end of a log axis, so the result is clipped to the bounds."""
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         lo, hi = self._axes()
         v = lo + u * (hi - lo)
         with np.errstate(over="ignore"):
-            return np.where(self.log_scale, 10.0**v, v)
+            w = np.where(self.log_scale, 10.0**v, v)
+        return np.clip(w, self.lowers, self.uppers)
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)

@@ -716,7 +716,21 @@ def _sample_mask_points(intervals, speed: float, pad: float, n: int, rng) -> np.
     return np.column_stack([xs, ts])
 
 
-def solve_advection_timeblocks(spec: TimeBlockSpec, eval_seed: int = 0) -> AdvectionResult:
+def _solve_block(fixed: FixedBlock, adapt, ic_vals: np.ndarray, k: int):
+    """Block k's model: the fixed baseline rows extended by the block's
+    adaptive kernels (None when it has none), solved at its initial
+    values.  The block's LinearSystem ends with this call, so the next
+    block's is never built beside it."""
+    system, basis = extend(fixed, adapt, [ic_vals])
+    try:
+        model = solve_system(system, basis)
+    except (ArithmeticError, np.linalg.LinAlgError) as err:
+        raise ArithmeticError(f"time block {k} solve failed: {err}") from err
+    return replace(model, tags=(np.arange(basis.n_kernels) >= fixed.basis.n_kernels).astype(int))
+
+
+def solve_advection_timeblocks(spec: TimeBlockSpec, eval_seed: int = 0, n_blocks: Optional[int] = None
+                               ) -> AdvectionResult:
     """March the transport solve through sequential unit-square slabs at
     the spec's tunables, which it must carry (run_advection_forward tunes
     a spec without them).
@@ -727,9 +741,14 @@ def solve_advection_timeblocks(spec: TimeBlockSpec, eval_seed: int = 0) -> Advec
     points are confined to the characteristic mask around the block's
     sharp initial features; a block with no sharp features runs with the
     baseline grid alone.  eval_seed picks the evaluation's draws.
+    n_blocks marches only the spec's first n_blocks blocks (all of them
+    when None), at the spec's own block length, so they match the whole
+    march's first blocks bit for bit; graded_final_profile needs the
+    whole march.
     """
     if spec.tunables is None:
         raise ValueError("tunables: the march needs fixed (f, lam, sigma_f); run_advection_forward tunes them")
+    n_blocks = spec.n_blocks if n_blocks is None else n_blocks
     f_ratio, lam, sigma_tun = spec.tunables
     x0, x1 = ADVECTION_X
     length_x = x1 - x0
@@ -748,7 +767,7 @@ def solve_advection_timeblocks(spec: TimeBlockSpec, eval_seed: int = 0) -> Advec
     # per-block placement streams and the width stream are seeded so a
     # prefix run (fewer blocks, same eval_seed) reproduces the same draws
     root = np.random.SeedSequence(entropy=spec.seed, spawn_key=(3, int(eval_seed), 0))
-    block_seeds = root.spawn(spec.n_blocks)
+    block_seeds = root.spawn(n_blocks)
     width_seed = np.random.SeedSequence(entropy=spec.seed, spawn_key=(3, int(eval_seed), 1))
     # one shared width draw per evaluation; every block reuses it
     wx = draw_widths(sigma_hat, spec.nu, lam, 1, np.random.default_rng(width_seed))[0]
@@ -761,36 +780,31 @@ def solve_advection_timeblocks(spec: TimeBlockSpec, eval_seed: int = 0) -> Advec
     baseline = BaselineConfig(spec.n_colloc, spec.n_rbf, sigma_hat, spec.n_boundary, spec.n_initial)
     fixed = baseline_block(block_problem, baseline, [(ic_pts, ic_vals)])
     base = fixed.basis
-    val_base = operator_matrix(block_problem, base, val_pts)
-    top_base = eval_matrix(base, top_pts)
-    # [base | adaptive] rows of the blocks with adaptive kernels: n_adapt is
-    # fixed for the march, so the base columns are written once and each
-    # block refills the adaptive ones in place
-    val_rows_adapt = np.empty((val_pts.shape[0], spec.n_rbf + n_adapt))
-    top_rows_adapt = np.empty((top_pts.shape[0], spec.n_rbf + n_adapt))
-    val_rows_adapt[:, :spec.n_rbf] = val_base
-    top_rows_adapt[:, :spec.n_rbf] = top_base
+    # the validation and top-edge rows, [base | adaptive], filled a chunk of
+    # rows at a time: the only copy of their base columns, written once.
+    # n_adapt is fixed for the march, so a block with adaptive kernels
+    # refills the adaptive columns in place, and a block without reads the
+    # base columns alone
+    val_rows_all = np.empty((val_pts.shape[0], spec.n_rbf + n_adapt))
+    top_rows_all = np.empty((top_pts.shape[0], spec.n_rbf + n_adapt))
+    fill_rows(val_rows_all[:, :spec.n_rbf], lambda pts: operator_matrix(block_problem, base, pts), val_pts)
+    fill_rows(top_rows_all[:, :spec.n_rbf], lambda pts: eval_matrix(base, pts), top_pts)
     models, losses, val_losses = [], [], []
-    for k in range(spec.n_blocks):
+    for k in range(n_blocks):
         rng = np.random.default_rng(block_seeds[k])
         intervals = characteristic_mask(ic_xhat, ic_vals)
         if not intervals or n_adapt == 0:
             adapt = None
-            val_rows, top_rows = val_base, top_base
+            val_rows, top_rows = val_rows_all[:, :spec.n_rbf], top_rows_all[:, :spec.n_rbf]
         else:
             adapt_pts = _sample_mask_points(intervals, a_hat, pad, n_adapt, rng)
             # sharp structure lives along x; time-direction kernels span the block
             widths = np.column_stack([np.full(n_adapt, wx), np.ones(n_adapt)])
             adapt = RbfBasis(adapt_pts, widths)
-            val_rows, top_rows = val_rows_adapt, top_rows_adapt
-            val_rows[:, spec.n_rbf:] = operator_matrix(block_problem, adapt, val_pts)
-            top_rows[:, spec.n_rbf:] = eval_matrix(adapt, top_pts)
-        system, basis = extend(fixed, adapt, [ic_vals])
-        try:
-            model = solve_system(system, basis)
-        except (ArithmeticError, np.linalg.LinAlgError) as err:
-            raise ArithmeticError(f"time block {k} solve failed: {err}") from err
-        model = replace(model, tags=(np.arange(basis.n_kernels) >= spec.n_rbf).astype(int))
+            val_rows, top_rows = val_rows_all, top_rows_all
+            fill_rows(val_rows[:, spec.n_rbf:], lambda pts: operator_matrix(block_problem, adapt, pts), val_pts)
+            fill_rows(top_rows[:, spec.n_rbf:], lambda pts: eval_matrix(adapt, pts), top_pts)
+        model = _solve_block(fixed, adapt, ic_vals, k)
         models.append(model)
         losses.append(model.loss)
         with fixed_blas_threads():
@@ -805,23 +819,23 @@ def run_advection_forward(spec: TimeBlockSpec) -> RunResult:
     """Solve the transport problem at the spec's tunables, or tune them,
     and grade the march's t_final profile (graded_final_profile).
 
-    Tuning evaluates the spec's first tuning_blocks blocks and scores each
-    candidate by its off-grid validation residual, which penalizes
-    kernels sharp enough to alias between collocation points; the draws
-    of the winning evaluation carry over verbatim to the full sweep
-    because the sampling streams only depend on (seed, eval index,
-    block index).  The history is empty when the spec's tunables were
-    fixed; the report holds the tunables and the per-block losses.
+    Tuning marches the spec's first tuning_blocks blocks, at the spec's
+    own block length, and scores each candidate by its off-grid
+    validation residual, which penalizes kernels sharp enough to alias
+    between collocation points.  The tuned blocks are the full march's
+    own first blocks, bit for bit: the sampling streams only depend on
+    (seed, eval index, block index), so the winning evaluation's draws
+    carry over verbatim and the march reproduces its tuned loss.  The
+    history is empty when the spec's tunables were fixed; the report
+    holds the tunables and the per-block losses.
     """
     history, eval_seed = BoHistory(), 0
     if spec.tunables is None:
-        prefix = replace(spec, n_blocks=spec.tuning_blocks, t_final=spec.block_dt * spec.tuning_blocks)
-        # the full march replays the incumbent's draws, so no prefix march is kept
-        history, _ = optimize(
-            lambda w, index: (solve_advection_timeblocks(prefix.at(w), index).aggregate_validation, None),
-            spec.bounds,
-            spec.bo,
-        )
+        def tuning_loss(w, index):
+            # the full march replays the incumbent's draws, so no prefix march is kept
+            return solve_advection_timeblocks(spec.at(w), index, spec.tuning_blocks).aggregate_validation, None
+
+        history, _ = optimize(tuning_loss, spec.bounds, spec.bo)
         spec, eval_seed = spec.at(history.best_w), history.incumbent_index
     march = solve_advection_timeblocks(spec, eval_seed)
     mesh, predicted, reference = march.graded_final_profile()

@@ -1,5 +1,6 @@
 """Tests for the GP surrogate, acquisition, and optimization loop."""
 
+import itertools
 import sys
 import tracemalloc
 
@@ -48,6 +49,16 @@ class TestSearchBounds:
         b = SearchBounds([("x", 0.0, 1.0)])
         assert b.from_unit(np.array([1.7]))[0] == 1.0
         assert b.from_unit(np.array([-0.2]))[0] == 0.0
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_corners_map_inside_the_box(self, log):
+        # lo + u (hi - lo), and 10**v on a log axis, round past an end of
+        # some of these boxes at u = 0 or 1
+        params = [("a", 0.3, 0.9), ("b", 0.15, 0.45), ("c", 2.5, 4.5), ("d", 0.02, 0.7), ("e", 0.3, 3.0)]
+        b = SearchBounds(params, log_scale={name: log for name, _, _ in params})
+        for corner in itertools.product([0.0, 1.0], repeat=len(params)):
+            w = b.from_unit(np.array(corner))
+            assert np.all((b.lowers <= w) & (w <= b.uppers)), corner
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -639,6 +639,18 @@ class TestMain:
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_upper_edge_proposal_runs_the_march(self, seed, tmp_path):
+        # these searches propose u = 1 for f, which once mapped one ulp
+        # above 0.9, and the march refused it with an uncaught ValueError
+        path = _dump(tmp_path, _march(n_blocks=3, tuning_blocks=1, max_evals=25, n_colloc=100, n_rbf=36,
+                                      n_boundary=20, n_initial=50,
+                                      bounds={"f": [0.3, 0.9], "lam": [1.0, 1.5], "sigma_f": [2.5, 4.5]}))
+        out = tmp_path / "out"
+        assert main(["advection", "--config", str(path), "--seed", str(seed), "--out", str(out), "--quiet"]) == EXIT_OK
+        with (out / "loss_history.csv").open() as fh:
+            assert 0.9 in [float(row["f"]) for row in csv.DictReader(fh)]
+
     def test_unknown_subcommand_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

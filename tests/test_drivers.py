@@ -656,6 +656,40 @@ class TestTimeBlocks:
         assert result.report["tunables"] == dict(zip(TUNABLE_NAMES, tuned.at(history.best_w).tunables))
         assert result.report["block_losses"] == best.block_losses.tolist()
 
+    @pytest.mark.parametrize("t_final,n_blocks,tuning_blocks", [(0.05, 4, 3), (0.06, 5, 3), (0.1, 7, 3)])
+    def test_tuned_blocks_are_the_march_s_first_blocks(self, t_final, n_blocks, tuning_blocks):
+        # (t_final / n_blocks) * k / k is not t_final / n_blocks at these
+        # pairs, so a march of a shortened spec would tune on a_hat moved in
+        # its last bits
+        block_dt = t_final / n_blocks
+        assert block_dt * tuning_blocks / tuning_blocks != block_dt
+        spec = _small_block_spec(n_blocks=n_blocks, t_final=t_final, tunables=None, tuning_blocks=tuning_blocks,
+                                 bo=BoConfig(max_evals=2, loss_tol=None))
+        result = run_advection_forward(spec)
+        assert max(result.report["validation_losses"][:tuning_blocks]) == result.history.best_loss
+
+    def test_march_holds_one_block_system_at_a_time(self):
+        # beside the fixed baseline rows, the traced peak holds one block's
+        # system, the [base | adaptive] validation and top-edge rows and the
+        # temporaries of one 64-row chunk, which measured 0.4 MB; a system
+        # kept while the next block's is built, or a second copy of the
+        # rows' base columns, exceeds it.  numpy's lstsq copies the system
+        # into memory it allocates outside tracemalloc's view.
+        spec = _small_block_spec()
+        tracemalloc.start()
+        try:
+            result = solve_advection_timeblocks(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_kernels = max(model.basis.n_kernels for model in result.models)
+        assert n_kernels > spec.n_rbf
+        n_evaluated = spec.n_boundary + spec.n_initial
+        fixed = (spec.n_colloc + n_evaluated) * spec.n_rbf
+        system = (spec.n_colloc + n_kernels - spec.n_rbf + n_evaluated) * n_kernels
+        rows = (25 * 25 + spec.n_initial) * n_kernels
+        assert peak <= (fixed + system + rows) * 8 + 0.75 * 2**20, peak / 2**20
+
     @pytest.mark.parametrize("overrides,message", [
         (dict(n_colloc=601), "n_colloc: 601 points lay out only as 1 x 601"),
         (dict(n_rbf=151), "n_rbf: 151 points lay out only as 1 x 151"),
