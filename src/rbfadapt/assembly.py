@@ -41,7 +41,7 @@ result bit for bit:
   product at every shape tried (10,201 x 1,600, 40,401 x 769 and
   2,001 x 337), while chunks of 1, 4, 8, 16, 100 or 333 rows differed
   on at least one of them, so CHUNK_ROWS must stay a multiple of 64.
-  A one-row chunk rounds another way too (see _row_chunks).
+  A one-row chunk rounds another way too (see row_chunks).
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _as_points(pts) -> np.ndarray:
     return np.atleast_2d(np.asarray(pts, dtype=float))
 
 
-def _row_chunks(n: int, size: int):
+def row_chunks(n: int, size: int):
     """Slices of size rows (or columns) that cover range(n) in order.
 
     The last slice holds the rest; a rest of one joins the slice before
@@ -177,7 +177,7 @@ def _row_chunks(n: int, size: int):
 
 def fill_rows(out: np.ndarray, rows_at, points: np.ndarray) -> None:
     """out[i] = rows_at(points)[i] for every row, one chunk at a time."""
-    for rows in _row_chunks(points.shape[0], CHUNK_ROWS):
+    for rows in row_chunks(points.shape[0], CHUNK_ROWS):
         out[rows] = rows_at(points[rows])
 
 
@@ -330,6 +330,6 @@ def evaluate_model(model: SolvedModel, points: np.ndarray) -> np.ndarray:
     points x kernels matrix at a time."""
     points = _as_points(points)
     out = np.empty(points.shape[0])
-    for rows in _row_chunks(points.shape[0], CHUNK_ROWS):
+    for rows in row_chunks(points.shape[0], CHUNK_ROWS):
         np.matmul(eval_matrix(model.basis, points[rows]), model.coefficients, out=out[rows])
     return out

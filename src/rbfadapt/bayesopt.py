@@ -41,7 +41,7 @@ in {1, 2, 3, 5} and n in {6, 17, 50, 99}, at candidate counts from 1 to
 4,097 on both sides of the chunk edges (one and two BLAS threads).  Two
 rules keep it so:
 
-* the chunk edges are ``assembly._row_chunks``', so a last chunk of one
+* the chunk edges are ``assembly.row_chunks``', so a last chunk of one
   column joins the chunk before it (its docstring says why);
 * the mean is not taken per chunk, since a mat-vec over a contiguous
   slice of k* rounds another way than the whole product.  So k*
@@ -61,7 +61,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
-from .assembly import _row_chunks
+from .assembly import row_chunks
 from .blas import fixed_blas_threads
 
 N_INCUMBENT_PERTURBATIONS = 50
@@ -309,7 +309,10 @@ def _gp_data(inputs, targets) -> tuple:
     return x, (y - mean) / scale, mean, scale, _pairwise_sqdists(x, x)
 
 
-def _surrogate(x, y_std, mean, scale, sq, length_scales, signal_var, noise_var) -> GpSurrogate:
+@fixed_blas_threads()
+def gp_with_params(inputs, targets, length_scales, signal_var, noise_var) -> GpSurrogate:
+    """Assemble a surrogate with given kernel hyperparameters (no fitting)."""
+    x, y_std, mean, scale, sq = _gp_data(inputs, targets)
     ell = np.asarray(length_scales, dtype=float)
     k = signal_var * _gaussian(sq, ell)
     c = _chol_with_jitter(k + noise_var * np.eye(x.shape[0]))
@@ -318,22 +321,15 @@ def _surrogate(x, y_std, mean, scale, sq, length_scales, signal_var, noise_var) 
 
 
 @fixed_blas_threads()
-def gp_with_params(
-    inputs, targets, length_scales, signal_var, noise_var
-) -> GpSurrogate:
-    """Assemble a surrogate with given kernel hyperparameters (no fitting)."""
-    return _surrogate(*_gp_data(inputs, targets), length_scales, signal_var, noise_var)
-
-
-@fixed_blas_threads()
 def gp_fit(inputs, targets) -> GpSurrogate:
     """Maximum-marginal-likelihood fit of the anisotropic smooth kernel.
 
     Multi-start bounded quasi-Newton search over log hyperparameters;
     the best of all starts and all polished results wins, so the
-    likelihood never ends below its value at the first start.
+    likelihood never ends below its value at the first start; the
+    surrogate is then assembled at the winner (gp_with_params).
     """
-    x, y_std, mean, scale, sq = _gp_data(inputs, targets)
+    x, y_std, _, _, sq = _gp_data(inputs, targets)
     if x.shape[0] < 2:
         raise ValueError("gp_fit needs at least 2 observations")
     if x.shape[0] != y_std.shape[0]:
@@ -366,10 +362,8 @@ def gp_fit(inputs, targets) -> GpSurrogate:
                 best_nll = value
                 best_theta = theta
 
-    ell = np.exp(best_theta[:-2])
-    sig = float(np.exp(best_theta[-2]))
     noise = float(max(np.exp(best_theta[-1]), _NOISE_FLOOR))
-    return _surrogate(x, y_std, mean, scale, sq, ell, sig, noise)
+    return gp_with_params(inputs, targets, np.exp(best_theta[:-2]), float(np.exp(best_theta[-2])), noise)
 
 
 @fixed_blas_threads()
@@ -384,7 +378,7 @@ def gp_predict_batch(surrogate: GpSurrogate, xs) -> tuple:
     m = xs.shape[0]
     kstar = np.empty((surrogate.inputs.shape[0], m))
     var_std = np.empty(m)
-    for cols in _row_chunks(m, CHUNK_CANDIDATES):
+    for cols in row_chunks(m, CHUNK_CANDIDATES):
         sq = _pairwise_sqdists(surrogate.inputs, xs[cols])
         chunk = surrogate.signal_var * _gaussian(sq, surrogate.length_scales)
         kstar[:, cols] = chunk

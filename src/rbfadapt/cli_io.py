@@ -7,6 +7,11 @@ and the echo.  Unknown keys are rejected by name, and the parsed
 configuration echoes back to disk so a run directory always carries the
 exact inputs that produced it.
 
+Each run kind has one builder (``_BUILDERS``): the kind's driver bound to
+the library's specs, a refusal naming its section first.  Parsing builds
+the run to check the file, running builds it the same way; ``_CHECKS``
+holds only the file's own rules.
+
 Every run kind's driver grades and reports its own run and returns one
 ``drivers.RunResult``; this module only writes it out.  Persisted
 outputs per run:
@@ -24,8 +29,9 @@ outputs per run:
 
 Numeric CSV fields carry 17 significant digits, enough to reconstruct
 the exact double-precision values.  Exit codes: 0 success, 2
-configuration error, 3 numerical failure, 4 evaluation budget exhausted
-before reaching the configured loss target (results are still written).
+configuration error (an unusable output directory too, found before the
+run), 3 numerical failure, 4 evaluation budget exhausted before reaching
+the configured loss target (results are still written).
 The output directory may be overridden with the ``RBFADAPT_OUT``
 environment variable.
 """
@@ -39,6 +45,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -53,14 +60,14 @@ from .drivers import (
     RunResult,
     SensorPlacement,
     TimeBlockSpec,
-    check_baseline,
+    check_curriculum,
     error_metrics,
     generate_sensor_data,
     run_advection_forward,
     run_baseline_curriculum,
     run_kapi,
 )
-from .problems import advection1d, convdiff_type1, convdiff_type2, poisson2d
+from .problems import PROBLEMS
 from .sampling import WIDTH_SHARING, BaselineConfig
 
 EXIT_OK = 0
@@ -69,7 +76,7 @@ EXIT_NUMERICAL = 3
 EXIT_BUDGET = 4
 
 KINDS = ("forward", "inverse", "advection", "baseline-study")
-PROBLEM_TYPES = ("convdiff1", "convdiff2", "poisson", "advection")
+PROBLEM_TYPES = tuple(PROBLEMS)
 
 OUT_ENV_VAR = "RBFADAPT_OUT"
 
@@ -469,6 +476,7 @@ def _normalize(raw: dict, kind: Optional[str]) -> RunConfig:
     for section, check in _CHECKS:
         if getattr(config, section) is not None:
             check(config)
+    _BUILDERS[kind](config)
     return config
 
 
@@ -523,11 +531,6 @@ def _truth_gives_one_parameter(config: RunConfig):
         _fail("sensors.truth", f"{name} = {value:g} differs from problem.{key} ({config.problem[key]:g})")
 
 
-def _placement_fits_the_domain(config: RunConfig):
-    if config.sensors["placement"] == "boundary_layer_biased" and _build_problem(config.problem).dim != 1:
-        _fail("sensors.placement", "boundary_layer_biased is defined for 1D problems; use uniform_random")
-
-
 def _forward_search_adapts(config: RunConfig):
     if config.kind == "forward" and config.search["n_adaptive"] < 1:
         _fail("search.n_adaptive", "forward tuning needs at least one adaptive component")
@@ -536,12 +539,6 @@ def _forward_search_adapts(config: RunConfig):
 def _search_has_a_parameter(config: RunConfig):
     if not config.search["bounds"]:
         _fail("search.bounds", "at least one parameter must be searched")
-
-
-def _schedule_decreases(config: RunConfig):
-    schedule = config.curriculum["schedule"]
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        _fail("curriculum.schedule", "values must be strictly decreasing")
 
 
 def _built(prefix: str, build, *args, **kwargs):
@@ -555,24 +552,13 @@ def _built(prefix: str, build, *args, **kwargs):
         raise ConfigValueError(f"{'' if named else prefix}{err}") from err
 
 
-# (section, check), run in order once the sections parse; a check runs
-# only when its section belongs to the run.  The rules of the library's
-# specs are checked by building the specs.
+# (section, check), the file's own rules, run in order once the sections
+# parse; a check runs only when its section belongs to the run.  The
+# library's rules are checked by building the run (_BUILDERS).
 _CHECKS = (
-    ("baseline", lambda config: _built(
-        "baseline.",
-        check_baseline,
-        _build_problem(config.problem),
-        _built("baseline.", BaselineConfig, **config.baseline),
-    )),
     ("sensors", _truth_gives_one_parameter),
-    ("sensors", _placement_fits_the_domain),
     ("search", _forward_search_adapts),
     ("search", _search_has_a_parameter),
-    ("search", lambda config: _built("search.log10: ", _build_search_bounds, config.search)),
-    ("search", lambda config: _built("search.", _forward_spec, config)),
-    ("advection", lambda config: _built("advection.", _march_spec, config)),
-    ("curriculum", _schedule_decreases),
 )
 
 
@@ -609,14 +595,8 @@ compare_to_exact = error_metrics
 
 
 def _build_problem(problem: dict):
-    ptype = problem["type"]
-    if ptype == "convdiff1":
-        return convdiff_type1(problem["nu"])
-    if ptype == "convdiff2":
-        return convdiff_type2(problem["nu"])
-    if ptype == "poisson":
-        return poisson2d(problem["nu"])
-    return advection1d(problem["nu"], problem["speed"])
+    """The problem its section's type names, built from the other keys."""
+    return PROBLEMS[problem["type"]](**{key: value for key, value in problem.items() if key != "type"})
 
 
 def _build_search_bounds(section: dict) -> SearchBounds:
@@ -639,13 +619,16 @@ def _forward_spec(config: RunConfig) -> ForwardRunSpec:
     if config.sensors is not None:
         s = config.sensors
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(9,)))
-        sensors = generate_sensor_data(problem, s["truth"], s["count"], s["noise"], SensorPlacement(s["placement"]), rng)
+        placement = SensorPlacement(s["placement"])
+        sensors = _built("sensors.", generate_sensor_data, problem, s["truth"], s["count"], s["noise"], placement, rng)
         pde_params = ("a",) if "a" in s["truth"] else ("mu_nu", "sigma_nu")
-    return ForwardRunSpec(
+    return _built(
+        "search.",
+        ForwardRunSpec,
         problem=problem,
-        baseline=BaselineConfig(**config.baseline),
+        baseline=_built("baseline.", BaselineConfig, **config.baseline),
         n_adap=search["n_adaptive"],
-        bounds=_build_search_bounds(search),
+        bounds=_built("search.log10: ", _build_search_bounds, search),
         bo=_build_bo(search, config.seed),
         seed=config.seed,
         fixed=search["fixed"],
@@ -663,7 +646,9 @@ def _searched(config: RunConfig) -> Optional[dict]:
 
 def _march_spec(config: RunConfig) -> TimeBlockSpec:
     a = config.advection
-    return TimeBlockSpec(
+    return _built(
+        "advection.",
+        TimeBlockSpec,
         speed=config.problem["speed"],
         nu=config.problem["nu"],
         n_blocks=a["n_blocks"],
@@ -678,6 +663,26 @@ def _march_spec(config: RunConfig) -> TimeBlockSpec:
         tunables=a["tunables"],
         tuning_blocks=a["tuning_blocks"],
     )
+
+
+def _searched_run(config: RunConfig):
+    return partial(run_kapi, _forward_spec(config))
+
+
+def _curriculum_run(config: RunConfig):
+    problem = _build_problem(config.problem)
+    baseline = _built("baseline.", BaselineConfig, **config.baseline)
+    _built("curriculum.", check_curriculum, problem, baseline, config.curriculum["schedule"])
+    return partial(run_baseline_curriculum, problem, baseline, **config.curriculum)
+
+
+# each kind's builder: its driver, bound to the specs the config builds
+_BUILDERS = {
+    "forward": _searched_run,
+    "inverse": _searched_run,
+    "advection": lambda config: partial(run_advection_forward, _march_spec(config)),
+    "baseline-study": _curriculum_run,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -775,31 +780,26 @@ def _provenance() -> dict:
     }
 
 
-# each kind's driver, which grades and reports the run
-_RUNNERS = {
-    "forward": lambda config: run_kapi(_forward_spec(config)),
-    "inverse": lambda config: run_kapi(_forward_spec(config)),
-    "advection": lambda config: run_advection_forward(_march_spec(config)),
-    "baseline-study": lambda config: run_baseline_curriculum(
-        _build_problem(config.problem), BaselineConfig(**config.baseline), **config.curriculum
-    ),
-}
-
-
 def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[str] = None) -> ResultBundle:
     """Execute a run and persist its results.
 
     Output directory precedence: explicit ``out_override`` (the CLI's
     ``--out``), then the ``RBFADAPT_OUT`` environment variable, then the
-    configuration's ``out`` field.  Numerical failures raise
-    :class:`NumericalFailureError`; an exhausted evaluation budget that
-    never reached ``loss_tol`` is reported through ``exit_code`` 4 with
-    all results written.
+    configuration's ``out`` field.  The directory is made before the run;
+    one that cannot be made raises :class:`ConfigValueError` naming
+    ``out``.  Numerical failures raise :class:`NumericalFailureError`; an
+    exhausted evaluation budget that never reached ``loss_tol`` is
+    reported through ``exit_code`` 4 with all results written.
     """
     out_dir = Path(out_override or os.environ.get(OUT_ENV_VAR) or config.out)
     t0 = time.perf_counter()
+    run = _BUILDERS[config.kind](config)
     try:
-        result = _RUNNERS[config.kind](config)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigValueError(f"out: cannot make the output directory {out_dir}: {err}") from err
+    try:
+        result = run()
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         raise NumericalFailureError(str(err)) from err
     elapsed = time.perf_counter() - t0
@@ -816,7 +816,6 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         exit_code = EXIT_BUDGET
 
     timings = {"total_seconds": elapsed}
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
 
     config_path = out_dir / "config.yaml"

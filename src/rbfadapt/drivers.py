@@ -10,12 +10,12 @@ run_advection_forward marches a transport problem through sequential
 space-time slabs, at the tunables its TimeBlockSpec carries or tuned on
 the spec's leading stretch of blocks.
 
-Each returns one RunResult, and each grades and reports its own run: the
-search history (empty when it searched nothing), the models, the
-metrics, the other summary entries, and the test mesh with the model's
-values there and the reference (a closed form at the true parameters,
-the finite-difference solve for 2D Poisson, the transported profile at
-a march's t_final).
+What each cannot run is refused up front, naming the field first: by
+the specs and by check_curriculum.  Each returns one RunResult, and each
+grades and reports its own run: the search history (empty when it
+searched nothing), the models, the metrics, the other summary entries,
+and the test mesh with the model's values there and the reference, by
+one rule (_graded) but for the march's t_final profile.
 """
 
 import re
@@ -39,7 +39,8 @@ from .assembly import (
 from .bayesopt import BoConfig, BoHistory, SearchBounds, optimize
 from .blas import fixed_blas_threads
 from .clustering import detect_gradient_clusters
-from .problems import ADVECTION_X, Box, PdeProblem, ProblemKind, advection1d, advection_exact, advection_initial
+from .problems import (ADVECTION_X, Box, PdeProblem, ProblemKind, advection1d, advection_exact, advection_initial,
+                       poisson_fdm_oracle)
 from .rbf import RbfBasis, eval_matrix
 from .sampling import (
     BaselineConfig,
@@ -216,15 +217,6 @@ class ForwardRunSpec:
     def eta_value(self) -> float:
         return self.eta if self.eta is not None else default_eta(self.problem.domain)
 
-    @property
-    def test_mesh_size(self) -> int:
-        """The test mesh's total count in 1D, ten times the collocation
-        grid's, and its per-axis count in 2D: 201 for the Poisson square,
-        the oracle's grid, and 101 for the transport slab."""
-        if self.problem.dim == 1:
-            return 10 * self.baseline.n_colloc
-        return 201 if self.problem.kind is ProblemKind.POISSON2D else 101
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -299,6 +291,19 @@ def solve_baseline(problem: PdeProblem, baseline: BaselineConfig) -> tuple:
     return solve_system(system, basis), interior
 
 
+def check_curriculum(problem: PdeProblem, baseline: BaselineConfig, schedule):
+    """Refuse what run_baseline_curriculum cannot walk, naming the field
+    first: an empty or not strictly decreasing schedule, a problem that is
+    not one-dimensional, and a baseline check_baseline refuses."""
+    if len(schedule) == 0:
+        raise ValueError("schedule: must not be empty")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule: values must be strictly decreasing")
+    if problem.dim != 1:
+        raise ValueError("problem: curriculum cluster detection is one-dimensional")
+    check_baseline(problem, baseline)
+
+
 def run_baseline_curriculum(
     problem: PdeProblem,
     baseline: BaselineConfig,
@@ -308,42 +313,34 @@ def run_baseline_curriculum(
     """Solve with the plain baseline at decreasing nu until it breaks.
 
     Walks the schedule from the largest nu down, stopping at the first
-    value whose solvability measure reaches the threshold; the
-    sharp-gradient clusters of the last still-solvable solution tell the
-    caller how many adaptive components the problem wants and where.  The
-    solved entry is graded on a 10x-finer mesh against the closed form at
-    its nu, reported as nu_solved.
+    value whose solvability measure, the max solution error on the test
+    mesh (_graded), reaches the threshold; the sharp-gradient clusters of
+    the last still-solvable solution tell the caller how many adaptive
+    components the problem wants and where.  The solved entry's nu is
+    reported as nu_solved, and its grading is the run's.
     """
     schedule = [float(v) for v in schedule]
-    if not schedule:
-        raise ValueError("nu schedule is empty")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("nu schedule must be strictly decreasing")
-    if problem.dim != 1:
-        raise ValueError("curriculum cluster detection is one-dimensional")
-    check_baseline(problem, baseline)
+    check_curriculum(problem, baseline, schedule)
 
     measures = []
     solved = None
-    mesh = _test_mesh(problem, 10 * baseline.n_colloc)
     for nu in schedule:
         at_nu = replace(problem, nu=nu)
         model, interior = solve_baseline(at_nu, baseline)
-        predicted, exact = evaluate_model(model, mesh), at_nu.exact(mesh)
+        mesh, predicted, exact = _graded(at_nu, baseline.n_colloc, model)
         # the max solution error: the residual's sup norm sits orders of
         # magnitude above it for marginally resolved layers
-        measure = float(np.max(np.abs(predicted - exact)))
+        measure = error_metrics(predicted, exact)["linf"]
         measures.append({"nu": nu, "residual_loss": model.loss, "solvability": measure})
         if measure < threshold:
-            solved = (nu, model, interior, predicted, exact)
-        else:
-            if solved is not None:
-                break
+            solved = (nu, model, interior, mesh, predicted, exact)
+        elif solved is not None:
+            break
     if solved is None:
         detail = ", ".join(f"nu={m['nu']:g}: measure={m['solvability']:.3e}" for m in measures)
         raise ArithmeticError(f"baseline solved no schedule entry ({detail})")
 
-    nu_solved, model, interior, predicted, exact = solved
+    nu_solved, model, interior, mesh, predicted, exact = solved
     clusters = detect_gradient_clusters(interior[:, 0], evaluate_model(model, interior))
     metrics = {"nu_solved": nu_solved, "n_clusters": clusters.n_clusters, "residual_loss": model.loss, "n_evals": 0}
     report = {"schedule": measures, "cluster_intervals": [[float(a), float(b)] for a, b in clusters.intervals]}
@@ -510,11 +507,21 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared
     return model.loss, model
 
 
-def _test_mesh(problem: PdeProblem, n: int) -> np.ndarray:
+def _graded(problem: PdeProblem, n_colloc: int, model) -> tuple:
+    """(mesh, predicted, reference) of model on problem's test mesh: in 1D
+    10 * n_colloc points against the closed form, on the Poisson square
+    the oracle's 201 x 201 grid, on the transport slab 101 x 101 points
+    against the closed form."""
     if problem.dim == 1:
         lo, hi = problem.domain.lower[0], problem.domain.upper[0]
-        return np.linspace(lo, hi, n)[:, None]
-    return uniform_grid(problem.domain, n * n)
+        mesh = np.linspace(lo, hi, 10 * n_colloc)[:, None]
+    else:
+        n = 201 if problem.kind is ProblemKind.POISSON2D else 101
+        mesh = uniform_grid(problem.domain, n * n)
+    predicted = evaluate_model(model, mesh)
+    if problem.kind is ProblemKind.POISSON2D:
+        return mesh, predicted, poisson_fdm_oracle(problem.nu, 201).ravel()
+    return mesh, predicted, problem.exact(mesh)
 
 
 @fixed_blas_threads()
@@ -541,12 +548,10 @@ def run_kapi(spec: ForwardRunSpec) -> RunResult:
     """Tune the kernel mixture, and the PDE parameters an inverse run
     estimates, by Bayesian search, and grade the winner.
 
-    The best model (by residual loss) is evaluated on the spec's test mesh,
-    much finer than the collocation grid, against the problem at the
-    sensors' truth, which only reporting and grading see: the
-    finite-difference oracle for the 2D Poisson problem, elsewhere the
-    closed form.  An inverse run whose sensors record no truth has no
-    reference.  The report holds the incumbent's search vector by name
+    The best model (by residual loss) is graded on the test mesh
+    (_graded) against the problem at the sensors' truth, which only
+    reporting and grading see.  An inverse run whose sensors record no
+    truth has no reference.  The report holds the incumbent's search vector by name
     (w_opt) and an estimate <name>_est of each PDE parameter searched; the
     estimate of a diffusivity is the incumbent's distribution mean mu_nu,
     not any single draw.
@@ -559,17 +564,9 @@ def run_kapi(spec: ForwardRunSpec) -> RunResult:
         raise ArithmeticError("every objective evaluation failed")
     w_opt = {name: float(v) for name, v in spec.named(history.best_w).items()}
     truth = spec.sensors.truth if spec.sensors is not None else {}
-    graded = _at_params(spec.problem, truth)
-    mesh = _test_mesh(graded, spec.test_mesh_size)
-    predicted = evaluate_model(model, mesh)
+    mesh, predicted, reference = _graded(_at_params(spec.problem, truth), spec.baseline.n_colloc, model)
     if spec.sensors is not None and not truth:
         reference = None
-    elif graded.kind is ProblemKind.POISSON2D:
-        from .problems import poisson_fdm_oracle
-
-        reference = poisson_fdm_oracle(graded.nu, spec.test_mesh_size).ravel()
-    else:
-        reference = graded.exact(mesh)
     metrics = {"residual_loss": history.best_loss, "n_kernels": model.basis.n_kernels, "n_evals": len(history)}
     if reference is not None:
         metrics.update(error_metrics(predicted, reference))
@@ -880,7 +877,7 @@ def generate_sensor_data(
         pts = rng.uniform(dom.lower, dom.upper, size=(n_points, dom.dim))
     else:
         if dom.dim != 1:
-            raise ValueError("biased placement is defined for 1D problems")
+            raise ValueError("placement: boundary_layer_biased is defined for 1D problems; use uniform_random")
         n_layer = int(np.ceil(2 * n_points / 3))
         layer = rng.uniform(0.9, 1.0, n_layer)
         rest = rng.uniform(0.0, 0.9, n_points - n_layer)

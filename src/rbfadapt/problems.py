@@ -1,14 +1,16 @@
 """Benchmark PDE problems: operators, boundary data, exact solutions.
 
-Four linear problems are supported, all with Dirichlet data:
+Four linear problems are supported, all with Dirichlet data.  Each has
+one name, its ``ProblemKind`` value and its key in ``PROBLEMS``, the
+table of constructors a configuration's ``problem.type`` picks from:
 
 * ``convdiff1``: u_x - nu*u_xx = 0 on [0,1], u(0)=0, u(1)=1. A single
   internal layer of width ~nu hugs x=1.
 * ``convdiff2``: 2(2x-1)u_x - nu*u_xx + 4u = 0 on [0,1], u(0)=u(1)=1.
   Twin layers at both ends.
-* ``poisson2d``: u_xx + u_yy = S(x,y) on the unit square, u=0 on the
+* ``poisson``: u_xx + u_yy = S(x,y) on the unit square, u=0 on the
   boundary, with a narrow Gaussian source at the center.
-* ``advection1d``: u_t + a*u_x = 0 on [-1,1] x [0,1], u(+-1,t)=0, with a
+* ``advection``: u_t + a*u_x = 0 on [-1,1] x [0,1], u(+-1,t)=0, with a
   Gaussian initial pulse centered at x=-0.3.
 """
 
@@ -28,8 +30,8 @@ ADVECTION_X = (-1.0, 1.0)
 class ProblemKind(Enum):
     CONVDIFF1 = "convdiff1"
     CONVDIFF2 = "convdiff2"
-    POISSON2D = "poisson2d"
-    ADVECTION1D = "advection1d"
+    POISSON2D = "poisson"
+    ADVECTION1D = "advection"
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,11 @@ def advection1d(nu: float, speed: float) -> PdeProblem:
         advection_speed=speed,
         boundary_spec={"left": 0.0, "right": 0.0},
     )
+
+
+# each problem's constructor by its name; the keyword arguments are the
+# configuration's other problem keys
+PROBLEMS = {"convdiff1": convdiff_type1, "convdiff2": convdiff_type2, "poisson": poisson2d, "advection": advection1d}
 
 
 def exact_type1(x, nu: float):

@@ -550,8 +550,13 @@ MARCH_REPORT = {"tunables", "block_losses", "validation_losses"}
 )
 def test_summary_layout_is_the_driver_result(mapping, report, metrics, tmp_path, monkeypatch):
     results = []
-    runner = cli_io._RUNNERS[mapping["kind"]]
-    monkeypatch.setitem(cli_io._RUNNERS, mapping["kind"], lambda config: results.append(runner(config)) or results[-1])
+    builder = cli_io._BUILDERS[mapping["kind"]]
+
+    def recorded(config):
+        run = builder(config)
+        return lambda: results.append(run()) or results[-1]
+
+    monkeypatch.setitem(cli_io._BUILDERS, mapping["kind"], recorded)
     bundle = _run_tiny(tmp_path, mapping)
     summary = json.loads((Path(bundle.out_dir) / "summary.json").read_text())
     (result,) = results
@@ -650,6 +655,17 @@ class TestMain:
         assert main(["advection", "--config", str(path), "--seed", str(seed), "--out", str(out), "--quiet"]) == EXIT_OK
         with (out / "loss_history.csv").open() as fh:
             assert 0.9 in [float(row["f"]) for row in csv.DictReader(fh)]
+
+    def test_an_unusable_output_directory_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_io, "run_kapi", lambda spec: calls.append(spec))
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        path = _dump(tmp_path, TINY_FORWARD)
+        rc = main(["forward", "--config", str(path), "--out", str(taken), "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: out: ")
+        assert calls == []
 
     def test_unknown_subcommand_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,7 @@ from rbfadapt.drivers import (
     _at_params,
     _draw_nu,
     _extra_rows,
+    _graded,
     _sample_mask_points,
     ForwardRunSpec,
     SensorData,
@@ -27,6 +28,7 @@ from rbfadapt.drivers import (
     TimeBlockSpec,
     baseline_block,
     characteristic_mask,
+    check_curriculum,
     error_metrics,
     forward_objective,
     generate_sensor_data,
@@ -123,6 +125,22 @@ class TestBaselineCurriculum:
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
             run_baseline_curriculum(convdiff_type1(0.1), self.BASE, [])
+
+    def test_study_is_graded_on_the_ten_times_finer_mesh(self):
+        # the solvability of the solved entry is the max error the run reports its grading by
+        result = run_baseline_curriculum(convdiff_type1(0.1), self.BASE, [0.1, 0.05, 0.01])
+        assert result.mesh.shape == (10 * self.BASE.n_colloc, 1)
+        (solved,) = [m for m in result.report["schedule"] if m["nu"] == result.metrics["nu_solved"]]
+        assert solved["solvability"] == error_metrics(result.predicted, result.reference)["linf"]
+
+    @pytest.mark.parametrize("problem,schedule,message", [
+        (convdiff_type1(0.1), [], "schedule: must not be empty"),
+        (convdiff_type1(0.1), [0.1, 0.1], "schedule: values must be strictly decreasing"),
+        (poisson2d(0.05), [0.1], "problem: curriculum cluster detection is one-dimensional"),
+    ])
+    def test_check_curriculum_names_the_field(self, problem, schedule, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_curriculum(problem, BaselineConfig(100, 49, 0.1, n_boundary=4), schedule)
 
     def test_boundary_count_other_than_two_rejected(self):
         # the 1D problems lay out their two end points whatever the count
@@ -332,6 +350,11 @@ class TestForwardRun:
         with pytest.raises(ValueError, match=message):
             _poisson_spec(baseline)
 
+    def test_the_refusal_names_the_configured_problem_type(self):
+        with pytest.raises(ValueError) as err:
+            _poisson_spec(BaselineConfig(1600, 400, 0.2, n_boundary=3))
+        assert str(err.value) == "baseline.n_boundary: must be at least 4 for the poisson problem, got 3"
+
     @pytest.mark.parametrize("n_boundary", [1, 3, 50])
     def test_1d_problem_takes_exactly_two_boundary_points(self, n_boundary):
         # the 1D problems lay out their two end points whatever the count
@@ -409,15 +432,11 @@ class TestForwardRun:
             )
 
     def test_default_test_mesh_is_ten_times_finer(self):
-        spec = ForwardRunSpec(
-            problem=convdiff_type1(0.01),
-            baseline=BaselineConfig(300, 150, 0.1),
-            n_adap=1,
-            bounds=SearchBounds([("mu", 0.9, 0.99), ("tau", 0.05, 0.5), ("lam", 0.5, 0.9)]),
-            bo=BoConfig(max_evals=2),
-            fixed={"f": 0.5},
-        )
-        assert spec.test_mesh_size == 3000
+        problem, baseline = convdiff_type1(0.01), BaselineConfig(300, 150, 0.1)
+        model, _ = solve_baseline(problem, baseline)
+        mesh, predicted, reference = _graded(problem, baseline.n_colloc, model)
+        np.testing.assert_array_equal(mesh[:, 0], np.linspace(0.0, 1.0, 3000))
+        assert predicted.shape == reference.shape == (3000,)
 
     def test_short_tuned_run_returns_graded_model(self):
         spec = ForwardRunSpec(
@@ -741,6 +760,13 @@ class TestSensorData:
         in_layer = int(np.sum((xs > 0.9) & (xs < 1.0)))
         assert in_layer == int(np.ceil(2 * n / 3))
         assert np.all((xs > 0.0) & (xs < 1.0))
+
+    def test_biased_placement_is_refused_off_1d(self):
+        with pytest.raises(ValueError, match="^placement: boundary_layer_biased is defined for 1D problems"):
+            generate_sensor_data(
+                advection1d(0.1, 0.5), {"a": 0.5}, 20, 0.05, SensorPlacement.BOUNDARY_LAYER_BIASED,
+                np.random.default_rng(0),
+            )
 
     def test_uniform_placement_stays_inside_the_domain(self):
         problem = advection1d(0.1, 0.5)

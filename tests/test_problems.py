@@ -7,7 +7,9 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from rbfadapt import cli_io
 from rbfadapt.problems import (
+    PROBLEMS,
     Box,
     ProblemKind,
     advection1d,
@@ -210,6 +212,14 @@ class TestFdmOracle:
 
 
 class TestProblemTypes:
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_each_type_name_builds_its_kind(self, name):
+        problem = PROBLEMS[name](nu=0.05, **({"speed": 0.5} if name == "advection" else {}))
+        assert problem.kind.value == name
+
+    def test_the_cli_accepts_exactly_the_table(self):
+        assert cli_io.PROBLEM_TYPES == tuple(PROBLEMS)
+
     def test_box_validation(self):
         with pytest.raises(ValueError):
             Box((0.0,), (0.0,))

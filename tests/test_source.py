@@ -1,7 +1,8 @@
 """Source hygiene: every import in src/rbfadapt is read, every
 module-level private name is referenced somewhere in src/rbfadapt, and so
 is every public module-level function, class and constant, unless the
-benchmark's tracer names it (bench/spans.py's SPANS and PINNED).
+benchmark's tracer names it (bench/spans.py's SPANS and PINNED).  No
+module imports another module's private name.
 
 Tests may reach any name, but they do not keep one alive: a helper or a
 public function that only tests call is dead code.
@@ -67,6 +68,17 @@ def _public_definitions(tree, variables: bool = False) -> list:
     return [(name, line) for name, line in _definitions(tree, variables) if not name.startswith("_")]
 
 
+def _private_imports(tree) -> list:
+    """(name, line) of each private name imported from a module of the package."""
+    return [
+        (alias.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("rbfadapt"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
 def _references(tree) -> set:
     """Names read, attributes read and names imported from a module."""
     names = _read_names(tree)
@@ -91,6 +103,12 @@ def test_every_private_name_is_referenced(name):
     # Name node, and an assignment's target is stored, not read
     referenced = set().union(*(_references(tree) for tree in TREES.values()))
     assert [(n, line) for n, line in _private_definitions(TREES[name]) if n not in referenced] == []
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_module_imports_another_modules_private_name(name):
+    # a name one module shares with another is public
+    assert _private_imports(TREES[name]) == []
 
 
 def _unused_public(name: str, variables: bool) -> list:
@@ -122,5 +140,7 @@ def test_the_checks_see_unused_code():
     assert [n for n, _ in _public_definitions(tree) if n not in _references(tree)] == ["helper"]
     unread = [n for n, _ in _public_definitions(tree, variables=True) if n not in _references(tree)]
     assert unread == ["LIMIT", "helper"]
+    shared = ast.parse("from . import __version__\nfrom .assembly import _chunks, fill\nfrom rbfadapt.rbf import _gauss\n")
+    assert [n for n, _ in _private_imports(shared)] == ["_chunks", "_gauss"]
     spans = ast.parse('SPANS = {"drivers.run": None}\nPINNED = ("blas.pin",)\nOTHER = ("x.y",)\n')
     assert _traced(spans) == {"drivers.run", "blas.pin"}
