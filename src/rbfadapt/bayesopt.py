@@ -3,9 +3,10 @@
 The optimizer works on loss values spanning many orders of magnitude, so
 the surrogate is trained on log10 of the loss with inputs min-max mapped
 to the unit cube (log10-mapped first for parameters flagged log-scale).
-The first max(5, 2 d) proposals for d parameters are a Latin hypercube.
-After that, acquisition is expected improvement under the minimization
-convention, maximized over N_CANDIDATES (2,000) uniform candidates plus
+The first max(5, 2 d) proposals for d parameters are the rows of one
+Latin hypercube, drawn once from the run's seed.  After that,
+acquisition is expected improvement under the minimization convention,
+maximized over N_CANDIDATES (2,000) uniform candidates plus
 perturbations of the incumbent.  The loop stops when a surrogate
 proposal moves less than STEP_TOL (1e-4) in the unit cube from the one
 before it, when a loss reaches ``BoConfig.loss_tol``, or when the
@@ -186,15 +187,12 @@ class BoConfig:
     max_evals: int = 100
     # stop once a loss is at or below this; None runs to the budget
     loss_tol: Optional[float] = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
         if self.loss_tol is not None and self.loss_tol <= 0:
             raise ValueError("loss_tol must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -432,22 +430,14 @@ def _penalized_losses(losses) -> np.ndarray:
     return out
 
 
-def bayes_step(
-    history: BoHistory, bounds: SearchBounds, config: BoConfig, rng
-) -> np.ndarray:
-    """Propose the next parameter vector.
+def bayes_step(history: BoHistory, bounds: SearchBounds, rng) -> np.ndarray:
+    """Propose the next parameter vector from the surrogate.
 
-    During the initial design phase the next space-filling point is
-    returned; afterwards the surrogate is refit to the whole history and
-    the expected-improvement maximizer over a random candidate set (plus
-    local perturbations of the incumbent) wins.  If every candidate has
-    zero expected improvement the lowest predictive mean wins instead.
+    The surrogate is fit to the whole history, and the expected-improvement
+    maximizer over a random candidate set (plus local perturbations of the
+    incumbent) wins.  If every candidate has zero expected improvement the
+    lowest predictive mean wins instead.
     """
-    n_init = max(5, 2 * bounds.n_params)
-    if len(history) < n_init:
-        design = _initial_design(n_init, bounds.n_params, config.seed)
-        return bounds.from_unit(design[len(history)])
-
     inputs = bounds.to_unit(np.array([w for w, _ in history.records]))
     losses = _penalized_losses([loss for _, loss in history.records])
     targets = np.log10(np.maximum(losses, _LOSS_FLOOR))
@@ -462,14 +452,11 @@ def bayes_step(
 
     mean, var = gp_predict_batch(surrogate, candidates)
     ei = expected_improvement(mean, var, float(targets.min()))
-    if float(ei.max()) <= 0.0:
-        pick = int(np.argmin(mean))
-    else:
-        pick = int(np.argmax(ei))
+    pick = int(np.argmin(mean)) if float(ei.max()) <= 0.0 else int(np.argmax(ei))
     return bounds.from_unit(candidates[pick])
 
 
-def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig) -> tuple:
+def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig, seed: int) -> tuple:
     """Run the optimization loop; returns (history, the incumbent's result).
 
     ``objective(w, index)`` returns (loss, result); index is w's position
@@ -478,14 +465,16 @@ def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig) -> tup
     when no evaluation finished.  A failed evaluation (a raised
     ArithmeticError or LinAlgError, or a non-finite loss) is recorded as
     +inf with no result; the surrogate sees it as a large finite penalty.
+    seed is the run's: it draws the design (_initial_design) and the candidates.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     history = BoHistory()
     incumbent_result = None
     n_init = max(5, 2 * bounds.n_params)
+    design = _initial_design(n_init, bounds.n_params, seed)
     prev_unit = None
     while True:
-        w = bayes_step(history, bounds, config, rng)
+        w = bounds.from_unit(design[len(history)]) if len(history) < n_init else bayes_step(history, bounds, rng)
         try:
             loss, result = objective(w, len(history))
         except (ArithmeticError, np.linalg.LinAlgError):
@@ -500,10 +489,9 @@ def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig) -> tup
             history.stop_reason = "loss_tol"
             break
         unit = bounds.to_unit(w)
-        if prev_unit is not None:
-            if float(np.linalg.norm(unit - prev_unit)) < STEP_TOL:
-                history.stop_reason = "step_tol"
-                break
+        if prev_unit is not None and float(np.linalg.norm(unit - prev_unit)) < STEP_TOL:
+            history.stop_reason = "step_tol"
+            break
         if len(history) >= config.max_evals:
             history.stop_reason = "budget"
             break

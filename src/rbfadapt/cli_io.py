@@ -55,6 +55,7 @@ import yaml
 from . import __version__
 from .bayesopt import BoConfig, BoHistory, SearchBounds
 from .blas import blas_thread_counts
+from .clustering import MIN_GRADIENT_POINTS
 from .drivers import (
     ForwardRunSpec,
     RunResult,
@@ -376,7 +377,7 @@ SCHEMA = {
         "n_blocks": _Key(_int(1), 100),
         "n_colloc": _Key(_int(1), 600),
         "n_boundary": _Key(_int(2), 150),
-        "n_initial": _Key(_int(1), 450),
+        "n_initial": _Key(_int(MIN_GRADIENT_POINTS), 450),
         "n_rbf": _Key(_int(2), 150),
         "t_final": _Key(_positive, 1.0),
         "tuning_blocks": _Key(_int(1), 10),
@@ -605,8 +606,8 @@ def _build_search_bounds(section: dict) -> SearchBounds:
     return SearchBounds(params, log_scale={name: True for name in section.get("log10", ())})
 
 
-def _build_bo(section: dict, seed: int) -> BoConfig:
-    return BoConfig(max_evals=section["max_evals"], loss_tol=section["loss_tol"], seed=seed)
+def _build_bo(section: dict) -> BoConfig:
+    return BoConfig(max_evals=section["max_evals"], loss_tol=section["loss_tol"])
 
 
 def _forward_spec(config: RunConfig) -> ForwardRunSpec:
@@ -629,7 +630,7 @@ def _forward_spec(config: RunConfig) -> ForwardRunSpec:
         baseline=_built("baseline.", BaselineConfig, **config.baseline),
         n_adap=search["n_adaptive"],
         bounds=_built("search.log10: ", _build_search_bounds, search),
-        bo=_build_bo(search, config.seed),
+        bo=_build_bo(search),
         seed=config.seed,
         fixed=search["fixed"],
         eta=search["eta"],
@@ -658,7 +659,7 @@ def _march_spec(config: RunConfig) -> TimeBlockSpec:
         n_rbf=a["n_rbf"],
         t_final=a["t_final"],
         bounds=_build_search_bounds(a),
-        bo=_build_bo(a, config.seed),
+        bo=_build_bo(a),
         seed=config.seed,
         tunables=a["tunables"],
         tuning_blocks=a["tuning_blocks"],
@@ -672,7 +673,7 @@ def _searched_run(config: RunConfig):
 def _curriculum_run(config: RunConfig):
     problem = _build_problem(config.problem)
     baseline = _built("baseline.", BaselineConfig, **config.baseline)
-    _built("curriculum.", check_curriculum, problem, baseline, config.curriculum["schedule"])
+    _built("curriculum.", check_curriculum, problem, baseline, **config.curriculum)
     return partial(run_baseline_curriculum, problem, baseline, **config.curriculum)
 
 

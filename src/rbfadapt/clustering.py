@@ -28,6 +28,8 @@ import numpy as np
 # dbscan's epsilon and min_pts for the high-gradient locations
 EPSILON = 0.05
 MIN_PTS = 5
+# the fewest points estimate_gradients takes: an inner point needs a neighbour on each side
+MIN_GRADIENT_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ def estimate_gradients(xs, ys) -> np.ndarray:
     """Finite-difference slope estimates: central inside, one-sided at ends."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 3:
-        raise ValueError("need matching 1D arrays of at least 3 points")
+    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < MIN_GRADIENT_POINTS:
+        raise ValueError(f"need matching 1D arrays of at least {MIN_GRADIENT_POINTS} points")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly increasing")
     g = np.empty_like(ys)

@@ -16,6 +16,17 @@ grades and reports its own run: the search history (empty when it
 searched nothing), the models, the metrics, the other summary entries,
 and the test mesh with the model's values there and the reference, by
 one rule (_graded) but for the march's t_final profile.
+
+A run has one seed, its spec's, and every random draw of the run comes
+from it: numpy's SeedSequence(entropy=seed, spawn_key=key), each leading
+key used by one function alone (tests/test_source.py checks it):
+
+    key         function                     draws
+    none        bayesopt.optimize            the search's candidates
+    (1,)        bayesopt._initial_design     the search's Latin hypercube
+    (2, i)      forward_objective            evaluation i's diffusivity and kernels
+    (3, i, j)   solve_advection_timeblocks   evaluation i's placements (j = 0, a child per block), width (j = 1)
+    (9,)        cli_io._forward_spec         an inverse run's sensors
 """
 
 import re
@@ -38,7 +49,7 @@ from .assembly import (
 )
 from .bayesopt import BoConfig, BoHistory, SearchBounds, optimize
 from .blas import fixed_blas_threads
-from .clustering import detect_gradient_clusters
+from .clustering import MIN_GRADIENT_POINTS, detect_gradient_clusters
 from .problems import (ADVECTION_X, Box, PdeProblem, ProblemKind, advection1d, advection_exact, advection_initial,
                        poisson_fdm_oracle)
 from .rbf import RbfBasis, eval_matrix
@@ -175,11 +186,7 @@ class ForwardRunSpec:
         if got != expected:
             missing = sorted(expected - got)
             extra = sorted(got - expected)
-            parts = []
-            if missing:
-                parts.append(f"missing {missing}")
-            if extra:
-                parts.append(f"unexpected {extra}")
+            parts = [f"{label} {names}" for label, names in (("missing", missing), ("unexpected", extra)) if names]
             raise ValueError("bounds: " + "; ".join(parts) + f" (need exactly {sorted(expected)})")
         domain = self.problem.domain
         if self.eta is not None and self.eta <= 0:
@@ -291,16 +298,22 @@ def solve_baseline(problem: PdeProblem, baseline: BaselineConfig) -> tuple:
     return solve_system(system, basis), interior
 
 
-def check_curriculum(problem: PdeProblem, baseline: BaselineConfig, schedule):
+def check_curriculum(problem: PdeProblem, baseline: BaselineConfig, schedule, threshold: float):
     """Refuse what run_baseline_curriculum cannot walk, naming the field
-    first: an empty or not strictly decreasing schedule, a problem that is
-    not one-dimensional, and a baseline check_baseline refuses."""
+    first: an empty, nonpositive or not strictly decreasing schedule, a
+    nonpositive threshold, a problem that is not 1D, fewer collocation
+    points than the gradients take, and a baseline check_baseline refuses."""
     if len(schedule) == 0:
         raise ValueError("schedule: must not be empty")
+    for name, value in [("schedule", v) for v in schedule] + [("threshold", threshold)]:
+        if value <= 0:
+            raise ValueError(f"{name}: must be positive, got {value:g}")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule: values must be strictly decreasing")
     if problem.dim != 1:
         raise ValueError("problem: curriculum cluster detection is one-dimensional")
+    if baseline.n_colloc < MIN_GRADIENT_POINTS:
+        raise ValueError(f"baseline.n_colloc: the gradients need {MIN_GRADIENT_POINTS} points, got {baseline.n_colloc}")
     check_baseline(problem, baseline)
 
 
@@ -320,7 +333,7 @@ def run_baseline_curriculum(
     reported as nu_solved, and its grading is the run's.
     """
     schedule = [float(v) for v in schedule]
-    check_curriculum(problem, baseline, schedule)
+    check_curriculum(problem, baseline, schedule, threshold)
 
     measures = []
     solved = None
@@ -558,7 +571,7 @@ def run_kapi(spec: ForwardRunSpec) -> RunResult:
     """
     shared = shared_baseline(spec)
     history, model = optimize(
-        lambda w, index: forward_objective(spec, spec.named(w), index, shared), spec.bounds, spec.bo
+        lambda w, index: forward_objective(spec, spec.named(w), index, shared), spec.bounds, spec.bo, spec.seed
     )
     if model is None:
         raise ArithmeticError("every objective evaluation failed")
@@ -630,7 +643,8 @@ class TimeBlockSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed: must be nonnegative, got {self.seed}")
-        for name, least in (("n_blocks", 1), ("n_colloc", 1), ("n_initial", 1), ("n_rbf", 2), ("n_boundary", 2)):
+        counts = (("n_blocks", 1), ("n_colloc", 1), ("n_initial", MIN_GRADIENT_POINTS), ("n_rbf", 2), ("n_boundary", 2))
+        for name, least in counts:
             if getattr(self, name) < least:
                 raise ValueError(f"{name}: must be at least {least}, got {getattr(self, name)}")
         if self.n_rbf > self.n_colloc:
@@ -757,7 +771,7 @@ def solve_advection_timeblocks(spec: TimeBlockSpec, eval_seed: int = 0, n_blocks
     ic_xhat = ic_pts[:, 0]
     nx = max(most_square_factors(spec.n_rbf))
     pad = 1.0 / (nx - 1)
-    _, n_adapt = component_counts(spec.n_rbf, [f_ratio])
+    (n_adapt,) = component_counts(spec.n_rbf, [f_ratio])
 
     ic_vals = advection_initial(x0 + ic_xhat * length_x, spec.nu)
 
@@ -832,7 +846,7 @@ def run_advection_forward(spec: TimeBlockSpec) -> RunResult:
             # the full march replays the incumbent's draws, so no prefix march is kept
             return solve_advection_timeblocks(spec.at(w), index, spec.tuning_blocks).aggregate_validation, None
 
-        history, _ = optimize(tuning_loss, spec.bounds, spec.bo)
+        history, _ = optimize(tuning_loss, spec.bounds, spec.bo, spec.seed)
         spec, eval_seed = spec.at(history.best_w), history.incumbent_index
     march = solve_advection_timeblocks(spec, eval_seed)
     mesh, predicted, reference = march.graded_final_profile()

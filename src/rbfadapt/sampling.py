@@ -113,12 +113,10 @@ def eta_fits(domain: Box, eta: float) -> bool:
 
 
 def component_counts(n_rbf_base: int, f_values) -> list:
+    """Each adaptive component's kernel count: f * n_rbf_base, rounded half up on every platform."""
     if n_rbf_base < 1:
         raise ValueError("baseline kernel count must be at least 1")
-    # half-up rounding, deterministic across platforms
-    return [int(n_rbf_base)] + [
-        int(np.floor(float(v) * n_rbf_base + 0.5)) for v in f_values
-    ]
+    return [int(np.floor(float(v) * n_rbf_base + 0.5)) for v in f_values]
 
 
 def most_square_factors(n: int):
@@ -172,9 +170,7 @@ def boundary_points_rect(domain: Box, n: int) -> np.ndarray:
     if n < 4:
         raise ValueError("need at least 4 perimeter points")
     (x0, y0), (x1, y1) = domain.lower, domain.upper
-    per_side = [n // 4] * 4
-    for i in range(n % 4):
-        per_side[i] += 1
+    per_side = [n // 4 + (i < n % 4) for i in range(4)]
     # walk the perimeter, each side half-open so corners appear once
     bottom = np.linspace(x0, x1, per_side[0], endpoint=False)
     right = np.linspace(y0, y1, per_side[1], endpoint=False)
@@ -237,9 +233,7 @@ def sample_centers(hp: MixtureHyperparams, counts, domain: Box, rng):
         for _ in range(100):
             if not np.any(outside):
                 break
-            draws[outside] = comp.mu + std * rng.standard_normal(
-                (int(outside.sum()), domain.dim)
-            )
+            draws[outside] = comp.mu + std * rng.standard_normal((int(outside.sum()), domain.dim))
             outside = ~domain.contains(draws)
         draws = domain.clip(draws)
         centers.append(draws)
@@ -274,7 +268,7 @@ def sample_configuration(
     rng,
 ) -> SampledConfiguration:
     """Draw the adaptive kernels: centers, then widths capped at sigma_f."""
-    counts = component_counts(baseline.n_rbf, hp.fractions)[1:]
+    counts = component_counts(baseline.n_rbf, hp.fractions)
     centers, tags = sample_centers(hp, counts, domain, rng)
     if not tags.size:
         return SampledConfiguration(None, tags)

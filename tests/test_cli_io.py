@@ -908,6 +908,12 @@ LATE_MISTAKES = [
                  "advection.tunables", id="tunables-outside-bounds"),
     pytest.param(_march(n_blocks=2), "advection",
                  "advection.tuning_blocks", id="more-tuning-blocks-than-blocks"),
+    # the march's gradient clusters need three initial points; two once crashed in the first block
+    pytest.param(_march(n_blocks=2, n_colloc=100, n_boundary=20, n_rbf=36, n_initial=2, tunables=[1.2, 1.2, 3.0]),
+                 "advection", "advection.n_initial", id="two-initial-points"),
+    # so do the study's, once found after the whole schedule was solved
+    pytest.param({"kind": "baseline-study", "baseline": {"n_colloc": 2, "n_rbf": 2}}, "baseline-study",
+                 "baseline.n_colloc", id="two-study-points"),
     pytest.param(_forward(search={"eta": 0.5}), "forward", "search.eta", id="eta-above-a-tenth"),
     pytest.param(_inverse("advection", search={"eta": 0.25}), "inverse",
                  "search.eta", id="eta-above-a-tenth-of-space-time"),
@@ -987,6 +993,12 @@ def test_the_march_spec_refuses_what_parsing_refuses(mapping, change, message, t
 
 def test_the_march_defaults_are_the_library_defaults():
     assert _march_spec(default_config("advection")) == TimeBlockSpec()
+
+
+def test_the_march_at_a_seed_is_the_library_spec_at_that_seed():
+    # the seed drives the search too: criterion 6's TimeBlockSpec(seed=1) is
+    # docs/examples/advection.yaml's run, not a search at another seed
+    assert _march_spec(replace(default_config("advection"), seed=1)) == TimeBlockSpec(seed=1)
 
 
 class TestMistakesCaughtAtParse:

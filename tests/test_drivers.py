@@ -1,5 +1,6 @@
 """End-to-end driver workflows: curriculum, tuned forward solve, transport blocks, inverse runs."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -133,14 +134,21 @@ class TestBaselineCurriculum:
         (solved,) = [m for m in result.report["schedule"] if m["nu"] == result.metrics["nu_solved"]]
         assert solved["solvability"] == error_metrics(result.predicted, result.reference)["linf"]
 
-    @pytest.mark.parametrize("problem,schedule,message", [
-        (convdiff_type1(0.1), [], "schedule: must not be empty"),
-        (convdiff_type1(0.1), [0.1, 0.1], "schedule: values must be strictly decreasing"),
-        (poisson2d(0.05), [0.1], "problem: curriculum cluster detection is one-dimensional"),
+    @pytest.mark.parametrize("problem,schedule,threshold,n_colloc,message", [
+        (convdiff_type1(0.1), [], 1e-3, 100, "schedule: must not be empty"),
+        (convdiff_type1(0.1), [0.1, 0.1], 1e-3, 100, "schedule: values must be strictly decreasing"),
+        (poisson2d(0.05), [0.1], 1e-3, 100, "problem: curriculum cluster detection is one-dimensional"),
+        # the library once reached these mid-walk: "nu must be positive"
+        # after the first solve, and "baseline solved no schedule entry"
+        (convdiff_type1(0.1), [0.5, -0.1], 1e-3, 100, "schedule: must be positive, got -0.1"),
+        (convdiff_type1(0.1), [0.5, 0.1], 0.0, 100, "threshold: must be positive, got 0"),
+        # the solved entry's gradients need three points, once found after the whole schedule
+        (convdiff_type1(0.1), [0.1], 1e-3, 2, "baseline.n_colloc: the gradients need 3 points, got 2"),
     ])
-    def test_check_curriculum_names_the_field(self, problem, schedule, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            check_curriculum(problem, BaselineConfig(100, 49, 0.1, n_boundary=4), schedule)
+    def test_check_curriculum_names_the_field(self, problem, schedule, threshold, n_colloc, message):
+        baseline = BaselineConfig(n_colloc, min(49, n_colloc), 0.1, n_boundary=4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_curriculum(problem, baseline, schedule, threshold)
 
     def test_boundary_count_other_than_two_rejected(self):
         # the 1D problems lay out their two end points whatever the count
@@ -292,7 +300,7 @@ def _diffusivity_spec(n_adap=0, max_evals=1):
         baseline=BaselineConfig(200, 100, 0.05),
         n_adap=n_adap,
         bounds=SearchBounds(bounds, log_scale={"mu_nu": True, "sigma_nu": True}),
-        bo=BoConfig(max_evals=max_evals, seed=0),
+        bo=BoConfig(max_evals=max_evals),
         seed=0,
         fixed={"f": 0.5} if n_adap else {},
         pde_params=("mu_nu", "sigma_nu"),
@@ -404,7 +412,7 @@ class TestForwardRun:
             raise np.linalg.LinAlgError("manufactured failure")
 
         monkeypatch.setattr("rbfadapt.drivers.solve_system", fail)
-        spec = replace(_one_component_spec(0.01), bo=BoConfig(max_evals=2, seed=0))
+        spec = replace(_one_component_spec(0.01), bo=BoConfig(max_evals=2))
         with pytest.raises(ArithmeticError, match="every objective evaluation failed"):
             run_kapi(spec)
 
@@ -444,7 +452,7 @@ class TestForwardRun:
             baseline=BaselineConfig(300, 150, 0.067),
             n_adap=1,
             bounds=SearchBounds([("mu", 0.85, 0.99), ("tau", 0.05, 0.5), ("lam", 0.5, 0.9)]),
-            bo=BoConfig(max_evals=5, seed=0),
+            bo=BoConfig(max_evals=5),
             seed=0,
             fixed={"f": 0.5},
         )
@@ -824,7 +832,7 @@ class TestReEvaluation:
 
     def test_forward_run(self):
         spec = _one_component_spec(1e-3)
-        spec = replace(spec, bo=BoConfig(max_evals=4, seed=0))
+        spec = replace(spec, bo=BoConfig(max_evals=4))
         self._reevaluated(spec, run_kapi(spec))
 
     def test_inverse_diffusivity_run(self):
@@ -845,7 +853,7 @@ class TestReEvaluation:
             baseline=BaselineConfig(400, 400, 0.1, n_boundary=20, n_initial=21),
             n_adap=0,
             bounds=SearchBounds([("a", 0.1, 1.0)]),
-            bo=BoConfig(max_evals=3, seed=1),
+            bo=BoConfig(max_evals=3),
             seed=1,
             pde_params=("a",),
         )
@@ -858,7 +866,7 @@ class TestReEvaluation:
         self._reevaluated(spec, result)
 
 
-def _small_speed_spec(bo_seed=1):
+def _small_speed_spec(seed=1):
     problem = advection1d(0.1, 0.5)
     sensors = generate_sensor_data(
         problem, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
@@ -868,8 +876,8 @@ def _small_speed_spec(bo_seed=1):
         baseline=BaselineConfig(400, 400, 0.2, n_boundary=20, n_initial=21),
         n_adap=0,
         bounds=SearchBounds([("a", 0.1, 1.0)]),
-        bo=BoConfig(max_evals=1, seed=bo_seed),
-        seed=1,
+        bo=BoConfig(max_evals=1),
+        seed=seed,
         pde_params=("a",),
         sensors=sensors,
     )
@@ -877,9 +885,9 @@ def _small_speed_spec(bo_seed=1):
 
 class TestKeptBaseline:
     def test_a_speed_run_solves_on_the_kept_kernels_whatever_it_proposes(self):
-        # two search seeds propose different first speeds; both runs solve
-        # on the same kept kernels, a strict subset of the baseline
-        one, two = (run_kapi(_small_speed_spec(bo_seed)) for bo_seed in (1, 2))
+        # two seeds propose different first speeds; both runs solve on the
+        # same kept kernels, a strict subset of the baseline
+        one, two = (run_kapi(_small_speed_spec(seed)) for seed in (1, 2))
         assert one.history.records[0][0][0] != two.history.records[0][0][0]
         kept = shared_baseline(_small_speed_spec())
         assert 0 < kept.n_kernels < 400
@@ -991,7 +999,7 @@ class TestInverse:
             baseline=BaselineConfig(200, 100, 0.05),
             n_adap=1,
             bounds=bounds,
-            bo=BoConfig(max_evals=6, seed=0),
+            bo=BoConfig(max_evals=6),
             seed=0,
             fixed={"f": 0.5},
             pde_params=("mu_nu", "sigma_nu"),
@@ -1030,7 +1038,7 @@ class TestInverse:
                 [("mu_nu", 1e-4, 1e-1), ("sigma_nu", 1e-6, 1e-2)],
                 log_scale={"mu_nu": True, "sigma_nu": True},
             ),
-            bo=BoConfig(max_evals=2, seed=0),
+            bo=BoConfig(max_evals=2),
             pde_params=("mu_nu", "sigma_nu"),
             sensors=sensors,
         )
@@ -1043,7 +1051,7 @@ class TestInverse:
 
 def _graded_spec(kind):
     if kind == "forward":
-        return replace(_one_component_spec(0.01), bo=BoConfig(max_evals=2, seed=0))
+        return replace(_one_component_spec(0.01), bo=BoConfig(max_evals=2))
     if kind == "speed":
         return _small_speed_spec()
     spec = _diffusivity_spec(max_evals=2)

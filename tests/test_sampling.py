@@ -38,15 +38,15 @@ class TestMixtureWeights:
     """Component k's weight f_k / (1 + sum f), as component_counts realizes it."""
 
     def test_equal_split(self):
-        assert component_counts(10, [1.0]) == [10, 10]
+        assert component_counts(10, [1.0]) == [10]
 
     def test_half(self):
         counts = component_counts(12, [0.5])
-        assert counts == [12, 6]
-        assert counts[0] / sum(counts) == pytest.approx(2.0 / 3.0)
+        assert counts == [6]
+        assert 12 / (12 + sum(counts)) == pytest.approx(2.0 / 3.0)
 
     def test_two_components(self):
-        counts = component_counts(10, [0.3, 0.4])
+        counts = [10] + component_counts(10, [0.3, 0.4])
         assert counts == [10, 3, 4]
         assert np.array(counts) / sum(counts) == pytest.approx([1.0 / 1.7, 0.3 / 1.7, 0.4 / 1.7])
 
@@ -56,8 +56,8 @@ class TestMixtureWeights:
             f = rng.uniform(0.01, 3.0, rng.integers(1, 5))
             for n in (1, 7, 150, 750):
                 counts = component_counts(n, f)
-                assert counts[0] == n
-                assert all(abs(c - v * n) <= 0.5 for c, v in zip(counts[1:], f))
+                assert len(counts) == len(f)
+                assert all(abs(c - v * n) <= 0.5 for c, v in zip(counts, f))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -68,21 +68,21 @@ class TestMixtureWeights:
 
 class TestComponentCounts:
     def test_half_fraction(self):
-        assert component_counts(250, [0.5]) == [250, 125]
+        assert component_counts(250, [0.5]) == [125]
 
     def test_published_total(self):
         counts = component_counts(750, [0.7])
-        assert counts == [750, 525]
-        assert sum(counts) == 1275
+        assert counts == [525]
+        assert 750 + sum(counts) == 1275
 
     def test_baseline_only(self):
-        assert component_counts(100, []) == [100]
+        assert component_counts(100, []) == []
 
     def test_ties_round_up(self):
         # f * n lands exactly on j + 0.5
         for n in (2, 8, 64, 512):
             fractions = [(2 * j + 1) / (2 * n) for j in range(6)]
-            assert component_counts(n, fractions) == [n] + [j + 1 for j in range(6)]
+            assert component_counts(n, fractions) == [j + 1 for j in range(6)]
 
 
 class TestGrids:
@@ -221,7 +221,7 @@ def _one_kernel_at_a_time(hp, baseline, domain, nu, rng):
     """The adaptive kernels drawn with one width per draw_widths call: one
     call per component, or per kernel under width_sharing "kernel", each
     width copied to every axis."""
-    counts = component_counts(baseline.n_rbf, hp.fractions)[1:]
+    counts = component_counts(baseline.n_rbf, hp.fractions)
     centers, tags = sample_centers(hp, counts, domain, rng)
     widths = np.empty_like(centers)
     for k, comp in enumerate(hp.components, start=1):

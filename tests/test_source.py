@@ -2,7 +2,8 @@
 module-level private name is referenced somewhere in src/rbfadapt, and so
 is every public module-level function, class and constant, unless the
 benchmark's tracer names it (bench/spans.py's SPANS and PINNED).  No
-module imports another module's private name.
+module imports another module's private name, and no two functions draw
+from the same random stream of the run's seed.
 
 Tests may reach any name, but they do not keep one alive: a helper or a
 public function that only tests call is dead code.
@@ -144,3 +145,73 @@ def test_the_checks_see_unused_code():
     assert [n for n, _ in _private_imports(shared)] == ["_chunks", "_gauss"]
     spans = ast.parse('SPANS = {"drivers.run": None}\nPINNED = ("blas.pin",)\nOTHER = ("x.y",)\n')
     assert _traced(spans) == {"drivers.run", "blas.pin"}
+
+
+def _seed_sequences(tree, module: str) -> list:
+    """(leading spawn key, "module.function", line) of each SeedSequence
+    call in tree: the key None for a keyless root, and "?" for a spawn_key
+    that is not a tuple literal led by an integer."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, function or child.name)
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and getattr(func, "attr", getattr(func, "id", None)) == "SeedSequence":
+                keys = [kw.value for kw in child.keywords if kw.arg == "spawn_key"]
+                lead = None
+                if keys:
+                    first = keys[0].elts[0] if isinstance(keys[0], ast.Tuple) and keys[0].elts else None
+                    lead = first.value if isinstance(first, ast.Constant) and isinstance(first.value, int) else "?"
+                out.append((lead, f"{module}.{function}", child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return out
+
+
+def _stream_owners(trees: dict) -> dict:
+    """Each leading spawn key (None for the keyless root) -> the set of
+    "module.function" names that build it, and of "module:line" call
+    sites for the root."""
+    owners = {}
+    for name, tree in trees.items():
+        for lead, function, line in _seed_sequences(tree, name.removesuffix(".py")):
+            owners.setdefault(lead, set()).add(function if lead is not None else f"{function}:{line}")
+    return owners
+
+
+def test_every_random_stream_has_one_owner():
+    # one seed drives every draw of a run, so the streams stay independent
+    # only while no two functions share a leading spawn key (see drivers)
+    owners = _stream_owners(TREES)
+    assert "?" not in owners, owners.get("?")
+    assert {lead: sorted(names) for lead, names in owners.items() if len(names) > 1} == {}
+    # the table of the drivers module docstring
+    assert {lead: names for lead, names in owners.items() if lead is not None} == {
+        1: {"bayesopt._initial_design"},
+        2: {"drivers.forward_objective"},
+        3: {"drivers.solve_advection_timeblocks"},
+        9: {"cli_io._forward_spec"},
+    }
+
+
+def test_the_stream_check_sees_a_shared_key():
+    trees = {
+        "a.py": ast.parse(
+            "import numpy as np\n"
+            "def draw(seed, i):\n    return np.random.SeedSequence(entropy=seed, spawn_key=(2, i))\n"
+            "def root(seed):\n    return np.random.SeedSequence(entropy=seed)\n"
+        ),
+        "b.py": ast.parse(
+            "from numpy.random import SeedSequence\n"
+            "def sensors(seed):\n    def inner():\n        return SeedSequence(seed, spawn_key=(2,))\n    return inner\n"
+            "def other(seed, key):\n    return SeedSequence(seed), SeedSequence(seed, spawn_key=key)\n"
+        ),
+    }
+    owners = _stream_owners(trees)
+    assert owners[2] == {"a.draw", "b.sensors"}
+    assert owners[None] == {"a.root:5", "b.other:7"}
+    assert owners["?"] == {"b.other"}

@@ -42,7 +42,7 @@ spec = ForwardRunSpec(
     baseline=BaselineConfig(500, 250, 0.04),
     n_adap=1,
     bounds=SearchBounds([("mu", 0.9, 0.99), ("tau", 0.05, 0.5), ("lam", 0.5, 0.9)]),
-    bo=BoConfig(max_evals=100, seed=0),
+    bo=BoConfig(max_evals=100),
     seed=0,
     fixed={"f": 0.5},
 )
