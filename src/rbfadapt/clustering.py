@@ -3,8 +3,9 @@
 Finite-difference gradients are thresholded against their mean absolute
 value, and the surviving locations are grouped by DBSCAN (Ester et al.,
 KDD 1996).  Each resulting cluster spans one steep feature of the
-solution; the cluster count tells the caller how many adaptive kernel
-components to allocate and the intervals tell it where.
+solution.  The result is the clusters' (lo, hi) intervals, ordered
+along x: their count tells the caller how many adaptive kernel
+components to allocate, and the intervals tell it where.
 
 On a line, DBSCAN is one sorted scan.  Each point's neighbours form an
 index window [left, right) of the sorted points, found by
@@ -21,8 +22,6 @@ leftmost core whose window holds it, or is noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # dbscan's epsilon and min_pts for the high-gradient locations
@@ -30,12 +29,6 @@ EPSILON = 0.05
 MIN_PTS = 5
 # the fewest points estimate_gradients takes: an inner point needs a neighbour on each side
 MIN_GRADIENT_POINTS = 3
-
-
-@dataclass(frozen=True)
-class GradientClusterResult:
-    intervals: tuple
-    n_clusters: int
 
 
 def estimate_gradients(xs, ys) -> np.ndarray:
@@ -100,12 +93,10 @@ def dbscan(points, epsilon: float, min_pts: int):
     return clusters, np.sort(order[labels < 0]).tolist()
 
 
-def detect_gradient_clusters(xs, ys) -> GradientClusterResult:
-    """Full pipeline: gradients, threshold, cluster, report intervals."""
+def detect_gradient_clusters(xs, ys) -> tuple:
+    """Full pipeline: gradients, threshold, cluster; returns each
+    cluster's (lo, hi) interval, ordered along x."""
     g = estimate_gradients(xs, ys)
     high = select_high_gradient(xs, g)
     clusters, _ = dbscan(high, EPSILON, MIN_PTS)
-    intervals = tuple(
-        (float(high[idx].min()), float(high[idx].max())) for idx in clusters
-    )
-    return GradientClusterResult(intervals, len(intervals))
+    return tuple((float(high[idx].min()), float(high[idx].max())) for idx in clusters)

@@ -55,8 +55,6 @@ from .problems import (ADVECTION_X, Box, PdeProblem, ProblemKind, advection1d, a
 from .rbf import RbfBasis, eval_matrix
 from .sampling import (
     BaselineConfig,
-    MixtureComponent,
-    MixtureHyperparams,
     WIDTH_SHARING,
     boundary_points_1d,
     boundary_points_rect,
@@ -110,10 +108,20 @@ def hyperparam_names(n_adap: int, dim: int, pde_params=()) -> list:
 # run specifications
 
 
-# what the sampler requires of a search-vector entry, by its name without
-# a component's _k suffix
+# what the sampler requires of a search-vector entry or a march tunable,
+# by its name without a component's _k suffix
 _POSITIVE = (lambda v: v > 0, "positive")
-_SIGN_RULES = {"f": _POSITIVE, "tau": _POSITIVE, "mu_nu": _POSITIVE, "sigma_nu": (lambda v: v >= 0, "nonnegative")}
+_SIGN_RULES = {"f": _POSITIVE, "tau": _POSITIVE, "mu_nu": _POSITIVE, "sigma_nu": (lambda v: v >= 0, "nonnegative"),
+               "sigma_f": _POSITIVE}
+
+
+def _check_signs(entries):
+    """Refuse the first (key, name, lowest value) entry whose name's sign
+    rule (_SIGN_RULES) the value breaks, naming the key first."""
+    for key, name, value in entries:
+        rule = _SIGN_RULES.get(re.sub(r"_\d+$", "", name))
+        if rule is not None and not rule[0](value):
+            raise ValueError(f"{key}: {name} must stay {rule[1]}, but reaches {value:g}")
 
 
 def check_baseline(problem: PdeProblem, baseline: BaselineConfig):
@@ -194,12 +202,8 @@ class ForwardRunSpec:
         if self.eta is not None and not eta_fits(domain, self.eta):
             limit = default_eta(domain)
             raise ValueError(f"eta: must not exceed a tenth of the domain's longest side ({limit:g}), got {self.eta:g}")
-        lowest = [(f"bounds.{name}", name, lo) for name, lo in zip(self.bounds.names, self.bounds.lowers)]
-        lowest += [(f"fixed.{name}", name, value) for name, value in self.fixed.items()]
-        for key, name, value in lowest:
-            rule = _SIGN_RULES.get(re.sub(r"_\d+$", "", name))
-            if rule is not None and not rule[0](value):
-                raise ValueError(f"{key}: {name} must stay {rule[1]}, but reaches {value:g}")
+        _check_signs([(f"bounds.{name}", name, lo) for name, lo in zip(self.bounds.names, self.bounds.lowers)]
+                     + [(f"fixed.{name}", name, value) for name, value in self.fixed.items()])
         if self.width_sharing not in WIDTH_SHARING:
             raise ValueError(f"width_sharing: expected one of {list(WIDTH_SHARING)}, got {self.width_sharing!r}")
         check_baseline(self.problem, self.baseline)
@@ -354,9 +358,9 @@ def run_baseline_curriculum(
         raise ArithmeticError(f"baseline solved no schedule entry ({detail})")
 
     nu_solved, model, interior, mesh, predicted, exact = solved
-    clusters = detect_gradient_clusters(interior[:, 0], evaluate_model(model, interior))
-    metrics = {"nu_solved": nu_solved, "n_clusters": clusters.n_clusters, "residual_loss": model.loss, "n_evals": 0}
-    report = {"schedule": measures, "cluster_intervals": [[float(a), float(b)] for a, b in clusters.intervals]}
+    intervals = detect_gradient_clusters(interior[:, 0], evaluate_model(model, interior))
+    metrics = {"nu_solved": nu_solved, "n_clusters": len(intervals), "residual_loss": model.loss, "n_evals": 0}
+    report = {"schedule": measures, "cluster_intervals": [[float(a), float(b)] for a, b in intervals]}
     return RunResult(BoHistory(), (model,), metrics, report, mesh, predicted, exact)
 
 
@@ -381,31 +385,6 @@ def _at_params(problem: PdeProblem, params: dict) -> PdeProblem:
     return replace(problem, **overrides)
 
 
-def _build_mixture(spec: ForwardRunSpec, values: dict) -> MixtureHyperparams:
-    """The kernel mixture of a search vector, read by name."""
-    comps = [
-        MixtureComponent(float(values[f]), np.array([values[m] for m in mu]), float(values[tau]), float(values[lam]))
-        for f, mu, tau, lam in _component_names(spec.n_adap, spec.problem.dim)
-    ]
-    return MixtureHyperparams(components=tuple(comps), eta=spec.eta_value, width_sharing=spec.width_sharing)
-
-
-def _draw_nu(mu_nu: float, sigma_nu: float, rng) -> float:
-    """One positive diffusivity draw from N(mu_nu, sigma_nu^2); after 100
-    nonpositive draws, mu_nu."""
-    if mu_nu <= 0:
-        raise ValueError("mu_nu must be positive")
-    if sigma_nu < 0:
-        raise ValueError("sigma_nu must be nonnegative")
-    if sigma_nu == 0.0:
-        return mu_nu
-    for _ in range(100):
-        draw = mu_nu + sigma_nu * rng.standard_normal()
-        if draw > 0:
-            return float(draw)
-    return mu_nu
-
-
 def _effective_problem(problem: PdeProblem, values: dict, rng) -> PdeProblem:
     """The problem one evaluation solves: at the searched speed a, or at a
     diffusivity drawn from N(mu_nu, sigma_nu^2)."""
@@ -416,9 +395,13 @@ def _effective_problem(problem: PdeProblem, values: dict, rng) -> PdeProblem:
     mu_nu = float(values["mu_nu"])
     # cap the spread at a tenth of the mean: the drawn candidate must
     # stay representative of the reported parameter, otherwise the
-    # search can score one diffusivity while reporting another
+    # search can score one diffusivity while reporting another.  The
+    # spec keeps mu_nu positive, so a draw at or below zero lies at least
+    # ten spreads below the mean (probability below 1e-23); a zero spread
+    # draws nothing
     sigma_nu = min(float(values["sigma_nu"]), 0.1 * mu_nu)
-    return _at_params(problem, {"nu": _draw_nu(mu_nu, sigma_nu, rng)})
+    nu = mu_nu if sigma_nu == 0 else mu_nu + sigma_nu * rng.standard_normal()
+    return _at_params(problem, {"nu": nu})
 
 
 def _extra_rows(spec: ForwardRunSpec, problem: PdeProblem) -> list:
@@ -503,19 +486,24 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared
         raise ValueError(f"values must name exactly the spec's search vector, got {sorted(values)}")
     if shared is None:
         shared = shared_baseline(spec)
-    hp = _build_mixture(spec, values)
+    components = [
+        (float(values[f]), np.array([values[m] for m in mu]), float(values[tau]), float(values[lam]))
+        for f, mu, tau, lam in _component_names(spec.n_adap, spec.problem.dim)
+    ]
     ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(2, int(eval_seed)))
     rng = np.random.default_rng(ss)
     problem = _effective_problem(spec.problem, values, rng)
     extra = _extra_rows(spec, problem)
     try:
         block = shared if isinstance(shared, FixedBlock) else baseline_block(problem, spec.baseline, extra, shared)
-        cfg = sample_configuration(hp, spec.baseline, problem.domain, problem.nu, rng)
-        system, basis = extend(block, cfg.adaptive, [vals for _, vals in extra])
+        adaptive, component_of = sample_configuration(
+            components, spec.eta_value, spec.width_sharing, spec.baseline, problem.domain, problem.nu, rng
+        )
+        system, basis = extend(block, adaptive, [vals for _, vals in extra])
         model = solve_system(system, basis)
     except (ArithmeticError, np.linalg.LinAlgError):
         return np.inf, None
-    tags = np.concatenate([np.zeros(block.basis.n_kernels, dtype=int), cfg.component_of])
+    tags = np.concatenate([np.zeros(block.basis.n_kernels, dtype=int), component_of])
     model = replace(model, tags=tags)
     return model.loss, model
 
@@ -601,9 +589,12 @@ def characteristic_mask(xs, ys) -> tuple:
     """The sharp-feature intervals of a start-of-block profile: its
     gradient clusters (clustering.detect_gradient_clusters).  A flat
     profile (or one whose gradients never clear the threshold) has none,
-    and its block runs baseline-only.
+    and its block runs baseline-only.  A function of its own, not an
+    alias of detect_gradient_clusters: the benchmark's tracer
+    (bench/spans.py) traces both by name and keys its wrappers by
+    function, so an alias would lose one of the two spans.
     """
-    return detect_gradient_clusters(xs, ys).intervals
+    return detect_gradient_clusters(xs, ys)
 
 
 @dataclass(frozen=True)
@@ -614,7 +605,8 @@ class TimeBlockSpec:
     coordinates: each slab of ADVECTION_X x [t_k, t_k + block_dt] is
     affinely mapped to the unit square and sigma_f is divided by
     sqrt(n_rbf) there, the 2D analog of the inverse-count width heuristic
-    used for the 1D baselines.  Fixed tunables must lie inside bounds;
+    used for the 1D baselines.  Fixed tunables must lie inside bounds,
+    whose f and sigma_f stay positive;
     without them the march is tuned on its first tuning_blocks blocks,
     a stretch in [1, n_blocks].  As in ForwardRunSpec, construction
     refuses what the march would reject, each message naming its field
@@ -656,6 +648,8 @@ class TimeBlockSpec:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name):g}")
         if set(self.bounds.names) != set(TUNABLE_NAMES):
             raise ValueError(f"bounds: tunables are exactly f, lam, sigma_f; got {sorted(self.bounds.names)}")
+        # fixed tunables lie inside the bounds, so the lower ends cover them
+        _check_signs((f"bounds.{name}", name, lo) for name, lo in zip(self.bounds.names, self.bounds.lowers))
         if self.tunables is not None:
             # stored as floats in the order of TUNABLE_NAMES
             values = tuple(float(v) for v in self.tunables)

@@ -3,12 +3,15 @@
 A network's kernels are a deterministic uniform-grid baseline plus
 Gaussian adaptive components steered by a handful of distributional
 hyperparameters; this module draws the adaptive kernels only (the
-baseline is the run's fixed block, see assembly).  Every adaptive kernel
-has one width, the same on every axis, from an inverse-scale draw whose
-range grows as the problem gets stiffer, so small diffusion admits sharp
-kernels.  By default each adaptive component draws a single width its
-kernels share; an optional per-kernel mode draws independently for every
-kernel, producing a multi-scale width ladder for extremely stiff problems.
+baseline is the run's fixed block, see assembly).  A component is the
+plain tuple (fraction, mu, tau, decay) read from one search vector,
+whose box the run spec has already checked (drivers.ForwardRunSpec), so
+the draws check nothing again.  Every adaptive kernel has one width,
+the same on every axis, from an inverse-scale draw whose range grows as
+the problem gets stiffer, so small diffusion admits sharp kernels.  By
+default each adaptive component draws a single width its kernels share;
+an optional per-kernel mode draws independently for every kernel,
+producing a multi-scale width ladder for extremely stiff problems.
 """
 
 from __future__ import annotations
@@ -30,51 +33,6 @@ WIDTH_SHARING = ("component", "kernel")
 
 
 @dataclass(frozen=True)
-class MixtureComponent:
-    """One adaptive component: fraction f_k, location mu, spread tau (the
-    same on every axis), decay."""
-
-    fraction: float
-    mu: np.ndarray
-    tau: float
-    decay: float
-
-    def __post_init__(self):
-        if self.fraction <= 0:
-            raise ValueError("component fraction must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=float)))
-        object.__setattr__(self, "tau", float(self.tau))
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
-
-@dataclass(frozen=True)
-class MixtureHyperparams:
-    components: tuple = ()
-    eta: float = 0.1
-    width_sharing: str = "component"  # one of WIDTH_SHARING
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.width_sharing not in WIDTH_SHARING:
-            raise ValueError("width_sharing must be 'component' or 'kernel'")
-
-    @property
-    def n_adaptive(self) -> int:
-        return len(self.components)
-
-    @property
-    def fractions(self) -> list:
-        return [c.fraction for c in self.components]
-
-
-@dataclass(frozen=True)
 class BaselineConfig:
     n_colloc: int
     n_rbf: int
@@ -92,14 +50,6 @@ class BaselineConfig:
             raise ValueError(f"n_rbf: must not exceed n_colloc ({self.n_colloc}), got {self.n_rbf}")
         if self.sigma_f <= 0:
             raise ValueError(f"sigma_f: must be positive, got {self.sigma_f:g}")
-
-
-@dataclass(frozen=True)
-class SampledConfiguration:
-    # the adaptive kernels, None when none were drawn
-    adaptive: Optional[RbfBasis]
-    # component id (1, 2, ...) of each adaptive kernel
-    component_of: np.ndarray
 
 
 def default_eta(domain: Box) -> float:
@@ -209,38 +159,6 @@ def initial_points(domain: Box, n: int) -> np.ndarray:
     return np.column_stack([xs, np.full_like(xs, t0)])
 
 
-def sample_centers(hp: MixtureHyperparams, counts, domain: Box, rng):
-    """Draw the adaptive kernel centers; returns (centers, component_of).
-
-    counts holds one kernel count per adaptive component.  Each component
-    draws i.i.d. normal with std eta * tau on every axis, redrawing
-    out-of-domain points up to 100 times before clamping.
-    """
-    if len(counts) != hp.n_adaptive:
-        raise ValueError("counts do not match the number of components")
-    if not eta_fits(domain, hp.eta):
-        raise ValueError("eta exceeds one-tenth of the domain extent")
-    centers = [np.empty((0, domain.dim))]
-    tags = [np.empty(0, dtype=int)]
-    for k, (comp, n_k) in enumerate(zip(hp.components, counts), start=1):
-        if n_k == 0:
-            continue
-        if comp.dim != domain.dim:
-            raise ValueError("component dimension does not match domain")
-        std = hp.eta * comp.tau
-        draws = comp.mu + std * rng.standard_normal((n_k, domain.dim))
-        outside = ~domain.contains(draws)
-        for _ in range(100):
-            if not np.any(outside):
-                break
-            draws[outside] = comp.mu + std * rng.standard_normal((int(outside.sum()), domain.dim))
-            outside = ~domain.contains(draws)
-        draws = domain.clip(draws)
-        centers.append(draws)
-        tags.append(np.full(n_k, k, dtype=int))
-    return np.vstack(centers), np.concatenate(tags)
-
-
 def width_scale_bound(sigma_f: float, nu: float, decay: float) -> float:
     """Half-range parameter for the inverse-scale draw; grows as nu shrinks."""
     if sigma_f <= 0 or nu <= 0:
@@ -260,23 +178,45 @@ def draw_widths(sigma_f: float, nu: float, decay: float, n: int, rng) -> np.ndar
         return np.minimum(np.abs(1.0 / (_SQRT2 * xi)), sigma_f)
 
 
-def sample_configuration(
-    hp: MixtureHyperparams,
-    baseline: BaselineConfig,
-    domain: Box,
-    nu: float,
-    rng,
-) -> SampledConfiguration:
-    """Draw the adaptive kernels: centers, then widths capped at sigma_f."""
-    counts = component_counts(baseline.n_rbf, hp.fractions)
-    centers, tags = sample_centers(hp, counts, domain, rng)
+def sample_configuration(components, eta: float, width_sharing: str, baseline: BaselineConfig, domain: Box,
+                         nu: float, rng) -> tuple:
+    """Draw the adaptive kernels; returns (their RbfBasis, or None when
+    none were drawn, and the component id 1, 2, ... of each kernel).
+
+    components holds one (fraction, mu, tau, decay) per adaptive
+    component, mu with one coordinate per axis of domain.  Component k
+    gets component_counts' share of the baseline's kernels, centred i.i.d.
+    normal with std eta * tau on every axis, redrawing out-of-domain
+    points up to 100 times before clamping; a component with no kernels
+    draws nothing.  Every component's centres are drawn first, then each
+    component's widths (width_sharing: one draw per component or per
+    kernel), capped at the baseline's sigma_f.
+    """
+    counts = component_counts(baseline.n_rbf, [fraction for fraction, _, _, _ in components])
+    centers = [np.empty((0, domain.dim))]
+    tags = [np.empty(0, dtype=int)]
+    for k, ((_, mu, tau, _), n_k) in enumerate(zip(components, counts), start=1):
+        if n_k == 0:
+            continue
+        std = eta * tau
+        draws = mu + std * rng.standard_normal((n_k, domain.dim))
+        outside = ~domain.contains(draws)
+        for _ in range(100):
+            if not np.any(outside):
+                break
+            draws[outside] = mu + std * rng.standard_normal((int(outside.sum()), domain.dim))
+            outside = ~domain.contains(draws)
+        centers.append(domain.clip(draws))
+        tags.append(np.full(n_k, k, dtype=int))
+    tags = np.concatenate(tags)
     if not tags.size:
-        return SampledConfiguration(None, tags)
+        return None, tags
+    centers = np.vstack(centers)
     widths = np.empty_like(centers)
-    per_kernel = hp.width_sharing == "kernel"
-    for k, (comp, n_k) in enumerate(zip(hp.components, counts), start=1):
+    per_kernel = width_sharing == "kernel"
+    for k, ((_, _, _, decay), n_k) in enumerate(zip(components, counts), start=1):
         if n_k:
             # one draw per kernel or per component, the same on every axis
-            draws = draw_widths(baseline.sigma_f, nu, comp.decay, n_k if per_kernel else 1, rng)
+            draws = draw_widths(baseline.sigma_f, nu, decay, n_k if per_kernel else 1, rng)
             widths[tags == k] = draws[:, None]
-    return SampledConfiguration(RbfBasis(centers, widths), tags)
+    return RbfBasis(centers, widths), tags

@@ -725,6 +725,18 @@ class TestEchoText:
 FORWARD_BOUNDS = {"mu": [0.9, 0.99], "tau": [0.05, 0.5], "lam": [0.5, 0.9]}
 INVERSE_BOUNDS = {**FORWARD_BOUNDS, "mu_nu": [1e-4, 1e-1], "sigma_nu": [1e-6, 1e-2]}
 POISSON_BOUNDS = {"f": [0.5, 1.0], "mu_x": [0.4, 0.6], "mu_y": [0.4, 0.6], "tau": [0.2, 1.0], "lam": [0.5, 1.0]}
+MARCH_BOUNDS = {"f": [1.0, 1.5], "lam": [1.0, 1.5], "sigma_f": [2.5, 4.5]}
+
+
+def _march_box(name, box) -> dict:
+    """The march's default bounds with name's box replaced, as a file's
+    bounds mapping."""
+    return {**MARCH_BOUNDS, name: box}
+
+
+def _search_bounds(mapping) -> SearchBounds:
+    """A file's bounds mapping as the library's SearchBounds."""
+    return SearchBounds([(name, lo, hi) for name, (lo, hi) in mapping.items()])
 
 
 def _forward(**sections):
@@ -908,6 +920,10 @@ LATE_MISTAKES = [
                  "advection.tunables", id="tunables-outside-bounds"),
     pytest.param(_march(n_blocks=2), "advection",
                  "advection.tuning_blocks", id="more-tuning-blocks-than-blocks"),
+    pytest.param(_march(n_blocks=2, n_colloc=100, n_rbf=36, bounds=_march_box("sigma_f", [-4.5, -1.0])),
+                 "advection", "advection.bounds.sigma_f", id="sigma-f-box-negative"),
+    pytest.param(_march(n_blocks=2, n_colloc=100, n_rbf=36, bounds=_march_box("f", [-1.5, -1.0])),
+                 "advection", "advection.bounds.f", id="f-box-negative"),
     # the march's gradient clusters need three initial points; two once crashed in the first block
     pytest.param(_march(n_blocks=2, n_colloc=100, n_boundary=20, n_rbf=36, n_initial=2, tunables=[1.2, 1.2, 3.0]),
                  "advection", "advection.n_initial", id="two-initial-points"),
@@ -954,10 +970,12 @@ SPEC_REFUSALS = [
     pytest.param(_forward(search={"width_sharing": "axis"}), {"width_sharing": "axis"},
                  "search.width_sharing: expected one of ['component', 'kernel'], got 'axis'", id="width-sharing"),
     pytest.param(_inverse(search={"bounds": {**INVERSE_BOUNDS, "sigma_nu": [-0.01, 0.01]}, "fixed": {"f": 0.5}}),
-                 {"bounds": SearchBounds([(name, lo, hi) for name, (lo, hi) in
-                                          {**INVERSE_BOUNDS, "sigma_nu": [-0.01, 0.01]}.items()])},
+                 {"bounds": _search_bounds({**INVERSE_BOUNDS, "sigma_nu": [-0.01, 0.01]})},
                  "search.bounds.sigma_nu: sigma_nu must stay nonnegative, but reaches -0.01",
                  id="sigma-nu-nonnegative"),
+    pytest.param(_inverse(search={"bounds": {**INVERSE_BOUNDS, "mu_nu": [-0.1, 0.1]}, "fixed": {"f": 0.5}}),
+                 {"bounds": _search_bounds({**INVERSE_BOUNDS, "mu_nu": [-0.1, 0.1]})},
+                 "search.bounds.mu_nu: mu_nu must stay positive, but reaches -0.1", id="mu-nu-positive"),
 ]
 
 
@@ -978,6 +996,17 @@ MARCH_REFUSALS = [
                  "advection.tunables: f = 9 lies outside its bounds [1, 1.5]", id="tunables-outside-bounds"),
     pytest.param(_march(n_blocks=2), {"n_blocks": 2},
                  "advection.tuning_blocks: must lie in [1, 2], got 10", id="more-tuning-blocks-than-blocks"),
+    # a nonpositive sigma_f or f once crashed the march mid-run
+    pytest.param(_march(bounds=_march_box("sigma_f", [-4.5, -1.0])),
+                 {"bounds": _search_bounds(_march_box("sigma_f", [-4.5, -1.0]))},
+                 "advection.bounds.sigma_f: sigma_f must stay positive, but reaches -4.5", id="sigma-f-box-negative"),
+    pytest.param(_march(bounds=_march_box("f", [-1.5, -1.0])),
+                 {"bounds": _search_bounds(_march_box("f", [-1.5, -1.0]))},
+                 "advection.bounds.f: f must stay positive, but reaches -1.5", id="f-box-negative"),
+    pytest.param(_march(bounds=_march_box("sigma_f", [-1.0, 4.5]), tunables=[1.2, 1.2, -0.5]),
+                 {"bounds": _search_bounds(_march_box("sigma_f", [-1.0, 4.5])),
+                  "tunables": (1.2, 1.2, -0.5)},
+                 "advection.bounds.sigma_f: sigma_f must stay positive, but reaches -1", id="negative-tunable-inside-its-box"),
 ]
 
 

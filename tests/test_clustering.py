@@ -233,40 +233,38 @@ class TestDetectGradientClusters:
     def test_single_steep_front(self):
         xs = np.linspace(0, 1, 500)
         ys = np.tanh((xs - 0.5) / 0.01)
-        res = detect_gradient_clusters(xs, ys)
-        assert res.n_clusters == 1
-        lo, hi = res.intervals[0]
+        intervals = detect_gradient_clusters(xs, ys)
+        assert len(intervals) == 1
+        lo, hi = intervals[0]
         assert 0.4 < lo < 0.5 < hi < 0.6
 
     def test_two_fronts_ordered(self):
         xs = np.linspace(0, 1, 800)
         ys = np.tanh((xs - 0.2) / 0.01) + np.tanh((xs - 0.8) / 0.01)
-        res = detect_gradient_clusters(xs, ys)
-        assert res.n_clusters == 2
-        assert res.intervals[0][1] < res.intervals[1][0]
-        assert abs((res.intervals[0][0] + res.intervals[0][1]) / 2 - 0.2) < 0.05
-        assert abs((res.intervals[1][0] + res.intervals[1][1]) / 2 - 0.8) < 0.05
+        intervals = detect_gradient_clusters(xs, ys)
+        assert len(intervals) == 2
+        assert intervals[0][1] < intervals[1][0]
+        assert abs((intervals[0][0] + intervals[0][1]) / 2 - 0.2) < 0.05
+        assert abs((intervals[1][0] + intervals[1][1]) / 2 - 0.8) < 0.05
 
     def test_constant_function(self):
         xs = np.linspace(0, 1, 100)
-        res = detect_gradient_clusters(xs, np.full(100, 2.5))
-        assert res.n_clusters == 0
-        assert res.intervals == ()
+        intervals = detect_gradient_clusters(xs, np.full(100, 2.5))
+        assert intervals == ()
 
     def test_scale_invariance(self):
         xs = np.linspace(0, 1, 600)
         ys = np.exp(-((xs - 0.7) ** 2) / 0.001)
         r1 = detect_gradient_clusters(xs, ys)
         r2 = detect_gradient_clusters(xs, 2.0 * ys)
-        assert r1.intervals == r2.intervals
-        assert r1.n_clusters == r2.n_clusters
+        assert r1 == r2
 
     def test_intervals_disjoint_and_ordered(self):
         xs = np.linspace(0, 1, 700)
         ys = sum(
             np.tanh((xs - c) / 0.008) for c in (0.15, 0.5, 0.85)
         )
-        res = detect_gradient_clusters(xs, ys)
-        for (lo1, hi1), (lo2, hi2) in zip(res.intervals, res.intervals[1:]):
+        intervals = detect_gradient_clusters(xs, ys)
+        for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
             assert hi1 < lo2
             assert lo1 <= hi1 and lo2 <= hi2

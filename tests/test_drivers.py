@@ -19,7 +19,7 @@ from rbfadapt.blas import fixed_blas_threads
 from rbfadapt.drivers import (
     TUNABLE_NAMES,
     _at_params,
-    _draw_nu,
+    _effective_problem,
     _extra_rows,
     _graded,
     _sample_mask_points,
@@ -308,21 +308,21 @@ def _diffusivity_spec(n_adap=0, max_evals=1):
 
 
 class TestDiffusivityDraw:
+    PROBLEM = convdiff_type1(0.5)
+
     def test_degenerate_sigma(self):
-        assert _draw_nu(0.01, 0.0, np.random.default_rng(0)) == 0.01
+        # a zero spread solves at mu_nu and draws nothing
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert _effective_problem(self.PROBLEM, {"mu_nu": 0.01, "sigma_nu": 0.0}, rng).nu == 0.01
+        assert rng.bit_generator.state == state
 
     def test_mean_recovery(self):
         rng = np.random.default_rng(12)
-        draws = np.array([_draw_nu(0.05, 0.001, rng) for _ in range(100000)])
+        values = {"mu_nu": 0.05, "sigma_nu": 0.001}
+        draws = np.array([_effective_problem(self.PROBLEM, values, rng).nu for _ in range(100000)])
         assert np.all(draws > 0)
         assert abs(draws.mean() - 0.05) < 3 * 0.001 / np.sqrt(draws.size)
-
-    @pytest.mark.parametrize("mu_nu,sigma_nu,name", [
-        (0.0, 0.001, "mu_nu"), (-0.01, 0.001, "mu_nu"), (0.01, -1e-9, "sigma_nu"),
-    ])
-    def test_invalid_distribution_rejected(self, mu_nu, sigma_nu, name):
-        with pytest.raises(ValueError, match=name):
-            _draw_nu(mu_nu, sigma_nu, np.random.default_rng(0))
 
     def test_spread_above_a_tenth_of_the_mean_is_capped(self):
         spec = _diffusivity_spec()
@@ -545,6 +545,12 @@ class TestErrorMetrics:
         assert metrics["rel_l2"] == np.inf
 
 
+def _tuning_box(name, lo, hi) -> SearchBounds:
+    """The march's default tuning bounds with name's box set to [lo, hi]."""
+    boxes = {"f": (1.0, 1.5), "lam": (1.0, 1.5), "sigma_f": (2.5, 4.5), name: (lo, hi)}
+    return SearchBounds([(n, *boxes[n]) for n in TUNABLE_NAMES])
+
+
 def _small_block_spec(**overrides):
     defaults = dict(
         speed=0.5,
@@ -657,6 +663,15 @@ class TestTimeBlocks:
         (dict(tunables=(1.25, 1.0)), r"^tunables: expected \(f, lam, sigma_f\), got \(1.25, 1.0\)$"),
         (dict(tunables=None, tuning_blocks=5), r"^tuning_blocks: must lie in \[1, 4\], got 5$"),
         (dict(tunables=None, tuning_blocks=0), r"^tuning_blocks: must lie in \[1, 4\], got 0$"),
+        # a negative f or sigma_f once crashed the march mid-run; the rule
+        # is the forward spec's, so f = 0 is refused too, and fixed
+        # tunables inside the box are refused by its lower end
+        (dict(tunables=None, tuning_blocks=1, bounds=_tuning_box("sigma_f", -4.5, -1.0)),
+         r"^bounds.sigma_f: sigma_f must stay positive, but reaches -4.5$"),
+        (dict(tunables=None, tuning_blocks=1, bounds=_tuning_box("f", 0.0, 1.5)),
+         r"^bounds.f: f must stay positive, but reaches 0$"),
+        (dict(tunables=(1.2, 1.2, -0.5), bounds=_tuning_box("sigma_f", -1.0, 4.5)),
+         r"^bounds.sigma_f: sigma_f must stay positive, but reaches -1$"),
     ])
     def test_spec_refuses_tunables_and_tuning_stretch(self, overrides, message):
         with pytest.raises(ValueError, match=message):

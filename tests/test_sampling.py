@@ -9,8 +9,6 @@ from rbfadapt.problems import Box, convdiff_type1
 from rbfadapt.rbf import RbfBasis
 from rbfadapt.sampling import (
     BaselineConfig,
-    MixtureComponent,
-    MixtureHyperparams,
     boundary_points_1d,
     boundary_points_rect,
     boundary_points_xsides,
@@ -19,7 +17,6 @@ from rbfadapt.sampling import (
     draw_widths,
     initial_points,
     most_square_factors,
-    sample_centers,
     sample_configuration,
     uniform_grid,
     width_scale_bound,
@@ -29,9 +26,12 @@ UNIT = Box((0.0,), (1.0,))
 SQUARE = Box((0.0, 0.0), (1.0, 1.0))
 
 
-def _hp_1d(f=0.5, mu=0.5, tau=1.0, decay=0.5, eta=0.1):
-    comp = MixtureComponent(f, [mu], tau, decay)
-    return MixtureHyperparams((comp,), eta=eta)
+def _sample_1d(baseline, seed, f=0.5, mu=0.5, tau=1.0, decay=0.5):
+    """One 1D component's kernels on the unit interval at eta 0.1 and nu
+    0.01, drawn from default_rng(seed) (a Generator is used as it is):
+    (adaptive basis or None, component ids)."""
+    rng = np.random.default_rng(seed)
+    return sample_configuration([(f, np.array([mu]), tau, decay)], 0.1, "component", baseline, UNIT, 0.01, rng)
 
 
 class TestMixtureWeights:
@@ -62,8 +62,6 @@ class TestMixtureWeights:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             component_counts(0, [0.5])
-        with pytest.raises(ValueError):
-            MixtureComponent(0.0, [0.5], 1.0, 0.5)
 
 
 class TestComponentCounts:
@@ -145,17 +143,14 @@ class TestSampleCenters:
     def test_baseline_grid_when_no_adaptive_draws(self):
         # the baseline grid is the run's fixed block: with no adaptive
         # draws nothing is added to it and the stream is left untouched
-        hp = _hp_1d()
         rng = np.random.default_rng(0)
-        centers, tags = sample_centers(hp, [0], UNIT, rng)
-        assert centers.shape == (0, 1) and tags.size == 0
+        adaptive, tags = _sample_1d(BaselineConfig(40, 20, 0.04), rng, f=0.01)
+        assert adaptive is None and tags.size == 0
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_adaptive_moments(self):
-        hp = _hp_1d(mu=0.5, tau=1.0, eta=0.1)
-        rng = np.random.default_rng(42)
-        centers, tags = sample_centers(hp, [100000], UNIT, rng)
-        draws = centers[tags == 1].ravel()
+        adaptive, tags = _sample_1d(BaselineConfig(100000, 100000, 0.04), 42, f=1.0, mu=0.5, tau=1.0)
+        draws = adaptive.centers[tags == 1].ravel()
         se_mean = 0.1 / np.sqrt(draws.size)
         assert abs(draws.mean() - 0.5) < 3 * se_mean
         se_std = 0.1 / np.sqrt(2 * draws.size)
@@ -163,14 +158,8 @@ class TestSampleCenters:
 
     def test_all_inside_domain(self):
         # component hugging the right edge forces redraws and clamps
-        hp = _hp_1d(mu=0.999, tau=0.5)
-        centers, _ = sample_centers(hp, [5000], UNIT, np.random.default_rng(1))
-        assert np.all((centers >= 0.0) & (centers <= 1.0))
-
-    def test_eta_cap_enforced(self):
-        hp = _hp_1d(eta=0.2)
-        with pytest.raises(ValueError):
-            sample_centers(hp, [5], UNIT, np.random.default_rng(0))
+        adaptive, _ = _sample_1d(BaselineConfig(5000, 5000, 0.04), 1, f=1.0, mu=0.999, tau=0.5)
+        assert np.all((adaptive.centers >= 0.0) & (adaptive.centers <= 1.0))
 
     def test_default_eta(self):
         assert default_eta(UNIT) == pytest.approx(0.1)
@@ -207,30 +196,38 @@ class TestSampleWidths:
 
     def test_isotropic_2d(self):
         # one width per kernel, the same on both axes, in either mode
-        comp = MixtureComponent(0.5, [0.5, 0.5], 1.0, 0.5)
+        comps = [(0.5, np.array([0.5, 0.5]), 1.0, 0.5)]
         for sharing in ("component", "kernel"):
-            hp = MixtureHyperparams((comp,), eta=0.1, width_sharing=sharing)
-            cfg = sample_configuration(hp, BaselineConfig(100, 40, 0.2), SQUARE, 0.05, np.random.default_rng(3))
-            w = cfg.adaptive.widths
+            adaptive, _ = sample_configuration(comps, 0.1, sharing, BaselineConfig(100, 40, 0.2), SQUARE, 0.05,
+                                               np.random.default_rng(3))
+            w = adaptive.widths
             assert w.shape == (20, 2)
             np.testing.assert_array_equal(w[:, 0], w[:, 1])
             assert (np.unique(w[:, 0]).size > 1) == (sharing == "kernel")
 
 
-def _one_kernel_at_a_time(hp, baseline, domain, nu, rng):
-    """The adaptive kernels drawn with one width per draw_widths call: one
-    call per component, or per kernel under width_sharing "kernel", each
-    width copied to every axis."""
-    counts = component_counts(baseline.n_rbf, hp.fractions)
-    centers, tags = sample_centers(hp, counts, domain, rng)
+def _one_kernel_at_a_time(components, eta, sharing, baseline, domain, nu, rng):
+    """The adaptive kernels drawn in the documented order: each nonempty
+    component's centres as one normal block, then each component's widths
+    with one width per draw_widths call, one call per component, or per
+    kernel under width_sharing "kernel", each width copied to every axis.
+    The centres must all land inside the domain, so no redraw happens."""
+    counts = component_counts(baseline.n_rbf, [c[0] for c in components])
+    centers, tags = [], []
+    for k, ((_, mu, tau, _), n_k) in enumerate(zip(components, counts), start=1):
+        if n_k:
+            centers.append(mu + eta * tau * rng.standard_normal((n_k, domain.dim)))
+            tags += [k] * n_k
+    centers, tags = np.vstack(centers), np.array(tags)
+    assert np.all(domain.contains(centers))
     widths = np.empty_like(centers)
-    for k, comp in enumerate(hp.components, start=1):
+    for k, (_, _, _, decay) in enumerate(components, start=1):
         rows = np.flatnonzero(tags == k)
-        if hp.width_sharing == "kernel":
+        if sharing == "kernel":
             for i in rows:
-                widths[i] = draw_widths(baseline.sigma_f, nu, comp.decay, 1, rng)[0]
+                widths[i] = draw_widths(baseline.sigma_f, nu, decay, 1, rng)[0]
         elif rows.size:
-            widths[rows] = draw_widths(baseline.sigma_f, nu, comp.decay, 1, rng)[0]
+            widths[rows] = draw_widths(baseline.sigma_f, nu, decay, 1, rng)[0]
     return centers, widths, tags
 
 
@@ -240,19 +237,18 @@ def test_widths_match_one_kernel_at_a_time(domain, sharing):
     # three components, the middle one too small for any kernel: the
     # stream order across components and the state after the widths count
     mus = [[0.3, 0.7], [0.5, 0.5], [0.6, 0.4]]
-    comps = tuple(
-        MixtureComponent(f, mu[: domain.dim], tau, decay)
+    comps = [
+        (f, np.array(mu[: domain.dim]), tau, decay)
         for f, mu, tau, decay in zip([0.5, 0.01, 0.3], mus, [0.8, 1.0, 0.4], [0.5, 0.2, -0.3])
-    )
-    hp = MixtureHyperparams(comps, eta=0.1, width_sharing=sharing)
+    ]
     baseline = BaselineConfig(100, 40, 0.1)
     for seed in range(5):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        cfg = sample_configuration(hp, baseline, domain, 0.01, rng)
-        centers, widths, tags = _one_kernel_at_a_time(hp, baseline, domain, 0.01, ref_rng)
-        assert cfg.adaptive.centers.tobytes() == centers.tobytes()
-        assert cfg.adaptive.widths.tobytes() == widths.tobytes()
-        np.testing.assert_array_equal(cfg.component_of, tags)
+        adaptive, component_of = sample_configuration(comps, 0.1, sharing, baseline, domain, 0.01, rng)
+        centers, widths, tags = _one_kernel_at_a_time(comps, 0.1, sharing, baseline, domain, 0.01, ref_rng)
+        assert adaptive.centers.tobytes() == centers.tobytes()
+        assert adaptive.widths.tobytes() == widths.tobytes()
+        np.testing.assert_array_equal(component_of, tags)
         assert rng.random() == ref_rng.random()
 
 
@@ -277,10 +273,10 @@ class TestCollocation:
         np.testing.assert_array_equal(system.matrix, full.matrix)
 
     def test_adaptive_centers_included_verbatim(self):
-        cfg = sample_configuration(_hp_1d(), BaselineConfig(50, 20, 0.1), UNIT, 0.01, np.random.default_rng(4))
-        system, basis, problem, grid, boundary = _extended(50, cfg.adaptive)
+        adaptive, _ = _sample_1d(BaselineConfig(50, 20, 0.1), 4)
+        system, basis, problem, grid, boundary = _extended(50, adaptive)
         assert system.n_rows == 50 + 10 + 2
-        interior = np.vstack([grid, cfg.adaptive.centers])
+        interior = np.vstack([grid, adaptive.centers])
         full = build_system(problem, basis, interior, boundary)
         np.testing.assert_array_equal(system.matrix, full.matrix)
         np.testing.assert_array_equal(system.targets, full.targets)
@@ -315,28 +311,24 @@ class TestCollocation:
 
 class TestSampleConfiguration:
     def test_baseline_widths_exact(self):
-        hp = _hp_1d()
         base = BaselineConfig(40, 20, 0.04)
         assert np.all(baseline_basis(UNIT, base).widths == 0.04)
-        cfg = sample_configuration(hp, base, UNIT, 0.01, np.random.default_rng(5))
-        assert np.all(cfg.adaptive.widths <= 0.04)
+        adaptive, _ = _sample_1d(base, 5)
+        assert np.all(adaptive.widths <= 0.04)
 
     def test_counts(self):
-        hp = _hp_1d(f=0.5)
         base = BaselineConfig(40, 20, 0.04)
-        cfg = sample_configuration(hp, base, UNIT, 0.01, np.random.default_rng(5))
-        assert cfg.adaptive.n_kernels == 10
-        assert np.all(cfg.component_of == 1) and cfg.component_of.size == 10
-        assert sample_configuration(_hp_1d(f=0.01), base, UNIT, 0.01, np.random.default_rng(5)).adaptive is None
+        adaptive, component_of = _sample_1d(base, 5, f=0.5)
+        assert adaptive.n_kernels == 10
+        assert np.all(component_of == 1) and component_of.size == 10
+        assert _sample_1d(base, 5, f=0.01)[0] is None
 
     def test_determinism(self):
-        hp = _hp_1d()
         base = BaselineConfig(40, 20, 0.04)
-        a = sample_configuration(hp, base, UNIT, 0.01, np.random.default_rng(77))
-        b = sample_configuration(hp, base, UNIT, 0.01, np.random.default_rng(77))
-        assert a.adaptive.centers.tobytes() == b.adaptive.centers.tobytes()
-        assert a.adaptive.widths.tobytes() == b.adaptive.widths.tobytes()
-        assert a.component_of.tobytes() == b.component_of.tobytes()
+        (a, a_tags), (b, b_tags) = _sample_1d(base, 77), _sample_1d(base, 77)
+        assert a.centers.tobytes() == b.centers.tobytes()
+        assert a.widths.tobytes() == b.widths.tobytes()
+        assert a_tags.tobytes() == b_tags.tobytes()
 
     def test_invalid_baseline(self):
         with pytest.raises(ValueError):
