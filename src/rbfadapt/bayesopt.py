@@ -463,8 +463,8 @@ def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig, seed: 
     in the history, which is also its evaluation seed.  Only the result
     of ``history.incumbent_index``, the first minimum, is kept; it is None
     when no evaluation finished.  A failed evaluation (a raised
-    ArithmeticError or LinAlgError, or a non-finite loss) is recorded as
-    +inf with no result; the surrogate sees it as a large finite penalty.
+    ArithmeticError or a non-finite loss) is recorded as +inf with no
+    result; the surrogate sees it as a large finite penalty.
     seed is the run's: it draws the design (_initial_design) and the candidates.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
@@ -477,7 +477,7 @@ def optimize(objective: Callable, bounds: SearchBounds, config: BoConfig, seed: 
         w = bounds.from_unit(design[len(history)]) if len(history) < n_init else bayes_step(history, bounds, rng)
         try:
             loss, result = objective(w, len(history))
-        except (ArithmeticError, np.linalg.LinAlgError):
+        except ArithmeticError:
             loss, result = np.inf, None
         if not np.isfinite(loss):
             loss, result = np.inf, None

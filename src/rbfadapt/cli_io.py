@@ -30,8 +30,10 @@ outputs per run:
 Numeric CSV fields carry 17 significant digits, enough to reconstruct
 the exact double-precision values.  Exit codes: 0 success, 2
 configuration error (an unusable output directory too, found before the
-run), 3 numerical failure, 4 evaluation budget exhausted before reaching
-the configured loss target (results are still written).
+run), 3 numerical failure (an ``ArithmeticError``: a failed solve, a
+search none of whose evaluations finished, or a non-finite metric), 4
+evaluation budget exhausted before reaching the configured loss target
+(results are still written).
 The output directory may be overridden with the ``RBFADAPT_OUT``
 environment variable.
 """
@@ -99,10 +101,6 @@ class ConfigSyntaxError(ConfigError):
 
 class ConfigValueError(ConfigError):
     """A configuration field has an invalid or unknown value."""
-
-
-class NumericalFailureError(Exception):
-    """A solve or search failed numerically (exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -788,9 +786,10 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
     ``--out``), then the ``RBFADAPT_OUT`` environment variable, then the
     configuration's ``out`` field.  The directory is made before the run;
     one that cannot be made raises :class:`ConfigValueError` naming
-    ``out``.  Numerical failures raise :class:`NumericalFailureError`; an
-    exhausted evaluation budget that never reached ``loss_tol`` is
-    reported through ``exit_code`` 4 with all results written.
+    ``out``.  A numerical failure of the run, or a non-finite metric,
+    raises ``ArithmeticError`` (exit code 3 from ``main``); an exhausted
+    evaluation budget that never reached ``loss_tol`` is reported through
+    ``exit_code`` 4 with all results written.
     """
     out_dir = Path(out_override or os.environ.get(OUT_ENV_VAR) or config.out)
     t0 = time.perf_counter()
@@ -799,16 +798,13 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigValueError(f"out: cannot make the output directory {out_dir}: {err}") from err
-    try:
-        result = run()
-    except (ArithmeticError, np.linalg.LinAlgError) as err:
-        raise NumericalFailureError(str(err)) from err
+    result = run()
     elapsed = time.perf_counter() - t0
 
     metrics, history = result.metrics, result.history
     for name, value in metrics.items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise NumericalFailureError(f"metric {name} is not finite")
+            raise ArithmeticError(f"metric {name} is not finite")
 
     exit_code = EXIT_OK
     searched = _searched(config)
@@ -896,7 +892,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalFailureError as err:
+    except ArithmeticError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     return bundle.exit_code

@@ -124,6 +124,22 @@ def _check_signs(entries):
             raise ValueError(f"{key}: {name} must stay {rule[1]}, but reaches {value:g}")
 
 
+def _check_inside(key: str, bounds: SearchBounds, entries):
+    """Refuse the first (name, value) entry that lies outside name's box in
+    bounds, naming key first."""
+    for name, value in entries:
+        i = bounds.index_of(name)
+        lo, hi = bounds.lowers[i], bounds.uppers[i]
+        if not lo <= value <= hi:
+            raise ValueError(f"{key}: {name} = {value:g} lies outside its bounds [{lo:g}, {hi:g}]")
+
+
+def _check_stretch(key: str, n: int, n_blocks: int):
+    """Refuse a count of leading time blocks outside [1, n_blocks], naming key first."""
+    if not 1 <= n <= n_blocks:
+        raise ValueError(f"{key}: must lie in [1, {n_blocks}], got {n}")
+
+
 def check_baseline(problem: PdeProblem, baseline: BaselineConfig):
     """Refuse a baseline that problem's grids cannot take, naming the
     field first: a 2D grid count that lays out as no grid, a boundary count the
@@ -469,23 +485,26 @@ def shared_baseline(spec: ForwardRunSpec):
     return baseline_basis(problem.domain, baseline)
 
 
-def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared=None) -> tuple:
+def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared) -> tuple:
     """One deterministic objective evaluation: sample, assemble, solve.
 
     values maps exactly the names of the spec's search vector (its bounds
-    and fixed entries, see hyperparam_names) to numbers.  Returns
-    (max-absolute-residual loss, solved model). Solver failure yields
-    (+inf, None). A searched speed, or a diffusivity drawn before the
-    kernels, feeds both the operator and the width sampler.  shared is
-    what the run's evaluations share (shared_baseline): a FixedBlock the
-    evaluation extends, or the baseline kernels it builds its own
-    problem's block on.  When it is None the evaluation computes it from
-    the spec, with the same bits.
+    and fixed entries, see hyperparam_names) to numbers: each searched
+    entry inside its bounds, each fixed one at its fixed value.  Other
+    values are refused with a ValueError naming values first.  Returns
+    (max-absolute-residual loss, solved model); a failed solve raises its
+    ArithmeticError, which optimize records as a failed evaluation.  A
+    searched speed, or a diffusivity drawn before the kernels, feeds both
+    the operator and the width sampler.  shared is what the run's
+    evaluations share (shared_baseline): a FixedBlock the evaluation
+    extends, or the baseline kernels it builds its own problem's block on.
     """
     if set(values) != set(hyperparam_names(spec.n_adap, spec.problem.dim, spec.pde_params)):
         raise ValueError(f"values must name exactly the spec's search vector, got {sorted(values)}")
-    if shared is None:
-        shared = shared_baseline(spec)
+    _check_inside("values", spec.bounds, ((name, values[name]) for name in spec.bounds.names))
+    for name, value in spec.fixed.items():
+        if values[name] != value:
+            raise ValueError(f"values: {name} is fixed at {value:g}, got {values[name]:g}")
     components = [
         (float(values[f]), np.array([values[m] for m in mu]), float(values[tau]), float(values[lam]))
         for f, mu, tau, lam in _component_names(spec.n_adap, spec.problem.dim)
@@ -494,15 +513,12 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared
     rng = np.random.default_rng(ss)
     problem = _effective_problem(spec.problem, values, rng)
     extra = _extra_rows(spec, problem)
-    try:
-        block = shared if isinstance(shared, FixedBlock) else baseline_block(problem, spec.baseline, extra, shared)
-        adaptive, component_of = sample_configuration(
-            components, spec.eta_value, spec.width_sharing, spec.baseline, problem.domain, problem.nu, rng
-        )
-        system, basis = extend(block, adaptive, [vals for _, vals in extra])
-        model = solve_system(system, basis)
-    except (ArithmeticError, np.linalg.LinAlgError):
-        return np.inf, None
+    block = shared if isinstance(shared, FixedBlock) else baseline_block(problem, spec.baseline, extra, shared)
+    adaptive, component_of = sample_configuration(
+        components, spec.eta_value, spec.width_sharing, spec.baseline, problem.domain, problem.nu, rng
+    )
+    system, basis = extend(block, adaptive, [vals for _, vals in extra])
+    model = solve_system(system, basis)
     tags = np.concatenate([np.zeros(block.basis.n_kernels, dtype=int), component_of])
     model = replace(model, tags=tags)
     return model.loss, model
@@ -655,14 +671,10 @@ class TimeBlockSpec:
             values = tuple(float(v) for v in self.tunables)
             if len(values) != len(TUNABLE_NAMES):
                 raise ValueError(f"tunables: expected (f, lam, sigma_f), got {tuple(self.tunables)}")
-            for name, value in zip(TUNABLE_NAMES, values):
-                i = self.bounds.index_of(name)
-                lo, hi = self.bounds.lowers[i], self.bounds.uppers[i]
-                if not lo <= value <= hi:
-                    raise ValueError(f"tunables: {name} = {value:g} lies outside its bounds [{lo:g}, {hi:g}]")
+            _check_inside("tunables", self.bounds, zip(TUNABLE_NAMES, values))
             object.__setattr__(self, "tunables", values)
-        elif not 1 <= self.tuning_blocks <= self.n_blocks:
-            raise ValueError(f"tuning_blocks: must lie in [1, {self.n_blocks}], got {self.tuning_blocks}")
+        else:
+            _check_stretch("tuning_blocks", self.tuning_blocks, self.n_blocks)
 
     @property
     def block_dt(self) -> float:
@@ -729,7 +741,7 @@ def _solve_block(fixed: FixedBlock, adapt, ic_vals: np.ndarray, k: int):
     system, basis = extend(fixed, adapt, [ic_vals])
     try:
         model = solve_system(system, basis)
-    except (ArithmeticError, np.linalg.LinAlgError) as err:
+    except ArithmeticError as err:
         raise ArithmeticError(f"time block {k} solve failed: {err}") from err
     return replace(model, tags=(np.arange(basis.n_kernels) >= fixed.basis.n_kernels).astype(int))
 
@@ -747,13 +759,14 @@ def solve_advection_timeblocks(spec: TimeBlockSpec, eval_seed: int = 0, n_blocks
     sharp initial features; a block with no sharp features runs with the
     baseline grid alone.  eval_seed picks the evaluation's draws.
     n_blocks marches only the spec's first n_blocks blocks (all of them
-    when None), at the spec's own block length, so they match the whole
-    march's first blocks bit for bit; graded_final_profile needs the
-    whole march.
+    when None; any other count outside [1, spec.n_blocks] is refused), at
+    the spec's own block length, so they match the whole march's first
+    blocks bit for bit; graded_final_profile needs the whole march.
     """
     if spec.tunables is None:
         raise ValueError("tunables: the march needs fixed (f, lam, sigma_f); run_advection_forward tunes them")
     n_blocks = spec.n_blocks if n_blocks is None else n_blocks
+    _check_stretch("n_blocks", n_blocks, spec.n_blocks)
     f_ratio, lam, sigma_tun = spec.tunables
     x0, x1 = ADVECTION_X
     length_x = x1 - x0

@@ -461,6 +461,18 @@ class TestSolve:
         with pytest.raises(ArithmeticError):
             solve_least_squares(_system([[np.nan]], [1.0]))
 
+    def test_a_failed_lstsq_becomes_an_arithmetic_error(self, monkeypatch):
+        # the one place a LinAlgError is caught: every caller handles
+        # ArithmeticError alone
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        with pytest.raises(ArithmeticError) as err:
+            solve_least_squares(_system(np.eye(2), [1.0, 2.0]))
+        assert str(err.value) == "least-squares solve failed: SVD did not converge"
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
     def test_solve_system_records_loss(self):
         sys = _system([[1.0], [1.0]], [0.0, 2.0])
         basis = RbfBasis([[0.5]], [[0.2]])

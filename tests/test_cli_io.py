@@ -37,8 +37,9 @@ from rbfadapt.cli_io import (
     run_command,
     write_config,
 )
+from rbfadapt.assembly import solve_system
 from rbfadapt.bayesopt import BoHistory, SearchBounds
-from rbfadapt.drivers import TimeBlockSpec, error_metrics, forward_objective
+from rbfadapt.drivers import TimeBlockSpec, error_metrics, forward_objective, shared_baseline
 from rbfadapt.problems import advection_exact, exact_type1
 
 
@@ -453,7 +454,7 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         with (out / "loss_history.csv").open() as fh:
             losses = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
-        loss, _ = forward_objective(spec, summary["w_opt"], int(np.argmin(losses)))
+        loss, _ = forward_objective(spec, summary["w_opt"], int(np.argmin(losses)), shared_baseline(spec))
         assert np.float64(loss).tobytes() == np.float64(summary["metrics"]["residual_loss"]).tobytes()
 
     def test_a_speed_run_lists_the_kernels_it_kept(self, tmp_path):
@@ -465,6 +466,27 @@ class TestRunCommand:
         with (out / "kernels.csv").open() as fh:
             assert len(fh.readlines()) - 1 == n_kernels
         assert 0 < n_kernels < mapping["baseline"]["n_rbf"]
+
+    def test_a_failed_evaluation_is_recorded_and_the_search_goes_on(self, tmp_path, monkeypatch):
+        # evaluation 1's solve fails: the search records it as inf, runs
+        # out its budget and grades a finite incumbent
+        solves = []
+
+        def second_solve_fails(system, basis):
+            solves.append(system)
+            if len(solves) == 2:
+                raise ArithmeticError("manufactured failure")
+            return solve_system(system, basis)
+
+        monkeypatch.setattr("rbfadapt.drivers.solve_system", second_solve_fails)
+        bundle = _run_tiny(tmp_path, TINY_FORWARD)
+        assert bundle.exit_code == EXIT_OK
+        with (Path(bundle.out_dir) / "loss_history.csv").open() as fh:
+            losses = [row["loss"] for row in csv.DictReader(fh)]
+        assert len(losses) == TINY_FORWARD["search"]["max_evals"]
+        assert losses[1] == "inf"
+        assert all(np.isfinite(float(loss)) for k, loss in enumerate(losses) if k != 1)
+        assert all(np.isfinite(value) for value in bundle.metrics.values())
 
     def test_budget_exhaustion_with_unmet_target_exits_four(self, tmp_path):
         mapping = dict(TINY_FORWARD)
@@ -632,6 +654,13 @@ class TestMain:
         rc = main(["inverse", "--config", str(path), "--quiet"])
         assert rc == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_a_non_finite_metric_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("rbfadapt.drivers.error_metrics", lambda predicted, reference: {"linf": np.nan, "rel_l2": 0.0})
+        path = _dump(tmp_path, TINY_FORWARD)
+        rc = main(["forward", "--config", str(path), "--out", str(tmp_path / "x"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: metric linf is not finite\n"
 
     def test_unsolvable_study_exits_three(self, tmp_path, capsys):
         mapping = {

@@ -189,33 +189,47 @@ def _one_component_spec(nu):
     )
 
 
+def _default_one_component_spec():
+    # the forward defaults' search: one component, f fixed at 0.5
+    return ForwardRunSpec(
+        problem=convdiff_type1(0.01),
+        baseline=BaselineConfig(500, 250, 0.04),
+        n_adap=1,
+        bounds=SearchBounds([("mu", 0.9, 0.99), ("tau", 0.05, 0.5), ("lam", 0.5, 0.9)]),
+        bo=BoConfig(max_evals=1),
+        fixed={"f": 0.5},
+    )
+
+
 class TestForwardObjective:
     def test_baseline_resolves_mild_layer(self):
         spec = _baseline_only_spec(0.1)
-        loss, model = forward_objective(spec, {}, 0)
+        loss, model = forward_objective(spec, {}, 0, shared_baseline(spec))
         assert loss < 1e-3
         assert model.basis.n_kernels == 250
 
     def test_identical_evaluation_is_bit_identical(self):
         spec = _one_component_spec(1e-3)
         values = {"f": 0.5, "mu": 0.995, "tau": 0.3, "lam": -0.3}
-        first, _ = forward_objective(spec, values, 3)
-        second, _ = forward_objective(spec, values, 3)
+        first, _ = forward_objective(spec, values, 3, shared_baseline(spec))
+        second, _ = forward_objective(spec, values, 3, shared_baseline(spec))
         assert first == second
 
     def test_placed_component_beats_baseline_by_orders(self):
         base_spec = _baseline_only_spec(1e-3)
-        base_loss, _ = forward_objective(base_spec, {}, 0)
+        base_loss, _ = forward_objective(base_spec, {}, 0, shared_baseline(base_spec))
         spec = _one_component_spec(1e-3)
         values = {"f": 0.5, "mu": 0.995, "tau": 0.3, "lam": -0.3}
-        placed = min(forward_objective(spec, values, s)[0] for s in range(5))
+        shared = shared_baseline(spec)
+        placed = min(forward_objective(spec, values, s, shared)[0] for s in range(5))
         assert placed <= 1e-2
         assert placed * 50 < base_loss
 
     def test_min_over_random_draws_beats_baseline(self):
         base_spec = _baseline_only_spec(1e-3)
-        base_loss, _ = forward_objective(base_spec, {}, 0)
+        base_loss, _ = forward_objective(base_spec, {}, 0, shared_baseline(base_spec))
         spec = _one_component_spec(1e-3)
+        shared = shared_baseline(spec)
         rng = np.random.default_rng(123)
         draws = []
         for i in range(20):
@@ -225,7 +239,7 @@ class TestForwardObjective:
                 "tau": rng.uniform(0.05, 0.5),
                 "lam": rng.uniform(-0.4, -0.15),
             }
-            draws.append(forward_objective(spec, w, i)[0])
+            draws.append(forward_objective(spec, w, i, shared)[0])
         assert min(draws) * 50 < base_loss
 
     @pytest.mark.parametrize("with_sensors", [False, True])
@@ -246,7 +260,7 @@ class TestForwardObjective:
         fixed = baseline_block(spec.problem, spec.baseline, _extra_rows(spec, spec.problem))
         for i, (mu, tau) in enumerate([(0.995, 0.3), (0.95, 0.05), (0.9999, 0.5)]):
             w = {"f": 0.5, "mu": mu, "tau": tau, "lam": -0.3, **pde}
-            loss, model = forward_objective(spec, w, i)
+            loss, model = forward_objective(spec, w, i, shared_baseline(spec))
             reused_loss, reused = forward_objective(spec, w, i, fixed)
             assert reused_loss == loss
             assert np.array_equal(reused.coefficients, model.coefficients)
@@ -265,7 +279,7 @@ class TestForwardObjective:
         assert isinstance(kept, RbfBasis)
         at_speed = _at_params(spec.problem, {"a": 0.7})
         fixed = baseline_block(at_speed, spec.baseline, _extra_rows(spec, at_speed), kept)
-        loss, model = forward_objective(spec, {"a": 0.7}, 0)
+        loss, model = forward_objective(spec, {"a": 0.7}, 0, shared_baseline(spec))
         given_loss, given = forward_objective(spec, {"a": 0.7}, 0, fixed)
         assert given_loss == loss
         assert np.array_equal(given.coefficients, model.coefficients)
@@ -280,11 +294,45 @@ class TestForwardObjective:
         values = {"f": 0.5, "mu": 0.95, "tau": 0.3, "lam": 0.7, **change}
         values = {name: v for name, v in values.items() if v is not None}
         with pytest.raises(ValueError, match="search vector"):
-            forward_objective(spec, values, 0)
+            forward_objective(spec, values, 0, shared_baseline(spec))
+
+    @pytest.mark.parametrize("change,message", [
+        # a negative fraction once reached numpy as "negative dimensions"
+        ({"f": -0.5}, "values: f is fixed at 0.5, got -0.5"),
+        # a negative spread once returned a finite loss
+        ({"tau": -0.3}, "values: tau = -0.3 lies outside its bounds [0.05, 0.5]"),
+        # a fraction other than the fixed one once ran its own kernel count
+        ({"f": 0.9}, "values: f is fixed at 0.5, got 0.9"),
+        # a centre outside the box once ran with clamped centres
+        ({"mu": 1.5}, "values: mu = 1.5 lies outside its bounds [0.9, 0.99]"),
+    ], ids=["negative-fraction", "negative-spread", "other-fraction", "centre-outside"])
+    def test_values_outside_the_spec_are_refused(self, change, message):
+        spec = _default_one_component_spec()
+        values = {"f": 0.5, "mu": 0.95, "tau": 0.3, "lam": 0.7, **change}
+        with pytest.raises(ValueError) as err:
+            forward_objective(spec, values, 0, shared_baseline(spec))
+        assert str(err.value) == message
+
+    def test_the_ends_of_a_box_lie_inside_it(self):
+        # a search proposes the ends themselves (from_unit clips to them)
+        spec = _default_one_component_spec()
+        for values in ({"f": 0.5, "mu": 0.9, "tau": 0.05, "lam": 0.5}, {"f": 0.5, "mu": 0.99, "tau": 0.5, "lam": 0.9}):
+            loss, _ = forward_objective(spec, values, 0, shared_baseline(spec))
+            assert np.isfinite(loss)
+
+    def test_a_failed_solve_raises_its_arithmetic_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        spec = _one_component_spec(0.01)
+        shared = shared_baseline(spec)
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        with pytest.raises(ArithmeticError, match="^least-squares solve failed: SVD did not converge$"):
+            forward_objective(spec, {"f": 0.5, "mu": 0.95, "tau": 0.3, "lam": 0.7}, 0, shared)
 
     def test_component_tags_attached_to_model(self):
         spec = _one_component_spec(0.01)
-        _, model = forward_objective(spec, {"f": 0.5, "mu": 0.95, "tau": 0.3, "lam": 0.7}, 0)
+        _, model = forward_objective(spec, {"f": 0.5, "mu": 0.95, "tau": 0.3, "lam": 0.7}, 0, shared_baseline(spec))
         assert model.tags is not None
         assert model.tags.shape[0] == model.basis.n_kernels
         assert set(np.unique(model.tags)) == {0, 1}
@@ -327,12 +375,13 @@ class TestDiffusivityDraw:
     def test_spread_above_a_tenth_of_the_mean_is_capped(self):
         spec = _diffusivity_spec()
         mu_nu = 0.01
-        at_cap, _ = forward_objective(spec, {"mu_nu": mu_nu, "sigma_nu": 0.1 * mu_nu}, 4)
+        shared = shared_baseline(spec)
+        at_cap, _ = forward_objective(spec, {"mu_nu": mu_nu, "sigma_nu": 0.1 * mu_nu}, 4, shared)
         for above in (0.0015, 0.01):
-            loss, _ = forward_objective(spec, {"mu_nu": mu_nu, "sigma_nu": above}, 4)
+            loss, _ = forward_objective(spec, {"mu_nu": mu_nu, "sigma_nu": above}, 4, shared)
             assert np.float64(loss).tobytes() == np.float64(at_cap).tobytes()
         # the spread does move the loss below the cap, so the pin is not vacuous
-        below, _ = forward_objective(spec, {"mu_nu": mu_nu, "sigma_nu": 0.05 * mu_nu}, 4)
+        below, _ = forward_objective(spec, {"mu_nu": mu_nu, "sigma_nu": 0.05 * mu_nu}, 4, shared)
         assert below != at_cap
 
 
@@ -409,7 +458,7 @@ class TestForwardRun:
 
     def test_every_failed_evaluation_raises(self, monkeypatch):
         def fail(system, basis):
-            raise np.linalg.LinAlgError("manufactured failure")
+            raise ArithmeticError("manufactured failure")
 
         monkeypatch.setattr("rbfadapt.drivers.solve_system", fail)
         spec = replace(_one_component_spec(0.01), bo=BoConfig(max_evals=2))
@@ -681,6 +730,14 @@ class TestTimeBlocks:
         with pytest.raises(ValueError, match="^seed: must be nonnegative, got -1$"):
             _small_block_spec(seed=-1)
 
+    @pytest.mark.parametrize("n_blocks", [0, 3])
+    def test_march_refuses_a_stretch_outside_its_blocks(self, n_blocks):
+        # 0 once failed inside numpy, and 3 marched past t_final
+        spec = _small_block_spec(n_blocks=2)
+        with pytest.raises(ValueError) as err:
+            solve_advection_timeblocks(spec, 0, n_blocks)
+        assert str(err.value) == f"n_blocks: must lie in [1, 2], got {n_blocks}"
+
     def test_fixed_tunables_need_no_tuning_stretch(self):
         spec = _small_block_spec(tunables=[1, 1, 3], tuning_blocks=50)
         assert spec.tunables == (1.0, 1.0, 3.0)
@@ -841,7 +898,7 @@ class TestReEvaluation:
 
     @staticmethod
     def _reevaluated(spec, result):
-        loss, _ = forward_objective(spec, result.report["w_opt"], result.history.incumbent_index)
+        loss, _ = forward_objective(spec, result.report["w_opt"], result.history.incumbent_index, shared_baseline(spec))
         assert np.isfinite(loss)
         assert np.float64(loss).tobytes() == np.float64(result.history.best_loss).tobytes()
 
@@ -953,7 +1010,7 @@ class TestInverse:
                 pde_params=("a",),
                 sensors=sensors,
             )
-            losses[a_try] = forward_objective(spec, {"a": a_try}, 0)[0]
+            losses[a_try] = forward_objective(spec, {"a": a_try}, 0, shared_baseline(spec))[0]
         assert losses[0.5] < 1e-4
         assert losses[0.5] * 1000 < losses[0.25]
         assert losses[0.5] * 1000 < losses[0.75]

@@ -3,7 +3,10 @@ module-level private name is referenced somewhere in src/rbfadapt, and so
 is every public module-level function, class and constant, unless the
 benchmark's tracer names it (bench/spans.py's SPANS and PINNED).  No
 module imports another module's private name, and no two functions draw
-from the same random stream of the run's seed.
+from the same random stream of the run's seed.  A numerical failure has
+one type, ArithmeticError: only assembly.solve_least_squares meets
+numpy's LinAlgError (or calls into numpy.linalg, but for norm), and only
+the functions that handle a failure catch ArithmeticError.
 
 Tests may reach any name, but they do not keep one alive: a helper or a
 public function that only tests call is dead code.
@@ -215,3 +218,85 @@ def test_the_stream_check_sees_a_shared_key():
     assert owners[2] == {"a.draw", "b.sensors"}
     assert owners[None] == {"a.root:5", "b.other:7"}
     assert owners["?"] == {"b.other"}
+
+
+def _scoped(tree, module: str) -> list:
+    """(node, scope) of every node in tree: the scope is "module", or
+    "module.Class.function" for the innermost def or class around it."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            out.append((child, inner))
+            visit(child, inner)
+
+    visit(tree, module)
+    return out
+
+
+def _linalg_sites(tree, module: str) -> set:
+    """The scopes that name LinAlgError or reach a numpy.linalg function
+    other than norm (np.linalg.f, or imported from numpy.linalg)."""
+    sites = set()
+    for node, scope in _scoped(tree, module):
+        if isinstance(node, ast.Name):
+            names = [node.id] if node.id == "LinAlgError" else []
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            in_linalg = isinstance(base, ast.Attribute) and base.attr == "linalg"
+            in_numpy = in_linalg and getattr(base.value, "id", None) in ("np", "numpy")
+            names = [node.attr] if in_numpy or node.attr == "LinAlgError" else []
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        if any(name != "norm" for name in names):
+            sites.add(scope)
+    return sites
+
+
+def _arithmetic_handlers(tree, module: str) -> set:
+    """The scopes of the except clauses that catch ArithmeticError."""
+    sites = set()
+    for node, scope in _scoped(tree, module):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(t, "id", None) == "ArithmeticError" for t in caught):
+                sites.add(scope)
+    return sites
+
+
+def _package_sites(find) -> set:
+    return set().union(*(find(tree, name.removesuffix(".py")) for name, tree in TREES.items()))
+
+
+def test_only_the_least_squares_solve_meets_linalg_errors():
+    # it turns a LinAlgError into the package's one failure type
+    assert _package_sites(_linalg_sites) - {"assembly.solve_least_squares"} == set()
+
+
+def test_arithmetic_errors_are_caught_only_where_a_failure_is_handled():
+    # the search records a failed evaluation, the likelihood scores a
+    # covariance that does not factor, the march names the failed block,
+    # and the command line exits 3
+    handlers = {"bayesopt.optimize", "bayesopt._NegativeLogMarginal._value", "drivers._solve_block", "cli_io.main"}
+    assert _package_sites(_arithmetic_handlers) - handlers == set()
+
+
+def test_the_failure_checks_see_stray_sites():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "def solve(a, b):\n    try:\n        return np.linalg.lstsq(a, b)\n"
+        "    except np.linalg.LinAlgError:\n        raise ArithmeticError\n"
+        "def size(v):\n    return np.linalg.norm(v)\n"
+        "def fail():\n    raise LinAlgError\n"
+        "class Search:\n    def step(self):\n        try:\n            pass\n"
+        "        except (ValueError, ArithmeticError):\n            pass\n"
+        "def other():\n    try:\n        pass\n    except ValueError:\n        pass\n"
+    )
+    assert _linalg_sites(tree, "m") == {"m", "m.solve", "m.fail"}
+    assert _arithmetic_handlers(tree, "m") == {"m.Search.step"}

@@ -46,7 +46,7 @@ spec = ForwardRunSpec(
     seed=0,
     fixed={"f": 0.5},
 )
-loss, model = forward_objective(spec, {"mu": 0.95, "tau": 0.2, "lam": 0.7, "f": 0.5}, 0)
+loss, model = forward_objective(spec, {"mu": 0.95, "tau": 0.2, "lam": 0.7, "f": 0.5}, 0, shared_baseline(spec))
 
 # a surrogate as large as a 100-evaluation search ever fits
 rng = np.random.default_rng(0)
