@@ -84,8 +84,8 @@ class SearchBounds:
     """Named box bounds; log-scale parameters are normalized in log10."""
 
     names: tuple
-    lowers: np.ndarray
-    uppers: np.ndarray
+    lowers: tuple
+    uppers: tuple
     log_scale: tuple
 
     def __init__(self, params, log_scale=None):
@@ -94,12 +94,12 @@ class SearchBounds:
         names = tuple(p[0] for p in params)
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")
-        lowers = np.array([float(p[1]) for p in params])
-        uppers = np.array([float(p[2]) for p in params])
+        lowers = tuple(float(p[1]) for p in params)
+        uppers = tuple(float(p[2]) for p in params)
         for name, lo, hi in zip(names, lowers, uppers):
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValueError(f"{name}: bounds must be finite, got [{lo:g}, {hi:g}]")
-        if np.any(lowers >= uppers):
+        if any(lo >= hi for lo, hi in zip(lowers, uppers)):
             raise ValueError("each lower bound must be below its upper bound")
         log_scale = log_scale or {}
         for name, flag in log_scale.items():
@@ -112,16 +112,6 @@ class SearchBounds:
         object.__setattr__(self, "lowers", lowers)
         object.__setattr__(self, "uppers", uppers)
         object.__setattr__(self, "log_scale", flags)
-
-    def _key(self) -> tuple:
-        return self.names, tuple(self.lowers.tolist()), tuple(self.uppers.tolist()), self.log_scale
-
-    # the generated field-wise forms would compare and hash the bound arrays
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, SearchBounds) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def n_params(self) -> int:

@@ -614,13 +614,13 @@ def _forward_spec(config: RunConfig) -> ForwardRunSpec:
     parameter their truth names."""
     search = config.search
     problem = _build_problem(config.problem)
-    sensors, pde_params = None, ()
+    sensors, estimate = None, None
     if config.sensors is not None:
         s = config.sensors
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(9,)))
         placement = SensorPlacement(s["placement"])
         sensors = _built("sensors.", generate_sensor_data, problem, s["truth"], s["count"], s["noise"], placement, rng)
-        pde_params = ("a",) if "a" in s["truth"] else ("mu_nu", "sigma_nu")
+        (estimate,) = s["truth"]
     return _built(
         "search.",
         ForwardRunSpec,
@@ -633,7 +633,7 @@ def _forward_spec(config: RunConfig) -> ForwardRunSpec:
         fixed=search["fixed"],
         eta=search["eta"],
         width_sharing=search["width_sharing"],
-        pde_params=pde_params,
+        estimate=estimate,
         sensors=sensors,
     )
 
@@ -784,13 +784,16 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
 
     Output directory precedence: explicit ``out_override`` (the CLI's
     ``--out``), then the ``RBFADAPT_OUT`` environment variable, then the
-    configuration's ``out`` field.  The directory is made before the run;
-    one that cannot be made raises :class:`ConfigValueError` naming
-    ``out``.  A numerical failure of the run, or a non-finite metric,
+    configuration's ``out`` field; an empty ``out_override`` is refused, an
+    empty ``RBFADAPT_OUT`` counts as unset.  The directory is made before
+    the run; one that cannot be made raises :class:`ConfigValueError`
+    naming ``out``.  A numerical failure of the run, or a non-finite metric,
     raises ``ArithmeticError`` (exit code 3 from ``main``); an exhausted
     evaluation budget that never reached ``loss_tol`` is reported through
     ``exit_code`` 4 with all results written.
     """
+    if out_override == "":
+        _fail("out", "expected a non-empty path string")
     out_dir = Path(out_override or os.environ.get(OUT_ENV_VAR) or config.out)
     t0 = time.perf_counter()
     run = _BUILDERS[config.kind](config)

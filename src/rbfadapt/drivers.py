@@ -4,8 +4,8 @@ Three entry points, each taking its whole run from one spec:
 run_baseline_curriculum stiffens a plain collocation solve until it
 breaks and reports where the sharp features sit; run_kapi tunes the
 kernel mixture for one problem by Bayesian search, and an inverse run
-searches a PDE parameter with it, from the noisy sensors its
-ForwardRunSpec carries, which also record the truth they measured;
+searches with it the PDE parameter its ForwardRunSpec estimates, from
+the noisy sensors it carries, which also record the truth they measured;
 run_advection_forward marches a transport problem through sequential
 space-time slabs, at the tunables its TimeBlockSpec carries or tuned on
 the spec's leading stretch of blocks.
@@ -74,8 +74,8 @@ from .sampling import (
 TUNABLE_NAMES = ("f", "lam", "sigma_f")
 # x samples of the t_final profile a transport march is graded on
 FINAL_PROFILE_POINTS = 2001
-# each PDE parameter a run can estimate, with the search-vector entry that estimates it
-_ESTIMATED = {"nu": "mu_nu", "a": "a"}
+# each PDE parameter a run can estimate: its search-vector entries, the reported estimate first
+_ESTIMATED = {"nu": ("mu_nu", "sigma_nu"), "a": ("a",)}
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +89,21 @@ def _component_names(n_adap: int, dim: int) -> list:
     return [("f" + t, [a + t for a in axes], "tau" + t, "lam" + t) for t in tags]
 
 
-def hyperparam_names(n_adap: int, dim: int, pde_params=()) -> list:
+def hyperparam_names(n_adap: int, dim: int, estimate: Optional[str] = None) -> list:
     """Canonical parameter order for a flat search vector.
 
     Per adaptive component: fraction f, center coordinates (mu in 1D,
     mu_x/mu_y in 2D), spread tau, width decay lam; suffixed _k when there
-    is more than one component. PDE parameter names are appended last.
+    is more than one component.  The estimate's entries (_ESTIMATED) come last.
     """
     if n_adap < 0:
         raise ValueError("n_adap must be nonnegative")
     if dim not in (1, 2):
         raise ValueError("only 1D and 2D layouts exist")
+    if estimate is not None and estimate not in _ESTIMATED:
+        raise ValueError(f"estimate: expected one of {sorted(_ESTIMATED)} or None, got {estimate!r}")
     names = [name for f, mu, tau, lam in _component_names(n_adap, dim) for name in (f, *mu, tau, lam)]
-    return names + list(pde_params)
+    return names + list(_ESTIMATED.get(estimate, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +181,14 @@ class SensorData:
 class ForwardRunSpec:
     """A searched forward or inverse run.
 
-    An inverse run carries sensors, the last len(sensors) rows of every
-    system it solves.  Construction refuses the settings the sampler or
-    the grids would reject mid-run.  Each message names the field at fault
-    first, "field: reason" (for example "bounds.tau: tau must stay
-    positive, but reaches -0.5"), so a caller can put its section in front.
+    estimate names the one PDE parameter the run searches (None in a
+    forward run); the first of its entries, the reported estimate, must be
+    searched.  An inverse run carries sensors, the last len(sensors) rows
+    of every system it solves.  Construction refuses the settings the
+    sampler or the grids would reject mid-run.  Each message names the
+    field at fault first, "field: reason" (for example "bounds.tau: tau
+    must stay positive, but reaches -0.5"), so a caller can put its
+    section in front.
     """
 
     problem: PdeProblem
@@ -195,23 +200,27 @@ class ForwardRunSpec:
     fixed: dict = field(default_factory=dict)
     eta: Optional[float] = None
     width_sharing: str = "component"  # one of sampling.WIDTH_SHARING
-    pde_params: tuple = ()
+    estimate: Optional[str] = None  # a key of _ESTIMATED, or None
     sensors: Optional[SensorData] = None
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed: must be nonnegative, got {self.seed}")
+        expected = set(hyperparam_names(self.n_adap, self.problem.dim, self.estimate))
         searched, fixed = set(self.bounds.names), set(self.fixed)
         overlap = searched & fixed
         if overlap:
             raise ValueError(f"fixed: parameters both searched and fixed: {sorted(overlap)}")
-        expected = set(hyperparam_names(self.n_adap, self.problem.dim, self.pde_params))
         got = searched | fixed
         if got != expected:
             missing = sorted(expected - got)
             extra = sorted(got - expected)
             parts = [f"{label} {names}" for label, names in (("missing", missing), ("unexpected", extra)) if names]
-            raise ValueError("bounds: " + "; ".join(parts) + f" (need exactly {sorted(expected)})")
+            key = "fixed" if extra and fixed.issuperset(extra) else "bounds"
+            raise ValueError(f"{key}: " + "; ".join(parts) + f" (need exactly {sorted(expected)})")
+        entry = _ESTIMATED[self.estimate][0] if self.estimate is not None else None
+        if entry in fixed:
+            raise ValueError(f"fixed.{entry}: an inverse run searches its estimate, so {entry} cannot be fixed")
         domain = self.problem.domain
         if self.eta is not None and self.eta <= 0:
             raise ValueError(f"eta: must be positive, got {self.eta:g}")
@@ -223,15 +232,15 @@ class ForwardRunSpec:
         if self.width_sharing not in WIDTH_SHARING:
             raise ValueError(f"width_sharing: expected one of {list(WIDTH_SHARING)}, got {self.width_sharing!r}")
         check_baseline(self.problem, self.baseline)
-        if "a" in self.pde_params and self.problem.advection_speed is None:
-            raise ValueError(f"pde_params: the {self.problem.kind.value} problem has no advection speed to search")
+        if self.estimate == "a" and self.problem.advection_speed is None:
+            raise ValueError(f"estimate: the {self.problem.kind.value} problem has no advection speed to search")
         if self.sensors is not None:
-            if not self.pde_params:
-                raise ValueError("sensors: an inverse run needs PDE parameters in the search vector")
+            if self.estimate is None:
+                raise ValueError("sensors: an inverse run needs a PDE parameter to estimate")
             if not bool(np.all(domain.contains(self.sensors.points))):
                 raise ValueError("sensors: points must lie inside the problem domain")
             # the run grades and reports at the truth, so it must estimate every parameter named there
-            unsearched = sorted(name for name in self.sensors.truth if _ESTIMATED.get(name) not in self.pde_params)
+            unsearched = sorted(name for name in self.sensors.truth if name != self.estimate)
             if unsearched:
                 raise ValueError(f"sensors: the truth names {unsearched}, which the run does not search")
 
@@ -401,13 +410,14 @@ def _at_params(problem: PdeProblem, params: dict) -> PdeProblem:
     return replace(problem, **overrides)
 
 
-def _effective_problem(problem: PdeProblem, values: dict, rng) -> PdeProblem:
-    """The problem one evaluation solves: at the searched speed a, or at a
-    diffusivity drawn from N(mu_nu, sigma_nu^2)."""
-    if "a" in values:
-        return _at_params(problem, {"a": values["a"]})
-    if "mu_nu" not in values:
-        return problem
+def _effective_problem(spec: ForwardRunSpec, values: dict, rng) -> PdeProblem:
+    """The problem one evaluation of spec's run solves: the spec's own in a
+    forward run, else at the searched speed a, or at a diffusivity drawn
+    from N(mu_nu, sigma_nu^2)."""
+    if spec.estimate is None:
+        return spec.problem
+    if spec.estimate == "a":
+        return _at_params(spec.problem, {"a": values["a"]})
     mu_nu = float(values["mu_nu"])
     # cap the spread at a tenth of the mean: the drawn candidate must
     # stay representative of the reported parameter, otherwise the
@@ -417,7 +427,7 @@ def _effective_problem(problem: PdeProblem, values: dict, rng) -> PdeProblem:
     # draws nothing
     sigma_nu = min(float(values["sigma_nu"]), 0.1 * mu_nu)
     nu = mu_nu if sigma_nu == 0 else mu_nu + sigma_nu * rng.standard_normal()
-    return _at_params(problem, {"nu": nu})
+    return _at_params(spec.problem, {"nu": nu})
 
 
 def _extra_rows(spec: ForwardRunSpec, problem: PdeProblem) -> list:
@@ -429,19 +439,12 @@ def _extra_rows(spec: ForwardRunSpec, problem: PdeProblem) -> list:
 
 
 def _operator_ends(spec: ForwardRunSpec) -> tuple:
-    """spec's problem at two values of the PDE parameter its operator moves
-    with: the speed a, or the diffusivity that mu_nu centres.  The operator
-    is affine in either, so its rows at two distinct values span its rows
-    at every value an evaluation can reach.  A searched parameter takes
-    the ends of its box, a fixed value v takes v and 2v."""
-    name = "a" if "a" in spec.pde_params else "mu_nu"
-    if name in spec.bounds.names:
-        i = spec.bounds.index_of(name)
-        values = (spec.bounds.lowers[i], spec.bounds.uppers[i])
-    else:
-        values = (spec.fixed[name], 2.0 * spec.fixed[name])
-    key = "a" if name == "a" else "nu"
-    return tuple(_at_params(spec.problem, {key: v}) for v in values)
+    """spec's problem at the two ends of its estimate entry's box: the
+    speed a, or the diffusivity that mu_nu centres.  The operator is
+    affine in either, so its rows at two distinct values span its rows at
+    every value an evaluation can reach."""
+    i = spec.bounds.index_of(_ESTIMATED[spec.estimate][0])
+    return tuple(_at_params(spec.problem, {spec.estimate: v}) for v in (spec.bounds.lowers[i], spec.bounds.uppers[i]))
 
 
 def _kept_baseline(spec: ForwardRunSpec) -> RbfBasis:
@@ -478,7 +481,7 @@ def shared_baseline(spec: ForwardRunSpec):
     kernels, only the kernels _kept_baseline keeps.
     """
     problem, baseline = spec.problem, spec.baseline
-    if not spec.pde_params:
+    if spec.estimate is None:
         return baseline_block(problem, baseline, _extra_rows(spec, problem))
     if spec.n_adap == 0:
         return _kept_baseline(spec)
@@ -499,7 +502,7 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared
     evaluations share (shared_baseline): a FixedBlock the evaluation
     extends, or the baseline kernels it builds its own problem's block on.
     """
-    if set(values) != set(hyperparam_names(spec.n_adap, spec.problem.dim, spec.pde_params)):
+    if set(values) != set(hyperparam_names(spec.n_adap, spec.problem.dim, spec.estimate)):
         raise ValueError(f"values must name exactly the spec's search vector, got {sorted(values)}")
     _check_inside("values", spec.bounds, ((name, values[name]) for name in spec.bounds.names))
     for name, value in spec.fixed.items():
@@ -511,7 +514,7 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared
     ]
     ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(2, int(eval_seed)))
     rng = np.random.default_rng(ss)
-    problem = _effective_problem(spec.problem, values, rng)
+    problem = _effective_problem(spec, values, rng)
     extra = _extra_rows(spec, problem)
     block = shared if isinstance(shared, FixedBlock) else baseline_block(problem, spec.baseline, extra, shared)
     adaptive, component_of = sample_configuration(
@@ -562,15 +565,15 @@ def error_metrics(predicted: np.ndarray, reference: np.ndarray) -> dict:
 
 
 def run_kapi(spec: ForwardRunSpec) -> RunResult:
-    """Tune the kernel mixture, and the PDE parameters an inverse run
-    estimates, by Bayesian search, and grade the winner.
+    """Tune the kernel mixture, and the PDE parameter the spec estimates,
+    by Bayesian search, and grade the winner.
 
     The best model (by residual loss) is graded on the test mesh
     (_graded) against the problem at the sensors' truth, which only
     reporting and grading see.  An inverse run whose sensors record no
     truth has no reference.  The report holds the incumbent's search vector by name
-    (w_opt) and an estimate <name>_est of each PDE parameter searched; the
-    estimate of a diffusivity is the incumbent's distribution mean mu_nu,
+    (w_opt) and any estimate as <estimate>_est, the incumbent's first entry
+    of it (_ESTIMATED): a diffusivity's is the distribution mean mu_nu,
     not any single draw.
     """
     shared = shared_baseline(spec)
@@ -588,12 +591,12 @@ def run_kapi(spec: ForwardRunSpec) -> RunResult:
     if reference is not None:
         metrics.update(error_metrics(predicted, reference))
     report = {"w_opt": w_opt}
-    for name, key in _ESTIMATED.items():
-        if key in spec.pde_params:
-            report[f"{name}_est"] = est = w_opt[key]
-            if name in truth:
-                true = float(truth[name])
-                metrics[f"{name}_rel_error"] = abs(est - true) / abs(true)
+    if spec.estimate is not None:
+        name = spec.estimate
+        report[f"{name}_est"] = est = w_opt[_ESTIMATED[name][0]]
+        if name in truth:
+            true = float(truth[name])
+            metrics[f"{name}_rel_error"] = abs(est - true) / abs(true)
     return RunResult(history, (model,), metrics, report, mesh, predicted, reference)
 
 

@@ -195,7 +195,7 @@ def test_criterion_7_transport_speed_estimation():
         bounds=SearchBounds([("a", 0.1, 1.0)]),
         bo=BoConfig(max_evals=20),
         seed=seed,
-        pde_params=("a",),
+        estimate="a",
         sensors=sensors,
     )
     result = run_kapi(forward)
@@ -225,7 +225,7 @@ def _estimate_diffusivity(nu_true: float, mixture_bounds) -> tuple:
         bo=BoConfig(max_evals=100),
         seed=seed,
         fixed={"f": 0.5},
-        pde_params=("mu_nu", "sigma_nu"),
+        estimate="nu",
         width_sharing="component",
         sensors=sensors,
     )

@@ -685,6 +685,15 @@ class TestMain:
         with (out / "loss_history.csv").open() as fh:
             assert 0.9 in [float(row["f"]) for row in csv.DictReader(fh)]
 
+    def test_an_empty_out_flag_is_refused(self, tmp_path, capsys, monkeypatch):
+        # an empty --out once fell through to the config's out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli_io.OUT_ENV_VAR, raising=False)
+        rc = main(["baseline-study", "--out", "", "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: out: expected a non-empty path string\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_an_unusable_output_directory_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli_io, "run_kapi", lambda spec: calls.append(spec))
@@ -865,6 +874,9 @@ BAD_INPUTS = [
     pytest.param(_forward(search={"bounds": {"mu": [0.9, 0.99], "nu": [0.1, 0.2]}}), None,
                  "search.bounds: missing ['f', 'lam', 'tau']; unexpected ['nu'] "
                  "(need exactly ['f', 'lam', 'mu', 'tau'])", id="search-vector"),
+    pytest.param(_forward(search={"fixed": {"f": 0.5, "zz": 1}}), None,
+                 "search.fixed: unexpected ['zz'] (need exactly ['f', 'lam', 'mu', 'tau'])",
+                 id="stray-fixed-name"),
     pytest.param(_forward(search={"eta": 0.5}), None,
                  "search.eta: must not exceed a tenth of the domain's longest side (0.1), got 0.5",
                  id="eta-above-a-tenth"),
@@ -980,6 +992,14 @@ LATE_MISTAKES = [
     pytest.param(_inverse(problem={"nu": 0.05}), "inverse", "sensors.truth", id="truth-nu-differs"),
     pytest.param(_inverse("advection", problem={"type": "advection", "speed": 0.9}), "inverse",
                  "sensors.truth", id="truth-speed-differs"),
+    # a fixed estimate entry once reported a perfect estimate the run never made
+    pytest.param(_inverse(search={"bounds": {**FORWARD_BOUNDS, "sigma_nu": [1e-6, 1e-2]},
+                                  "fixed": {"f": 0.5, "mu_nu": 0.01}}), "inverse",
+                 "search.fixed.mu_nu", id="fixed-diffusivity-estimate"),
+    pytest.param(_inverse("advection", search={"n_adaptive": 1, "fixed": {"a": 0.5, "f": 0.5},
+                                               "bounds": {"mu_x": [-0.5, 0.5], "mu_y": [0.2, 0.8],
+                                                          "tau": [0.2, 1.0], "lam": [0.5, 1.0]}}), "inverse",
+                 "search.fixed.a", id="fixed-speed-estimate"),
 ]
 
 

@@ -77,8 +77,8 @@ class TestHyperparamNames:
         ]
 
     def test_pde_parameters_append_last(self):
-        assert hyperparam_names(0, 2, ("a",)) == ["a"]
-        assert hyperparam_names(1, 1, ("mu_nu", "sigma_nu"))[-2:] == ["mu_nu", "sigma_nu"]
+        assert hyperparam_names(0, 2, "a") == ["a"]
+        assert hyperparam_names(1, 1, "nu")[-2:] == ["mu_nu", "sigma_nu"]
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -255,7 +255,7 @@ class TestForwardObjective:
             # and sigma_nu = 0 every evaluation solves the spec's problem
             searched = [*zip(spec.bounds.names, spec.bounds.lowers, spec.bounds.uppers)]
             bounds = SearchBounds(searched + [("mu_nu", 1e-4, 1e-1), ("sigma_nu", 0.0, 1e-2)])
-            spec = replace(spec, bounds=bounds, pde_params=("mu_nu", "sigma_nu"), sensors=sensors)
+            spec = replace(spec, bounds=bounds, estimate="nu", sensors=sensors)
             pde = {"mu_nu": 1e-3, "sigma_nu": 0.0}
         fixed = baseline_block(spec.problem, spec.baseline, _extra_rows(spec, spec.problem))
         for i, (mu, tau) in enumerate([(0.995, 0.3), (0.95, 0.05), (0.9999, 0.5)]):
@@ -273,7 +273,7 @@ class TestForwardObjective:
             problem=advection1d(0.1, 0.5),
             baseline=BaselineConfig(500, 250, 0.04, n_initial=4),
             bounds=SearchBounds([("a", 0.1, 1.0)]),
-            pde_params=("a",),
+            estimate="a",
         )
         kept = shared_baseline(spec)
         assert isinstance(kept, RbfBasis)
@@ -351,7 +351,7 @@ def _diffusivity_spec(n_adap=0, max_evals=1):
         bo=BoConfig(max_evals=max_evals),
         seed=0,
         fixed={"f": 0.5} if n_adap else {},
-        pde_params=("mu_nu", "sigma_nu"),
+        estimate="nu",
     )
 
 
@@ -360,15 +360,17 @@ class TestDiffusivityDraw:
 
     def test_degenerate_sigma(self):
         # a zero spread solves at mu_nu and draws nothing
+        spec = replace(_diffusivity_spec(), problem=self.PROBLEM)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        assert _effective_problem(self.PROBLEM, {"mu_nu": 0.01, "sigma_nu": 0.0}, rng).nu == 0.01
+        assert _effective_problem(spec, {"mu_nu": 0.01, "sigma_nu": 0.0}, rng).nu == 0.01
         assert rng.bit_generator.state == state
 
     def test_mean_recovery(self):
+        spec = replace(_diffusivity_spec(), problem=self.PROBLEM)
         rng = np.random.default_rng(12)
         values = {"mu_nu": 0.05, "sigma_nu": 0.001}
-        draws = np.array([_effective_problem(self.PROBLEM, values, rng).nu for _ in range(100000)])
+        draws = np.array([_effective_problem(spec, values, rng).nu for _ in range(100000)])
         assert np.all(draws > 0)
         assert abs(draws.mean() - 0.05) < 3 * 0.001 / np.sqrt(draws.size)
 
@@ -425,7 +427,7 @@ class TestForwardRun:
                 _baseline_only_spec(0.01),
                 problem=advection1d(0.1, 0.5),
                 bounds=SearchBounds([("a", 0.1, 1.0)]),
-                pde_params=("a",),
+                estimate="a",
             )
         with pytest.raises(ValueError, match="baseline.n_initial: the transport problem needs"):
             solve_baseline(advection1d(0.1, 0.5), BaselineConfig(100, 100, 0.1, n_boundary=20))
@@ -437,8 +439,29 @@ class TestForwardRun:
 
     def test_speed_search_needs_an_advection_speed(self):
         # convdiff1 has no speed to move, so every proposed a would score alike
-        with pytest.raises(ValueError, match="^pde_params: the convdiff1 problem has no advection speed to search$"):
-            replace(_baseline_only_spec(0.01), bounds=SearchBounds([("a", 0.1, 1.0)]), pde_params=("a",))
+        with pytest.raises(ValueError, match="^estimate: the convdiff1 problem has no advection speed to search$"):
+            replace(_baseline_only_spec(0.01), bounds=SearchBounds([("a", 0.1, 1.0)]), estimate="a")
+
+    @pytest.mark.parametrize("estimate", ["mu", "mu_nu", ("a",)])
+    def test_an_unknown_estimate_is_refused(self, estimate):
+        # the old free tuple of names, and an entry's name, are refused too
+        message = rf"^estimate: expected one of \['a', 'nu'\] or None, got {re.escape(repr(estimate))}$"
+        with pytest.raises(ValueError, match=message):
+            replace(_baseline_only_spec(0.01), estimate=estimate)
+
+    def test_a_fixed_diffusivity_estimate_is_refused(self):
+        # a fixed mu_nu would be reported as an estimate no evaluation made
+        spec = _diffusivity_spec()
+        message = "^fixed.mu_nu: an inverse run searches its estimate, so mu_nu cannot be fixed$"
+        with pytest.raises(ValueError, match=message):
+            replace(spec, bounds=SearchBounds([("sigma_nu", 1e-6, 1e-2)]), fixed={"mu_nu": 0.05})
+        # its spread may be held fixed
+        replace(spec, bounds=SearchBounds([("mu_nu", 1e-4, 1e-1)]), fixed={"sigma_nu": 0.0})
+
+    def test_a_fixed_speed_estimate_is_refused(self):
+        message = "^fixed.a: an inverse run searches its estimate, so a cannot be fixed$"
+        with pytest.raises(ValueError, match=message):
+            replace(_small_speed_spec(), bounds=SearchBounds([]), fixed={"a": 0.5})
 
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match="^seed: must be nonnegative, got -1$"):
@@ -927,7 +950,7 @@ class TestReEvaluation:
             bounds=SearchBounds([("a", 0.1, 1.0)]),
             bo=BoConfig(max_evals=3),
             seed=1,
-            pde_params=("a",),
+            estimate="a",
         )
         sensors = generate_sensor_data(
             problem, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
@@ -950,7 +973,7 @@ def _small_speed_spec(seed=1):
         bounds=SearchBounds([("a", 0.1, 1.0)]),
         bo=BoConfig(max_evals=1),
         seed=seed,
-        pde_params=("a",),
+        estimate="a",
         sensors=sensors,
     )
 
@@ -1007,7 +1030,7 @@ class TestInverse:
                 bounds=SearchBounds([("a", 0.1, 1.0)]),
                 bo=BoConfig(max_evals=1),
                 seed=0,
-                pde_params=("a",),
+                estimate="a",
                 sensors=sensors,
             )
             losses[a_try] = forward_objective(spec, {"a": a_try}, 0, shared_baseline(spec))[0]
@@ -1030,7 +1053,7 @@ class TestInverse:
             bo=BoConfig(max_evals=2),
             fixed={"f": 0.5},
         )
-        with pytest.raises(ValueError, match="sensors: .*PDE parameters"):
+        with pytest.raises(ValueError, match="^sensors: an inverse run needs a PDE parameter to estimate$"):
             replace(forward, sensors=sensors)
         outside = generate_sensor_data(
             problem, {"nu": 0.01}, 10, 0.0, SensorPlacement.UNIFORM_RANDOM, rng
@@ -1043,7 +1066,7 @@ class TestInverse:
             bounds=SearchBounds([("mu_nu", 1e-4, 1e-1), ("sigma_nu", 1e-6, 1e-2)],
                                 log_scale={"mu_nu": True, "sigma_nu": True}),
             bo=BoConfig(max_evals=2),
-            pde_params=("mu_nu", "sigma_nu"),
+            estimate="nu",
         )
         with pytest.raises(ValueError, match="sensors: .*inside"):
             replace(forward_inv, sensors=outside)
@@ -1074,7 +1097,7 @@ class TestInverse:
             bo=BoConfig(max_evals=6),
             seed=0,
             fixed={"f": 0.5},
-            pde_params=("mu_nu", "sigma_nu"),
+            estimate="nu",
             sensors=sensors,
         )
         result = run_kapi(forward)
@@ -1111,7 +1134,7 @@ class TestInverse:
                 log_scale={"mu_nu": True, "sigma_nu": True},
             ),
             bo=BoConfig(max_evals=2),
-            pde_params=("mu_nu", "sigma_nu"),
+            estimate="nu",
             sensors=sensors,
         )
         result = run_kapi(forward)

@@ -66,7 +66,7 @@ speed_spec = ForwardRunSpec(
     n_adap=0,
     bounds=SearchBounds([("a", 0.1, 1.0)]),
     bo=BoConfig(max_evals=1),
-    pde_params=("a",),
+    estimate="a",
     sensors=generate_sensor_data(transport, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, rng),
 )
 kept = shared_baseline(speed_spec)
