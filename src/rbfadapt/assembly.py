@@ -125,19 +125,6 @@ def operator_matrix(problem: PdeProblem, basis: RbfBasis, points: np.ndarray) ->
     raise ValueError(f"no operator for problem kind {kind}")
 
 
-def boundary_targets(problem: PdeProblem, points: np.ndarray) -> np.ndarray:
-    """Dirichlet values for boundary points, classified against the box edges."""
-    points = np.atleast_2d(points)
-    spec = problem.boundary_spec
-    if "all" in spec:
-        return np.full(points.shape[0], float(spec["all"]))
-    lo = problem.domain.lower[0]
-    hi = problem.domain.upper[0]
-    x = points[:, 0]
-    # a point midway between the edges takes the left value
-    return np.where(np.abs(x - lo) <= np.abs(x - hi), float(spec["left"]), float(spec["right"]))
-
-
 @dataclass(frozen=True)
 class FixedBlock:
     """Rows of a run's baseline kernels that every system of the run shares.
@@ -227,7 +214,7 @@ def build_system(
 
 
 def _targets(problem: PdeProblem, interior: np.ndarray, boundary: np.ndarray, extra_values) -> np.ndarray:
-    return np.concatenate([problem.source(interior), boundary_targets(problem, boundary), *extra_values])
+    return np.concatenate([problem.source(interior), problem.boundary_values(boundary), *extra_values])
 
 
 def fixed_block(

@@ -9,8 +9,10 @@ exact inputs that produced it.
 
 Each run kind has one builder (``_BUILDERS``): the kind's driver bound to
 the library's specs, a refusal naming its section first.  Parsing builds
-the run to check the file, running builds it the same way; ``_CHECKS``
-holds only the file's own rules.
+the run to check the file, running builds it the same way, so both refuse
+the same files.  The searched runs' few rules of the file's own, which no
+spec knows, run in their builder before it builds anything
+(``_forward_spec``).
 
 Every run kind's driver grades and reports its own run and returns one
 ``drivers.RunResult``; this module only writes it out.  Persisted
@@ -472,9 +474,6 @@ def _normalize(raw: dict, kind: Optional[str]) -> RunConfig:
         if kind in section.kinds
     }
     config = RunConfig(kind=kind, seed=seed, out=out, **sections)
-    for section, check in _CHECKS:
-        if getattr(config, section) is not None:
-            check(config)
     _BUILDERS[kind](config)
     return config
 
@@ -530,16 +529,6 @@ def _truth_gives_one_parameter(config: RunConfig):
         _fail("sensors.truth", f"{name} = {value:g} differs from problem.{key} ({config.problem[key]:g})")
 
 
-def _forward_search_adapts(config: RunConfig):
-    if config.kind == "forward" and config.search["n_adaptive"] < 1:
-        _fail("search.n_adaptive", "forward tuning needs at least one adaptive component")
-
-
-def _search_has_a_parameter(config: RunConfig):
-    if not config.search["bounds"]:
-        _fail("search.bounds", "at least one parameter must be searched")
-
-
 def _built(prefix: str, build, *args, **kwargs):
     """build(*args, **kwargs), its ValueError a ConfigValueError that puts
     prefix before the message: "search." before a spec's "bounds.tau: ...",
@@ -549,16 +538,6 @@ def _built(prefix: str, build, *args, **kwargs):
     except ValueError as err:
         named = str(err).split(":", 1)[0].split(".", 1)[0] in SCHEMA
         raise ConfigValueError(f"{'' if named else prefix}{err}") from err
-
-
-# (section, check), the file's own rules, run in order once the sections
-# parse; a check runs only when its section belongs to the run.  The
-# library's rules are checked by building the run (_BUILDERS).
-_CHECKS = (
-    ("sensors", _truth_gives_one_parameter),
-    ("search", _forward_search_adapts),
-    ("search", _search_has_a_parameter),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +590,16 @@ def _build_bo(section: dict) -> BoConfig:
 def _forward_spec(config: RunConfig) -> ForwardRunSpec:
     """A forward or inverse run's whole spec.  An inverse run's sensors are
     drawn from the seed's stream 9, and its search estimates the PDE
-    parameter their truth names."""
+    parameter their truth names.  The file's own rules come first: one
+    truth that matches the problem, an adaptive component in a forward
+    run and at least one searched parameter."""
     search = config.search
+    if config.sensors is not None:
+        _truth_gives_one_parameter(config)
+    if config.kind == "forward" and search["n_adaptive"] < 1:
+        _fail("search.n_adaptive", "forward tuning needs at least one adaptive component")
+    if not search["bounds"]:
+        _fail("search.bounds", "at least one parameter must be searched")
     problem = _build_problem(config.problem)
     sensors, estimate = None, None
     if config.sensors is not None:
@@ -748,13 +735,6 @@ def _write_csv(path: Path, header, columns):
             f.writelines(template % row for row in chunk)
 
 
-def _json_default(value):
-    """numpy arrays and scalars as Python lists and numbers, for json.dumps."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _provenance() -> dict:
     """Versions, numpy's BLAS and the loaded OpenBLAS thread counts.
 
@@ -835,7 +815,7 @@ def run_command(config: RunConfig, quiet: bool = False, out_override: Optional[s
         **result.report,
     }
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     files.append(summary_path)
 
     for name, (header, columns) in _tables(config, result).items():

@@ -56,9 +56,6 @@ from .rbf import RbfBasis, eval_matrix
 from .sampling import (
     BaselineConfig,
     WIDTH_SHARING,
-    boundary_points_1d,
-    boundary_points_rect,
-    boundary_points_xsides,
     check_grid_count,
     component_counts,
     default_eta,
@@ -97,9 +94,9 @@ def hyperparam_names(n_adap: int, dim: int, estimate: Optional[str] = None) -> l
     is more than one component.  The estimate's entries (_ESTIMATED) come last.
     """
     if n_adap < 0:
-        raise ValueError("n_adap must be nonnegative")
+        raise ValueError(f"n_adap: must be nonnegative, got {n_adap}")
     if dim not in (1, 2):
-        raise ValueError("only 1D and 2D layouts exist")
+        raise ValueError(f"dim: only 1D and 2D layouts exist, got {dim}")
     if estimate is not None and estimate not in _ESTIMATED:
         raise ValueError(f"estimate: expected one of {sorted(_ESTIMATED)} or None, got {estimate!r}")
     names = [name for f, mu, tau, lam in _component_names(n_adap, dim) for name in (f, *mu, tau, lam)]
@@ -144,20 +141,13 @@ def _check_stretch(key: str, n: int, n_blocks: int):
 
 def check_baseline(problem: PdeProblem, baseline: BaselineConfig):
     """Refuse a baseline that problem's grids cannot take, naming the
-    field first: a 2D grid count that lays out as no grid, a boundary count the
-    perimeter cannot take (a 1D problem has exactly its two end points,
-    the square at least one point a side and the space-time slab at least
-    one per x edge), and initial rows on any problem but the transport
-    one, which needs them."""
-    kind, n_boundary = problem.kind.value, baseline.n_boundary
+    field first: a 2D grid count that lays out as no grid, a boundary count
+    the problem cannot lay out (PdeProblem.boundary_points), and initial
+    rows on any problem but the transport one, which needs them."""
     if problem.dim == 2:
         for name in ("n_colloc", "n_rbf"):
             check_grid_count(getattr(baseline, name), f"baseline.{name}")
-    if problem.dim == 1 and n_boundary != 2:
-        raise ValueError(f"baseline.n_boundary: the {kind} problem has exactly 2 boundary points, got {n_boundary}")
-    least = 4 if problem.kind is ProblemKind.POISSON2D else 2
-    if n_boundary < least:
-        raise ValueError(f"baseline.n_boundary: must be at least {least} for the {kind} problem, got {n_boundary}")
+    problem.boundary_points(baseline.n_boundary)
     transport = problem.kind is ProblemKind.ADVECTION1D
     if transport and baseline.n_initial is None:
         raise ValueError("baseline.n_initial: the transport problem needs a count of initial rows")
@@ -183,12 +173,13 @@ class ForwardRunSpec:
 
     estimate names the one PDE parameter the run searches (None in a
     forward run); the first of its entries, the reported estimate, must be
-    searched.  An inverse run carries sensors, the last len(sensors) rows
-    of every system it solves.  Construction refuses the settings the
-    sampler or the grids would reject mid-run.  Each message names the
-    field at fault first, "field: reason" (for example "bounds.tau: tau
-    must stay positive, but reaches -0.5"), so a caller can put its
-    section in front.
+    searched.  An inverse run, and only an inverse run, carries sensors,
+    the last len(sensors) rows of every system it solves.  An eta of None
+    is set to default_eta of the problem's domain.  Construction refuses
+    the settings the sampler or the grids would reject mid-run.  Each
+    message names the field at fault first, "field: reason" (for example
+    "bounds.tau: tau must stay positive, but reaches -0.5"), so a caller
+    can put its section in front.
     """
 
     problem: PdeProblem
@@ -222,9 +213,11 @@ class ForwardRunSpec:
         if entry in fixed:
             raise ValueError(f"fixed.{entry}: an inverse run searches its estimate, so {entry} cannot be fixed")
         domain = self.problem.domain
-        if self.eta is not None and self.eta <= 0:
+        if self.eta is None:
+            object.__setattr__(self, "eta", default_eta(domain))
+        if self.eta <= 0:
             raise ValueError(f"eta: must be positive, got {self.eta:g}")
-        if self.eta is not None and not eta_fits(domain, self.eta):
+        if not eta_fits(domain, self.eta):
             limit = default_eta(domain)
             raise ValueError(f"eta: must not exceed a tenth of the domain's longest side ({limit:g}), got {self.eta:g}")
         _check_signs([(f"bounds.{name}", name, lo) for name, lo in zip(self.bounds.names, self.bounds.lowers)]
@@ -234,6 +227,8 @@ class ForwardRunSpec:
         check_baseline(self.problem, self.baseline)
         if self.estimate == "a" and self.problem.advection_speed is None:
             raise ValueError(f"estimate: the {self.problem.kind.value} problem has no advection speed to search")
+        if self.estimate is not None and self.sensors is None:
+            raise ValueError(f"estimate: {self.estimate} is estimated from sensors, but the spec has none")
         if self.sensors is not None:
             if self.estimate is None:
                 raise ValueError("sensors: an inverse run needs a PDE parameter to estimate")
@@ -248,10 +243,6 @@ class ForwardRunSpec:
         """The search vector by name: w, in the order of the bounds, then
         the fixed entries."""
         return {**dict(zip(self.bounds.names, w)), **self.fixed}
-
-    @property
-    def eta_value(self) -> float:
-        return self.eta if self.eta is not None else default_eta(self.problem.domain)
 
 
 @dataclass(frozen=True)
@@ -280,14 +271,6 @@ def baseline_basis(domain: Box, baseline: BaselineConfig) -> RbfBasis:
     return RbfBasis(centers, widths)
 
 
-def _boundary_points(problem: PdeProblem, baseline: BaselineConfig) -> np.ndarray:
-    if problem.kind in (ProblemKind.CONVDIFF1, ProblemKind.CONVDIFF2):
-        return boundary_points_1d(problem.domain)
-    if problem.kind is ProblemKind.POISSON2D:
-        return boundary_points_rect(problem.domain, baseline.n_boundary)
-    return boundary_points_xsides(problem.domain, baseline.n_boundary)
-
-
 def _initial_rows(problem: PdeProblem, baseline: BaselineConfig):
     """The transport problem's initial (points, values) rows, which a
     checked baseline counts (check_baseline); none elsewhere."""
@@ -307,7 +290,7 @@ def baseline_block(problem: PdeProblem, baseline: BaselineConfig, extra_rows=(),
         problem,
         basis if basis is not None else baseline_basis(problem.domain, baseline),
         uniform_grid(problem.domain, baseline.n_colloc),
-        _boundary_points(problem, baseline),
+        problem.boundary_points(baseline.n_boundary),
         extra_rows,
     )
 
@@ -321,7 +304,7 @@ def solve_baseline(problem: PdeProblem, baseline: BaselineConfig) -> tuple:
         problem,
         basis,
         interior,
-        _boundary_points(problem, baseline),
+        problem.boundary_points(baseline.n_boundary),
         extra_rows=_initial_rows(problem, baseline),
     )
     return solve_system(system, basis), interior
@@ -461,7 +444,8 @@ def _kept_baseline(spec: ForwardRunSpec) -> RbfBasis:
     problem, baseline = spec.problem, spec.baseline
     basis = baseline_basis(problem.domain, baseline)
     interior = uniform_grid(problem.domain, baseline.n_colloc)
-    evaluated = np.vstack([_boundary_points(problem, baseline), *(pts for pts, _ in _extra_rows(spec, problem))])
+    extra = _extra_rows(spec, problem)
+    evaluated = np.vstack([problem.boundary_points(baseline.n_boundary), *(pts for pts, _ in extra)])
     n = interior.shape[0]
     stack = np.empty((2 * n + evaluated.shape[0], basis.n_kernels), order="F")
     for k, end in enumerate(_operator_ends(spec)):
@@ -518,7 +502,7 @@ def forward_objective(spec: ForwardRunSpec, values: dict, eval_seed: int, shared
     extra = _extra_rows(spec, problem)
     block = shared if isinstance(shared, FixedBlock) else baseline_block(problem, spec.baseline, extra, shared)
     adaptive, component_of = sample_configuration(
-        components, spec.eta_value, spec.width_sharing, spec.baseline, problem.domain, problem.nu, rng
+        components, spec.eta, spec.width_sharing, spec.baseline, problem.domain, problem.nu, rng
     )
     system, basis = extend(block, adaptive, [vals for _, vals in extra])
     model = solve_system(system, basis)

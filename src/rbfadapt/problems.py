@@ -12,11 +12,14 @@ table of constructors a configuration's ``problem.type`` picks from:
   boundary, with a narrow Gaussian source at the center.
 * ``advection``: u_t + a*u_x = 0 on [-1,1] x [0,1], u(+-1,t)=0, with a
   Gaussian initial pulse centered at x=-0.3.
+
+A problem owns its boundary: it lays out its Dirichlet points, refuses a
+count they cannot take, and gives the values prescribed there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -69,19 +72,15 @@ class Box:
 
 @dataclass(frozen=True)
 class PdeProblem:
-    """A benchmark problem instance.
-
-    ``boundary_spec`` maps a location label to its Dirichlet value:
-    "left"/"right" for the low and high x edge (the 1D problems and the
-    advection slab), "all" for the 2D square.  Only the advection problem
-    has initial-condition rows.
+    """A benchmark problem instance.  Its Dirichlet rows sit at
+    boundary_points and take boundary_values there; only the advection
+    problem has initial-condition rows.
     """
 
     kind: ProblemKind
     domain: Box
     nu: float
     advection_speed: float | None = None
-    boundary_spec: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -114,13 +113,73 @@ class PdeProblem:
             return poisson_source(pts[:, 0], pts[:, 1], self.nu)
         return np.zeros(pts.shape[0])
 
+    def boundary_points(self, n: int) -> np.ndarray:
+        """The problem's n Dirichlet points: both ends in 1D, around the
+        square, or split over the slab's two x edges.  A count the boundary
+        cannot take is refused, naming baseline.n_boundary first: a 1D
+        problem has exactly its two ends, the square needs one point a side
+        and the slab one per x edge."""
+        kind = self.kind.value
+        if self.dim == 1:
+            if n != 2:
+                raise ValueError(f"baseline.n_boundary: the {kind} problem has exactly 2 boundary points, got {n}")
+            return np.array([[self.domain.lower[0]], [self.domain.upper[0]]])
+        least = 4 if self.kind is ProblemKind.POISSON2D else 2
+        if n < least:
+            raise ValueError(f"baseline.n_boundary: must be at least {least} for the {kind} problem, got {n}")
+        if self.kind is ProblemKind.POISSON2D:
+            return _perimeter(self.domain, n)
+        return _x_edges(self.domain, n)
+
+    def boundary_values(self, points: np.ndarray) -> np.ndarray:
+        """Dirichlet values at boundary points (n, dim): on convdiff1 0 at
+        the left end and 1 at the right, by the nearer end (a point midway
+        takes the left); one constant on every other problem's boundary."""
+        points = np.atleast_2d(points)
+        if self.kind is ProblemKind.CONVDIFF1:
+            x, lo, hi = points[:, 0], self.domain.lower[0], self.domain.upper[0]
+            return np.where(np.abs(x - lo) <= np.abs(x - hi), 0.0, 1.0)
+        return np.full(points.shape[0], 1.0 if self.kind is ProblemKind.CONVDIFF2 else 0.0)
+
+
+def _perimeter(domain: Box, n: int) -> np.ndarray:
+    """n points around the rectangle perimeter, no duplicated corners."""
+    (x0, y0), (x1, y1) = domain.lower, domain.upper
+    per_side = [n // 4 + (i < n % 4) for i in range(4)]
+    # walk the perimeter, each side half-open so corners appear once
+    bottom = np.linspace(x0, x1, per_side[0], endpoint=False)
+    right = np.linspace(y0, y1, per_side[1], endpoint=False)
+    top = np.linspace(x1, x0, per_side[2], endpoint=False)
+    left = np.linspace(y1, y0, per_side[3], endpoint=False)
+    return np.vstack(
+        [
+            np.column_stack([bottom, np.full_like(bottom, y0)]),
+            np.column_stack([np.full_like(right, x1), right]),
+            np.column_stack([top, np.full_like(top, y1)]),
+            np.column_stack([np.full_like(left, x0), left]),
+        ]
+    )
+
+
+def _x_edges(domain: Box, n: int) -> np.ndarray:
+    """n points split over the two x-extreme edges of an (x, t) slab."""
+    (x0, t0), (x1, t1) = domain.lower, domain.upper
+    n_low = n // 2
+    ts_low = np.linspace(t0, t1, n_low)
+    ts_high = np.linspace(t0, t1, n - n_low)
+    return np.vstack(
+        [
+            np.column_stack([np.full_like(ts_low, x0), ts_low]),
+            np.column_stack([np.full_like(ts_high, x1), ts_high]),
+        ]
+    )
+
 
 def convdiff_type1(nu: float) -> PdeProblem:
     return PdeProblem(
         kind=ProblemKind.CONVDIFF1,
         domain=Box((0.0,), (1.0,)),
         nu=nu,
-        boundary_spec={"left": 0.0, "right": 1.0},
     )
 
 
@@ -129,7 +188,6 @@ def convdiff_type2(nu: float) -> PdeProblem:
         kind=ProblemKind.CONVDIFF2,
         domain=Box((0.0,), (1.0,)),
         nu=nu,
-        boundary_spec={"left": 1.0, "right": 1.0},
     )
 
 
@@ -138,7 +196,6 @@ def poisson2d(nu: float) -> PdeProblem:
         kind=ProblemKind.POISSON2D,
         domain=Box((0.0, 0.0), (1.0, 1.0)),
         nu=nu,
-        boundary_spec={"all": 0.0},
     )
 
 
@@ -148,7 +205,6 @@ def advection1d(nu: float, speed: float) -> PdeProblem:
         domain=Box((ADVECTION_X[0], 0.0), (ADVECTION_X[1], 1.0)),
         nu=nu,
         advection_speed=speed,
-        boundary_spec={"left": 0.0, "right": 0.0},
     )
 
 

@@ -1,9 +1,12 @@
-"""Kernel-placement sampling.
+"""Point grids and kernel-placement sampling.
 
-A network's kernels are a deterministic uniform-grid baseline plus
-Gaussian adaptive components steered by a handful of distributional
-hyperparameters; this module draws the adaptive kernels only (the
-baseline is the run's fixed block, see assembly).  A component is the
+The deterministic grids, uniform over a box and along an initial edge,
+place the collocation points, the baseline kernels and the initial rows;
+each problem lays out its own boundary points (problems.PdeProblem).  A
+network's kernels are a uniform-grid baseline plus Gaussian adaptive
+components steered by a handful of distributional hyperparameters; this
+module draws the adaptive kernels only (the baseline is the run's fixed
+block, see assembly).  A component is the
 plain tuple (fraction, mu, tau, decay) read from one search vector,
 whose box the run spec has already checked (drivers.ForwardRunSpec), so
 the draws check nothing again.  Every adaptive kernel has one width,
@@ -109,47 +112,6 @@ def uniform_grid(domain: Box, n: int) -> np.ndarray:
     ys = np.linspace(lo[1], hi[1], counts[1])
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel()])
-
-
-def boundary_points_1d(domain: Box) -> np.ndarray:
-    return np.array([[domain.lower[0]], [domain.upper[0]]])
-
-
-def boundary_points_rect(domain: Box, n: int) -> np.ndarray:
-    """n points around the rectangle perimeter, no duplicated corners."""
-    if n < 4:
-        raise ValueError("need at least 4 perimeter points")
-    (x0, y0), (x1, y1) = domain.lower, domain.upper
-    per_side = [n // 4 + (i < n % 4) for i in range(4)]
-    # walk the perimeter, each side half-open so corners appear once
-    bottom = np.linspace(x0, x1, per_side[0], endpoint=False)
-    right = np.linspace(y0, y1, per_side[1], endpoint=False)
-    top = np.linspace(x1, x0, per_side[2], endpoint=False)
-    left = np.linspace(y1, y0, per_side[3], endpoint=False)
-    return np.vstack(
-        [
-            np.column_stack([bottom, np.full_like(bottom, y0)]),
-            np.column_stack([np.full_like(right, x1), right]),
-            np.column_stack([top, np.full_like(top, y1)]),
-            np.column_stack([np.full_like(left, x0), left]),
-        ]
-    )
-
-
-def boundary_points_xsides(domain: Box, n: int) -> np.ndarray:
-    """n points split over the two x-extreme edges of an (x, t) slab."""
-    if n < 2:
-        raise ValueError("need at least one point per side")
-    (x0, t0), (x1, t1) = domain.lower, domain.upper
-    n_low = n // 2
-    ts_low = np.linspace(t0, t1, n_low)
-    ts_high = np.linspace(t0, t1, n - n_low)
-    return np.vstack(
-        [
-            np.column_stack([np.full_like(ts_low, x0), ts_low]),
-            np.column_stack([np.full_like(ts_high, x1), ts_high]),
-        ]
-    )
 
 
 def initial_points(domain: Box, n: int) -> np.ndarray:

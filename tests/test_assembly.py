@@ -10,7 +10,6 @@ from rbfadapt.assembly import (
     CHUNK_ROWS,
     LinearSystem,
     SolvedModel,
-    boundary_targets,
     build_system,
     dedup_rows,
     evaluate_model,
@@ -31,12 +30,7 @@ from rbfadapt.problems import (
     poisson2d,
 )
 from rbfadapt.rbf import RbfBasis, eval_matrix
-from rbfadapt.sampling import (
-    boundary_points_rect,
-    boundary_points_xsides,
-    initial_points,
-    uniform_grid,
-)
+from rbfadapt.sampling import initial_points, uniform_grid
 
 from test_rbf import _center_width_deriv as _cw
 
@@ -219,7 +213,7 @@ class TestFixedBlock:
 
     def test_poisson_with_clipped_adaptive_centre(self):
         prob = poisson2d(0.05)
-        boundary = boundary_points_rect(prob.domain, 40)
+        boundary = prob.boundary_points(40)
         block, adaptive, basis, interior = _forward_case(prob, 63, boundary, None, 1)
         system, extended = extend(block, adaptive, [])
         assert _systems_equal(system, build_system(prob, basis, interior, boundary))
@@ -227,7 +221,7 @@ class TestFixedBlock:
 
     def test_no_adaptive_kernels(self):
         prob = poisson2d(0.05)
-        boundary = boundary_points_rect(prob.domain, 40)
+        boundary = prob.boundary_points(40)
         block, _, _, _ = _forward_case(prob, 63, boundary, None, 2)
         system, basis = extend(block, None, [])
         assert _systems_equal(system, build_system(prob, block.basis, block.interior, boundary))
@@ -236,7 +230,7 @@ class TestFixedBlock:
 
     def test_initial_rows_take_this_call_values(self):
         prob = advection1d(0.05, 0.5)
-        boundary = boundary_points_xsides(prob.domain, 30)
+        boundary = prob.boundary_points(30)
         block, adaptive, basis, interior = _forward_case(prob, 77, boundary, _initial_rows(prob, 41), 3)
         # the march hands new initial values to every block
         extra = _initial_rows(prob, 41, shift=0.25)
@@ -264,7 +258,7 @@ class TestStaleFixedBlock:
 
     def _case(self, problem=None):
         prob = problem or advection1d(0.05, 0.5)
-        boundary = boundary_points_xsides(prob.domain, 30)
+        boundary = prob.boundary_points(30)
         block, adaptive, basis, interior = _forward_case(prob, 77, boundary, _initial_rows(prob, 41), 6)
         return block, adaptive, basis, interior
 
@@ -399,9 +393,9 @@ class TestBuildSystem:
         prob = convdiff_type1(0.05)
         x = np.array([0.0, 0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 1.0, -0.25, 1.25])
         lo, hi = prob.domain.lower[0], prob.domain.upper[0]
-        left, right = prob.boundary_spec["left"], prob.boundary_spec["right"]
+        left, right = 0.0, 1.0  # u(0) and u(1)
         loop = [left if abs(v - lo) <= abs(v - hi) else right for v in x]
-        targets = boundary_targets(prob, x[:, None])
+        targets = prob.boundary_values(x[:, None])
         assert targets.dtype == np.float64
         np.testing.assert_array_equal(targets, loop)
         assert targets[1] == left
@@ -556,7 +550,7 @@ class TestChunkedRows:
         # 1,369 + 29 - 1 interior rows: several chunks in the operator
         # rows, the fixed block's own rows and the adaptive columns alike
         extra = _initial_rows(problem, 41) if problem.kind is ProblemKind.ADVECTION1D else None
-        boundary = boundary_points_rect(problem.domain, 80)
+        boundary = problem.boundary_points(80)
         block, adaptive, basis, interior = _forward_case(problem, 37 * 37, boundary, extra, 11)
         assert interior.shape[0] > CHUNK_ROWS
         full = build_system(problem, basis, interior, boundary, extra)
@@ -590,7 +584,7 @@ class TestChunkedRows:
             rng.uniform(0.01, 0.2, (1600, 2)),
         )
         interior = uniform_grid(problem.domain, 1600)
-        boundary = boundary_points_xsides(problem.domain, 160)
+        boundary = problem.boundary_points(160)
         extra = _initial_rows(problem, 400)
         tracemalloc.start()
         try:

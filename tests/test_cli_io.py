@@ -514,6 +514,20 @@ class TestRunCommand:
         assert Path(bundle.out_dir) == tmp_path / "explicit"
         assert not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize("search,message", [
+        ({"n_adaptive": 0, "bounds": {}, "fixed": {}}, "search.n_adaptive: forward tuning needs at least one adaptive component"),
+        ({"bounds": {}}, "search.bounds: at least one parameter must be searched"),
+    ], ids=["forward-without-adaptive-components", "nothing-searched"])
+    def test_run_refuses_what_parsing_refuses(self, tmp_path, search, message):
+        # the file's own rules run where the run is built, so a config
+        # changed after parsing meets them too
+        config = parse_config(_dump(tmp_path, TINY_FORWARD))
+        config = replace(config, search={**config.search, **search})
+        with pytest.raises(ConfigValueError) as err:
+            run_command(config, quiet=True, out_override=str(tmp_path / "out"))
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
+
 
 # Each kind's solution.csv: its mesh, and the closed form at the true
 # parameter (the sensors' truth, the study's solved nu), not the one the

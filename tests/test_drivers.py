@@ -44,8 +44,6 @@ from rbfadapt.drivers import (
 from rbfadapt.problems import (
     ADVECTION_X,
     Box,
-    PdeProblem,
-    ProblemKind,
     advection1d,
     advection_initial,
     convdiff_type1,
@@ -55,7 +53,6 @@ from rbfadapt.problems import (
 from rbfadapt.rbf import RbfBasis
 from rbfadapt.sampling import (
     BaselineConfig,
-    boundary_points_xsides,
     initial_points,
     uniform_grid,
 )
@@ -268,12 +265,16 @@ class TestForwardObjective:
     def test_no_fixed_block_when_a_pde_parameter_is_searched(self):
         # an evaluation at a searched speed builds the block for that speed,
         # on the baseline kernels the run keeps
+        problem = advection1d(0.1, 0.5)
         spec = replace(
             _baseline_only_spec(0.01),
-            problem=advection1d(0.1, 0.5),
+            problem=problem,
             baseline=BaselineConfig(500, 250, 0.04, n_initial=4),
             bounds=SearchBounds([("a", 0.1, 1.0)]),
             estimate="a",
+            sensors=generate_sensor_data(
+                problem, {"a": 0.5}, 10, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
+            ),
         )
         kept = shared_baseline(spec)
         assert isinstance(kept, RbfBasis)
@@ -339,12 +340,16 @@ class TestForwardObjective:
 
 
 def _diffusivity_spec(n_adap=0, max_evals=1):
-    # an inverse-style search of the diffusivity on convdiff1
+    # an inverse search of the diffusivity on convdiff1, from 30 sensors at nu = 0.01
     bounds = [("mu_nu", 1e-4, 1e-1), ("sigma_nu", 1e-6, 1e-2)]
     if n_adap:
         bounds = [("mu", 0.93, 0.99), ("tau", 0.15, 0.45), ("lam", -0.4, -0.15)] + bounds
+    problem = convdiff_type1(0.01)
+    sensors = generate_sensor_data(
+        problem, {"nu": 0.01}, 30, 0.05, SensorPlacement.BOUNDARY_LAYER_BIASED, np.random.default_rng(5)
+    )
     return ForwardRunSpec(
-        problem=convdiff_type1(0.01),
+        problem=problem,
         baseline=BaselineConfig(200, 100, 0.05),
         n_adap=n_adap,
         bounds=SearchBounds(bounds, log_scale={"mu_nu": True, "sigma_nu": True}),
@@ -352,6 +357,7 @@ def _diffusivity_spec(n_adap=0, max_evals=1):
         seed=0,
         fixed={"f": 0.5} if n_adap else {},
         estimate="nu",
+        sensors=sensors,
     )
 
 
@@ -441,6 +447,15 @@ class TestForwardRun:
         # convdiff1 has no speed to move, so every proposed a would score alike
         with pytest.raises(ValueError, match="^estimate: the convdiff1 problem has no advection speed to search$"):
             replace(_baseline_only_spec(0.01), bounds=SearchBounds([("a", 0.1, 1.0)]), estimate="a")
+
+    @pytest.mark.parametrize("estimate", ["a", "nu"])
+    def test_an_estimate_without_sensors_is_refused(self, estimate):
+        # without sensors the run reported the search's own pick as an
+        # estimate and graded it against the problem's own parameter
+        spec = _small_speed_spec() if estimate == "a" else _diffusivity_spec()
+        message = rf"^estimate: {estimate} is estimated from sensors, but the spec has none$"
+        with pytest.raises(ValueError, match=message):
+            replace(spec, sensors=None)
 
     @pytest.mark.parametrize("estimate", ["mu", "mu_nu", ("a",)])
     def test_an_unknown_estimate_is_refused(self, estimate):
@@ -669,15 +684,9 @@ class TestTimeBlocks:
         assert any(m.basis.n_kernels > spec.n_rbf for m in result.models)
         x0, x1 = ADVECTION_X
         unit = Box((0.0, 0.0), (1.0, 1.0))
-        problem = PdeProblem(
-            kind=ProblemKind.ADVECTION1D,
-            domain=unit,
-            nu=spec.nu,
-            advection_speed=spec.speed * spec.block_dt / (x1 - x0),
-            boundary_spec={"left": 0.0, "right": 0.0},
-        )
+        problem = replace(advection1d(spec.nu, spec.speed * spec.block_dt / (x1 - x0)), domain=unit)
         grid = uniform_grid(unit, spec.n_colloc)
-        bc = boundary_points_xsides(unit, spec.n_boundary)
+        bc = problem.boundary_points(spec.n_boundary)
         ic = initial_points(unit, spec.n_initial)
         top = np.column_stack([ic[:, 0], np.ones(spec.n_initial)])
         vx = (np.arange(25) + 0.5) / 25.0
@@ -943,6 +952,9 @@ class TestReEvaluation:
 
     def test_inverse_speed_run(self):
         problem = advection1d(0.1, 0.5)
+        sensors = generate_sensor_data(
+            problem, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
+        )
         spec = ForwardRunSpec(
             problem=problem,
             baseline=BaselineConfig(400, 400, 0.1, n_boundary=20, n_initial=21),
@@ -951,11 +963,8 @@ class TestReEvaluation:
             bo=BoConfig(max_evals=3),
             seed=1,
             estimate="a",
+            sensors=sensors,
         )
-        sensors = generate_sensor_data(
-            problem, {"a": 0.5}, 30, 0.05, SensorPlacement.UNIFORM_RANDOM, np.random.default_rng(1)
-        )
-        spec = replace(spec, sensors=sensors)
         result = run_kapi(spec)
         assert result.report == {"w_opt": result.report["w_opt"], "a_est": result.report["w_opt"]["a"]}
         self._reevaluated(spec, result)
@@ -1067,6 +1076,7 @@ class TestInverse:
                                 log_scale={"mu_nu": True, "sigma_nu": True}),
             bo=BoConfig(max_evals=2),
             estimate="nu",
+            sensors=sensors,
         )
         with pytest.raises(ValueError, match="sensors: .*inside"):
             replace(forward_inv, sensors=outside)

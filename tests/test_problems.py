@@ -236,13 +236,13 @@ class TestProblemTypes:
             convdiff_type1(-0.1)
         p = convdiff_type1(0.05)
         assert p.kind is ProblemKind.CONVDIFF1
-        assert p.boundary_spec == {"left": 0.0, "right": 1.0}
+        assert p.boundary_values(p.boundary_points(2)).tolist() == [0.0, 1.0]
         p2 = convdiff_type2(0.05)
-        assert p2.boundary_spec == {"left": 1.0, "right": 1.0}
+        assert p2.boundary_values(p2.boundary_points(2)).tolist() == [1.0, 1.0]
 
     def test_advection_needs_speed(self):
         adv = advection1d(0.05, 0.5)
-        assert adv.boundary_spec == {"left": 0.0, "right": 0.0}
+        assert adv.boundary_values(adv.boundary_points(20)).tolist() == [0.0] * 20
         assert adv.dim == 2
 
     def test_exact_dispatch(self):

@@ -1,17 +1,16 @@
 """Tests for mixture sampling of kernel centers, widths and collocation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rbfadapt.assembly import build_system, dedup_rows, extend, fixed_block
 from rbfadapt.drivers import baseline_basis
-from rbfadapt.problems import Box, convdiff_type1
+from rbfadapt.problems import Box, advection1d, convdiff_type1, poisson2d
 from rbfadapt.rbf import RbfBasis
 from rbfadapt.sampling import (
     BaselineConfig,
-    boundary_points_1d,
-    boundary_points_rect,
-    boundary_points_xsides,
     component_counts,
     default_eta,
     draw_widths,
@@ -116,10 +115,10 @@ class TestGrids:
         assert len(np.unique(g[:, 1])) == 3
 
     def test_boundary_1d(self):
-        np.testing.assert_array_equal(boundary_points_1d(UNIT), [[0.0], [1.0]])
+        np.testing.assert_array_equal(convdiff_type1(0.1).boundary_points(2), [[0.0], [1.0]])
 
     def test_rect_perimeter(self):
-        pts = boundary_points_rect(SQUARE, 400)
+        pts = poisson2d(0.05).boundary_points(400)
         assert pts.shape == (400, 2)
         on_edge = (
             (pts[:, 0] == 0) | (pts[:, 0] == 1) | (pts[:, 1] == 0) | (pts[:, 1] == 1)
@@ -128,7 +127,7 @@ class TestGrids:
         assert len({tuple(p) for p in pts}) == 400
 
     def test_xsides(self):
-        pts = boundary_points_xsides(SQUARE, 150)
+        pts = replace(advection1d(0.05, 0.5), domain=SQUARE).boundary_points(150)
         assert pts.shape == (150, 2)
         assert np.all((pts[:, 0] == 0) | (pts[:, 0] == 1))
         assert (pts[:, 0] == 0).sum() == 75
@@ -257,7 +256,7 @@ def _extended(n_grid, adaptive):
     grid, and the plain build on the stacked basis; returns both."""
     problem = convdiff_type1(0.1)
     base = baseline_basis(UNIT, BaselineConfig(n_grid, 4, 0.1))
-    grid, boundary = uniform_grid(UNIT, n_grid), boundary_points_1d(UNIT)
+    grid, boundary = uniform_grid(UNIT, n_grid), problem.boundary_points(2)
     system, basis = extend(fixed_block(problem, base, grid, boundary), adaptive, [])
     return system, basis, problem, grid, boundary
 

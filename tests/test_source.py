@@ -6,13 +6,15 @@ module imports another module's private name, and no two functions draw
 from the same random stream of the run's seed.  A numerical failure has
 one type, ArithmeticError: only assembly.solve_least_squares meets
 numpy's LinAlgError (or calls into numpy.linalg, but for norm), and only
-the functions that handle a failure catch ArithmeticError.
+the functions that handle a failure catch ArithmeticError.  Every
+refusal on the path that builds a run's spec names its field first.
 
 Tests may reach any name, but they do not keep one alive: a helper or a
 public function that only tests call is dead code.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -300,3 +302,72 @@ def test_the_failure_checks_see_stray_sites():
     )
     assert _linalg_sites(tree, "m") == {"m", "m.solve", "m.fail"}
     assert _arithmetic_handlers(tree, "m") == {"m.Search.step"}
+
+
+# the functions a spec's construction runs; cli_io._built reads the text
+# before a refusal's first colon to decide whether to put a section in front
+SPEC_CHECKS = {
+    "drivers.ForwardRunSpec.__post_init__",
+    "drivers.TimeBlockSpec.__post_init__",
+    "sampling.BaselineConfig.__post_init__",
+    "drivers.hyperparam_names",
+    "drivers.check_baseline",
+    "drivers.check_curriculum",
+    "sampling.check_grid_count",
+    "drivers._check_signs",
+    "drivers._check_inside",
+    "drivers._check_stretch",
+    "problems.PdeProblem.boundary_points",
+}
+# "field: " at the start of a message, each formatted value read as {}
+_FIELD_FIRST = re.compile(r"[\w.{}]+: ")
+
+
+def _message_start(node) -> str:
+    """The leading text of a message expression, each formatted value
+    written {}; empty when it does not start with a string."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _message_start(node.left)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return ""
+
+
+def _unnamed_refusals(tree, module: str, scopes) -> list:
+    """(scope, line) of each raise ValueError(message) inside scopes whose
+    message does not start with "field: "."""
+    out = []
+    for node, scope in _scoped(tree, module):
+        if scope in scopes and isinstance(node, ast.Raise):
+            args = node.exc.args if isinstance(node.exc, ast.Call) else []
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(raised, "id", None) == "ValueError" and not (args and _FIELD_FIRST.match(_message_start(args[0]))):
+                out.append((scope, node.lineno))
+    return out
+
+
+def test_spec_refusals_name_their_field_first():
+    scopes = {scope for name, tree in TREES.items() for _, scope in _scoped(tree, name.removesuffix(".py"))}
+    assert SPEC_CHECKS - scopes == set()
+    assert [site for name, tree in TREES.items()
+            for site in _unnamed_refusals(tree, name.removesuffix(".py"), SPEC_CHECKS)] == []
+
+
+def test_the_refusal_check_sees_unnamed_messages():
+    tree = ast.parse(
+        "def check(n, key):\n"
+        "    if n < 0:\n        raise ValueError(f'n: must be nonnegative, got {n}')\n"
+        "    if n > 9:\n        raise ValueError(f'{key}.n: ' + 'too big')\n"
+        "    if n == 3:\n        raise ValueError('n must not be 3')\n"
+        "    if n == 4:\n        raise ValueError(f'the count {n}: four')\n"
+        "    if n == 5:\n        raise ValueError(key)\n"
+        "    if n == 6:\n        raise ValueError\n"
+        "    raise TypeError('not a refusal')\n"
+        "class Spec:\n    def __post_init__(self):\n        raise ValueError('only 1D and 2D layouts exist')\n"
+        "def other():\n    raise ValueError('unchecked')\n"
+    )
+    assert _unnamed_refusals(tree, "m", {"m.check", "m.Spec.__post_init__"}) == [
+        ("m.check", 7), ("m.check", 9), ("m.check", 11), ("m.check", 13), ("m.Spec.__post_init__", 17)
+    ]
